@@ -202,11 +202,11 @@ fn baseline_row(benchmark: &str, sim: &SimulatedSpec) -> BaselineRow {
     BaselineRow {
         benchmark: benchmark.to_string(),
         spec: sim.label.clone(),
-        accesses: sim.metrics.accesses,
-        hits: sim.metrics.hits,
-        misses: sim.metrics.misses,
+        accesses: sim.reports.metrics.accesses,
+        hits: sim.reports.metrics.hits,
+        misses: sim.reports.metrics.misses,
         uncachable: sim.result.metrics.uncachable,
-        minstr: sim.costs.total.total(),
+        minstr: sim.reports.costs.total.total(),
     }
 }
 
@@ -307,17 +307,18 @@ fn render_adaptive_regret(out: &SimJobOutput) -> String {
         let adaptive: Vec<&SimulatedSpec> = bench
             .sims
             .iter()
-            .filter(|s| s.switches.is_some() && s.regret.is_some())
+            .filter(|s| s.reports.switches.is_some() && s.reports.regret.is_some())
             .collect();
         let statics: Vec<&SimulatedSpec> = bench
             .sims
             .iter()
-            .filter(|s| s.switches.is_none() && s.regret.is_some())
+            .filter(|s| s.reports.switches.is_none() && s.reports.regret.is_some())
             .collect();
         if adaptive.is_empty() || statics.is_empty() {
             continue;
         }
-        let regret_of = |s: &SimulatedSpec| s.regret.as_ref().expect("filtered").total.regret_sum;
+        let regret_of =
+            |s: &SimulatedSpec| s.reports.regret.as_ref().expect("filtered").total.regret_sum;
         let best = statics
             .iter()
             .min_by_key(|s| (regret_of(s), s.label.clone()))
@@ -340,7 +341,7 @@ fn render_adaptive_regret(out: &SimJobOutput) -> String {
             regret_of(worst)
         );
         for sim in adaptive {
-            let report = sim.switches.as_ref().expect("filtered");
+            let report = sim.reports.switches.as_ref().expect("filtered");
             let a = regret_of(sim);
             let _ = writeln!(
                 text,

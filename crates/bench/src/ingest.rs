@@ -29,21 +29,18 @@ use std::io::{self, BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gencache_obs::{
-    oracle_replay, parse_stream_line, CostReport, MetricsReport, NextUseIndex, OracleResult,
-    RegretReport, RunMeta, SimTrace, StreamLine, TraceRebuilder, WindowReport, METRICS_SCHEMA,
-    METRICS_VERSION,
+    oracle_replay, parse_stream_line, NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine,
+    TraceRebuilder, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
 };
-use gencache_core::SwitchReport;
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
 use gencache_sim::{
-    parse_spec, policy_grid, proportion_grid, simulate_costs, simulate_metrics, simulate_regret,
-    simulate_regret_top, simulate_switches, simulate_windows, trace_to_log, AccessLog, ModelSpec,
-    SimSpec, SimulatedSpec,
+    parse_spec, policy_grid, proportion_grid, simulate_cell, trace_to_log, AccessLog,
+    CellSections, ModelSpec, SimSpec, SimulatedSpec, SpecReports,
 };
-use serde::{Deserialize, Value};
+use serde::Value;
 
-use crate::{export_specs, metrics_doc, sample_interval, SpecReports};
+use crate::{export_specs, metrics_doc, sample_interval};
 
 /// Opens `path` for line reading, with `-` meaning stdin — so exports
 /// can be piped (`gencache-client fetch … | simulate --events -`)
@@ -470,11 +467,13 @@ impl SimJobOptions {
 /// Runs the benchmark × spec cross product across `jobs` workers,
 /// reassembling in input order — bit-identical for any worker count,
 /// and byte-identical whether driven by the offline tool or the serve
-/// daemon. When `options.windows` is set, every cell also folds its
-/// event stream into a windowed time-series report with drift
-/// annotations (window width = `options.window_width`, defaulting to
-/// the timeline sample interval). Adaptive cells additionally replay
-/// their policy controller and attach its switch report.
+/// daemon. Each cell replays its log exactly once through
+/// [`simulate_cell`]: metrics and costs always, Belady regret under
+/// `options.oracle`, and under `options.windows` a windowed
+/// time-series report with drift annotations (window width =
+/// `options.window_width`, defaulting to the timeline sample
+/// interval). Adaptive cells attach their controller's switch report,
+/// read from the same replay.
 ///
 /// `cancel` is polled between cells: once set (deadline expiry,
 /// shutdown), remaining cells are skipped and the job returns an error
@@ -510,28 +509,17 @@ pub fn run_sim_job(
         let started = std::time::Instant::now();
         let input = &inputs[i];
         let every = sample_interval(&input.log);
-        let width = options.window_width.unwrap_or(every).max(1);
-        let (result, metrics) = simulate_metrics(&input.log, spec, input.capacity, every);
-        let (_, costs) = simulate_costs(&input.log, spec, input.capacity, input.phases);
-        let regret = indexes[i].as_ref().map(|index| match options.regret_top {
-            Some(top) => {
-                simulate_regret_top(&input.log, spec, input.capacity, input.phases, index, top).1
-            }
-            None => simulate_regret(&input.log, spec, input.capacity, input.phases, index).1,
-        });
-        let windows = options
-            .windows
-            .then(|| simulate_windows(&input.log, spec, input.capacity, width).1);
-        let switches = simulate_switches(&input.log, spec, input.capacity);
-        let sim = SimulatedSpec {
-            label: spec.label(),
-            result,
-            metrics,
-            costs,
-            regret,
-            windows,
-            switches,
+        let sections = CellSections {
+            sample_every: every,
+            phases: input.phases,
+            regret: indexes[i]
+                .as_ref()
+                .map(|index| (index, options.regret_top.unwrap_or(TOP_REGRET))),
+            window_width: options
+                .windows
+                .then(|| options.window_width.unwrap_or(every).max(1)),
         };
+        let sim = simulate_cell(&input.log, spec, input.capacity, &sections);
         Some((sim, started.elapsed().as_micros() as u64))
     });
     if canceled() || simulated.iter().any(Option::is_none) {
@@ -580,28 +568,11 @@ pub fn run_sim_job(
 /// [`metrics_doc`] the live export and the offline simulator use, so
 /// every consumer's document is byte-comparable.
 pub fn sim_metrics_doc(out: &SimJobOutput) -> Value {
-    let benchmarks: Vec<(String, Vec<SpecReports>)> = out
+    let benchmarks = out
         .benches
         .iter()
-        .map(|b| {
-            let reports = b
-                .sims
-                .iter()
-                .map(|sim| {
-                    (
-                        sim.metrics.clone(),
-                        sim.costs.clone(),
-                        None,
-                        sim.regret.clone(),
-                        sim.windows.clone(),
-                        sim.switches.clone(),
-                    )
-                })
-                .collect();
-            (b.name.clone(), reports)
-        })
-        .collect();
-    metrics_doc(&out.labels, &benchmarks)
+        .map(|b| (b.name.as_str(), b.sims.iter().map(|sim| &sim.reports)));
+    metrics_doc(&out.labels, benchmarks)
 }
 
 /// Renders the human-readable per-benchmark result tables (the offline
@@ -615,58 +586,46 @@ pub fn render_sim_tables(out: &SimJobOutput) -> String {
             "\n=== {}: {} ops, capacity {} bytes, {} phases ===",
             bench.name, bench.ops, bench.capacity, bench.phases,
         );
-        let with_regret = bench.sims.iter().any(|s| s.regret.is_some());
+        // The regret column appears only when the job scored regret.
+        let with_regret = bench.sims.iter().any(|s| s.reports.regret.is_some());
+        let mut header = vec!["spec", "accesses", "hits", "misses", "miss%", "Minstr"];
         if with_regret {
-            let mut table = TextTable::new([
-                "spec", "accesses", "hits", "misses", "miss%", "Minstr", "regret",
-            ]);
-            for sim in &bench.sims {
-                table.row([
-                    sim.label.clone(),
-                    sim.metrics.accesses.to_string(),
-                    sim.metrics.hits.to_string(),
-                    sim.metrics.misses.to_string(),
-                    format!("{:.2}", sim.metrics.miss_rate() * 100.0),
-                    format!("{:.2}", sim.costs.total.total() / 1e6),
-                    sim.regret
+            header.push("regret");
+        }
+        let mut table = TextTable::new(header);
+        for sim in &bench.sims {
+            let metrics = &sim.reports.metrics;
+            let mut row = vec![
+                sim.label.clone(),
+                metrics.accesses.to_string(),
+                metrics.hits.to_string(),
+                metrics.misses.to_string(),
+                format!("{:.2}", metrics.miss_rate() * 100.0),
+                format!("{:.2}", sim.reports.costs.total.total() / 1e6),
+            ];
+            if with_regret {
+                row.push(
+                    sim.reports
+                        .regret
                         .as_ref()
                         .map_or_else(|| "-".to_string(), |r| r.total.regret_sum.to_string()),
-                ]);
+                );
             }
-            if let Some(oracle) = &bench.oracle {
-                table.row([
-                    "oracle".to_string(),
-                    oracle.accesses.to_string(),
-                    oracle.hits.to_string(),
-                    oracle.misses.to_string(),
-                    format!("{:.2}", oracle.miss_rate() * 100.0),
-                    "lower bound".to_string(),
-                    "0".to_string(),
-                ]);
-            }
-            text.push_str(&table.render());
-            continue;
-        }
-        let mut table = TextTable::new(["spec", "accesses", "hits", "misses", "miss%", "Minstr"]);
-        for sim in &bench.sims {
-            table.row([
-                sim.label.clone(),
-                sim.metrics.accesses.to_string(),
-                sim.metrics.hits.to_string(),
-                sim.metrics.misses.to_string(),
-                format!("{:.2}", sim.metrics.miss_rate() * 100.0),
-                format!("{:.2}", sim.costs.total.total() / 1e6),
-            ]);
+            table.row(row);
         }
         if let Some(oracle) = &bench.oracle {
-            table.row([
+            let mut row = vec![
                 "oracle".to_string(),
                 oracle.accesses.to_string(),
                 oracle.hits.to_string(),
                 oracle.misses.to_string(),
                 format!("{:.2}", oracle.miss_rate() * 100.0),
                 "lower bound".to_string(),
-            ]);
+            ];
+            if with_regret {
+                row.push("0".to_string());
+            }
+            table.row(row);
         }
         text.push_str(&table.render());
     }
@@ -783,40 +742,9 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
                         "{name}/{label}: sampled sections cannot be fleet-merged"
                     ));
                 }
-                let metrics = doc_field(section, "metrics")
-                    .ok_or_else(|| format!("{name}/{label}: no metrics"))
-                    .and_then(|v| {
-                        MetricsReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad metrics: {e}"))
-                    })?;
-                let costs = doc_field(section, "costs")
-                    .ok_or_else(|| format!("{name}/{label}: no costs"))
-                    .and_then(|v| {
-                        CostReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad costs: {e}"))
-                    })?;
-                let regret = match doc_field(section, "regret") {
-                    Some(v) => Some(
-                        RegretReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad regret: {e}"))?,
-                    ),
-                    None => None,
-                };
-                let windows = match doc_field(section, "windows") {
-                    Some(v) => Some(
-                        WindowReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad windows: {e}"))?,
-                    ),
-                    None => None,
-                };
-                let switches = match doc_field(section, "switches") {
-                    Some(v) => Some(
-                        SwitchReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad switches: {e}"))?,
-                    ),
-                    None => None,
-                };
-                reports.push((metrics, costs, None, regret, windows, switches));
+                reports.push(
+                    SpecReports::from_value(section).map_err(|e| format!("{name}/{label}: {e}"))?,
+                );
             }
             if sections.insert(name.clone(), reports).is_some() {
                 return Err(format!("benchmark {name:?} appears in more than one shard doc"));
@@ -824,17 +752,20 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
         }
     }
     let labels = labels.ok_or("no shard documents to merge")?;
-    let mut benchmarks: Vec<(String, Vec<SpecReports>)> = Vec::with_capacity(order.len());
+    let mut benchmarks = Vec::with_capacity(order.len());
     for name in order {
         let reports = sections
             .remove(name)
             .ok_or_else(|| format!("no shard produced benchmark {name:?}"))?;
-        benchmarks.push((name.clone(), reports));
+        benchmarks.push((name.as_str(), reports));
     }
     if let Some(extra) = sections.keys().next() {
         return Err(format!("shard docs contain unexpected benchmark {extra:?}"));
     }
-    Ok(metrics_doc(&labels, &benchmarks))
+    Ok(metrics_doc(
+        &labels,
+        benchmarks.iter().map(|(name, reports)| (*name, reports)),
+    ))
 }
 
 /// Merges per-shard result tables (the human-readable rendering) back
@@ -1039,11 +970,8 @@ mod tests {
             ingest.push_line(line).unwrap();
         }
         let inputs = ingest.into_inputs(None, None, None).unwrap();
-        let specs = resolve_sim_specs(
-            &["adaptive".to_string(), "lru".to_string()],
-            false,
-        )
-        .unwrap();
+        let labels = ["unified", "45-10-45@hit1", "adaptive", "lru"].map(String::from);
+        let specs = resolve_sim_specs(&labels, false).unwrap();
         let options = SimJobOptions {
             oracle: true,
             windows: true,
@@ -1064,6 +992,110 @@ mod tests {
                 "adaptive doc with {jobs} jobs diverged from serial"
             );
         }
+    }
+
+    fn object(value: &mut Value) -> &mut Vec<(String, Value)> {
+        match value {
+            Value::Object(pairs) => pairs,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    fn pair<'v>(value: &'v mut Value, key: &str) -> &'v mut (String, Value) {
+        let pairs = object(value);
+        pairs.iter_mut().find(|(k, _)| k == key).expect("key present")
+    }
+
+    #[test]
+    fn merge_metrics_docs_errors_are_pinned() {
+        use gencache_core::SwitchReport;
+        use gencache_obs::{CostReport, MetricsReport, RegretReport, WindowReport};
+
+        let reports = SpecReports {
+            regret: Some(RegretReport::new(1)),
+            windows: Some(WindowReport::default()),
+            switches: Some(SwitchReport::default()),
+            ..SpecReports::new(MetricsReport::new(), CostReport::new(1))
+        };
+        let doc = metrics_doc(&["unified".to_string()], [("a", [&reports])]);
+        let edited = |edit: &dyn Fn(&mut Value)| {
+            let mut d = doc.clone();
+            edit(&mut d);
+            d
+        };
+        // Edits benchmark "a"'s entry, or its "unified" section.
+        let in_bench = |edit: &dyn Fn(&mut Value)| {
+            edited(&|d| match &mut pair(d, "benchmarks").1 {
+                Value::Array(benches) => edit(&mut benches[0]),
+                other => panic!("benchmarks is not an array: {other:?}"),
+            })
+        };
+        let in_section =
+            |edit: &dyn Fn(&mut Value)| in_bench(&|b| edit(&mut pair(b, "unified").1));
+        let (a, b) = (["a".to_string()], ["b".to_string()]);
+        let cases: Vec<(Vec<Value>, &[String], &str)> = vec![
+            (
+                vec![edited(&|d| pair(d, "schema").1 = Value::Str("nope".into()))],
+                &a,
+                "shard doc has schema Some(Str(\"nope\")), not \"gencache-metrics\"",
+            ),
+            (
+                vec![edited(&|d| pair(d, "version").1 = Value::UInt(99))],
+                &a,
+                "shard doc has version Some(UInt(99)), not 2",
+            ),
+            (
+                vec![
+                    doc.clone(),
+                    edited(&|d| pair(&mut pair(d, "suite").1, "unified").0 = "lru".into()),
+                ],
+                &a,
+                "shards disagree on spec labels: [\"unified\"] vs [\"lru\"]",
+            ),
+            (
+                vec![in_bench(&|b| object(b).retain(|(k, _)| k != "unified"))],
+                &a,
+                "a: no section for spec \"unified\"",
+            ),
+            (
+                vec![in_section(&|s| object(s).push(("sampled".into(), Value::Null)))],
+                &a,
+                "a/unified: sampled sections cannot be fleet-merged",
+            ),
+            (
+                vec![doc.clone(), doc.clone()],
+                &a,
+                "benchmark \"a\" appears in more than one shard doc",
+            ),
+            (
+                vec![doc.clone()],
+                &[],
+                "shard docs contain unexpected benchmark \"a\"",
+            ),
+            (vec![doc.clone()], &b, "no shard produced benchmark \"b\""),
+            (vec![], &a, "no shard documents to merge"),
+        ];
+        for (docs, order, expected) in cases {
+            assert_eq!(merge_metrics_docs(order, &docs).unwrap_err(), expected);
+        }
+        for key in ["metrics", "costs"] {
+            let missing = in_section(&|s| object(s).retain(|(k, _)| k != key));
+            let err = merge_metrics_docs(&a, &[missing]).unwrap_err();
+            assert_eq!(err, format!("a/unified: no {key}"));
+        }
+        for (key, ty) in [
+            ("metrics", "MetricsReport"),
+            ("costs", "CostReport"),
+            ("regret", "RegretReport"),
+            ("windows", "WindowReport"),
+            ("switches", "SwitchReport"),
+        ] {
+            let malformed = in_section(&|s| pair(s, key).1 = Value::Str("x".into()));
+            let err = merge_metrics_docs(&a, &[malformed]).unwrap_err();
+            let cause = format!("expected object for {ty}, got Str(\"x\")");
+            assert_eq!(err, format!("a/unified: bad {key}: {cause}"));
+        }
+        assert!(merge_metrics_docs(&a, &[doc]).is_ok());
     }
 
     #[test]

@@ -44,17 +44,15 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
-use gencache_core::SwitchReport;
 use gencache_obs::{
-    CostReport, JsonlSink, MetricsReport, RegretReport, RunMeta, SampledReport, SamplingParams,
-    StreamHeader, WindowReport, METRICS_SCHEMA, METRICS_VERSION,
+    CostObserver, JsonlSink, MetricsObserver, RunMeta, SamplingObserver, SamplingParams,
+    StreamHeader, METRICS_SCHEMA, METRICS_VERSION,
 };
 use serde::{Serialize, Value};
 use gencache_sim::par::{par_map, par_map_timed};
 use gencache_sim::{
-    collect_costs, collect_metrics, collect_sampled, compare_figure9_metered, record,
-    replay_observed, Comparison, ModelSpec, ProgressMeter, RecordedRun, RecorderOptions,
-    StreamedRecording, DEFAULT_STREAM_DEPTH,
+    compare_figure9_metered, record, replay_observed, Comparison, ModelSpec, ProgressMeter,
+    RecordedRun, RecorderOptions, SpecReports, StreamedRecording, DEFAULT_STREAM_DEPTH,
 };
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 
@@ -422,40 +420,6 @@ pub fn export_telemetry_streamed(opts: &HarnessOptions, recs: &[StreamedRun]) ->
     Ok(())
 }
 
-/// One model's section of the metrics document: exact aggregates, the
-/// Table 2 cost attribution, (under `--sample`) the bounded-memory
-/// sampled report, (under `--oracle`) the Belady-regret attribution,
-/// (under `--windows`) the windowed time-series with drift annotations,
-/// and (for adaptive specs) the controller's switch report. Optional
-/// sections are emitted only when present, so documents produced
-/// without them keep their exact bytes.
-fn spec_section(
-    metrics: &MetricsReport,
-    costs: &CostReport,
-    sampled: Option<&SampledReport>,
-    regret: Option<&RegretReport>,
-    windows: Option<&WindowReport>,
-    switches: Option<&SwitchReport>,
-) -> Value {
-    let mut pairs = vec![
-        ("metrics".to_string(), metrics.to_value()),
-        ("costs".to_string(), costs.to_value()),
-    ];
-    if let Some(s) = sampled {
-        pairs.push(("sampled".to_string(), s.to_value()));
-    }
-    if let Some(r) = regret {
-        pairs.push(("regret".to_string(), r.to_value()));
-    }
-    if let Some(w) = windows {
-        pairs.push(("windows".to_string(), w.to_value()));
-    }
-    if let Some(s) = switches {
-        pairs.push(("switches".to_string(), s.to_value()));
-    }
-    Value::Object(pairs)
-}
-
 fn write_events(path: &str, runs: &[Run]) -> io::Result<u64> {
     let mut writer = BufWriter::new(File::create(path)?);
     let header =
@@ -531,19 +495,6 @@ pub fn stream_events_to<W: Write>(mut writer: W, recs: &[StreamedRun]) -> io::Re
     Ok((writer, lines))
 }
 
-/// Per-benchmark artifacts for one exported model: exact metrics, cost
-/// attribution, optional sampled report, optional Belady-regret
-/// attribution, optional windowed time-series, and (adaptive specs
-/// only) the policy controller's switch report.
-pub type SpecReports = (
-    MetricsReport,
-    CostReport,
-    Option<SampledReport>,
-    Option<RegretReport>,
-    Option<WindowReport>,
-    Option<SwitchReport>,
-);
-
 /// Assembles the `--metrics-out` document from per-benchmark report
 /// rows: one entry per benchmark, each carrying one [`SpecReports`] per
 /// label in `labels` order.
@@ -553,73 +504,27 @@ pub type SpecReports = (
 /// of a recorded stream under its original configuration is comparable
 /// to the live document byte-for-byte. Suite-level merges fold rows in
 /// input order, keeping the document identical for every job count.
-pub fn metrics_doc(labels: &[String], benchmarks: &[(String, Vec<SpecReports>)]) -> Value {
-    let mut suite: Vec<SpecReports> = labels
-        .iter()
-        .map(|_| (MetricsReport::new(), CostReport::new(1), None, None, None, None))
-        .collect();
-    let mut bench_values = Vec::with_capacity(benchmarks.len());
+pub fn metrics_doc<'a, R>(
+    labels: &[String],
+    benchmarks: impl IntoIterator<Item = (&'a str, R)>,
+) -> Value
+where
+    R: IntoIterator<Item = &'a SpecReports>,
+{
+    let mut suite: Vec<SpecReports> = labels.iter().map(|_| SpecReports::suite()).collect();
+    let mut bench_values = Vec::new();
     for (name, reports) in benchmarks {
-        let mut pairs = vec![("benchmark".to_string(), Value::Str(name.clone()))];
-        for ((label, (metrics, costs, sampled, regret, windows, switches)), merged) in
-            labels.iter().zip(reports).zip(suite.iter_mut())
-        {
-            merged.0.merge(metrics);
-            merged.1.merge(costs);
-            if let Some(s) = sampled {
-                match merged.2.as_mut() {
-                    None => merged.2 = Some(s.clone()),
-                    Some(m) => m.merge(s),
-                }
-            }
-            if let Some(r) = regret {
-                match merged.3.as_mut() {
-                    None => merged.3 = Some(r.clone()),
-                    Some(m) => m.merge(r),
-                }
-            }
-            if let Some(w) = windows {
-                match merged.4.as_mut() {
-                    None => merged.4 = Some(w.clone()),
-                    Some(m) => m.merge(w),
-                }
-            }
-            if let Some(s) = switches {
-                match merged.5.as_mut() {
-                    None => merged.5 = Some(s.clone()),
-                    Some(m) => m.merge(s),
-                }
-            }
-            pairs.push((
-                label.clone(),
-                spec_section(
-                    metrics,
-                    costs,
-                    sampled.as_ref(),
-                    regret.as_ref(),
-                    windows.as_ref(),
-                    switches.as_ref(),
-                ),
-            ));
+        let mut pairs = vec![("benchmark".to_string(), Value::Str(name.to_string()))];
+        for ((label, reports), merged) in labels.iter().zip(reports).zip(suite.iter_mut()) {
+            merged.merge(reports);
+            pairs.push((label.clone(), reports.to_value()));
         }
         bench_values.push(Value::Object(pairs));
     }
-    let suite_pairs: Vec<(String, Value)> = labels
+    let suite_pairs = labels
         .iter()
         .zip(&suite)
-        .map(|(label, (metrics, costs, sampled, regret, windows, switches))| {
-            (
-                label.clone(),
-                spec_section(
-                    metrics,
-                    costs,
-                    sampled.as_ref(),
-                    regret.as_ref(),
-                    windows.as_ref(),
-                    switches.as_ref(),
-                ),
-            )
-        })
+        .map(|(label, merged)| (label.clone(), merged.to_value()))
         .collect();
     Value::Object(vec![
         ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
@@ -646,21 +551,45 @@ pub fn write_metrics_doc(path: &str, doc: Value) -> io::Result<()> {
     file.write_all(b"\n")
 }
 
-fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<()> {
-    let jobs = opts.effective_jobs();
+/// The observers one exported model's metrics section needs, teed so a
+/// single replay fills them all: exact metrics, phase-bucketed costs,
+/// and (under `--sample`) the bounded-memory sampled report.
+type ExportObserver = ((MetricsObserver, CostObserver), Option<SamplingObserver>);
+
+/// Writes the metrics document for profile-keyed rows (recorded runs or
+/// streamed recordings). `facts` gives a row's access count and duration
+/// in µs; `replay` drives the teed [`ExportObserver`] through one
+/// exported model and hands it back, so each (row, model) cell replays
+/// once.
+fn write_export_metrics<T: Sync>(
+    path: &str,
+    rows: &[(WorkloadProfile, T)],
+    opts: &HarnessOptions,
+    facts: impl Fn(&T) -> (u64, u64) + Sync,
+    replay: impl Fn(&T, ModelSpec, ExportObserver) -> ExportObserver + Sync,
+) -> io::Result<()> {
     let sampling = opts.sampling_params();
     // Per-benchmark reports fan out across workers; document assembly
     // folds them in input-index order, so the output is bit-identical
     // for every jobs value.
-    let per_bench: Vec<Vec<SpecReports>> = par_map(runs, jobs, |(profile, run)| {
+    let per_bench: Vec<Vec<SpecReports>> = par_map(rows, opts.effective_jobs(), |(profile, row)| {
+        let (accesses, duration_us) = facts(row);
+        let every = sample_interval_for(accesses);
         export_specs()
             .iter()
             .map(|&(_, spec)| {
-                let every = sample_interval(&run.log);
-                let metrics = collect_metrics(&run.log, spec, every).1;
-                let costs = collect_costs(&run.log, spec, profile.phases.max(1)).1;
-                let sampled = sampling.map(|p| collect_sampled(&run.log, spec, p, every).1);
-                (metrics, costs, sampled, None, None, None)
+                let observer = (
+                    (
+                        MetricsObserver::with_timeline(every),
+                        CostObserver::with_phases(profile.phases.max(1), duration_us),
+                    ),
+                    sampling.map(|p| SamplingObserver::with_timeline(p, every)),
+                );
+                let ((metrics, costs), sampled) = replay(row, spec, observer);
+                SpecReports {
+                    sampled: sampled.map(|s| s.report()),
+                    ..SpecReports::new(metrics.report(), costs.into_report())
+                }
             })
             .collect()
     });
@@ -668,39 +597,31 @@ fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<
         .iter()
         .map(|&(label, _)| label.to_string())
         .collect();
-    let benchmarks: Vec<(String, Vec<SpecReports>)> = runs
+    let benchmarks = rows
         .iter()
-        .zip(per_bench)
-        .map(|((profile, _), reports)| (profile.name.clone(), reports))
-        .collect();
-    write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
+        .zip(&per_bench)
+        .map(|((profile, _), reports)| (profile.name.as_str(), reports));
+    write_metrics_doc(path, metrics_doc(&labels, benchmarks))
+}
+
+fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<()> {
+    write_export_metrics(
+        path,
+        runs,
+        opts,
+        |run| (run.log.access_count(), run.log.duration.as_micros()),
+        |run, spec, observer| replay_observed(&run.log, spec, observer).1,
+    )
 }
 
 fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOptions) -> io::Result<()> {
-    let jobs = opts.effective_jobs();
-    let sampling = opts.sampling_params();
-    let per_bench: Vec<Vec<SpecReports>> = par_map(recs, jobs, |(profile, rec)| {
-        export_specs()
-            .iter()
-            .map(|&(_, spec)| {
-                let every = sample_interval_for(rec.access_count());
-                let metrics = rec.collect_metrics(spec, every).1;
-                let costs = rec.collect_costs(spec, profile.phases.max(1)).1;
-                let sampled = sampling.map(|p| rec.collect_sampled(spec, p, every).1);
-                (metrics, costs, sampled, None, None, None)
-            })
-            .collect()
-    });
-    let labels: Vec<String> = export_specs()
-        .iter()
-        .map(|&(label, _)| label.to_string())
-        .collect();
-    let benchmarks: Vec<(String, Vec<SpecReports>)> = recs
-        .iter()
-        .zip(per_bench)
-        .map(|((profile, _), reports)| (profile.name.clone(), reports))
-        .collect();
-    write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
+    write_export_metrics(
+        path,
+        recs,
+        opts,
+        |rec| (rec.access_count(), rec.facts().duration.as_micros()),
+        |rec, spec, observer| rec.replay_observed(spec, observer).1,
+    )
 }
 
 /// Adapter so an already-assembled [`Value`] tree can go through

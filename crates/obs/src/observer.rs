@@ -57,6 +57,21 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
+/// An optional observer: `None` is disabled like [`NullObserver`], so
+/// one replay can carry a section that only some runs ask for without
+/// changing the observer's type.
+impl<O: Observer> Observer for Option<O> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Observer::enabled)
+    }
+
+    fn on_event(&mut self, event: &CacheEvent) {
+        if let Some(observer) = self {
+            observer.on_event(event);
+        }
+    }
+}
+
 /// Mutable references forward to the referent, so an observer owned by
 /// the caller can be lent to a model for one replay.
 impl<O: Observer> Observer for &mut O {
@@ -197,6 +212,15 @@ mod tests {
         assert!(half.enabled());
         half.on_event(&hit());
         assert_eq!(half.1.events.len(), 1);
+
+        // An optional half: `Some` receives events, `None` is disabled.
+        let mut some = (NullObserver, Some(EventBuffer::new()));
+        assert!(some.enabled());
+        some.on_event(&hit());
+        assert_eq!(some.1.as_ref().map(|b| b.events.len()), Some(1));
+        let none: (NullObserver, Option<EventBuffer>) = (NullObserver, None);
+        assert!(!none.enabled());
+        assert!(!Some(NullObserver).enabled());
     }
 
     #[test]

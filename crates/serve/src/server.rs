@@ -863,7 +863,7 @@ fn run_job(
                 let mut rate = 0.0;
                 for bench in &out.benches {
                     for sim in &bench.sims {
-                        if let Some(w) = &sim.windows {
+                        if let Some(w) = &sim.reports.windows {
                             drift += w.annotations.len() as u64;
                             if let Some(last) = w.windows.last() {
                                 rate = last.miss_rate();

@@ -142,6 +142,15 @@ pub struct ReplayResult {
 }
 
 impl ReplayResult {
+    /// Reads a replayed model's description, counters and ledger.
+    pub fn of(model: &dyn CacheModel) -> Self {
+        ReplayResult {
+            model: model.name(),
+            metrics: *model.metrics(),
+            ledger: *model.ledger(),
+        }
+    }
+
     /// Miss rate of this replay.
     pub fn miss_rate(&self) -> f64 {
         self.metrics.miss_rate()
@@ -209,11 +218,7 @@ pub fn compare_metered(
 
     let mut unified = UnifiedModel::new(capacity);
     replay_into_metered(log, &mut unified, meter);
-    let unified_result = ReplayResult {
-        model: unified.name(),
-        metrics: *unified.metrics(),
-        ledger: *unified.ledger(),
-    };
+    let unified_result = ReplayResult::of(&unified);
 
     let mut generational = Vec::with_capacity(configs.len());
     for config in configs {
@@ -224,11 +229,7 @@ pub fn compare_metered(
         );
         let mut model = GenerationalModel::new(*config);
         replay_into_metered(log, &mut model, meter);
-        generational.push(ReplayResult {
-            model: model.name(),
-            metrics: *model.metrics(),
-            ledger: *model.ledger(),
-        });
+        generational.push(ReplayResult::of(&model));
     }
 
     Comparison {

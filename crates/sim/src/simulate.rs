@@ -11,9 +11,11 @@
 //! is the engine behind it: [`trace_to_log`] rebuilds a replayable
 //! [`AccessLog`] from a recovered [`SimTrace`], [`SimSpec`] names any
 //! configuration — unified, generational with arbitrary proportions and
-//! promotion rule, or one of the local replacement policies — and
-//! [`simulate_grid`] fans a spec grid across worker threads producing
-//! the same report documents the live export path emits.
+//! promotion rule, one of the local replacement policies, or the
+//! adaptive engine — and [`simulate_cell`] replays one (log, spec) cell
+//! **once**, teeing every requested report section onto that single
+//! model instance, to produce the same [`SpecReports`] the live export
+//! path emits.
 
 use gencache_cache::{
     ClockCache, CodeCache, FlushCache, LruCache, PhaseDetector, PreemptiveFlushCache,
@@ -24,10 +26,12 @@ use gencache_core::{
     PromotionPolicy, Proportions, SwitchReport, UnifiedModel,
 };
 use gencache_obs::{
-    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, Observer,
-    RegretObserver, RegretReport, SimTrace, TraceOp, WindowObserver, WindowReport, TOP_REGRET,
+    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, NullObserver,
+    Observer, RegretObserver, RegretReport, SampledReport, SimTrace, TraceOp, WindowObserver,
+    WindowReport,
 };
 use gencache_program::{Addr, Time};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::log::{AccessLog, LogRecord};
 use crate::replay::{replay_into, ReplayResult};
@@ -257,6 +261,49 @@ fn parse_gen_body(label: &str, body: &str) -> Result<(Proportions, PromotionPoli
     Ok((proportions, policy))
 }
 
+/// Drives the configuration named by `spec` over an explicit `capacity`
+/// budget with `observer` attached — the one spec→model mapping every
+/// replay entry point shares. `drive` feeds the model its records: a
+/// materialized [`replay_into`] or a streamed
+/// [`replay_models`](crate::StreamedRecording::replay_models) pass.
+/// Returns the replay outcome, the observer, and (adaptive specs only)
+/// the controller's switch report, read from the same model instance.
+pub(crate) fn replay_spec<O: Observer>(
+    spec: SimSpec,
+    capacity: u64,
+    observer: O,
+    drive: impl FnOnce(&mut dyn CacheModel),
+) -> (ReplayResult, O, Option<SwitchReport>) {
+    match spec {
+        SimSpec::Model(ModelSpec::Unified) => {
+            let mut model = UnifiedModel::observed(capacity, observer);
+            drive(&mut model);
+            (ReplayResult::of(&model), model.into_observer(), None)
+        }
+        SimSpec::Model(ModelSpec::Generational {
+            proportions,
+            policy,
+        }) => {
+            let config = GenerationalConfig::new(capacity, proportions, policy);
+            let mut model = GenerationalModel::observed(config, observer);
+            drive(&mut model);
+            (ReplayResult::of(&model), model.into_observer(), None)
+        }
+        SimSpec::Local(policy) => {
+            let mut model =
+                UnifiedModel::with_cache_observed(policy.name(), policy.build(capacity), observer);
+            drive(&mut model);
+            (ReplayResult::of(&model), model.into_observer(), None)
+        }
+        SimSpec::Adaptive(set) => {
+            let mut model = AdaptiveModel::observed(set, capacity, observer);
+            drive(&mut model);
+            let switches = model.switch_report();
+            (ReplayResult::of(&model), model.into_observer(), Some(switches))
+        }
+    }
+}
+
 /// Replays `log` into the configuration named by `spec` over an
 /// explicit `capacity` budget, with `observer` attached.
 ///
@@ -270,53 +317,8 @@ pub fn replay_sim_observed<O: Observer>(
     capacity: u64,
     observer: O,
 ) -> (ReplayResult, O) {
-    match spec {
-        SimSpec::Model(ModelSpec::Unified) => {
-            let mut model = UnifiedModel::observed(capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-        SimSpec::Model(ModelSpec::Generational {
-            proportions,
-            policy,
-        }) => {
-            let config = GenerationalConfig::new(capacity, proportions, policy);
-            let mut model = GenerationalModel::observed(config, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-        SimSpec::Local(policy) => {
-            let mut model =
-                UnifiedModel::with_cache_observed(policy.name(), policy.build(capacity), observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-        SimSpec::Adaptive(set) => {
-            let mut model = AdaptiveModel::observed(set, capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-    }
+    let (result, observer, _) = replay_spec(spec, capacity, observer, |m| replay_into(log, m));
+    (result, observer)
 }
 
 /// Replays an adaptive spec and returns the controller's account of the
@@ -324,13 +326,15 @@ pub fn replay_sim_observed<O: Observer>(
 /// switches. Returns `None` for non-adaptive specs, which have no
 /// controller to narrate.
 pub fn simulate_switches(log: &AccessLog, spec: SimSpec, capacity: u64) -> Option<SwitchReport> {
-    let SimSpec::Adaptive(set) = spec else {
+    let SimSpec::Adaptive(_) = spec else {
         return None;
     };
-    let mut model = AdaptiveModel::new(set, capacity);
-    replay_into(log, &mut model);
-    Some(model.switch_report())
+    replay_spec(spec, capacity, NullObserver, |m| replay_into(log, m)).2
 }
+
+// The section wrappers below replay once per section. `simulate_cell`
+// produces every section from a single replay; these remain as the
+// per-section references it is tested against.
 
 /// [`replay_sim_observed`] through a [`MetricsObserver`]; `sample_every`
 /// as in [`collect_metrics`](crate::collect_metrics).
@@ -361,20 +365,9 @@ pub fn simulate_costs(
 /// [`replay_sim_observed`] through a [`RegretObserver`]: every eviction
 /// the configuration makes is scored against the Belady alternative the
 /// `index` (built over the same frontend trace the log came from)
-/// identifies, with the same phase bucketing as [`simulate_costs`].
-pub fn simulate_regret(
-    log: &AccessLog,
-    spec: SimSpec,
-    capacity: u64,
-    phases: u32,
-    index: &NextUseIndex,
-) -> (ReplayResult, RegretReport) {
-    simulate_regret_top(log, spec, capacity, phases, index, TOP_REGRET)
-}
-
-/// [`simulate_regret`] with an explicit contributor cap: the report
-/// keeps the `top` highest-regret traces instead of the default
-/// [`TOP_REGRET`].
+/// identifies, with the same phase bucketing as [`simulate_costs`]. The
+/// report keeps the `top` highest-regret traces (the default cap is
+/// [`TOP_REGRET`](gencache_obs::TOP_REGRET)).
 pub fn simulate_regret_top(
     log: &AccessLog,
     spec: SimSpec,
@@ -404,6 +397,116 @@ pub fn simulate_windows(
     (result, observer.report())
 }
 
+/// One configuration's report sections, as they appear under its label
+/// in a metrics document: exact aggregates, the Table 2 cost
+/// attribution, and the optional sections. Optional sections are
+/// emitted only when present, so documents produced without them keep
+/// their exact bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpecReports {
+    /// The aggregated metrics report.
+    pub metrics: MetricsReport,
+    /// The Table 2 cost attribution.
+    pub costs: CostReport,
+    /// The bounded-memory sampled report (live export under `--sample`).
+    pub sampled: Option<SampledReport>,
+    /// Decision-level Belady-regret attribution (`--oracle`).
+    pub regret: Option<RegretReport>,
+    /// Windowed time-series telemetry with drift annotations
+    /// (`--windows`).
+    pub windows: Option<WindowReport>,
+    /// The adaptive controller's switch narrative (adaptive specs only).
+    pub switches: Option<SwitchReport>,
+}
+
+impl SpecReports {
+    /// The two required sections, with every optional section absent.
+    pub fn new(metrics: MetricsReport, costs: CostReport) -> Self {
+        SpecReports {
+            metrics,
+            costs,
+            sampled: None,
+            regret: None,
+            windows: None,
+            switches: None,
+        }
+    }
+
+    /// The suite-level accumulator every document starts from: empty
+    /// metrics, single-phase costs, no optional sections.
+    pub fn suite() -> Self {
+        SpecReports::new(MetricsReport::new(), CostReport::new(1))
+    }
+
+    /// Folds `other` into `self`. An optional section present only in
+    /// `other` is adopted as-is.
+    pub fn merge(&mut self, other: &SpecReports) {
+        fn merge_opt<T: Clone>(into: &mut Option<T>, from: &Option<T>, merge: fn(&mut T, &T)) {
+            if let Some(from) = from {
+                match into {
+                    None => *into = Some(from.clone()),
+                    Some(into) => merge(into, from),
+                }
+            }
+        }
+        self.metrics.merge(&other.metrics);
+        self.costs.merge(&other.costs);
+        merge_opt(&mut self.sampled, &other.sampled, SampledReport::merge);
+        merge_opt(&mut self.regret, &other.regret, RegretReport::merge);
+        merge_opt(&mut self.windows, &other.windows, WindowReport::merge);
+        merge_opt(&mut self.switches, &other.switches, SwitchReport::merge);
+    }
+
+    /// The document section: `metrics`, `costs`, then whichever of
+    /// `sampled`, `regret`, `windows`, `switches` are present, in that
+    /// order.
+    pub fn to_value(&self) -> Value {
+        let mut pairs = vec![
+            ("metrics".to_string(), self.metrics.to_value()),
+            ("costs".to_string(), self.costs.to_value()),
+        ];
+        let optional = [
+            ("sampled", self.sampled.as_ref().map(Serialize::to_value)),
+            ("regret", self.regret.as_ref().map(Serialize::to_value)),
+            ("windows", self.windows.as_ref().map(Serialize::to_value)),
+            ("switches", self.switches.as_ref().map(Serialize::to_value)),
+        ];
+        for (key, value) in optional {
+            if let Some(value) = value {
+                pairs.push((key.to_string(), value));
+            }
+        }
+        Value::Object(pairs)
+    }
+
+    /// Parses a section written by [`SpecReports::to_value`].
+    ///
+    /// # Errors
+    ///
+    /// Returns `no metrics` / `no costs` when a required section is
+    /// missing and `bad KEY: …` when a section fails to deserialize.
+    pub fn from_value(value: &Value) -> Result<Self, String> {
+        fn field<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
+            value.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        }
+        fn parse<T: Deserialize>(value: &Value, key: &str) -> Result<Option<T>, String> {
+            field(value, key)
+                .map(|v| T::from_value(v).map_err(|e| format!("bad {key}: {e}")))
+                .transpose()
+        }
+        let metrics = parse(value, "metrics")?.ok_or("no metrics")?;
+        let costs = parse(value, "costs")?.ok_or("no costs")?;
+        Ok(SpecReports {
+            metrics,
+            costs,
+            sampled: parse(value, "sampled")?,
+            regret: parse(value, "regret")?,
+            windows: parse(value, "windows")?,
+            switches: parse(value, "switches")?,
+        })
+    }
+}
+
 /// One simulated configuration's full outcome.
 #[derive(Debug, Clone)]
 pub struct SimulatedSpec {
@@ -411,83 +514,65 @@ pub struct SimulatedSpec {
     pub label: String,
     /// Replay counters and management-cost ledger.
     pub result: ReplayResult,
-    /// The aggregated metrics report, identical in shape to the live
-    /// `--metrics-out` sections.
-    pub metrics: MetricsReport,
-    /// The Table 2 cost attribution.
-    pub costs: CostReport,
-    /// Decision-level Belady-regret attribution; present only when the
-    /// run asked for the oracle (`--oracle`), absent otherwise so
-    /// oracle-free documents keep their exact bytes.
-    pub regret: Option<RegretReport>,
-    /// Windowed time-series telemetry with drift annotations; present
-    /// only when the run asked for it (`--windows`), absent otherwise
-    /// so window-free documents keep their exact bytes.
-    pub windows: Option<WindowReport>,
-    /// The adaptive controller's switch narrative; present only for
-    /// [`SimSpec::Adaptive`] specs, absent for every static spec so
-    /// static documents keep their exact bytes.
-    pub switches: Option<SwitchReport>,
+    /// The report sections, identical in shape to the live
+    /// `--metrics-out` sections. `sampled` is always absent; `regret`
+    /// and `windows` are present only when [`CellSections`] asked for
+    /// them, `switches` only for [`SimSpec::Adaptive`] specs.
+    pub reports: SpecReports,
 }
 
-/// Replay-wide knobs for [`simulate_grid`], shared by every cell.
+/// Which report sections [`simulate_cell`] produces, and their knobs.
 #[derive(Debug, Clone, Copy)]
-pub struct GridOptions<'a> {
+pub struct CellSections<'a> {
+    /// Occupancy-timeline sampling stride for the metrics section.
+    pub sample_every: u64,
     /// Phase count for cost and regret attribution.
     pub phases: u32,
-    /// Occupancy sampling stride; also the window width when `windows`
-    /// is set.
-    pub sample_every: u64,
-    /// Worker fan-out; results reassemble in grid order regardless.
-    pub jobs: usize,
-    /// Additionally score each spec's evictions for Belady regret
-    /// against this next-use index.
-    pub regret_index: Option<&'a NextUseIndex>,
-    /// Attach a windowed time-series report to each spec.
-    pub windows: bool,
-    /// Explicit window width in accesses; `None` falls back to
-    /// `sample_every` (the historical accesses/64 rule).
+    /// Score every eviction for Belady regret against this next-use
+    /// index, keeping this many top contributors.
+    pub regret: Option<(&'a NextUseIndex, usize)>,
+    /// Fold the event stream into windows of this many accesses.
     pub window_width: Option<u64>,
-    /// Regret-contributor cap; `None` keeps the default
-    /// [`TOP_REGRET`].
-    pub regret_top: Option<usize>,
 }
 
-/// Replays `log` against every spec in the grid, fanning the grid
-/// across up to `options.jobs` workers. Results are reassembled in
-/// grid order, so the output is bit-identical for every `jobs` value.
-/// When [`GridOptions::regret_index`] is supplied, each spec's
-/// evictions are additionally scored for Belady regret against it;
-/// when [`GridOptions::windows`] is set, each spec also gets a
-/// windowed time-series report (window width = `sample_every`).
-pub fn simulate_grid(
+/// Replays `log` into `spec` **once** and produces every requested
+/// section from that single pass: the metrics, cost, regret and window
+/// observers are teed onto one model instance, and an adaptive spec's
+/// switch report is read from the same model. Observers are passive,
+/// so each section is identical to its separate single-section replay
+/// ([`simulate_metrics`], [`simulate_costs`], [`simulate_regret_top`],
+/// [`simulate_windows`], [`simulate_switches`]).
+pub fn simulate_cell(
     log: &AccessLog,
-    specs: &[SimSpec],
+    spec: SimSpec,
     capacity: u64,
-    options: GridOptions<'_>,
-) -> Vec<SimulatedSpec> {
-    crate::par::par_map(specs, options.jobs, |&spec| {
-        let (result, metrics) = simulate_metrics(log, spec, capacity, options.sample_every);
-        let (_, costs) = simulate_costs(log, spec, capacity, options.phases);
-        let top = options.regret_top.unwrap_or(TOP_REGRET);
-        let regret = options
-            .regret_index
-            .map(|index| simulate_regret_top(log, spec, capacity, options.phases, index, top).1);
-        let width = options.window_width.unwrap_or(options.sample_every).max(1);
-        let windows = options
-            .windows
-            .then(|| simulate_windows(log, spec, capacity, width).1);
-        let switches = simulate_switches(log, spec, capacity);
-        SimulatedSpec {
-            label: spec.label(),
-            result,
-            metrics,
-            costs,
-            regret,
-            windows,
+    sections: &CellSections<'_>,
+) -> SimulatedSpec {
+    let duration_us = log.duration.as_micros();
+    let observer = (
+        (
+            MetricsObserver::with_timeline(sections.sample_every),
+            CostObserver::with_phases(sections.phases, duration_us),
+        ),
+        (
+            sections.regret.map(|(index, top)| {
+                RegretObserver::with_top(index, sections.phases, duration_us, top)
+            }),
+            sections.window_width.map(WindowObserver::new),
+        ),
+    );
+    let (result, ((metrics, costs), (regret, windows)), switches) =
+        replay_spec(spec, capacity, observer, |m| replay_into(log, m));
+    SimulatedSpec {
+        label: spec.label(),
+        result,
+        reports: SpecReports {
+            regret: regret.map(|r| r.report()),
+            windows: windows.map(|w| w.report()),
             switches,
-        }
-    })
+            ..SpecReports::new(metrics.report(), costs.into_report())
+        },
+    }
 }
 
 #[cfg(test)]
@@ -603,84 +688,93 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn grid_is_jobs_invariant() {
+    /// A frontend trace every spec class deletes on: a calm phase over
+    /// a small working set; a loop that fits the 60% nursery of the
+    /// default adaptive roster's third candidate but thrashes its
+    /// initial 45-10-45 layout, so the controller drifts, auditions and
+    /// switches; then churn far over the budget. Periodic unmaps make
+    /// even the unbounded policy delete.
+    fn phased_trace() -> SimTrace {
         let mut ops = vec![];
-        for id in 0..12u64 {
-            ops.push(TraceOp::Create {
-                id: TraceId::new(id),
-                bytes: 100,
-                time: Time::from_micros(id),
-            });
-        }
-        for round in 0..20u64 {
-            for id in 0..12u64 {
-                ops.push(TraceOp::Access {
-                    id: TraceId::new((id + round) % 12),
-                    time: Time::from_micros(100 + round * 12 + id),
-                });
+        let mut live = std::collections::HashSet::new();
+        for i in 0..12_000u64 {
+            let (id, bytes) = match i {
+                0..4_000 => (i % 4, 200),
+                4_000..8_000 => (10 + i % 11, 200),
+                _ => (100 + i % 64, 400),
+            };
+            let (id, time) = (TraceId::new(id), Time::from_micros(i));
+            if live.insert(id) {
+                ops.push(TraceOp::Create { id, bytes, time });
+            } else {
+                ops.push(TraceOp::Access { id, time });
+            }
+            if i % 700 == 699 {
+                live.remove(&id);
+                ops.push(TraceOp::Invalidate { id, time });
             }
         }
-        let trace = SimTrace { ops };
-        let log = trace_to_log(&trace, "grid", 1_000_000, 1200);
+        SimTrace { ops }
+    }
+
+    #[test]
+    fn one_pass_cell_equals_the_section_replays() {
+        let trace = phased_trace();
+        let log = trace_to_log(&trace, "phased", 12_000, 8_000);
         let index = NextUseIndex::build(&trace);
-        let specs = vec![
-            SimSpec::Model(ModelSpec::Unified),
-            SimSpec::Model(ModelSpec::best_generational()),
-            SimSpec::Local(LocalPolicy::Lru),
-            SimSpec::Adaptive(CandidateSet::default_set()),
-        ];
-        let options = |jobs| GridOptions {
-            phases: 4,
-            sample_every: 16,
-            jobs,
-            regret_index: Some(&index),
-            windows: true,
-            window_width: None,
-            regret_top: None,
+        let (capacity, every, phases, width, top) = (4_000, 64, 4, 128, 8);
+        let sections = CellSections {
+            sample_every: every,
+            phases,
+            regret: Some((&index, top)),
+            window_width: Some(width),
         };
-        let serial = simulate_grid(&log, &specs, 600, options(1));
-        assert!(
-            serial.iter().any(|s| s
-                .regret
-                .as_ref()
-                .is_some_and(|r| r.total.evictions > 0)),
-            "a 600-byte budget over 1200 bytes of traces must evict"
-        );
-        for jobs in [2, 8] {
-            let par = simulate_grid(&log, &specs, 600, options(jobs));
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.label, b.label);
-                assert_eq!(a.metrics, b.metrics);
-                assert_eq!(a.costs, b.costs);
-                assert_eq!(a.regret, b.regret);
-                assert_eq!(a.windows, b.windows);
-                assert_eq!(a.switches, b.switches);
-                assert_eq!(a.result.metrics, b.result.metrics);
+        let mut classes: Vec<&str> = vec!["unified", "45-10-45@hit1", "adaptive"];
+        classes.extend(LocalPolicy::ALL.iter().map(|p| p.name()));
+        for label in classes {
+            let spec = parse_spec(label).unwrap();
+            let cell = simulate_cell(&log, spec, capacity, &sections);
+            let reports = &cell.reports;
+            let (result, metrics) = simulate_metrics(&log, spec, capacity, every);
+            assert_eq!(cell.label, spec.label());
+            assert_eq!(cell.result.model, result.model, "{label} model");
+            assert_eq!(cell.result.metrics, result.metrics, "{label} counters");
+            assert_eq!(cell.result.ledger, result.ledger, "{label} ledger");
+            assert_eq!(reports.metrics, metrics, "{label} metrics");
+            let costs = simulate_costs(&log, spec, capacity, phases).1;
+            assert_eq!(reports.costs, costs, "{label} costs");
+            let regret = simulate_regret_top(&log, spec, capacity, phases, &index, top).1;
+            assert_eq!(reports.regret, Some(regret), "{label} regret");
+            let windows = simulate_windows(&log, spec, capacity, width).1;
+            assert_eq!(reports.windows, Some(windows), "{label} windows");
+            let switches = simulate_switches(&log, spec, capacity);
+            assert_eq!(reports.switches, switches, "{label} switches");
+            assert!(reports.sampled.is_none());
+
+            let deletions: u64 = metrics
+                .regions
+                .iter()
+                .map(|r| r.capacity_evictions + r.unmap_evictions + r.flush_evictions)
+                .sum();
+            assert!(deletions > 0, "{label} must delete traces");
+            assert_eq!(switches.is_some(), label == "adaptive");
+            if let Some(report) = &switches {
+                assert!(report.switches >= 1, "adaptive must commit a switch: {report:?}");
             }
+            assert_eq!(
+                SpecReports::from_value(&reports.to_value()).as_ref(),
+                Ok(reports),
+                "{label} section round-trips"
+            );
+
+            let bare = CellSections {
+                regret: None,
+                window_width: None,
+                ..sections
+            };
+            let bare = simulate_cell(&log, spec, capacity, &bare).reports;
+            assert!(bare.regret.is_none() && bare.windows.is_none());
+            assert_eq!((bare.metrics, bare.switches), (metrics, switches));
         }
-        assert!(
-            serial
-                .iter()
-                .all(|s| s.switches.is_some() == (s.label == "adaptive")),
-            "only adaptive specs carry a switch report"
-        );
-        assert!(
-            serial
-                .iter()
-                .all(|s| s.windows.as_ref().is_some_and(|w| !w.windows.is_empty())),
-            "windowed reports must be populated when requested"
-        );
-        let bare = simulate_grid(
-            &log,
-            &specs,
-            600,
-            GridOptions {
-                regret_index: None,
-                windows: false,
-                ..options(1)
-            },
-        );
-        assert!(bare.iter().all(|s| s.regret.is_none() && s.windows.is_none()));
     }
 }

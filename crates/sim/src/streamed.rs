@@ -26,6 +26,7 @@ use gencache_workloads::{PlanError, WorkloadProfile};
 use crate::log::LogRecord;
 use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSummary};
 use crate::replay::{Comparison, ReplayCursor, ReplayResult};
+use crate::simulate::{replay_spec, SimSpec};
 use crate::stream;
 use crate::telemetry::ModelSpec;
 
@@ -40,7 +41,9 @@ pub const DEFAULT_STREAM_DEPTH: usize = 4096;
 /// only), then call [`replay_models`](StreamedRecording::replay_models) /
 /// [`replay_observed`](StreamedRecording::replay_observed) /
 /// [`compare_figure9`](StreamedRecording::compare_figure9) any number of
-/// times — each replay re-records through a bounded channel.
+/// times — each replay re-records through a bounded channel, so callers
+/// that want several reports tee their observers into one
+/// `replay_observed` call rather than replaying once per report.
 #[derive(Debug, Clone)]
 pub struct StreamedRecording {
     profile: WorkloadProfile,
@@ -140,66 +143,15 @@ impl StreamedRecording {
     /// Streamed counterpart of
     /// [`replay_observed`](crate::replay_observed): replays into the
     /// model described by `spec` with `observer` attached. The observer
-    /// runs on the consumer thread, so it needs no `Send` bound.
+    /// runs on the consumer thread, so it needs no `Send` bound. Tee
+    /// several observers (`(A, B)`, `Option<O>`) to collect several
+    /// reports from one re-recording pass.
     pub fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O) {
-        let capacity = self.capacity();
-        match spec.generational_config(capacity) {
-            None => {
-                let mut model = UnifiedModel::observed(capacity, observer);
-                self.replay_models(&mut [&mut model as &mut dyn CacheModel]);
-                let result = ReplayResult {
-                    model: model.name(),
-                    metrics: *model.metrics(),
-                    ledger: *model.ledger(),
-                };
-                (result, model.into_observer())
-            }
-            Some(config) => {
-                let mut model = GenerationalModel::observed(config, observer);
-                self.replay_models(&mut [&mut model as &mut dyn CacheModel]);
-                let result = ReplayResult {
-                    model: model.name(),
-                    metrics: *model.metrics(),
-                    ledger: *model.ledger(),
-                };
-                (result, model.into_observer())
-            }
-        }
-    }
-
-    /// Streamed counterpart of [`collect_metrics`](crate::collect_metrics).
-    pub fn collect_metrics(
-        &self,
-        spec: ModelSpec,
-        sample_every: u64,
-    ) -> (ReplayResult, gencache_obs::MetricsReport) {
-        let (result, observer) =
-            self.replay_observed(spec, gencache_obs::MetricsObserver::with_timeline(sample_every));
-        (result, observer.report())
-    }
-
-    /// Streamed counterpart of [`collect_costs`](crate::collect_costs).
-    pub fn collect_costs(
-        &self,
-        spec: ModelSpec,
-        phases: u32,
-    ) -> (ReplayResult, gencache_obs::CostReport) {
-        let observer =
-            gencache_obs::CostObserver::with_phases(phases, self.facts.duration.as_micros());
-        let (result, observer) = self.replay_observed(spec, observer);
-        (result, observer.into_report())
-    }
-
-    /// Streamed counterpart of [`collect_sampled`](crate::collect_sampled).
-    pub fn collect_sampled(
-        &self,
-        spec: ModelSpec,
-        params: gencache_obs::SamplingParams,
-        sample_every: u64,
-    ) -> (ReplayResult, gencache_obs::SampledReport) {
-        let observer = gencache_obs::SamplingObserver::with_timeline(params, sample_every);
-        let (result, observer) = self.replay_observed(spec, observer);
-        (result, observer.report())
+        let (result, observer, _) =
+            replay_spec(SimSpec::Model(spec), self.capacity(), observer, |model| {
+                self.replay_models(&mut [model])
+            });
+        (result, observer)
     }
 
     /// Streamed counterpart of [`compare_figure9`](crate::compare_figure9):
@@ -222,18 +174,10 @@ impl StreamedRecording {
         Comparison {
             benchmark: self.profile.name.clone(),
             capacity,
-            unified: ReplayResult {
-                model: unified.name(),
-                metrics: *unified.metrics(),
-                ledger: *unified.ledger(),
-            },
+            unified: ReplayResult::of(&unified),
             generational: generational
                 .iter()
-                .map(|model| ReplayResult {
-                    model: model.name(),
-                    metrics: *model.metrics(),
-                    ledger: *model.ledger(),
-                })
+                .map(|model| ReplayResult::of(model))
                 .collect(),
         }
     }

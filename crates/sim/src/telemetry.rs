@@ -1,7 +1,7 @@
 //! Observer-aware replay: event capture and mergeable metrics.
 //!
-//! These helpers wrap [`replay_into`](crate::replay_into) with the
-//! instrumented model constructors from `gencache-core`, producing either
+//! These helpers replay a log into an instrumented model through the
+//! one spec→model mapping ([`replay_sim_observed`]), producing either
 //! a full [`CacheEvent`] stream (for JSONL export and the `explain`
 //! tool) or an aggregated [`MetricsReport`].
 //!
@@ -11,16 +11,15 @@
 //! worker count, extending the repo's determinism guarantee to
 //! telemetry collection.
 
-use gencache_core::{
-    CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy, Proportions, UnifiedModel,
-};
+use gencache_core::{PromotionPolicy, Proportions};
 use gencache_obs::{
     CacheEvent, CostObserver, CostReport, EventBuffer, MetricsObserver, MetricsReport, Observer,
     SampledReport, SamplingObserver, SamplingParams,
 };
 
 use crate::log::AccessLog;
-use crate::replay::{replay_into, ReplayResult};
+use crate::replay::ReplayResult;
+use crate::simulate::{replay_sim_observed, SimSpec};
 
 /// Which cache organization to instrument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,50 +44,18 @@ impl ModelSpec {
             policy: PromotionPolicy::OnHit { hits: 1 },
         }
     }
-
-    /// Builds the concrete config for a benchmark whose standard budget
-    /// is `capacity` bytes, if this spec is generational.
-    pub fn generational_config(&self, capacity: u64) -> Option<GenerationalConfig> {
-        match *self {
-            ModelSpec::Unified => None,
-            ModelSpec::Generational {
-                proportions,
-                policy,
-            } => Some(GenerationalConfig::new(capacity, proportions, policy)),
-        }
-    }
 }
 
 /// Replays `log` into the model described by `spec` with `observer`
-/// attached, returning the replay outcome and the observer back.
+/// attached at the paper's standard budget (half the unbounded peak),
+/// returning the replay outcome and the observer back.
 pub fn replay_observed<O: Observer>(
     log: &AccessLog,
     spec: ModelSpec,
     observer: O,
 ) -> (ReplayResult, O) {
     let capacity = (log.peak_trace_bytes / 2).max(1);
-    match spec.generational_config(capacity) {
-        None => {
-            let mut model = UnifiedModel::observed(capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-        Some(config) => {
-            let mut model = GenerationalModel::observed(config, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-    }
+    replay_sim_observed(log, SimSpec::Model(spec), capacity, observer)
 }
 
 /// Replays `log` and captures the complete event stream.

@@ -34,6 +34,8 @@ serve_log="target/tmp/check-serve.log"
 serve_events_log="target/tmp/check-serve-events.jsonl"
 serve_pid=""
 adaptive_events="target/tmp/check-adaptive-events.jsonl"
+jobs1_metrics="target/tmp/check-metrics-jobs1.json"
+jobs3_metrics="target/tmp/check-metrics-jobs3.json"
 fleet_events="target/tmp/check-fleet-events.jsonl"
 fleet_second="target/tmp/check-fleet-second.jsonl"
 fleet_sim="target/tmp/check-metrics-fleet-sim.json"
@@ -49,7 +51,7 @@ cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null
   done
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
-    "$win_metrics" "$adaptive_events" \
+    "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
     "$shard1_log" "$shard2_log" "$router_log"
@@ -131,6 +133,16 @@ echo "$switch_out" | grep -q "Adaptive controller" \
   || { echo "explain --spec adaptive printed no controller summary"; exit 1; }
 echo "$switch_out" | grep -qE '^  epoch +[0-9]+ @ +[0-9]+µs: (probe|commit) ' \
   || { echo "explain --spec adaptive narrated no probe/commit switches"; exit 1; }
+
+echo "=== jobs smoke: one doc with regret, windows and switches is identical at any --jobs"
+./target/release/simulate --events "$adaptive_events" --grid --oracle --windows \
+  --spec adaptive --jobs 1 --metrics-out "$jobs1_metrics" > /dev/null
+./target/release/simulate --events "$adaptive_events" --grid --oracle --windows \
+  --spec adaptive --jobs 3 --metrics-out "$jobs3_metrics" > /dev/null
+grep -q '"switches":{' "$jobs1_metrics" \
+  || { echo "adaptive grid doc has no switches section"; exit 1; }
+cmp "$jobs1_metrics" "$jobs3_metrics" \
+  || { echo "simulate metrics doc differs between --jobs 1 and --jobs 3"; exit 1; }
 
 echo "=== serve smoke: daemon reply is byte-identical to offline simulate"
 ./target/release/gencache-serve --addr 127.0.0.1:0 \

@@ -17,12 +17,12 @@
 //! Plus the oracle sanity bound: the Belady-style furthest-next-use
 //! replayer never misses more than the unified baseline.
 
+use gencache_bench::ingest::{run_sim_job, SimJobInput, SimJobOptions};
 use gencache_bench::sample_interval;
-use gencache_obs::{oracle_replay, reconstruct_trace, NextUseIndex};
+use gencache_obs::{oracle_replay, reconstruct_trace};
 use gencache_sim::{
     collect_costs, collect_events, collect_metrics, parse_spec, record, simulate_costs,
-    simulate_grid, simulate_metrics, sweep_with_jobs, trace_to_log, AccessLog, GridOptions,
-    ModelSpec, SimSpec,
+    simulate_metrics, sweep_with_jobs, trace_to_log, AccessLog, ModelSpec, SimSpec,
 };
 use gencache_workloads::benchmark;
 
@@ -91,49 +91,51 @@ fn simulation_reproduces_recording_and_counterfactuals_bitwise() {
 #[test]
 fn simulated_grid_is_jobs_invariant() {
     let (original, reconstructed, capacity) = recorded_and_reconstructed();
-    let every = sample_interval(&reconstructed);
     let specs: Vec<SimSpec> = ["unified", "gen-45-10-45@hit1", "30-20-50@evict5", "lru"]
         .iter()
         .map(|l| parse_spec(l).expect("valid spec label"))
         .collect();
     let (_, events) = collect_events(&original, ModelSpec::Unified);
-    let trace = reconstruct_trace(&events).expect("stream inverts");
-    let index = NextUseIndex::build(&trace);
-    let options = |jobs| GridOptions {
+    let inputs = [SimJobInput {
+        name: reconstructed.benchmark.clone(),
+        trace: reconstruct_trace(&events).expect("stream inverts"),
+        log: reconstructed,
+        capacity,
         phases: 12,
-        sample_every: every,
-        jobs,
-        regret_index: Some(&index),
+    }];
+    let options = SimJobOptions {
+        oracle: true,
         windows: true,
-        window_width: None,
-        regret_top: None,
+        ..SimJobOptions::default()
     };
-    let serial = simulate_grid(&reconstructed, &specs, capacity, options(1));
+    let serial = run_sim_job(&inputs, &specs, options, 1, None).expect("job runs");
+    let serial = &serial.benches[0].sims;
     assert!(
-        serial.iter().all(|s| s.regret.is_some()),
-        "every grid cell gets a regret report when an index is supplied"
+        serial.iter().all(|s| s.reports.regret.is_some()),
+        "every grid cell gets a regret report under the oracle"
     );
     assert!(
-        serial.iter().all(|s| s.windows.is_some()),
+        serial.iter().all(|s| s.reports.windows.is_some()),
         "every grid cell gets a windowed report when requested"
     );
     for jobs in [2, 8] {
-        let parallel = simulate_grid(&reconstructed, &specs, capacity, options(jobs));
+        let parallel = run_sim_job(&inputs, &specs, options, jobs, None).expect("job runs");
+        let parallel = &parallel.benches[0].sims;
         assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
+        for (a, b) in serial.iter().zip(parallel) {
             assert_eq!(a.label, b.label, "jobs={jobs}");
             assert_eq!(a.result.metrics, b.result.metrics, "{} jobs={jobs}", a.label);
-            assert_eq!(a.metrics, b.metrics, "{} jobs={jobs}", a.label);
-            assert_eq!(a.costs, b.costs, "{} jobs={jobs}", a.label);
+            assert_eq!(a.reports.metrics, b.reports.metrics, "{} jobs={jobs}", a.label);
+            assert_eq!(a.reports.costs, b.reports.costs, "{} jobs={jobs}", a.label);
             assert_eq!(
-                serde_json::to_string(&a.regret).unwrap(),
-                serde_json::to_string(&b.regret).unwrap(),
+                serde_json::to_string(&a.reports.regret).unwrap(),
+                serde_json::to_string(&b.reports.regret).unwrap(),
                 "{} regret jobs={jobs}",
                 a.label
             );
             assert_eq!(
-                serde_json::to_string(&a.windows).unwrap(),
-                serde_json::to_string(&b.windows).unwrap(),
+                serde_json::to_string(&a.reports.windows).unwrap(),
+                serde_json::to_string(&b.reports.windows).unwrap(),
                 "{} windows jobs={jobs}",
                 a.label
             );
