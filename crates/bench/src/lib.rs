@@ -48,7 +48,7 @@ use gencache_obs::{
     CostObserver, JsonlSink, MetricsObserver, RunMeta, SamplingObserver, SamplingParams,
     StreamHeader, METRICS_SCHEMA, METRICS_VERSION,
 };
-use serde::{Serialize, Value};
+use serde::Value;
 use gencache_sim::par::{par_map, par_map_timed};
 use gencache_sim::{
     compare_figure9_metered, record, replay_observed, Comparison, ModelSpec, ProgressMeter,
@@ -537,9 +537,9 @@ where
 /// Serializes an assembled [`Value`] tree to JSON text — the one
 /// rendering every consumer shares, so documents that must compare
 /// byte-for-byte (live export, offline simulator, serve daemon) all go
-/// through it.
+/// through it. The borrowed tree is written directly, never copied.
 pub fn value_to_json(doc: &Value) -> String {
-    serde_json::to_string(&RawValue(doc.clone())).expect("value trees always serialize")
+    serde_json::to_string(doc).expect("value trees always serialize")
 }
 
 /// Serializes an assembled metrics document to `path` (single JSON
@@ -624,16 +624,6 @@ fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOption
     )
 }
 
-/// Adapter so an already-assembled [`Value`] tree can go through
-/// `serde_json::to_string`, which wants a [`Serialize`] type.
-struct RawValue(Value);
-
-impl Serialize for RawValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 /// One suite's borrowed slice of profile-keyed rows.
 pub type SuiteRows<'a, T> = Vec<&'a (WorkloadProfile, T)>;
 
@@ -715,5 +705,46 @@ mod tests {
         let ps = o.profiles();
         assert_eq!(ps.len(), 26);
         assert!(ps.iter().all(|p| p.suite == Suite::Spec2000));
+    }
+
+    /// A writer that accepts `budget` bytes, then fails like a socket
+    /// whose reader hung up.
+    struct FailAfter {
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "reader hung up"));
+            }
+            let n = data.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stream_events_to_a_failing_writer_returns_the_error() {
+        let profile = gencache_workloads::benchmark("solitaire")
+            .expect("solitaire is a calibrated benchmark")
+            .scaled_down(256);
+        let rec = StreamedRecording::probe(&profile, RecorderOptions::default(), 64)
+            .expect("calibrated profiles always plan");
+        let recs = vec![(profile, rec)];
+        let (full, lines) = stream_events_to(Vec::new(), &recs).unwrap();
+        assert!(lines > 10, "expected an export with events, got {lines} lines");
+        // Fail in the header, among the first model's events, and on the
+        // very last event line.
+        for budget in [0, full.len() / 3, full.len() - 1] {
+            let err = stream_events_to(FailAfter { budget }, &recs)
+                .err()
+                .unwrap_or_else(|| panic!("a write failing after {budget} bytes must be reported"));
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "budget {budget}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Observer`] trait and basic sinks.
 
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -118,25 +118,40 @@ pub struct EventRecord {
 }
 
 /// A streaming JSONL sink: every event becomes one [`EventRecord`]
-/// line on the underlying writer.
+/// line on the underlying writer, byte-identical to
+/// `serde_json::to_string(&record)` plus a newline.
 ///
-/// Write failures panic: the sink is a terminal-tool export path where
-/// losing events silently would be worse than dying loudly.
+/// The labels are rendered once, into a line prefix, and each event is
+/// written into one reused line buffer, so an event costs no
+/// allocation.
+///
+/// An observer cannot return an error, so the sink keeps the first
+/// write error, writes nothing after it, and returns it from
+/// [`JsonlSink::finish`]. A reader that hangs up mid-export (a socket
+/// or channel writer) thus ends the export with an error, not a panic.
 pub struct JsonlSink<W: Write> {
     writer: W,
-    source: String,
-    model: String,
+    /// `{"source":…,"model":…,"event":` — the labels, already encoded.
+    prefix: String,
+    line: String,
     lines: u64,
+    error: Option<io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink labelling every line with `source` and `model`.
     pub fn new(writer: W, source: impl Into<String>, model: impl Into<String>) -> Self {
+        let mut prefix = String::from("{\"source\":");
+        source.into().write_json(&mut prefix);
+        prefix.push_str(",\"model\":");
+        model.into().write_json(&mut prefix);
+        prefix.push_str(",\"event\":");
         JsonlSink {
             writer,
-            source: source.into(),
-            model: model.into(),
+            line: String::with_capacity(prefix.len() + 128),
+            prefix,
             lines: 0,
+            error: None,
         }
     }
 
@@ -146,7 +161,14 @@ impl<W: Write> JsonlSink<W> {
     }
 
     /// Flushes and returns the underlying writer.
-    pub fn finish(mut self) -> std::io::Result<W> {
+    ///
+    /// # Errors
+    ///
+    /// The first error a line write returned, else the flush's error.
+    pub fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         self.writer.flush()?;
         Ok(self.writer)
     }
@@ -155,26 +177,26 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("source", &self.source)
-            .field("model", &self.model)
+            .field("prefix", &self.prefix)
             .field("lines", &self.lines)
+            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
 
 impl<W: Write> Observer for JsonlSink<W> {
     fn on_event(&mut self, event: &CacheEvent) {
-        let record = EventRecord {
-            source: self.source.clone(),
-            model: self.model.clone(),
-            event: *event,
-        };
-        let line = serde_json::to_string(&record).expect("events always serialize");
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .expect("event sink write failed");
-        self.lines += 1;
+        if self.error.is_some() {
+            return;
+        }
+        self.line.clear();
+        self.line.push_str(&self.prefix);
+        event.write_json(&mut self.line);
+        self.line.push_str("}\n");
+        match self.writer.write_all(self.line.as_bytes()) {
+            Ok(()) => self.lines += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 }
 
@@ -231,6 +253,41 @@ mod tests {
             lent.on_event(&hit());
         }
         assert_eq!(buf.events.len(), 1);
+    }
+
+    /// A writer that takes `ok` whole writes, then fails every one.
+    #[derive(Debug)]
+    struct FailingWriter {
+        ok: usize,
+        attempts: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.attempts += 1;
+            if self.attempts > self.ok {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "hung up"));
+            }
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_write_error() {
+        let mut writer = FailingWriter { ok: 2, attempts: 0 };
+        let mut sink = JsonlSink::new(&mut writer, "word", "unified");
+        for _ in 0..5 {
+            sink.on_event(&hit());
+        }
+        assert_eq!(sink.lines(), 2);
+        let err = sink.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        // The third write failed and no later event touched the writer.
+        assert_eq!(writer.attempts, 3);
     }
 
     #[test]

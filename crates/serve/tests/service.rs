@@ -323,6 +323,36 @@ fn fetch_streams_an_export_that_simulates_cleanly() {
 }
 
 #[test]
+fn fetch_client_hanging_up_mid_export_fails_the_job_without_a_panic() {
+    let server = TestServer::start(ServerConfig::default());
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // A large download (tens of thousands of lines), so the worker is
+    // still exporting when the connection goes away.
+    writeln!(writer, "{}", gencache_serve::proto::encode_fetch("solitaire", 4)).unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut first = String::new();
+    reader.read_line(&mut first).unwrap();
+    assert!(first.contains("\"schema\""), "expected the export header, got {first:?}");
+    drop(reader);
+    drop(writer);
+
+    // The connection thread sees the hang-up and fails the job; the
+    // worker's export then stops with a write error, not a panic.
+    server.wait_stats(
+        |doc| counter(doc, "jobs_failed") == 1 && counter(doc, "in_flight") == 0,
+        "the hung-up fetch to fail and its worker to finish",
+    );
+    let Reply::Stats { doc } = server.client().stats().unwrap() else {
+        panic!("stats request failed");
+    };
+    assert_eq!(counter(&doc, "jobs_panicked"), 0, "{doc}");
+    assert_eq!(counter(&doc, "jobs_completed"), 0, "{doc}");
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+}
+
+#[test]
 fn busy_submission_succeeds_under_retry_policy() {
     let export = export();
     let server = TestServer::start(ServerConfig {

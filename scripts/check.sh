@@ -36,6 +36,10 @@ serve_pid=""
 adaptive_events="target/tmp/check-adaptive-events.jsonl"
 jobs1_metrics="target/tmp/check-metrics-jobs1.json"
 jobs3_metrics="target/tmp/check-metrics-jobs3.json"
+export_events="target/tmp/check-export-events.jsonl"
+export_metrics="target/tmp/check-export-metrics.json"
+stream_events="target/tmp/check-stream-events.jsonl"
+stream_metrics="target/tmp/check-stream-metrics.json"
 fleet_events="target/tmp/check-fleet-events.jsonl"
 fleet_second="target/tmp/check-fleet-second.jsonl"
 fleet_sim="target/tmp/check-metrics-fleet-sim.json"
@@ -52,6 +56,7 @@ cleanup() {
   done
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
+    "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
     "$shard1_log" "$shard2_log" "$router_log"
@@ -73,6 +78,16 @@ await_addr() { # $1=log $2=pid $3=sed-pattern
 ./target/release/explain --bench word --scale 64 \
   --events-out "$events" --metrics-out "$live_metrics" > /dev/null
 ./target/release/explain --parse-events "$events"
+
+echo "=== export identity smoke: materialized and streamed exports are byte-identical"
+./target/release/fig9_miss_rates --scale 64 --suite interactive \
+  --events-out "$export_events" --metrics-out "$export_metrics" > /dev/null
+./target/release/fig9_miss_rates --scale 64 --suite interactive --stream \
+  --events-out "$stream_events" --metrics-out "$stream_metrics" > /dev/null
+cmp "$export_events" "$stream_events" \
+  || { echo "streamed event export differs from the materialized one"; exit 1; }
+cmp "$export_metrics" "$stream_metrics" \
+  || { echo "streamed metrics doc differs from the materialized one"; exit 1; }
 
 echo "=== delta smoke: stream diff reports a non-empty phase table"
 delta_out="$(./target/release/delta "$events" --phases 6)"
