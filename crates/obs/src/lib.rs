@@ -73,8 +73,8 @@ pub use regret::{
     WorstEviction, TOP_REGRET,
 };
 pub use schema::{
-    parse_stream_line, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA, EVENTS_VERSION,
-    METRICS_SCHEMA, METRICS_VERSION,
+    parse_stream_line, parse_stream_line_tree, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA,
+    EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
 };
 pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};
 pub use sample::{ReservoirSnapshot, SampledReport, SamplingObserver, SamplingParams, SamplingSummary};

@@ -15,8 +15,9 @@
 //! no header) still parse — every line is an event — so old exports
 //! remain readable by consumers that choose to warn instead of reject.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, Serialize};
 
+use crate::event::CacheEvent;
 use crate::observer::EventRecord;
 
 /// The schema name every event export declares.
@@ -112,13 +113,56 @@ pub enum StreamLine {
 
 /// Parses one JSONL line of an event export.
 ///
-/// The line is parsed once into a value tree, then dispatched on its
-/// keys: an object with `schema` is tried as a [`StreamHeader`], one
-/// with `duration_us` as a [`RunMeta`], and anything else becomes an
+/// An event line is read directly from the text into an
+/// [`EventRecord`], with no value tree. Every other line goes to
+/// [`parse_stream_line_tree`]: headers, meta lines, malformed lines,
+/// and any line with a top-level `schema` or `duration_us` key (the
+/// keys that dispatch checks). The result is always the one
+/// [`parse_stream_line_tree`] returns.
+pub fn parse_stream_line(line: &str) -> Result<StreamLine, String> {
+    match read_event_line(line) {
+        Some(record) => Ok(StreamLine::Event(record)),
+        None => parse_stream_line_tree(line),
+    }
+}
+
+/// Reads `line` as an [`EventRecord`] object, or `None` when it is not
+/// one or carries a key the tree dispatch would try first. As in the
+/// derived reader, the first occurrence of a key wins and unknown keys
+/// are parsed and dropped.
+fn read_event_line(line: &str) -> Option<EventRecord> {
+    let mut r = JsonReader::new(line);
+    r.begin_object().ok()?;
+    let (mut source, mut model, mut event) = (None, None, None);
+    let mut first = true;
+    while let Some(key) = r.next_key(first).ok()? {
+        first = false;
+        match &*key {
+            "schema" | "duration_us" => return None,
+            "source" if source.is_none() => source = Some(String::read_json(&mut r).ok()?),
+            "model" if model.is_none() => model = Some(String::read_json(&mut r).ok()?),
+            "event" if event.is_none() => event = Some(CacheEvent::read_json(&mut r).ok()?),
+            _ => r.skip_value().ok()?,
+        }
+    }
+    r.finish().ok()?;
+    Some(EventRecord {
+        source: source?,
+        model: model?,
+        event: event?,
+    })
+}
+
+/// Parses one JSONL line through a value tree, dispatched on its keys:
+/// an object with `schema` is tried as a [`StreamHeader`], one with
+/// `duration_us` as a [`RunMeta`], and anything else becomes an
 /// [`EventRecord`]. A keyed shape that fails to deserialize falls
 /// through to [`EventRecord`], so a malformed line reports the event
 /// error, whatever keys it carries.
-pub fn parse_stream_line(line: &str) -> Result<StreamLine, String> {
+///
+/// [`parse_stream_line`] uses this for every line that is not a plain
+/// event line; tests use it as the reference for the event path.
+pub fn parse_stream_line_tree(line: &str) -> Result<StreamLine, String> {
     let unrecognized = |e: &dyn std::fmt::Display| format!("unrecognized stream line: {e}: {line}");
     let value = serde_json::value_from_str(line).map_err(|e| unrecognized(&e))?;
     let has_key = |key: &str| {
@@ -194,30 +238,58 @@ mod tests {
             },
         };
         let line = serde_json::to_string(&record).unwrap();
+        // An event line is read directly, without the tree dispatch.
+        assert_eq!(read_event_line(&line).as_ref(), Some(&record));
         assert_eq!(parse_stream_line(&line).unwrap(), StreamLine::Event(record));
     }
 
     #[test]
     fn garbage_lines_error() {
         let deep = "[".repeat(100_000);
+        let event =
+            r#""source":"w","model":"m","event":{"Pin":{"region":"Nursery","trace":1,"time":2}}"#;
+        let with_header = format!(r#"{{{event},"schema":"gencache-events","version":2}}"#);
+        let with_meta = format!(r#"{{"duration_us":5,{event},"peak_trace_bytes":6,"phases":1}}"#);
+        let meta = RunMeta {
+            source: "w".into(),
+            model: "m".into(),
+            duration_us: 5,
+            peak_trace_bytes: 6,
+            phases: 1,
+        };
         let cases = [
-            ("{\"what\":1}", "missing field EventRecord.source"),
-            ("not json", "invalid literal at byte 0"),
-            ("[1,2,3]", "expected object for EventRecord, got Array"),
+            ("{\"what\":1}", Err("missing field EventRecord.source")),
+            ("not json", Err("invalid literal at byte 0")),
+            ("[1,2,3]", Err("expected object for EventRecord, got Array")),
             // Header- and meta-keyed lines that do not deserialize as
             // such report the event error, like any other bad line.
             (
                 "{\"schema\":\"gencache-events\"}",
-                "missing field EventRecord.source",
+                Err("missing field EventRecord.source"),
             ),
             (
                 "{\"source\":\"w\",\"model\":\"m\",\"duration_us\":1}",
-                "missing field EventRecord.event",
+                Err("missing field EventRecord.event"),
             ),
             // Hostile nesting is an error, not a stack overflow.
-            (deep.as_str(), "nesting deeper than 128"),
+            (deep.as_str(), Err("nesting deeper than 128")),
+            // A valid event line that also carries a whole header or
+            // meta line is that header or meta line: the dispatch tries
+            // those first.
+            (
+                with_header.as_str(),
+                Ok(StreamLine::Header(StreamHeader::current())),
+            ),
+            (with_meta.as_str(), Ok(StreamLine::Meta(meta))),
         ];
-        for (line, cause) in cases {
+        for (line, want) in cases {
+            let cause = match want {
+                Ok(want) => {
+                    assert_eq!(parse_stream_line(line), Ok(want), "{line}");
+                    continue;
+                }
+                Err(cause) => cause,
+            };
             let err = parse_stream_line(line).unwrap_err();
             assert!(
                 err.starts_with(&format!("unrecognized stream line: {cause}")),

@@ -6,10 +6,14 @@
 //! [`JsonlSink`] writes for each [`CacheEvent`] variant; the property
 //! test checks that, for arbitrary records and labels, the sink's bytes
 //! equal the generic serializer's and parse back to the same record.
+//! Every parse is also checked against [`parse_stream_line_tree`], the
+//! value-tree dispatch the direct event reader must agree with, and a
+//! mutation test holds the two to the same answer on damaged lines.
 
 use gencache_cache::{EvictionCause, TraceId};
 use gencache_obs::{
-    parse_stream_line, CacheEvent, EventRecord, FrontendOp, JsonlSink, Observer, Region, StreamLine,
+    parse_stream_line, parse_stream_line_tree, CacheEvent, EventRecord, FrontendOp, JsonlSink,
+    Observer, Region, RunMeta, StreamHeader, StreamLine,
 };
 use gencache_program::Time;
 use proptest::prelude::*;
@@ -23,6 +27,14 @@ fn sink_text(source: &str, model: &str, events: &[CacheEvent]) -> String {
     }
     assert_eq!(sink.lines(), events.len() as u64);
     String::from_utf8(sink.finish().expect("a Vec never fails to write")).expect("UTF-8 export")
+}
+
+/// Parses `line` and checks the result against the value-tree dispatch.
+#[track_caller]
+fn parse_checked(line: &str) -> Result<StreamLine, String> {
+    let parsed = parse_stream_line(line);
+    assert_eq!(parsed, parse_stream_line_tree(line), "{line}");
+    parsed
 }
 
 #[test]
@@ -135,6 +147,14 @@ fn every_event_variant_writes_its_golden_line() {
     let text = sink_text("word", "45-10-45@hit1", &events);
     let want: String = golden.iter().map(|(_, line)| format!("{line}\n")).collect();
     assert_eq!(text, want);
+    for (event, line) in golden {
+        let record = EventRecord {
+            source: "word".into(),
+            model: "45-10-45@hit1".into(),
+            event,
+        };
+        assert_eq!(parse_checked(line), Ok(StreamLine::Event(record)));
+    }
 
     // Labels are escaped like any JSON string.
     let text = sink_text("a\"b\\c\n\u{1}", "é→世🦀", &events[..1]);
@@ -142,6 +162,15 @@ fn every_event_variant_writes_its_golden_line() {
         text,
         "{\"source\":\"a\\\"b\\\\c\\n\\u0001\",\"model\":\"é→世🦀\",\"event\":{\"Insert\":\
          {\"region\":\"Nursery\",\"trace\":42,\"bytes\":242,\"used\":4096,\"time\":1000007}}}\n"
+    );
+    let record = EventRecord {
+        source: "a\"b\\c\n\u{1}".into(),
+        model: "é→世🦀".into(),
+        event: events[0],
+    };
+    assert_eq!(
+        parse_checked(text.trim_end_matches('\n')),
+        Ok(StreamLine::Event(record))
     );
 }
 
@@ -296,9 +325,111 @@ proptest! {
             let record = EventRecord { source: source.clone(), model: model.clone(), event };
             let line = lines.next().expect("one line per event");
             prop_assert_eq!(line, serde_json::to_string(&record).unwrap() + "\n");
-            let parsed = parse_stream_line(line.trim_end_matches('\n'));
+            let parsed = parse_checked(line.trim_end_matches('\n'));
             prop_assert_eq!(parsed, Ok(StreamLine::Event(record)));
         }
         prop_assert_eq!(lines.next(), None);
+    }
+}
+
+/// Characters a mutation writes: JSON structure, number and literal
+/// bytes, escapes, whitespace and multi-byte UTF-8.
+const MUTANTS: [char; 24] = [
+    '{', '}', '[', ']', ':', ',', '"', '\\', '0', '9', '-', '.', 'e', '+', 'n', 't', 'u', 'l', 'a',
+    ' ', '\n', '\u{1}', 'é', '🦀',
+];
+
+/// One damage to a line, applied at char positions so the result stays
+/// valid UTF-8.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Replace the char at a position.
+    Flip(usize, usize),
+    /// Keep a prefix.
+    Truncate(usize),
+    /// Repeat a range right after itself.
+    Duplicate(usize, usize),
+    /// Insert a range of another line at a position.
+    Splice(usize, usize, usize),
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<usize>(), 0..MUTANTS.len()).prop_map(|(at, c)| Mutation::Flip(at, c)),
+        any::<usize>().prop_map(Mutation::Truncate),
+        (any::<usize>(), 0usize..40).prop_map(|(at, len)| Mutation::Duplicate(at, len)),
+        (any::<usize>(), any::<usize>(), 0usize..60)
+            .prop_map(|(at, from, len)| Mutation::Splice(at, from, len)),
+    ]
+}
+
+fn mutate(line: &[char], donor: &[char], m: &Mutation) -> Vec<char> {
+    let mut out = line.to_vec();
+    let pos = |at: usize, chars: &[char]| at % (chars.len() + 1);
+    match *m {
+        Mutation::Flip(at, c) if !out.is_empty() => {
+            let at = at % out.len();
+            out[at] = MUTANTS[c];
+        }
+        Mutation::Flip(..) => {}
+        Mutation::Truncate(at) => out.truncate(pos(at, line)),
+        Mutation::Duplicate(at, len) => {
+            let at = pos(at, line);
+            let end = (at + len).min(line.len());
+            out.splice(end..end, line[at..end].iter().copied());
+        }
+        Mutation::Splice(at, from, len) => {
+            let from = pos(from, donor);
+            let end = (from + len).min(donor.len());
+            let at = pos(at, line);
+            out.splice(at..at, donor[from..end].iter().copied());
+        }
+    }
+    out
+}
+
+/// Real export lines: a header, a meta line, and sink lines for
+/// `events` under escaped and multi-byte labels.
+fn export_lines(source: &str, model: &str, events: &[CacheEvent]) -> Vec<Vec<char>> {
+    let header = serde_json::to_string(&StreamHeader::current()).unwrap();
+    let meta = serde_json::to_string(&RunMeta {
+        source: source.to_string(),
+        model: model.to_string(),
+        duration_us: 1_000,
+        peak_trace_bytes: 4_096,
+        phases: 3,
+    })
+    .unwrap();
+    let text = sink_text(source, model, events);
+    [header.as_str(), meta.as_str()]
+        .into_iter()
+        .chain(text.lines())
+        .map(|line| line.chars().collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn damaged_lines_parse_exactly_as_the_tree_dispatch(
+        source in label(),
+        model in label(),
+        events in proptest::collection::vec(event(), 1..4),
+        picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 1..4),
+        mutations in proptest::collection::vec(mutation(), 1..4),
+    ) {
+        let lines = export_lines(&source, &model, &events);
+        for (line, donor) in picks {
+            let line = &lines[line % lines.len()];
+            let donor = &lines[donor % lines.len()];
+            let mut damaged = line.clone();
+            for m in &mutations {
+                damaged = mutate(&damaged, donor, m);
+                let text: String = damaged.iter().collect();
+                let (direct, tree) = (parse_stream_line(&text), parse_stream_line_tree(&text));
+                prop_assert!(direct == tree, "{text}: {direct:?} vs {tree:?}");
+            }
+        }
     }
 }

@@ -8,7 +8,58 @@
 //! with a one-token prefix test and no re-parsing. See
 //! `docs/PROTOCOL.md` for the full framing and lifecycle contract.
 
+use std::io::{self, BufRead, Read};
+
 use serde::{Deserialize, Serialize, Value};
+
+/// The longest line, newline included, a daemon reads from a client:
+/// far above any export line or control frame, and a bound on what one
+/// line can make a connection hold in memory. A longer line is answered
+/// with [`line_cap_error`] and counted in the `lines_rejected` stat.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The error a daemon answers an oversize line with; it names the cap.
+pub fn line_cap_error() -> String {
+    format!("line longer than the {MAX_LINE_BYTES}-byte line cap")
+}
+
+/// One line read by [`read_line_capped`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum CappedLine<'b> {
+    /// The stream ended before any byte of a line.
+    Eof,
+    /// A line, with its line ending if it had one.
+    Line(&'b str),
+    /// The line reached [`MAX_LINE_BYTES`] without a newline. The rest
+    /// of it is still unread.
+    TooLong,
+}
+
+/// Reads one line into `buf` (cleared first), reading at most
+/// [`MAX_LINE_BYTES`] bytes. Invalid UTF-8 is an `InvalidData` error, as
+/// from `BufRead::read_line`.
+pub fn read_line_capped<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<CappedLine<'b>> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(CappedLine::Eof);
+    }
+    if n == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+        return Ok(CappedLine::TooLong);
+    }
+    std::str::from_utf8(buf).map(CappedLine::Line).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })
+}
 
 /// Prefix every control frame starts with (after optional whitespace).
 pub const CONTROL_PREFIX: &str = "{\"type\":";
@@ -631,6 +682,41 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lines_are_read_under_the_cap() {
+        let fits = "x".repeat(MAX_LINE_BYTES - 1);
+        let text = format!("a\r\n{fits}\n{fits}yz\ntail");
+        let mut reader = io::BufReader::new(text.as_bytes());
+        let mut buf = Vec::new();
+        let mut next = || read_line_capped(&mut reader, &mut buf).unwrap().owned();
+        assert_eq!(next(), Some("a\r\n".to_string()));
+        assert_eq!(next(), Some(format!("{fits}\n")));
+        // One byte over: refused after the cap, and the rest of the line
+        // stays unread.
+        assert_eq!(next(), None);
+        assert_eq!(next(), Some("z\n".to_string()));
+        assert_eq!(next(), Some("tail".to_string()));
+        assert_eq!(
+            read_line_capped(&mut reader, &mut buf).unwrap(),
+            CappedLine::Eof
+        );
+        let err = read_line_capped(&mut &b"\xff\n"[..], &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(line_cap_error().contains("1048576-byte line cap"));
+    }
+
+    impl CappedLine<'_> {
+        /// The line as an owned string, `None` when too long; panics at
+        /// the end of the stream.
+        fn owned(&self) -> Option<String> {
+            match self {
+                CappedLine::Line(line) => Some(line.to_string()),
+                CappedLine::TooLong => None,
+                CappedLine::Eof => panic!("unexpected end of stream"),
+            }
+        }
+    }
 
     #[test]
     fn control_prefix_disambiguates_export_lines() {

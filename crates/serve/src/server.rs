@@ -1,7 +1,8 @@
 //! The daemon: accept loop, per-connection protocol, and job execution.
 //!
 //! Memory discipline: a connection thread never holds more than one
-//! protocol line plus the bounded ingest channel's in-flight window.
+//! protocol line (at most [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES))
+//! plus the bounded ingest channel's in-flight window.
 //! Export lines flow socket → bounded channel → [`StreamIngest`], which
 //! keeps only the reconstructed frontend traces — peak memory is
 //! O(channel depth + resident trace set), never O(stream length). When
@@ -32,8 +33,8 @@ use serde::Value;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
     encode_busy, encode_end, encode_error, encode_metrics, encode_pong, encode_result,
-    encode_stats, encode_trace, encode_watch, is_control_line, parse_request, JobSpec, Request,
-    WatchRow,
+    encode_stats, encode_trace, encode_watch, is_control_line, line_cap_error, parse_request,
+    read_line_capped, CappedLine, JobSpec, Request, WatchRow,
 };
 use crate::signal;
 use crate::stats::{Gauges, ServerStats};
@@ -302,11 +303,17 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(()); // connected and left — nothing to do
-    }
-    let line = first.trim_end_matches(['\r', '\n']);
+    let mut first = Vec::new();
+    let line = match read_line_capped(&mut reader, &mut first)? {
+        CappedLine::Eof => return Ok(()), // connected and left — nothing to do
+        CappedLine::TooLong => {
+            ServerStats::bump(&ctx.stats.lines_rejected);
+            send_line(&mut writer, &encode_error(&line_cap_error()))?;
+            drain_discard(&mut reader);
+            return Ok(());
+        }
+        CappedLine::Line(line) => line.trim_end_matches(['\r', '\n']),
+    };
     if !is_control_line(line) {
         return send_line(
             &mut writer,
@@ -432,6 +439,11 @@ fn server_metrics(ctx: &Ctx) -> String {
         "gencache_lines_served_total",
         "Export lines streamed back by fetch downloads.",
         load(&ctx.stats.lines_served),
+    );
+    p.counter(
+        "gencache_lines_rejected_total",
+        "Lines refused for exceeding the line cap.",
+        load(&ctx.stats.lines_rejected),
     );
     p.gauge_f64(
         "gencache_window_miss_rate",
@@ -626,23 +638,27 @@ fn handle_job(
 
     // Forward the upload line by line; the bounded send blocks when the
     // worker falls behind, which is exactly the backpressure we want.
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) => {
+        match read_line_capped(reader, &mut buf) {
+            Ok(CappedLine::Eof) => {
                 let _ = lines_tx.send(IngestItem::Abort(
                     "connection closed mid-upload".to_string(),
                 ));
+                break;
+            }
+            Ok(CappedLine::TooLong) => {
+                ServerStats::bump(&ctx.stats.lines_rejected);
+                let _ = lines_tx.send(IngestItem::Abort(line_cap_error()));
                 break;
             }
             Err(e) => {
                 let _ = lines_tx.send(IngestItem::Abort(format!("upload read failed: {e}")));
                 break;
             }
-            Ok(n) => {
-                ServerStats::add(&ctx.stats.bytes_ingested, n as u64);
-                let line = buf.trim_end_matches(['\r', '\n']);
+            Ok(CappedLine::Line(raw)) => {
+                ServerStats::add(&ctx.stats.bytes_ingested, raw.len() as u64);
+                let line = raw.trim_end_matches(['\r', '\n']);
                 if is_control_line(line) {
                     let item = match parse_request(line) {
                         Ok(Request::End { lines }) => IngestItem::End { lines },

@@ -50,8 +50,8 @@ use serde::{Deserialize, Serialize, Value};
 use crate::client::Client;
 use crate::proto::{
     encode_end, encode_error, encode_metrics, encode_pong, encode_result, encode_route,
-    encode_shards, encode_stats, encode_trace, encode_watch, is_control_line, parse_request,
-    JobSpec, Reply, Request, WatchRow,
+    encode_shards, encode_stats, encode_trace, encode_watch, is_control_line, line_cap_error,
+    parse_request, read_line_capped, CappedLine, JobSpec, Reply, Request, WatchRow,
 };
 use crate::retry::RetryPolicy;
 use crate::server::drain_discard;
@@ -241,6 +241,9 @@ struct RouterStats {
     upload_buffer_peak_bytes: AtomicU64,
     busy_retries: AtomicU64,
     failovers: AtomicU64,
+    /// Lines the router refused for exceeding the line cap (a shard
+    /// never sees them).
+    lines_rejected: AtomicU64,
 }
 
 struct RouterCtx {
@@ -460,11 +463,17 @@ fn handle_connection(stream: TcpStream, ctx: &RouterCtx) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(());
-    }
-    let line = first.trim_end_matches(['\r', '\n']);
+    let mut first = Vec::new();
+    let line = match read_line_capped(&mut reader, &mut first)? {
+        CappedLine::Eof => return Ok(()),
+        CappedLine::TooLong => {
+            AtomicU64::fetch_add(&ctx.stats.lines_rejected, 1, Ordering::Relaxed);
+            send_line(&mut writer, &encode_error(&line_cap_error()))?;
+            drain_discard(&mut reader);
+            return Ok(());
+        }
+        CappedLine::Line(line) => line.trim_end_matches(['\r', '\n']),
+    };
     if !is_control_line(line) {
         return send_line(
             &mut writer,
@@ -603,7 +612,11 @@ fn refuse<R: BufRead, W: Write>(
     Ok(None)
 }
 
-fn read_upload(reader: &mut impl BufRead, writer: &mut impl Write) -> io::Result<Option<Upload>> {
+fn read_upload(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    lines_rejected: &AtomicU64,
+) -> io::Result<Option<Upload>> {
     let mut upload = Upload {
         prelude: Vec::new(),
         order: Vec::new(),
@@ -612,15 +625,17 @@ fn read_upload(reader: &mut impl BufRead, writer: &mut impl Write) -> io::Result
         bytes: 0,
     };
     let mut received = 0u64;
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) => return refuse(reader, writer, "connection closed mid-upload"),
+        let line = match read_line_capped(reader, &mut buf) {
+            Ok(CappedLine::Eof) => return refuse(reader, writer, "connection closed mid-upload"),
+            Ok(CappedLine::TooLong) => {
+                lines_rejected.fetch_add(1, Ordering::Relaxed);
+                return refuse(reader, writer, &line_cap_error());
+            }
             Err(e) => return refuse(reader, writer, &format!("upload read failed: {e}")),
-            Ok(_) => {}
-        }
-        let line = buf.trim_end_matches(['\r', '\n']);
+            Ok(CappedLine::Line(line)) => line.trim_end_matches(['\r', '\n']),
+        };
         if is_control_line(line) {
             match parse_request(line) {
                 Ok(Request::End { lines }) => {
@@ -892,7 +907,7 @@ fn handle_job(
         .log()
         .event(LogLevel::Info, "job_admitted", Some(&trace_id), &[]);
     let ingest_started = Instant::now();
-    let Some(upload) = read_upload(reader, writer)? else {
+    let Some(upload) = read_upload(reader, writer, &ctx.stats.lines_rejected)? else {
         // Already refused with an error frame.
         if let Some(span) = ctx.telemetry.span(&trace_id, "ingest", ingest_started) {
             span.outcome("error: upload refused").end();
@@ -1087,6 +1102,11 @@ fn router_metrics(ctx: &RouterCtx) -> String {
         "Largest single job upload buffered in router memory.",
         load(&ctx.stats.upload_buffer_peak_bytes),
     );
+    p.counter(
+        "gencache_lines_rejected_total",
+        "Lines the router refused for exceeding the line cap.",
+        load(&ctx.stats.lines_rejected),
+    );
     let row = |f: &dyn Fn(&Shard) -> u64| -> Vec<(String, u64)> {
         ctx.table
             .shards
@@ -1120,8 +1140,9 @@ fn field<'v>(doc: &'v Value, name: &str) -> Option<&'v Value> {
 }
 
 /// The counters summed across shards into the fleet view — the same
-/// keys, in the same order, as one daemon's stats document.
-const FLEET_COUNTERS: [&str; 11] = [
+/// keys, in the same order, as one daemon's stats document. The
+/// router's own refused lines are added to `lines_rejected`.
+const FLEET_COUNTERS: [&str; 12] = [
     "workers",
     "queue_depth",
     "in_flight",
@@ -1133,6 +1154,7 @@ const FLEET_COUNTERS: [&str; 11] = [
     "jobs_panicked",
     "bytes_ingested",
     "lines_served",
+    "lines_rejected",
 ];
 
 /// Aggregates every live shard's stats into one fleet document:
@@ -1178,7 +1200,13 @@ fn fleet_stats(ctx: &RouterCtx) -> Value {
     let mut pairs: Vec<(String, Value)> = FLEET_COUNTERS
         .iter()
         .zip(sums)
-        .map(|(name, n)| ((*name).to_string(), Value::UInt(n)))
+        .map(|(name, n)| {
+            let own = match *name {
+                "lines_rejected" => ctx.stats.lines_rejected.load(Ordering::Relaxed),
+                _ => 0,
+            };
+            ((*name).to_string(), Value::UInt(n + own))
+        })
         .collect();
     pairs.push((
         "uptime_ms".to_string(),

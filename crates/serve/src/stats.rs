@@ -28,6 +28,9 @@ pub struct ServerStats {
     pub bytes_ingested: AtomicU64,
     /// Export lines streamed back by `fetch` downloads.
     pub lines_served: AtomicU64,
+    /// Lines refused for exceeding
+    /// [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES).
+    pub lines_rejected: AtomicU64,
     /// Exact sum of recorded job latencies in microseconds (the
     /// histogram keeps only bucket counts; Prometheus `_sum` needs the
     /// exact total).
@@ -110,6 +113,7 @@ impl ServerStats {
             ("jobs_panicked".to_string(), Value::UInt(gauges.panics)),
             ("bytes_ingested".to_string(), get(&self.bytes_ingested)),
             ("lines_served".to_string(), get(&self.lines_served)),
+            ("lines_rejected".to_string(), get(&self.lines_rejected)),
             ("uptime_ms".to_string(), Value::UInt(gauges.uptime_ms)),
             (
                 "window_miss_rate".to_string(),

@@ -8,7 +8,8 @@
 //! even while shards die and come back mid-run.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -598,4 +599,39 @@ fn single_daemon_refuses_fleet_frames() {
     assert_eq!(text.lines().count() as u64, lines);
     let mut sink = std::io::sink();
     sink.write_all(text.as_bytes()).unwrap();
+}
+
+#[test]
+fn router_refuses_oversize_lines_and_keeps_serving() {
+    let shard = TestServer::start();
+    let router = TestRouter::start(vec![shard.addr.clone()], Duration::from_millis(200));
+    let huge = "x".repeat(2 << 20);
+    let cap = "1048576-byte line cap";
+
+    // Inside an upload: the router buffers uploads itself, so the line
+    // never reaches a shard.
+    let mut upload: String = export().lines().take(3).map(|l| format!("{l}\n")).collect();
+    upload.push_str(&huge);
+    upload.push('\n');
+    match router.client().submit(upload.as_bytes(), &fleet_spec()) {
+        Ok(Reply::Error { message }) => assert!(message.contains(cap), "got {message:?}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    // As the first frame, with no newline at all.
+    let stream = TcpStream::connect(&router.addr).unwrap();
+    (&stream).write_all(huge.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains(cap), "got {reply}");
+
+    let Reply::Stats { doc } = router.client().stats().unwrap() else {
+        panic!("stats request failed");
+    };
+    assert!(doc.contains("\"lines_rejected\":2,"), "{doc}");
+    match submit_via(&router.addr, &fleet_spec()) {
+        Reply::Result { doc, .. } => assert_eq!(doc, offline_doc()),
+        other => panic!("expected a result, got {other:?}"),
+    }
 }

@@ -301,6 +301,45 @@ fn malformed_and_truncated_uploads_fail_cleanly_and_daemon_survives() {
 }
 
 #[test]
+fn oversize_lines_are_refused_and_daemon_survives() {
+    let export = export();
+    let huge = "x".repeat(2 << 20);
+    let job = "{\"type\":\"job\"}\n";
+    let upload_prefix: String = export.lines().take(3).map(|l| format!("{l}\n")).collect();
+    // A 2 MiB line with no newline, as the first frame and inside an
+    // upload.
+    for prefix in [String::new(), format!("{job}{upload_prefix}")] {
+        let server = TestServer::start(ServerConfig {
+            workers: Some(1),
+            ..ServerConfig::default()
+        });
+        let stream = TcpStream::connect(&server.addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(prefix.as_bytes()).unwrap();
+        writer.write_all(huge.as_bytes()).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        assert!(
+            reply.contains("\"error\"") && reply.contains("1048576-byte line cap"),
+            "prefix {prefix:?}: got {reply}"
+        );
+
+        let Reply::Stats { doc } = server.client().stats().unwrap() else {
+            panic!("stats request failed");
+        };
+        assert_eq!(counter(&doc, "lines_rejected"), 1, "{doc}");
+        assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+        match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+            Ok(Reply::Result { doc, .. }) => {
+                assert_eq!(doc, offline_doc(export, &[], false, false));
+            }
+            other => panic!("expected result, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn fetch_streams_an_export_that_simulates_cleanly() {
     let server = TestServer::start(ServerConfig::default());
     let mut out = Vec::new();

@@ -32,6 +32,9 @@ win_metrics="target/tmp/check-metrics-windows.json"
 serve_metrics="target/tmp/check-metrics-serve.json"
 serve_log="target/tmp/check-serve.log"
 serve_events_log="target/tmp/check-serve-events.jsonl"
+bad_events="target/tmp/check-bad-events.jsonl"
+huge_events="target/tmp/check-huge-events.jsonl"
+bad_err="target/tmp/check-bad-upload.err"
 serve_pid=""
 adaptive_events="target/tmp/check-adaptive-events.jsonl"
 jobs1_metrics="target/tmp/check-metrics-jobs1.json"
@@ -58,6 +61,7 @@ cleanup() {
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
+    "$bad_events" "$huge_events" "$bad_err" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
     "$shard1_log" "$shard2_log" "$router_log"
 }
@@ -183,6 +187,33 @@ grep -q '"event":"job_admitted"' "$serve_events_log" \
 ./target/release/gencache-client watch --addr "$addr" --count 1 --plain \
   | grep -q "snapshot #0: 1 node(s)" \
   || { echo "watch returned no snapshot frame"; exit 1; }
+
+echo "=== bad upload smoke: broken and oversize lines get an error reply"
+# The first event line cut off mid-JSON.
+awk '!cut && /"event":/ { print substr($0, 1, int(length($0) / 2)); cut = 1; next } { print }' \
+  "$events" > "$bad_events"
+if ./target/release/gencache-client submit --addr "$addr" --events "$bad_events" \
+  --no-table > /dev/null 2> "$bad_err"; then
+  echo "a truncated event line was accepted"; exit 1
+fi
+grep -q "unrecognized stream line" "$bad_err" \
+  || { echo "truncated line error not reported"; cat "$bad_err"; exit 1; }
+# A 2 MiB line inside the export.
+{ head -n 3 "$events"; head -c 2097152 /dev/zero | tr '\0' x; echo; tail -n +4 "$events"; } \
+  > "$huge_events"
+if ./target/release/gencache-client submit --addr "$addr" --events "$huge_events" \
+  --no-table > /dev/null 2> "$bad_err"; then
+  echo "a 2 MiB line was accepted"; exit 1
+fi
+grep -q "1048576-byte line cap" "$bad_err" \
+  || { echo "oversize line error does not name the cap"; cat "$bad_err"; exit 1; }
+./target/release/gencache-client stats --addr "$addr" \
+  | grep -q '"lines_rejected":1' \
+  || { echo "stats did not count the rejected line"; exit 1; }
+./target/release/gencache-client submit --addr "$addr" --events "$events" \
+  --metrics-out "$serve_metrics" --no-table 2> /dev/null
+cmp "$sim_metrics" "$serve_metrics" \
+  || { echo "served metrics doc differs after bad uploads"; exit 1; }
 kill -TERM "$serve_pid"
 wait "$serve_pid" \
   || { echo "daemon exited nonzero after SIGTERM"; exit 1; }
