@@ -7,11 +7,12 @@
 //! consumes an export **one line at a time** and keeps only
 //!
 //! * the first-seen model stream's reconstructed frontend trace per
-//!   benchmark (the reference), and
-//! * an O(1) verification cursor per additional model stream,
+//!   benchmark (the reference, one op per frontend request),
+//! * an O(1) verification cursor per additional model stream, and
+//! * one size entry per distinct trace id of the stream being ingested,
 //!
-//! so peak memory is O(reconstructed frontend trace + per-trace size
-//! maps), never O(event-stream length) — the raw events (hits, misses,
+//! so memory is independent of how many model streams and cache-side
+//! event lines the export carries — the raw events (hits, misses,
 //! insertions, evictions, promotions…) are inverted on the fly by
 //! [`TraceRebuilder`] and dropped. Cross-stream verification is the same
 //! invariant the offline simulator enforces: every model stream of a
@@ -66,19 +67,13 @@ enum ModelRole {
     Checker { cursor: usize },
 }
 
-/// Ingestion state for one model stream.
-struct ModelState {
-    rebuilder: TraceRebuilder,
-    role: ModelRole,
-}
-
 /// Ingestion state for one benchmark.
 #[derive(Default)]
 struct BenchIngest {
     models: Vec<String>,
     meta: BTreeMap<String, RunMeta>,
     reference: SimTrace,
-    states: BTreeMap<String, ModelState>,
+    states: BTreeMap<String, ModelRole>,
 }
 
 /// Incremental, bounded-memory parser for a v2 `gencache-events`
@@ -97,6 +92,10 @@ pub struct StreamIngest {
     /// process — caught here with a clear error instead of a confusing
     /// op-by-op divergence report.
     active: Option<(String, String)>,
+    /// The active stream's event → request inversion. Streams never
+    /// resume, so one rebuilder serves them all, reset at each new
+    /// stream.
+    rebuilder: TraceRebuilder,
 }
 
 impl std::fmt::Debug for StreamIngest {
@@ -184,27 +183,22 @@ impl StreamIngest {
                     let role = if bench
                         .states
                         .values()
-                        .any(|s| matches!(s.role, ModelRole::Builder))
+                        .any(|role| matches!(role, ModelRole::Builder))
                     {
                         ModelRole::Checker { cursor: 0 }
                     } else {
                         ModelRole::Builder
                     };
-                    bench.states.insert(
-                        model.clone(),
-                        ModelState {
-                            rebuilder: TraceRebuilder::new(),
-                            role,
-                        },
-                    );
+                    bench.states.insert(model.clone(), role);
+                    self.rebuilder = TraceRebuilder::new();
                 }
-                let state = bench.states.get_mut(&model).expect("stream state exists");
-                let op = state
+                let role = bench.states.get_mut(&model).expect("stream state exists");
+                let op = self
                     .rebuilder
                     .push(&record.event)
                     .map_err(|e| format!("{source} [{model}]: {e}"))?;
                 if let Some(op) = op {
-                    match &mut state.role {
+                    match role {
                         ModelRole::Builder => bench.reference.ops.push(op),
                         ModelRole::Checker { cursor } => {
                             if bench.reference.ops.get(*cursor) != Some(&op) {
@@ -266,8 +260,8 @@ impl StreamIngest {
                 }
                 None => b.models.first().expect("non-empty bench").clone(),
             };
-            for (m, state) in &b.states {
-                if let ModelRole::Checker { cursor } = state.role {
+            for (m, role) in &b.states {
+                if let ModelRole::Checker { cursor } = *role {
                     if cursor != b.reference.ops.len() {
                         return Err(format!(
                             "{name}: streams reconstruct different frontend traces \

@@ -5,12 +5,13 @@
 //! entry *extents* so that placement, holes, and fragmentation behave
 //! exactly as they would in a real cache.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use gencache_program::Time;
 
 use crate::cache::FragmentationReport;
 use crate::record::{EntryInfo, TraceId, TraceRecord};
+use crate::tracemap::TraceMap;
 
 /// Extent bookkeeping for one cache region.
 ///
@@ -21,7 +22,7 @@ use crate::record::{EntryInfo, TraceId, TraceRecord};
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Arena {
     by_offset: BTreeMap<u64, TraceId>,
-    entries: HashMap<TraceId, EntryInfo>,
+    entries: TraceMap<TraceId, EntryInfo>,
     used: u64,
 }
 
@@ -39,15 +40,15 @@ impl Arena {
     }
 
     pub(crate) fn contains(&self, id: TraceId) -> bool {
-        self.entries.contains_key(&id)
+        self.entries.contains_key(id)
     }
 
     pub(crate) fn entry(&self, id: TraceId) -> Option<&EntryInfo> {
-        self.entries.get(&id)
+        self.entries.get(id)
     }
 
     pub(crate) fn entry_mut(&mut self, id: TraceId) -> Option<&mut EntryInfo> {
-        self.entries.get_mut(&id)
+        self.entries.get_mut(id)
     }
 
     /// Places `rec` at `offset`, which the caller must have verified free.
@@ -57,10 +58,7 @@ impl Arena {
                 .is_none(),
             "placement overlaps a live entry"
         );
-        debug_assert!(
-            !self.entries.contains_key(&rec.id),
-            "trace already resident"
-        );
+        debug_assert!(!self.entries.contains_key(rec.id), "trace already resident");
         let info = EntryInfo {
             record: rec,
             offset,
@@ -77,7 +75,7 @@ impl Arena {
 
     /// Removes an entry, returning its final metadata.
     pub(crate) fn remove(&mut self, id: TraceId) -> Option<EntryInfo> {
-        let info = self.entries.remove(&id)?;
+        let info = self.entries.remove(id)?;
         self.by_offset.remove(&info.offset);
         self.used -= u64::from(info.record.size_bytes);
         Some(info)
@@ -87,7 +85,7 @@ impl Arena {
     /// (access counts, pin state, timestamps). The caller must have
     /// verified the destination free of *other* entries.
     pub(crate) fn move_entry(&mut self, id: TraceId, new_offset: u64) {
-        let Some(info) = self.entries.get_mut(&id) else {
+        let Some(info) = self.entries.get_mut(id) else {
             panic!("move of non-resident trace {id}");
         };
         let old_offset = info.offset;
@@ -106,7 +104,7 @@ impl Arena {
             return None;
         }
         if let Some((_, id)) = self.by_offset.range(..start).next_back() {
-            if self.entries[id].end_offset() > start {
+            if self.entries[*id].end_offset() > start {
                 return Some(*id);
             }
         }
@@ -122,7 +120,7 @@ impl Arena {
             if offset > cursor {
                 gaps.push((cursor, offset - cursor));
             }
-            cursor = cursor.max(self.entries[id].end_offset());
+            cursor = cursor.max(self.entries[*id].end_offset());
         }
         if capacity > cursor {
             gaps.push((cursor, capacity - cursor));
@@ -150,12 +148,12 @@ impl Arena {
 
     /// Iterates over entries in offset order.
     pub(crate) fn iter_by_offset(&self) -> impl Iterator<Item = &EntryInfo> {
-        self.by_offset.values().map(move |id| &self.entries[id])
+        self.by_offset.values().map(move |&id| &self.entries[id])
     }
 
     /// All resident trace ids (unordered).
     pub(crate) fn ids(&self) -> Vec<TraceId> {
-        self.entries.keys().copied().collect()
+        self.entries.keys().collect()
     }
 
     /// One past the highest used offset (the bump-allocation watermark).
@@ -163,7 +161,7 @@ impl Arena {
         self.by_offset
             .iter()
             .next_back()
-            .map(|(_, id)| self.entries[id].end_offset())
+            .map(|(_, &id)| self.entries[id].end_offset())
             .unwrap_or(0)
     }
 
@@ -174,7 +172,7 @@ impl Arena {
         let mut prev_end = 0u64;
         let mut total = 0u64;
         for (&offset, id) in &self.by_offset {
-            let e = &self.entries[id];
+            let e = &self.entries[*id];
             assert_eq!(e.offset, offset);
             assert!(offset >= prev_end, "entries overlap");
             prev_end = e.end_offset();

@@ -9,14 +9,13 @@
 //! much of LRU's temporal-locality benefit survives when grafted onto the
 //! paper's pointer machinery.
 
-use std::collections::HashSet;
-
 use gencache_program::Time;
 
 use crate::arena::Arena;
 use crate::cache::{CodeCache, FragmentationReport, InsertError, InsertReport};
 use crate::record::{EntryInfo, Evicted, EvictionCause, TraceId, TraceRecord};
 use crate::stats::CacheStats;
+use crate::tracemap::TraceSet;
 
 /// A fixed-capacity code cache managed by CLOCK (second-chance) eviction.
 ///
@@ -44,7 +43,7 @@ pub struct ClockCache {
     capacity: u64,
     pointer: u64,
     /// Entries whose reference bit is currently set.
-    referenced: HashSet<TraceId>,
+    referenced: TraceSet<TraceId>,
     stats: CacheStats,
 }
 
@@ -55,7 +54,7 @@ impl ClockCache {
             arena: Arena::new(),
             capacity,
             pointer: 0,
-            referenced: HashSet::new(),
+            referenced: TraceSet::new(),
             stats: CacheStats::default(),
         }
     }
@@ -81,12 +80,12 @@ impl ClockCache {
             if info.pinned {
                 return Some(info);
             }
-            if honor_bits && self.referenced.remove(&id) {
+            if honor_bits && self.referenced.remove(id) {
                 // Second chance: the bit is now cleared; protect the entry
                 // for this sweep only.
                 return Some(info);
             }
-            self.referenced.remove(&id);
+            self.referenced.remove(id);
             self.arena.remove(id);
             self.stats
                 .on_remove(u64::from(info.size_bytes()), EvictionCause::Capacity);
@@ -186,7 +185,7 @@ impl CodeCache for ClockCache {
 
     fn remove(&mut self, id: TraceId, cause: EvictionCause) -> Option<EntryInfo> {
         let info = self.arena.remove(id)?;
-        self.referenced.remove(&id);
+        self.referenced.remove(id);
         self.stats.on_remove(u64::from(info.size_bytes()), cause);
         self.stats.debug_assert_identity(self.arena.len() as u64);
         Some(info)

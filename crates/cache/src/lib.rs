@@ -53,6 +53,7 @@ mod preemptive;
 mod pseudo_circular;
 mod record;
 mod stats;
+mod tracemap;
 mod unbounded;
 
 pub use cache::{CodeCache, FragmentationReport, InsertError, InsertReport};
@@ -63,4 +64,5 @@ pub use preemptive::{PhaseDetector, PreemptiveFlushCache};
 pub use pseudo_circular::PseudoCircularCache;
 pub use record::{EntryInfo, Evicted, EvictionCause, TraceId, TraceRecord};
 pub use stats::CacheStats;
+pub use tracemap::{TraceKey, TraceMap, TraceSet};
 pub use unbounded::UnboundedCache;

@@ -9,7 +9,7 @@
 //! least-recently-used entries one at a time until a *contiguous*
 //! first-fit gap exists.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use gencache_program::Time;
 
@@ -17,6 +17,7 @@ use crate::arena::Arena;
 use crate::cache::{CodeCache, FragmentationReport, InsertError, InsertReport};
 use crate::record::{EntryInfo, Evicted, EvictionCause, TraceId, TraceRecord};
 use crate::stats::CacheStats;
+use crate::tracemap::TraceMap;
 
 /// A fixed-capacity code cache managed by LRU replacement with first-fit
 /// placement.
@@ -49,7 +50,7 @@ pub struct LruCache {
     recency: BTreeSet<(u64, TraceId)>,
     /// Each resident trace's current tick, so its `recency` key can be
     /// located in O(log n).
-    id_ticks: HashMap<TraceId, u64>,
+    id_ticks: TraceMap<TraceId, u64>,
     tick: u64,
     stats: CacheStats,
     /// Auto-defragment on placement failure once the fragmentation ratio
@@ -66,7 +67,7 @@ impl LruCache {
             arena: Arena::new(),
             capacity,
             recency: BTreeSet::new(),
-            id_ticks: HashMap::new(),
+            id_ticks: TraceMap::new(),
             tick: 0,
             stats: CacheStats::default(),
             defrag_threshold: None,
@@ -130,7 +131,7 @@ impl LruCache {
 
     /// Marks `id` as most recently used.
     fn bump_recency(&mut self, id: TraceId) {
-        if let Some(t) = self.id_ticks.remove(&id) {
+        if let Some(t) = self.id_ticks.remove(id) {
             self.recency.remove(&(t, id));
         }
         self.tick += 1;
@@ -139,7 +140,7 @@ impl LruCache {
     }
 
     fn remove_from_recency(&mut self, id: TraceId) {
-        if let Some(t) = self.id_ticks.remove(&id) {
+        if let Some(t) = self.id_ticks.remove(id) {
             self.recency.remove(&(t, id));
         }
     }

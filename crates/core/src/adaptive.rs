@@ -29,9 +29,7 @@
 //!   stationary stream the detector never fires, nothing is armed, and
 //!   the model is byte-for-byte its initial static configuration.
 
-use std::collections::{HashMap, HashSet};
-
-use gencache_cache::{TraceId, TraceRecord};
+use gencache_cache::{TraceId, TraceMap, TraceRecord, TraceSet};
 use gencache_obs::{
     CacheEvent, NullObserver, Observer, CHURN_BURST_FACTOR, CHURN_MIN_REMISSES, EWMA_ALPHA,
     PH_DELTA, PH_LAMBDA,
@@ -73,7 +71,7 @@ pub struct TemperatureTracker {
     hot_gap: u64,
     tick: u64,
     hot_promotions: u64,
-    states: HashMap<TraceId, TempState>,
+    states: TraceMap<TraceId, TempState>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +88,7 @@ impl TemperatureTracker {
             hot_gap: hot_gap.max(1),
             tick: 0,
             hot_promotions: 0,
-            states: HashMap::new(),
+            states: TraceMap::new(),
         }
     }
 
@@ -99,7 +97,7 @@ impl TemperatureTracker {
     pub fn observe(&mut self, id: TraceId) {
         self.tick += 1;
         let cold = TEMP_COLD_FACTOR * self.hot_gap as f64;
-        match self.states.get_mut(&id) {
+        match self.states.get_mut(id) {
             Some(s) => {
                 let gap = (self.tick - s.last_tick) as f64;
                 s.pred_gap += TEMP_ALPHA * (gap - s.pred_gap);
@@ -121,7 +119,7 @@ impl TemperatureTracker {
     /// threshold.
     pub fn is_hot(&self, id: TraceId) -> bool {
         self.states
-            .get(&id)
+            .get(id)
             .is_some_and(|s| s.pred_gap <= self.hot_gap as f64)
     }
 
@@ -382,7 +380,7 @@ pub struct AdaptiveModel<O: Observer = NullObserver> {
     /// Traces that have been resident at least once: a later miss on one
     /// of them is a re-miss (it must have left the hierarchy) — the same
     /// churn definition the window fold uses.
-    ever_resident: HashSet<TraceId>,
+    ever_resident: TraceSet<TraceId>,
     // Detector state, mirroring `gencache_obs::detect_drift` epoch by
     // epoch with the same public constants.
     baseline: Option<f64>,
@@ -419,7 +417,7 @@ impl<O: Observer> AdaptiveModel<O> {
             in_epoch: 0,
             epoch_misses: 0,
             epoch_remisses: 0,
-            ever_resident: HashSet::new(),
+            ever_resident: TraceSet::new(),
             baseline: None,
             up: 0.0,
             down: 0.0,
@@ -635,7 +633,7 @@ impl<O: Observer> CacheModel for AdaptiveModel<O> {
         let outcome = self.inner.on_access(rec, now);
         if matches!(outcome, AccessOutcome::Miss) {
             self.epoch_misses += 1;
-            if self.ever_resident.contains(&rec.id) {
+            if self.ever_resident.contains(rec.id) {
                 self.epoch_remisses += 1;
             } else if self.inner.generation_of(rec.id).is_some() {
                 self.ever_resident.insert(rec.id);

@@ -12,9 +12,7 @@
 //! (> 80%), with few in between — which is what makes a nursery/persistent
 //! split effective.
 
-use std::collections::HashMap;
-
-use gencache_cache::TraceId;
+use gencache_cache::{TraceId, TraceMap};
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LifetimeTracker {
-    spans: HashMap<TraceId, (Time, Time)>,
+    spans: TraceMap<TraceId, (Time, Time)>,
 }
 
 impl LifetimeTracker {
@@ -46,17 +44,13 @@ impl LifetimeTracker {
 
     /// Records one execution of `id` at `now`.
     pub fn record(&mut self, id: TraceId, now: Time) {
-        self.spans
-            .entry(id)
-            .and_modify(|(first, last)| {
-                if now < *first {
-                    *first = now;
-                }
-                if now > *last {
-                    *last = now;
-                }
-            })
-            .or_insert((now, now));
+        let (first, last) = self.spans.get_or_insert_with(id, || (now, now));
+        if now < *first {
+            *first = now;
+        }
+        if now > *last {
+            *last = now;
+        }
     }
 
     /// Number of distinct traces observed.
@@ -72,7 +66,7 @@ impl LifetimeTracker {
     /// The normalized lifetime of one trace (Equation 2), or `None` if the
     /// trace was never recorded. A trace executed once has lifetime 0.
     pub fn lifetime_of(&self, id: TraceId, total: Time) -> Option<f64> {
-        let (first, last) = self.spans.get(&id)?;
+        let (first, last) = self.spans.get(id)?;
         if total.as_micros() == 0 {
             return Some(0.0);
         }
@@ -85,7 +79,7 @@ impl LifetimeTracker {
         let mut buckets = [0u64; 5];
         for id in self.spans.keys() {
             let lifetime = self
-                .lifetime_of(*id, total)
+                .lifetime_of(id, total)
                 .expect("key exists")
                 .clamp(0.0, 1.0);
             // 1.0 falls in the last bucket.

@@ -116,7 +116,7 @@ impl<O: Observer> GenerationalModel<O> {
     ///
     /// Every resident trace leaves with an [`CacheEvent::Evict`] carrying
     /// [`EvictionCause::Flush`], emitted in ascending trace-id order
-    /// (`trace_ids` is hash-ordered, so the sort is what keeps replays
+    /// (`trace_ids` is unordered, so the sort is what keeps replays
     /// byte-identical at any job count), and is charged to the cost
     /// ledger like any other eviction. Metrics, ledger, observer and
     /// temperature state carry across: a reconfiguration is a management

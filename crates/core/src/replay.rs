@@ -13,9 +13,7 @@
 //! which carry no timestamp of their own — are clocked with the time of
 //! the most recent timed op.
 
-use std::collections::HashMap;
-
-use gencache_cache::{TraceId, TraceRecord};
+use gencache_cache::{TraceId, TraceMap, TraceRecord};
 use gencache_obs::{SimTrace, TraceOp};
 use gencache_program::{Addr, Time};
 
@@ -27,7 +25,7 @@ use crate::model::CacheModel;
 /// callers can sanity-check against
 /// [`SimTrace::access_count`].
 pub fn replay_trace(trace: &SimTrace, model: &mut dyn CacheModel) -> u64 {
-    let mut catalog: HashMap<TraceId, TraceRecord> = HashMap::new();
+    let mut catalog: TraceMap<TraceId, TraceRecord> = TraceMap::new();
     let mut executions = 0u64;
     let mut now = Time::ZERO;
     for op in &trace.ops {
@@ -41,7 +39,7 @@ pub fn replay_trace(trace: &SimTrace, model: &mut dyn CacheModel) -> u64 {
             }
             TraceOp::Access { id, time } => {
                 now = time;
-                let rec = *catalog.get(&id).expect("access precedes create");
+                let rec = *catalog.get(id).expect("access precedes create");
                 model.on_access(rec, time);
                 executions += 1;
             }

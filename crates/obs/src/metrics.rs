@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use gencache_cache::TraceMap;
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -217,7 +218,7 @@ pub struct MetricsObserver {
     misses: u64,
     regions: Vec<RegionMetrics>,
     timeline: Vec<TimelineSample>,
-    churn: HashMap<u64, ChurnState>,
+    churn: TraceMap<u64, ChurnState>,
 }
 
 impl Default for MetricsObserver {
@@ -243,7 +244,7 @@ impl MetricsObserver {
             misses: 0,
             regions: vec![RegionMetrics::default(); 4],
             timeline: Vec::new(),
-            churn: HashMap::new(),
+            churn: TraceMap::new(),
         }
     }
 
@@ -253,7 +254,7 @@ impl MetricsObserver {
             .churn
             .iter()
             .filter(|(_, s)| s.remisses > 0)
-            .map(|(&trace, s)| ChurnEntry {
+            .map(|(trace, s)| ChurnEntry {
                 trace,
                 bytes: s.bytes,
                 evictions: s.evictions,
@@ -309,8 +310,7 @@ impl Observer for MetricsObserver {
                 r.resident_bytes += u64::from(bytes);
                 r.peak_resident_bytes = r.peak_resident_bytes.max(r.resident_bytes);
                 self.churn
-                    .entry(trace.as_u64())
-                    .or_insert_with(|| ChurnState {
+                    .get_or_insert_with(trace.as_u64(), || ChurnState {
                         bytes,
                         ..ChurnState::default()
                     });
@@ -330,7 +330,7 @@ impl Observer for MetricsObserver {
             }
             CacheEvent::Miss { trace, time, .. } => {
                 self.misses += 1;
-                if let Some(state) = self.churn.get_mut(&trace.as_u64()) {
+                if let Some(state) = self.churn.get_mut(trace.as_u64()) {
                     if state.evictions > 0 {
                         state.remisses += 1;
                     }
@@ -358,7 +358,9 @@ impl Observer for MetricsObserver {
                 r.resident_bytes = r.resident_bytes.saturating_sub(u64::from(bytes));
                 r.lifetime_us.record(age_us);
                 r.evict_idle_us.record(idle_us);
-                let state = self.churn.entry(trace.as_u64()).or_default();
+                let state = self
+                    .churn
+                    .get_or_insert_with(trace.as_u64(), ChurnState::default);
                 state.bytes = bytes;
                 state.evictions += 1;
             }

@@ -16,9 +16,9 @@
 //! exactly like [`InsertError`](gencache_cache::InsertError) fallout in
 //! the live path.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use gencache_cache::{EvictionCause, TraceId};
+use gencache_cache::{EvictionCause, TraceId, TraceMap};
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -63,7 +63,7 @@ impl NextUseIndex {
             .collect();
         let total = ids.len();
         let mut next = vec![total; total];
-        let mut last_seen: HashMap<TraceId, usize> = HashMap::new();
+        let mut last_seen: TraceMap<TraceId, usize> = TraceMap::new();
         for j in (0..total).rev() {
             next[j] = last_seen.insert(ids[j], j).unwrap_or(total);
         }
@@ -161,7 +161,7 @@ fn replay_core(
     // the same trace (NEVER if none). Built backwards in O(n).
     let n = trace.ops.len();
     let mut next_use = vec![NEVER; n];
-    let mut last_seen: HashMap<TraceId, usize> = HashMap::new();
+    let mut last_seen: TraceMap<TraceId, usize> = TraceMap::new();
     for i in (0..n).rev() {
         if let TraceOp::Create { id, .. } | TraceOp::Access { id, .. } = trace.ops[i] {
             next_use[i] = last_seen.insert(id, i).unwrap_or(NEVER);
@@ -169,8 +169,8 @@ fn replay_core(
     }
 
     let mut result = OracleResult::default();
-    let mut sizes: HashMap<TraceId, u32> = HashMap::new();
-    let mut resident: HashMap<TraceId, Resident> = HashMap::new();
+    let mut sizes: TraceMap<TraceId, u32> = TraceMap::new();
+    let mut resident: TraceMap<TraceId, Resident> = TraceMap::new();
     // Eviction order: furthest next use first. Pinned entries stay in
     // the map but are skipped here (removed from the set while pinned).
     let mut by_distance: BTreeSet<(usize, TraceId)> = BTreeSet::new();
@@ -188,10 +188,10 @@ fn replay_core(
                         sizes.insert(id, bytes);
                         bytes
                     }
-                    _ => *sizes.get(&id).expect("access precedes create"),
+                    _ => *sizes.get(id).expect("access precedes create"),
                 };
                 result.accesses += 1;
-                if let Some(entry) = resident.get_mut(&id) {
+                if let Some(entry) = resident.get_mut(id) {
                     result.hits += 1;
                     emit(CacheEvent::Hit {
                         region: Region::Unified,
@@ -223,7 +223,7 @@ fn replay_core(
                     match by_distance.iter().next_back().copied() {
                         Some(key) => {
                             by_distance.remove(&key);
-                            let victim = resident.remove(&key.1).expect("set tracks map");
+                            let victim = resident.remove(key.1).expect("set tracks map");
                             used -= u64::from(victim.bytes);
                             evicted.push((key.1, victim));
                         }
@@ -274,7 +274,7 @@ fn replay_core(
             }
             TraceOp::Invalidate { id, time } => {
                 clock = time;
-                if let Some(entry) = resident.remove(&id) {
+                if let Some(entry) = resident.remove(id) {
                     result.unmap_deletions += 1;
                     used -= u64::from(entry.bytes);
                     if !entry.pinned {
@@ -298,7 +298,7 @@ fn replay_core(
                 }
             }
             TraceOp::Pin { id } => {
-                if let Some(entry) = resident.get_mut(&id) {
+                if let Some(entry) = resident.get_mut(id) {
                     if !entry.pinned {
                         entry.pinned = true;
                         by_distance.remove(&(entry.next_use, id));
@@ -317,7 +317,7 @@ fn replay_core(
                 });
             }
             TraceOp::Unpin { id } => {
-                if let Some(entry) = resident.get_mut(&id) {
+                if let Some(entry) = resident.get_mut(id) {
                     if entry.pinned {
                         entry.pinned = false;
                         by_distance.insert((entry.next_use, id));

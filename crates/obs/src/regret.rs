@@ -30,9 +30,9 @@
 //! cell: a flush that churns is real cost even though it was nobody's
 //! decision.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
-use gencache_cache::{EvictionCause, TraceId};
+use gencache_cache::{EvictionCause, TraceId, TraceMap};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::miss_service;
@@ -366,12 +366,14 @@ pub struct RegretObserver<'a> {
     /// Executions consumed so far = current execution position.
     exec: usize,
     /// Each trace's next execution position, as of its last execution.
-    next_of: HashMap<TraceId, usize>,
-    resident: HashMap<TraceId, ResidentState>,
-    /// Unpinned residents ordered by next use: `next_back()` is the
-    /// Belady victim, exactly as in the oracle.
-    by_distance: BTreeSet<(usize, TraceId)>,
-    churn: HashMap<TraceId, TraceRegret>,
+    next_of: TraceMap<TraceId, usize>,
+    resident: TraceMap<TraceId, ResidentState>,
+    /// Unpinned residents keyed by next use, kept lazily: an entry is
+    /// live only while it matches its trace's `resident` state, and
+    /// stale entries are dropped as they surface. The live maximum is
+    /// the Belady victim, exactly as in the oracle.
+    by_distance: BinaryHeap<(usize, TraceId)>,
+    churn: TraceMap<TraceId, TraceRegret>,
     accesses: u64,
     total: RegretCell,
     phase_cells: Vec<PhaseRegret>,
@@ -405,10 +407,10 @@ impl<'a> RegretObserver<'a> {
             duration_us,
             top: top.max(1),
             exec: 0,
-            next_of: HashMap::new(),
-            resident: HashMap::new(),
-            by_distance: BTreeSet::new(),
-            churn: HashMap::new(),
+            next_of: TraceMap::new(),
+            resident: TraceMap::new(),
+            by_distance: BinaryHeap::new(),
+            churn: TraceMap::new(),
             accesses: 0,
             total: RegretCell::default(),
             phase_cells: (0..phases).map(|_| PhaseRegret::new()).collect(),
@@ -442,14 +444,48 @@ impl<'a> RegretObserver<'a> {
         self.accesses += 1;
         let next = self.next_after(j);
         self.next_of.insert(trace, next);
-        if let Some(r) = self.resident.get_mut(&trace) {
-            if !r.pinned {
-                self.by_distance.remove(&(r.next, trace));
-                self.by_distance.insert((next, trace));
-            }
+        let unpinned = self.resident.get_mut(trace).is_some_and(|r| {
             r.next = next;
+            !r.pinned
+        });
+        if unpinned {
+            self.push_candidate(next, trace);
         }
         next
+    }
+
+    /// Makes `trace`, next used at `next`, a victim candidate. The heap
+    /// is rebuilt from the live residents once stale entries outnumber
+    /// them, so its size stays O(resident set).
+    fn push_candidate(&mut self, next: usize, trace: TraceId) {
+        self.by_distance.push((next, trace));
+        if self.by_distance.len() > 2 * self.resident.len() + 64 {
+            let mut live = std::mem::take(&mut self.by_distance).into_vec();
+            live.clear();
+            live.extend(
+                self.resident
+                    .iter()
+                    .filter(|(_, r)| !r.pinned)
+                    .map(|(id, r)| (r.next, id)),
+            );
+            self.by_distance = BinaryHeap::from(live);
+        }
+    }
+
+    /// The unpinned resident with the furthest next use (ties to the
+    /// larger id), dropping the stale entries above it.
+    fn belady_victim(&mut self) -> Option<(usize, TraceId)> {
+        while let Some(&(next, trace)) = self.by_distance.peek() {
+            let live = self
+                .resident
+                .get(trace)
+                .is_some_and(|r| !r.pinned && r.next == next);
+            if live {
+                return Some((next, trace));
+            }
+            self.by_distance.pop();
+        }
+        None
     }
 
     fn score_evict(
@@ -464,19 +500,14 @@ impl<'a> RegretObserver<'a> {
         let total_execs = self.index.total();
         // The trace leaves the hierarchy; its next use was fixed at its
         // last execution.
-        let evicted_next = match self.resident.remove(&trace) {
-            Some(st) => {
-                if !st.pinned {
-                    self.by_distance.remove(&(st.next, trace));
-                }
-                st.next
-            }
-            None => self.next_of.get(&trace).copied().unwrap_or(total_execs),
+        let evicted_next = match self.resident.remove(trace) {
+            Some(st) => st.next,
+            None => self.next_of.get(trace).copied().unwrap_or(total_execs),
         };
         let (victim, victim_next, regret) = if forced(cause) {
             (trace, evicted_next, 0u64)
         } else {
-            match self.by_distance.iter().next_back().copied() {
+            match self.belady_victim() {
                 Some((vn, vid)) if vn > evicted_next => (vid, vn, (vn - evicted_next) as u64),
                 Some((vn, vid)) => (vid, vn, 0),
                 None => (trace, evicted_next, 0),
@@ -489,7 +520,9 @@ impl<'a> RegretObserver<'a> {
         self.phase_cells[p].total.score(regret);
         self.phase_cells[p].regions[r].slot_mut(slot).score(regret);
 
-        let worst = WorstEviction {
+        // Built only when it is kept: most evictions are not a trace's
+        // worst.
+        let worst = || WorstEviction {
             exec: now as u64,
             phase: p as u32,
             region: region.name().to_string(),
@@ -501,21 +534,21 @@ impl<'a> RegretObserver<'a> {
             victim_reused: victim_next < total_execs,
             regret,
         };
-        let entry = self.churn.entry(trace).or_insert_with(|| TraceRegret {
+        let entry = self.churn.get_or_insert_with(trace, || TraceRegret {
             bytes,
             evictions: 0,
             regret_sum: 0,
             remisses: 0,
             remiss_instructions: 0.0,
             last: (p, r, slot),
-            worst: worst.clone(),
+            worst: worst(),
         });
         entry.bytes = bytes;
         entry.evictions += 1;
         entry.regret_sum += regret;
         entry.last = (p, r, slot);
-        if worst.regret > entry.worst.regret {
-            entry.worst = worst;
+        if regret > entry.worst.regret {
+            entry.worst = worst();
         }
     }
 
@@ -525,7 +558,7 @@ impl<'a> RegretObserver<'a> {
             .churn
             .iter()
             .filter(|(_, s)| s.regret_sum > 0 || s.remisses > 0)
-            .map(|(&trace, s)| RegretContributor {
+            .map(|(trace, s)| RegretContributor {
                 trace: trace.as_u64(),
                 bytes: s.bytes,
                 evictions: s.evictions,
@@ -555,7 +588,7 @@ impl Observer for RegretObserver<'_> {
                 self.on_execution(trace);
                 // The churn rule: a miss on a trace evicted at least once
                 // is a re-miss, realized cost of its most recent eviction.
-                if let Some(c) = self.churn.get_mut(&trace) {
+                if let Some(c) = self.churn.get_mut(trace) {
                     let cost = miss_service(bytes);
                     c.remisses += 1;
                     c.remiss_instructions += cost;
@@ -568,21 +601,17 @@ impl Observer for RegretObserver<'_> {
             CacheEvent::Insert { trace, .. } => {
                 let next = self
                     .next_of
-                    .get(&trace)
+                    .get(trace)
                     .copied()
                     .unwrap_or_else(|| self.index.total());
-                if let Some(old) = self.resident.insert(
+                self.resident.insert(
                     trace,
                     ResidentState {
                         next,
                         pinned: false,
                     },
-                ) {
-                    if !old.pinned {
-                        self.by_distance.remove(&(old.next, trace));
-                    }
-                }
-                self.by_distance.insert((next, trace));
+                );
+                self.push_candidate(next, trace);
             }
             CacheEvent::Evict {
                 region,
@@ -595,19 +624,18 @@ impl Observer for RegretObserver<'_> {
                 self.score_evict(region, trace, bytes, cause, time.as_micros());
             }
             CacheEvent::Pin { trace, .. } => {
-                if let Some(r) = self.resident.get_mut(&trace) {
-                    if !r.pinned {
-                        r.pinned = true;
-                        self.by_distance.remove(&(r.next, trace));
-                    }
+                // Its heap entries go stale until the unpin.
+                if let Some(r) = self.resident.get_mut(trace) {
+                    r.pinned = true;
                 }
             }
             CacheEvent::Unpin { trace, .. } => {
-                if let Some(r) = self.resident.get_mut(&trace) {
-                    if r.pinned {
-                        r.pinned = false;
-                        self.by_distance.insert((r.next, trace));
-                    }
+                let unpinned = self.resident.get_mut(trace).and_then(|r| {
+                    let was_pinned = std::mem::replace(&mut r.pinned, false);
+                    was_pinned.then_some(r.next)
+                });
+                if let Some(next) = unpinned {
+                    self.push_candidate(next, trace);
                 }
             }
             // Promotions relocate a trace between regions; it stays

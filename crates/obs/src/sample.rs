@@ -27,8 +27,7 @@
 //! [`MetricsReport`] is byte-identical to an unsampled
 //! [`MetricsObserver`] run (a property test enforces this).
 
-use std::collections::HashMap;
-
+use gencache_cache::TraceMap;
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -239,7 +238,7 @@ pub struct SamplingObserver<O: Observer = NullObserver> {
     misses: u64,
     regions: Vec<RegionMetrics>,
     timeline: Vec<TimelineSample>,
-    churn: HashMap<u64, ChurnState>,
+    churn: TraceMap<u64, ChurnState>,
     summary: SamplingSummary,
     reservoir: Vec<u64>,
     reservoir_rng: u64,
@@ -272,7 +271,7 @@ impl<O: Observer> SamplingObserver<O> {
             misses: 0,
             regions: vec![RegionMetrics::default(); 4],
             timeline: Vec::new(),
-            churn: HashMap::new(),
+            churn: TraceMap::new(),
             summary: SamplingSummary::default(),
             reservoir: Vec::new(),
             reservoir_rng: splitmix64(params.seed) | 1,
@@ -358,7 +357,7 @@ impl<O: Observer> SamplingObserver<O> {
             .churn
             .iter()
             .filter(|(_, s)| s.remisses > 0)
-            .map(|(&trace, s)| ChurnEntry {
+            .map(|(trace, s)| ChurnEntry {
                 trace,
                 bytes: s.bytes,
                 evictions: s.evictions,
@@ -411,10 +410,10 @@ impl<O: Observer> Observer for SamplingObserver<O> {
                 r.peak_resident_bytes = r.peak_resident_bytes.max(r.resident_bytes);
                 let id = trace.as_u64();
                 if self.churn_gate(id) {
-                    if !self.churn.contains_key(&id) {
+                    if !self.churn.contains_key(id) {
                         self.summary.churn_tracked += 1;
                     }
-                    self.churn.entry(id).or_insert_with(|| ChurnState {
+                    self.churn.get_or_insert_with(id, || ChurnState {
                         bytes,
                         ..ChurnState::default()
                     });
@@ -438,7 +437,7 @@ impl<O: Observer> Observer for SamplingObserver<O> {
             }
             CacheEvent::Miss { trace, time, .. } => {
                 self.misses += 1;
-                if let Some(state) = self.churn.get_mut(&trace.as_u64()) {
+                if let Some(state) = self.churn.get_mut(trace.as_u64()) {
                     if state.evictions > 0 {
                         state.remisses += 1;
                     }
@@ -472,10 +471,10 @@ impl<O: Observer> Observer for SamplingObserver<O> {
                 r.resident_bytes = r.resident_bytes.saturating_sub(u64::from(bytes));
                 let id = trace.as_u64();
                 if self.churn_gate(id) {
-                    if !self.churn.contains_key(&id) {
+                    if !self.churn.contains_key(id) {
                         self.summary.churn_tracked += 1;
                     }
-                    let state = self.churn.entry(id).or_default();
+                    let state = self.churn.get_or_insert_with(id, ChurnState::default);
                     state.bytes = bytes;
                     state.evictions += 1;
                 }

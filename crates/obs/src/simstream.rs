@@ -19,9 +19,7 @@
 //! Everything else in the stream (insertions, capacity evictions,
 //! promotions, pointer resets) is a cache-side *effect* and is skipped.
 
-use std::collections::HashMap;
-
-use gencache_cache::{EvictionCause, TraceId};
+use gencache_cache::{EvictionCause, TraceId, TraceMap};
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -99,14 +97,16 @@ impl SimTrace {
 
 /// Incremental event → frontend-request inversion.
 ///
-/// Holds only the per-trace size map (O(resident trace set)), so a
-/// consumer can feed events one at a time — from a file, a pipe, or a
-/// bounded channel — and never materialize the event stream. This is the
+/// Holds one size entry per distinct trace id seen (never pruned: a
+/// re-miss after eviction must still tell a re-access from a
+/// regeneration), so a consumer can feed events one at a time — from a
+/// file, a pipe, or a bounded channel — and never materialize the event
+/// stream. This is the
 /// core `reconstruct_trace` loops over, and what the serve daemon's
 /// streaming ingest drives directly.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRebuilder {
-    sizes: HashMap<TraceId, u32>,
+    sizes: TraceMap<TraceId, u32>,
 }
 
 impl TraceRebuilder {
@@ -135,7 +135,7 @@ impl TraceRebuilder {
     pub fn push(&mut self, event: &CacheEvent) -> Result<Option<TraceOp>, String> {
         Ok(Some(match *event {
             CacheEvent::Miss { trace, bytes, time } => {
-                if self.sizes.get(&trace) == Some(&bytes) {
+                if self.sizes.get(trace) == Some(&bytes) {
                     TraceOp::Access { id: trace, time }
                 } else {
                     self.sizes.insert(trace, bytes);
@@ -147,7 +147,7 @@ impl TraceRebuilder {
                 }
             }
             CacheEvent::Hit { trace, time, .. } => {
-                if !self.sizes.contains_key(&trace) {
+                if !self.sizes.contains_key(trace) {
                     return Err(format!(
                         "hit on trace {trace} before any miss: stream is \
                          truncated or mixes models"

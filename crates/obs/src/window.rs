@@ -15,8 +15,7 @@
 //! for any `--jobs` value — and the series doubles as the sensor API
 //! the ROADMAP's adaptive policy engine needs.
 
-use std::collections::HashSet;
-
+use gencache_cache::TraceSet;
 use serde::{Deserialize, Serialize};
 
 use crate::event::CacheEvent;
@@ -297,7 +296,7 @@ pub struct WindowObserver {
     windows: Vec<Window>,
     current: Window,
     resident_bytes: u64,
-    evicted: HashSet<u64>,
+    evicted: TraceSet<u64>,
 }
 
 impl WindowObserver {
@@ -317,7 +316,7 @@ impl WindowObserver {
             windows: Vec::new(),
             current: Window::default(),
             resident_bytes: 0,
-            evicted: HashSet::new(),
+            evicted: TraceSet::new(),
         }
     }
 
@@ -385,7 +384,7 @@ impl Observer for WindowObserver {
             }
             CacheEvent::Miss { trace, .. } => {
                 self.current.misses += 1;
-                if self.evicted.contains(&trace.as_u64()) {
+                if self.evicted.contains(trace.as_u64()) {
                     self.current.remisses += 1;
                 }
                 self.on_access();

@@ -16,9 +16,12 @@
 //!
 //! * **Bounded-memory ingestion.** Export lines flow socket → bounded
 //!   channel → incremental
-//!   [`StreamIngest`](gencache_bench::ingest::StreamIngest); peak
-//!   memory is O(channel depth + resident trace set), never
-//!   O(stream length). A slow worker closes the TCP receive window —
+//!   [`StreamIngest`](gencache_bench::ingest::StreamIngest), which
+//!   holds the channel's in-flight lines, each benchmark's reference
+//!   request trace (one op per frontend request) and one size entry per
+//!   distinct trace id of the stream being ingested. Memory is
+//!   independent of how many model streams and cache-side event lines
+//!   the export carries. A slow worker closes the TCP receive window —
 //!   backpressure reaches the client as flow control, not as daemon
 //!   RSS.
 //! * **Byte-identical results.** A job runs through the same shared

@@ -4,8 +4,11 @@
 //! protocol line (at most [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES))
 //! plus the bounded ingest channel's in-flight window.
 //! Export lines flow socket → bounded channel → [`StreamIngest`], which
-//! keeps only the reconstructed frontend traces — peak memory is
-//! O(channel depth + resident trace set), never O(stream length). When
+//! keeps each benchmark's reference request trace (one op per frontend
+//! request) and one size entry per distinct trace id of the stream being
+//! ingested — peak memory is that plus the channel depth, independent of
+//! how many model streams and cache-side event lines the export
+//! carries. When
 //! the worker stalls, the channel fills, the connection thread blocks in
 //! `send`, the socket's receive window closes, and backpressure reaches
 //! the client as plain TCP flow control. Queue-level backpressure is

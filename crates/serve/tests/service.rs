@@ -47,6 +47,11 @@ fn export() -> &'static str {
 /// set, minus the trailing newline: the same ingest + runner + document
 /// path the daemon uses, run offline.
 fn offline_doc(export: &str, labels: &[&str], grid: bool, oracle: bool) -> String {
+    offline_doc_with(export, labels, grid, SimJobOptions::oracle(oracle))
+}
+
+/// [`offline_doc`] with every job option explicit.
+fn offline_doc_with(export: &str, labels: &[&str], grid: bool, options: SimJobOptions) -> String {
     let mut ingest = StreamIngest::new();
     for line in export.lines() {
         ingest.push_line(line).unwrap();
@@ -54,7 +59,7 @@ fn offline_doc(export: &str, labels: &[&str], grid: bool, oracle: bool) -> Strin
     let inputs = ingest.into_inputs(None, None, None).unwrap();
     let labels: Vec<String> = labels.iter().map(|s| s.to_string()).collect();
     let specs = resolve_sim_specs(&labels, grid).unwrap();
-    let out = run_sim_job(&inputs, &specs, SimJobOptions::oracle(oracle), 1, None).unwrap();
+    let out = run_sim_job(&inputs, &specs, options, 1, None).unwrap();
     value_to_json(&sim_metrics_doc(&out))
 }
 
@@ -337,6 +342,82 @@ fn oversize_lines_are_refused_and_daemon_survives() {
             other => panic!("expected result, got {other:?}"),
         }
     }
+}
+
+/// The export with every trace id relabeled by the order-preserving
+/// injective map `id << 40 | 0x5a5`: the same run under sparse 64-bit
+/// ids instead of the frontend's dense ones.
+fn sparse_export(export: &str) -> String {
+    fn relabel(value: &mut Value) {
+        match value {
+            Value::Object(pairs) => {
+                for (key, v) in pairs {
+                    match v {
+                        Value::UInt(id) if key == "trace" => {
+                            assert!(*id < 1 << 24, "id {id} too large to relabel");
+                            *id = *id << 40 | 0x5a5;
+                        }
+                        _ => relabel(v),
+                    }
+                }
+            }
+            Value::Array(items) => items.iter_mut().for_each(relabel),
+            _ => {}
+        }
+    }
+    let mut out = String::new();
+    for line in export.lines() {
+        if let Ok(StreamLine::Event(_)) = parse_stream_line(line) {
+            let mut value = serde_json::value_from_str(line).unwrap();
+            relabel(&mut value);
+            out.push_str(&value_to_json(&value));
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn sparse_trace_ids_match_offline_simulate_and_daemon_survives() {
+    let export = sparse_export(export());
+    assert!(export.contains(&format!("\"trace\":{}", 1u64 << 40 | 0x5a5)));
+    let labels = [
+        "unified",
+        "45-10-45@hit1",
+        "30-20-50@evict5",
+        "adaptive",
+        "pseudo-circular",
+        "lru",
+        "clock",
+        "flush-on-full",
+        "preemptive-flush",
+        "unbounded",
+    ];
+    let options = SimJobOptions {
+        oracle: true,
+        windows: true,
+        ..SimJobOptions::default()
+    };
+    let expected = offline_doc_with(&export, &labels, false, options);
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let spec = JobSpec {
+        specs: labels.iter().map(|s| s.to_string()).collect(),
+        oracle: true,
+        windows: true,
+        ..JobSpec::default()
+    };
+    match server.client().submit(export.as_bytes(), &spec) {
+        Ok(Reply::Result { doc, .. }) => {
+            assert_eq!(doc, expected, "daemon diverged from offline simulate");
+        }
+        other => panic!("expected result, got {other:?}"),
+    }
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
 }
 
 #[test]

@@ -1,9 +1,7 @@
 //! Replaying a recorded log into bounded cache models, and the standard
 //! unified-vs-generational comparison of Section 6.
 
-use std::collections::HashMap;
-
-use gencache_cache::{TraceId, TraceRecord};
+use gencache_cache::{TraceId, TraceMap, TraceRecord};
 use gencache_program::Time;
 use gencache_core::{
     overhead_ratio, CacheModel, CostLedger, GenerationalConfig, GenerationalModel, ModelMetrics,
@@ -26,7 +24,7 @@ use crate::progress::{ProgressMeter, PROGRESS_BATCH};
 /// [`replay_into`] stays a thin loop over the same logic.
 #[derive(Debug, Default)]
 pub struct ReplayCursor {
-    catalog: HashMap<TraceId, TraceRecord>,
+    catalog: TraceMap<TraceId, TraceRecord>,
     // Pin records carry no timestamp; the clock of the most recent timed
     // record stands in for them.
     now: Time,
@@ -63,7 +61,7 @@ impl ReplayCursor {
             LogRecord::Access { id, time } => {
                 let rec = self
                     .catalog
-                    .get(&id)
+                    .get(id)
                     .expect("access to a trace never created; corrupt log");
                 self.now = time;
                 ReplayStep::Access(*rec, time)
