@@ -20,7 +20,7 @@
 //!          [--grid] [--oracle] [--windows] [--capacity BYTES] [--jobs N]
 //!          [--bench NAME] [--model LABEL]
 //!          [--metrics-out FILE.json] [--baseline-out FILE.json]
-//!          [--stats-out FILE.json] [--watch BASELINE.json] [--tolerance FRAC]
+//!          [--watch BASELINE.json] [--tolerance FRAC]
 //! ```
 //!
 //! `--events -` reads the export from stdin, so a fetched or piped
@@ -50,8 +50,8 @@ use serde::{Deserialize, Serialize};
 
 const USAGE: &str = "use --events FILE / --spec LABEL / --grid / --oracle / --windows / \
      --window-width N / --regret-top N / --capacity BYTES / --jobs N / --bench NAME / \
-     --model LABEL / --metrics-out FILE / --baseline-out FILE / --stats-out FILE / \
-     --watch FILE / --tolerance FRAC";
+     --model LABEL / --metrics-out FILE / --baseline-out FILE / --watch FILE / \
+     --tolerance FRAC";
 
 struct SimOptions {
     events: String,
@@ -67,7 +67,6 @@ struct SimOptions {
     model: Option<String>,
     metrics_out: Option<String>,
     baseline_out: Option<String>,
-    stats_out: Option<String>,
     watch: Option<String>,
     tolerance: f64,
 }
@@ -87,7 +86,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
         model: None,
         metrics_out: None,
         baseline_out: None,
-        stats_out: None,
         watch: None,
         tolerance: 0.0,
     };
@@ -130,9 +128,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
             }
             "--baseline-out" => {
                 opts.baseline_out = Some(it.next().expect("--baseline-out needs a file path"));
-            }
-            "--stats-out" => {
-                opts.stats_out = Some(it.next().expect("--stats-out needs a file path"));
             }
             "--watch" => opts.watch = Some(it.next().expect("--watch needs a baseline file")),
             "--tolerance" => {
@@ -233,66 +228,6 @@ fn baseline_rows(out: &SimJobOutput) -> Vec<BaselineRow> {
         }
     }
     rows
-}
-
-/// Peak resident set size of this process in bytes, via `getrusage(2)`
-/// — the same method the serve-path bench notes in EXPERIMENTS.md use.
-/// Declared by hand because the workspace carries no libc binding;
-/// `ru_maxrss` is reported in kilobytes on Linux.
-#[cfg(target_os = "linux")]
-fn peak_rss_bytes() -> u64 {
-    #[repr(C)]
-    struct Rusage {
-        ru_utime: [i64; 2],
-        ru_stime: [i64; 2],
-        ru_maxrss: i64,
-        rest: [i64; 13],
-    }
-    extern "C" {
-        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-    }
-    const RUSAGE_SELF: i32 = 0;
-    let mut usage = Rusage {
-        ru_utime: [0; 2],
-        ru_stime: [0; 2],
-        ru_maxrss: 0,
-        rest: [0; 13],
-    };
-    if unsafe { getrusage(RUSAGE_SELF, &mut usage) } == 0 {
-        usage.ru_maxrss.max(0) as u64 * 1024
-    } else {
-        0
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn peak_rss_bytes() -> u64 {
-    0
-}
-
-/// The offline-replay throughput/footprint doc `--stats-out` writes,
-/// consumed by `gencache-client bench --replay-stats` for the serve
-/// trajectory.
-fn replay_stats_doc(cells: u64, wall_us: u64) -> String {
-    let cells_per_sec = cells as f64 / (wall_us as f64 / 1e6).max(1e-9);
-    let doc = serde::Value::Object(vec![
-        (
-            "schema".to_string(),
-            serde::Value::Str("gencache-sim-replay-stats".to_string()),
-        ),
-        ("version".to_string(), serde::Value::UInt(1)),
-        ("replay_cells".to_string(), serde::Value::UInt(cells)),
-        ("replay_wall_us".to_string(), serde::Value::UInt(wall_us)),
-        (
-            "replay_cells_per_sec".to_string(),
-            serde::Value::Float(cells_per_sec),
-        ),
-        (
-            "peak_rss_bytes".to_string(),
-            serde::Value::UInt(peak_rss_bytes()),
-        ),
-    ]);
-    gencache_bench::value_to_json(&doc)
 }
 
 /// Scores every adaptive spec against the static rows on the
@@ -508,20 +443,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("wrote metrics to {path}");
-    }
-
-    if let Some(path) = &opts.stats_out {
-        let cells = (out.benches.len() * out.labels.len()) as u64;
-        let json = replay_stats_doc(cells, elapsed.as_micros() as u64);
-        let written = File::create(path).and_then(|mut f| {
-            f.write_all(json.as_bytes())?;
-            f.write_all(b"\n")
-        });
-        if let Err(e) = written {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote replay stats to {path}");
     }
 
     if let Some(path) = &opts.baseline_out {

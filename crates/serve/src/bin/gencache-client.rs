@@ -13,10 +13,6 @@
 //! gencache-client route  --addr HOST:PORT --bench NAME
 //! gencache-client trace TRACE_ID --addr HOST:PORT
 //! gencache-client metrics --addr HOST:PORT
-//! gencache-client bench  --addr HOST:PORT --events FILE [--spec LABEL]...
-//!                 [--grid] [--bench NAME] [--jobs N] [--note TEXT]
-//!                 [--out FILE] [--replay-stats FILE] [--watch]
-//!                 [--tolerance FRACTION]
 //! gencache-client watch  --addr HOST:PORT [--interval-ms N] [--count N]
 //!                 [--plain]
 //! ```
@@ -41,10 +37,7 @@
 //! `submit --verbose` stamps a trace id, prints the client-side spans,
 //! and fetches the server's stitched span tree afterwards. `trace`
 //! fetches the span tree for any id the daemons still retain; `metrics`
-//! prints the daemon's Prometheus text exposition. `bench` drives
-//! repeated submits against a daemon and records a throughput/latency
-//! trajectory entry (`--watch` fails with exit 4 on regression against
-//! the previous entry instead of appending).
+//! prints the daemon's Prometheus text exposition.
 //!
 //! `watch` subscribes to the daemon's (or router's — the rows then
 //! cover every live shard) `watch` stream and renders a live fleet
@@ -57,14 +50,13 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use gencache_serve::telemetry::{new_trace_id, render_spans};
 use gencache_serve::{Client, JobSpec, Reply, RetryPolicy, Span};
 use serde::Value;
 
 const USAGE: &str = "subcommands: submit / stats / ping / fetch / shards / route / trace / \
-     metrics / bench / watch (see module docs)";
+     metrics / watch (see module docs)";
 
 fn open_input(path: &str) -> io::Result<Box<dyn BufRead>> {
     if path == "-" {
@@ -515,263 +507,6 @@ fn run_metrics(mut it: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-struct BenchArgs {
-    addr: String,
-    events: String,
-    spec: JobSpec,
-    jobs: usize,
-    note: String,
-    out: Option<String>,
-    replay_stats: Option<String>,
-    watch: bool,
-    tolerance: f64,
-}
-
-fn parse_bench(mut it: impl Iterator<Item = String>) -> BenchArgs {
-    let mut args = BenchArgs {
-        addr: String::new(),
-        events: String::new(),
-        spec: JobSpec::default(),
-        jobs: 20,
-        note: String::new(),
-        out: None,
-        replay_stats: None,
-        watch: false,
-        tolerance: 0.25,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => args.addr = it.next().expect("--addr needs HOST:PORT"),
-            "--events" => args.events = it.next().expect("--events needs a file path"),
-            "--spec" => args
-                .spec
-                .specs
-                .push(it.next().expect("--spec needs a label")),
-            "--grid" => args.spec.grid = true,
-            "--bench" => args.spec.bench = Some(it.next().expect("--bench needs a name")),
-            "--jobs" => {
-                let v = it.next().expect("--jobs needs a count");
-                args.jobs = v.parse().expect("--jobs must be a positive integer");
-                assert!(args.jobs > 0, "--jobs must be positive");
-            }
-            "--note" => args.note = it.next().expect("--note needs text"),
-            "--out" => args.out = Some(it.next().expect("--out needs a file path")),
-            "--replay-stats" => {
-                args.replay_stats =
-                    Some(it.next().expect("--replay-stats needs a file path"));
-            }
-            "--watch" => args.watch = true,
-            "--tolerance" => {
-                let v = it.next().expect("--tolerance needs a fraction");
-                args.tolerance = v.parse().expect("--tolerance must be a number");
-                assert!(args.tolerance > 0.0, "--tolerance must be positive");
-            }
-            other => panic!("unknown bench argument {other:?}"),
-        }
-    }
-    assert!(!args.addr.is_empty(), "bench needs --addr HOST:PORT");
-    assert!(!args.events.is_empty(), "bench needs --events FILE");
-    args
-}
-
-fn bench_field(entry: &Value, name: &str) -> Option<f64> {
-    match entry.as_object()?.iter().find(|(k, _)| k == name)?.1 {
-        Value::Float(f) => Some(f),
-        Value::UInt(n) => Some(n as f64),
-        Value::Int(n) => Some(n as f64),
-        _ => None,
-    }
-}
-
-/// Drives `--jobs` timed submits (after one untimed warmup) and turns
-/// the client-side `job` spans into a trajectory entry. With `--out`
-/// the entry appends to a versioned JSON trajectory; `--watch` instead
-/// compares against the file's last entry and exits 4 on a throughput
-/// regression beyond `--tolerance` without appending.
-fn run_bench(it: impl Iterator<Item = String>) -> ExitCode {
-    let args = parse_bench(it);
-    let body = match std::fs::read_to_string(&args.events) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.events);
-            return ExitCode::FAILURE;
-        }
-    };
-    let export_lines = body.lines().count() as u64;
-    let client = Client::new(&args.addr);
-    // Warmup: one untimed job absorbs connection and page-cache setup.
-    if let Err(e) = client.submit(Cursor::new(body.as_bytes()), &args.spec) {
-        eprintln!("warmup submit failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut job_us: Vec<u64> = Vec::with_capacity(args.jobs);
-    let started = Instant::now();
-    for _ in 0..args.jobs {
-        let (reply, spans) =
-            match client.submit_with_spans(Cursor::new(body.as_bytes()), &args.spec) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("bench submit failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        match reply {
-            Reply::Result { .. } => {}
-            other => {
-                eprintln!("bench job did not complete: {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match spans.iter().find(|s| s.stage == "job") {
-            Some(job) => job_us.push(job.dur_us),
-            None => {
-                eprintln!("bench submit returned no job span");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let wall_s = started.elapsed().as_secs_f64().max(1e-9);
-    job_us.sort_unstable();
-    let pct = |p: usize| job_us[(job_us.len() - 1) * p / 100];
-    let jobs_per_sec = args.jobs as f64 / wall_s;
-    let lines_per_sec = (export_lines * args.jobs as u64) as f64 / wall_s;
-    let mut fields = vec![
-        ("note".to_string(), Value::Str(args.note.clone())),
-        ("jobs".to_string(), Value::UInt(args.jobs as u64)),
-        ("export_lines".to_string(), Value::UInt(export_lines)),
-        ("jobs_per_sec".to_string(), Value::Float(jobs_per_sec)),
-        (
-            "ingest_lines_per_sec".to_string(),
-            Value::Float(lines_per_sec),
-        ),
-        ("p50_us".to_string(), Value::UInt(pct(50))),
-        ("p99_us".to_string(), Value::UInt(pct(99))),
-    ];
-    // Offline replay metrics from a `simulate --stats-out` doc ride
-    // along in the same trajectory entry, so the serve-path and
-    // replay-path throughput histories stay in one file.
-    if let Some(path) = &args.replay_stats {
-        let stats = match std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| {
-                serde_json::value_from_str(&text)
-                    .map_err(|e| format!("{path} is not valid JSON: {e}"))
-            }) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for field in ["replay_cells", "replay_cells_per_sec", "peak_rss_bytes"] {
-            let Some(v) = bench_field(&stats, field) else {
-                eprintln!("{path} has no {field} field (not a simulate --stats-out doc?)");
-                return ExitCode::FAILURE;
-            };
-            if field == "replay_cells_per_sec" {
-                fields.push((field.to_string(), Value::Float(v)));
-            } else {
-                fields.push((field.to_string(), Value::UInt(v as u64)));
-            }
-        }
-    }
-    let entry = Value::Object(fields);
-    eprintln!(
-        "{} jobs in {wall_s:.3}s: {jobs_per_sec:.1} jobs/s, {lines_per_sec:.0} lines/s, \
-         p50 {}us, p99 {}us",
-        args.jobs,
-        pct(50),
-        pct(99)
-    );
-    let Some(out) = &args.out else {
-        println!("{}", gencache_bench::value_to_json(&entry));
-        return ExitCode::SUCCESS;
-    };
-    let mut trajectory: Vec<Value> = match std::fs::read_to_string(out) {
-        Ok(text) => match serde_json::value_from_str(&text) {
-            Ok(doc) => match doc
-                .as_object()
-                .and_then(|pairs| pairs.iter().find(|(k, _)| k == "trajectory").cloned())
-            {
-                Some((_, Value::Array(items))) => items,
-                _ => {
-                    eprintln!("{out} has no trajectory array");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("{out} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => {
-            eprintln!("cannot read {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.watch {
-        if let Some(last) = trajectory.last() {
-            let prev = bench_field(last, "jobs_per_sec").unwrap_or(0.0);
-            if prev > 0.0 {
-                let drift = (jobs_per_sec - prev) / prev;
-                if drift < -args.tolerance {
-                    eprintln!(
-                        "throughput regression: {jobs_per_sec:.1} jobs/s vs {prev:.1} \
-                         ({:+.1}% > {:.0}% tolerance)",
-                        drift * 100.0,
-                        args.tolerance * 100.0
-                    );
-                    return ExitCode::from(4);
-                }
-                eprintln!(
-                    "throughput within tolerance of previous entry ({:+.1}%)",
-                    drift * 100.0
-                );
-            }
-            // The offline replay rate rides the same gate once both the
-            // previous entry and this run carry it.
-            let current = bench_field(&entry, "replay_cells_per_sec");
-            let prev = bench_field(last, "replay_cells_per_sec").unwrap_or(0.0);
-            if let (Some(current), true) = (current, prev > 0.0) {
-                let drift = (current - prev) / prev;
-                if drift < -args.tolerance {
-                    eprintln!(
-                        "offline replay regression: {current:.1} cells/s vs {prev:.1} \
-                         ({:+.1}% > {:.0}% tolerance)",
-                        drift * 100.0,
-                        args.tolerance * 100.0
-                    );
-                    return ExitCode::from(4);
-                }
-                eprintln!(
-                    "offline replay rate within tolerance of previous entry ({:+.1}%)",
-                    drift * 100.0
-                );
-            }
-        }
-    }
-    trajectory.push(entry);
-    let doc = Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::Str("gencache-serve-bench".to_string()),
-        ),
-        ("version".to_string(), Value::UInt(1)),
-        ("trajectory".to_string(), Value::Array(trajectory)),
-    ]);
-    let written = File::create(out).and_then(|mut f| {
-        f.write_all(gencache_bench::value_to_json(&doc).as_bytes())?;
-        f.write_all(b"\n")
-    });
-    if let Err(e) = written {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("appended trajectory entry to {out}");
-    ExitCode::SUCCESS
-}
-
 /// One dashboard frame: a fixed-width table of every row in the
 /// snapshot plus a footer naming the emitting node and sequence number.
 fn render_watch_frame(node: &str, seq: u64, rows: &[gencache_serve::WatchRow]) -> String {
@@ -875,7 +610,6 @@ fn main() -> ExitCode {
         Some("route") => run_route(it),
         Some("trace") => run_trace(it),
         Some("metrics") => run_metrics(it),
-        Some("bench") => run_bench(it),
         Some("watch") => run_watch(it),
         Some(other) => panic!("unknown subcommand {other:?}; {USAGE}"),
         None => panic!("{USAGE}"),

@@ -64,5 +64,5 @@ pub use proto::{JobSpec, Reply, Request, WatchRow};
 pub use retry::RetryPolicy;
 pub use server::{Server, ServerConfig};
 pub use shard::{ShardConfig, ShardRouter};
-pub use stats::{Gauges, ServerStats};
+pub use stats::ServerStats;
 pub use telemetry::{LogLevel, Logger, Span, Telemetry};

@@ -40,8 +40,8 @@ use crate::proto::{
     read_line_capped, CappedLine, JobSpec, Request, WatchRow,
 };
 use crate::signal;
-use crate::stats::{Gauges, ServerStats};
-use crate::telemetry::{new_trace_id, LogLevel, Logger, PromText, Span, Telemetry};
+use crate::stats::{ServerStats, DAEMON};
+use crate::telemetry::{new_trace_id, LogLevel, Logger, Sample, Snapshot, Span, Telemetry};
 
 /// How a [`Server`] is sized and bounded.
 #[derive(Debug, Clone)]
@@ -89,30 +89,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything a connection thread needs, shared behind one `Arc`.
-struct Ctx {
-    pool: WorkerPool,
-    stats: Arc<ServerStats>,
+/// Everything a connection thread needs, shared behind one `Arc`; the
+/// source every [`DAEMON`] metric reads.
+pub(crate) struct Ctx {
+    pub(crate) pool: WorkerPool,
+    pub(crate) stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
     channel_depth: usize,
     read_timeout: Duration,
     default_deadline_ms: u64,
-    telemetry: Arc<Telemetry>,
+    pub(crate) telemetry: Arc<Telemetry>,
 }
 
 impl Ctx {
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
-    }
-
-    fn gauges(&self) -> Gauges {
-        Gauges {
-            queue_depth: self.pool.queue_len(),
-            workers: self.pool.workers(),
-            panics: self.pool.panics(),
-            in_flight: self.pool.active(),
-            uptime_ms: self.telemetry.uptime_ms(),
-        }
     }
 }
 
@@ -120,7 +111,7 @@ impl Ctx {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    ctx: Arc<Ctx>,
+    pub(crate) ctx: Arc<Ctx>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -174,12 +165,6 @@ impl Server {
     /// Propagates the socket query failure.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// The daemon's counters (live; snapshot via
-    /// [`ServerStats::snapshot`]).
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.ctx.stats)
     }
 
     /// A flag that stops the accept loop when set — how in-process tests
@@ -329,8 +314,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     };
     match request {
         Request::Stats => {
-            let snapshot = ctx.stats.snapshot(&ctx.gauges());
-            send_line(&mut writer, &encode_stats(snapshot))
+            let fields = Snapshot::take(&DAEMON, ctx).doc_fields();
+            send_line(&mut writer, &encode_stats(Value::Object(fields)))
         }
         Request::Trace { trace_id } => {
             let spans: Vec<Value> = ctx
@@ -341,7 +326,10 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 .collect();
             send_line(&mut writer, &encode_trace(&trace_id, Value::Array(spans)))
         }
-        Request::Metrics => send_line(&mut writer, &encode_metrics(&server_metrics(ctx))),
+        Request::Metrics => send_line(
+            &mut writer,
+            &encode_metrics(&Snapshot::take(&DAEMON, ctx).to_prometheus()),
+        ),
         // Watch runs right here on the connection thread — a slow or
         // idle dashboard never occupies a worker slot.
         Request::Watch { interval_ms, count } => {
@@ -378,124 +366,6 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     }
 }
 
-/// Renders the daemon's counters, gauges, and latency histogram as a
-/// Prometheus text exposition document.
-fn server_metrics(ctx: &Ctx) -> String {
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    let mut p = PromText::new();
-    p.gauge(
-        "gencache_uptime_ms",
-        "Milliseconds since the daemon started.",
-        ctx.telemetry.uptime_ms(),
-    );
-    p.gauge(
-        "gencache_workers",
-        "Worker threads in the pool.",
-        ctx.pool.workers() as u64,
-    );
-    p.gauge(
-        "gencache_queue_depth",
-        "Jobs queued, not yet running.",
-        ctx.pool.queue_len() as u64,
-    );
-    p.gauge(
-        "gencache_in_flight_jobs",
-        "Jobs currently executing on a worker.",
-        ctx.pool.active(),
-    );
-    p.counter(
-        "gencache_connections_total",
-        "Connections accepted.",
-        load(&ctx.stats.connections),
-    );
-    p.counter(
-        "gencache_jobs_accepted_total",
-        "Jobs admitted to the queue.",
-        load(&ctx.stats.jobs_accepted),
-    );
-    p.counter(
-        "gencache_jobs_completed_total",
-        "Jobs finished successfully.",
-        load(&ctx.stats.jobs_completed),
-    );
-    p.counter(
-        "gencache_jobs_rejected_total",
-        "Jobs shed with a busy reply.",
-        load(&ctx.stats.jobs_rejected),
-    );
-    p.counter(
-        "gencache_jobs_failed_total",
-        "Jobs that ended in an error reply.",
-        load(&ctx.stats.jobs_failed),
-    );
-    p.counter(
-        "gencache_jobs_panicked_total",
-        "Jobs that panicked mid-run.",
-        ctx.pool.panics(),
-    );
-    p.counter(
-        "gencache_bytes_ingested_total",
-        "Export bytes ingested across job uploads.",
-        load(&ctx.stats.bytes_ingested),
-    );
-    p.counter(
-        "gencache_lines_served_total",
-        "Export lines streamed back by fetch downloads.",
-        load(&ctx.stats.lines_served),
-    );
-    p.counter(
-        "gencache_lines_rejected_total",
-        "Lines refused for exceeding the line cap.",
-        load(&ctx.stats.lines_rejected),
-    );
-    p.gauge_f64(
-        "gencache_window_miss_rate",
-        "Final-window miss rate of the most recent windowed job.",
-        ctx.stats.window_miss_rate(),
-    );
-    p.counter(
-        "gencache_drift_events_total",
-        "Drift annotations emitted across windowed jobs.",
-        load(&ctx.stats.drift_events),
-    );
-    let (hist, sum) = ctx.stats.latency();
-    p.histogram(
-        "gencache_job_latency_us",
-        "Completed job wall-clock latency in microseconds.",
-        &hist,
-        sum,
-    );
-    p.into_string()
-}
-
-/// Assembles this daemon's current [`WatchRow`]: counter deltas since
-/// the previous tick become rates, gauges are read point-in-time, and
-/// the latency quantiles come from the cumulative job histogram.
-fn watch_row(ctx: &Ctx, prev: &mut (u64, u64, Instant)) -> WatchRow {
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    let jobs = load(&ctx.stats.jobs_completed);
-    let shed = load(&ctx.stats.jobs_rejected);
-    let (prev_jobs, prev_shed, prev_at) = *prev;
-    let window = prev_at.elapsed();
-    let secs = window.as_secs_f64().max(1e-9);
-    *prev = (jobs, shed, Instant::now());
-    let (hist, _) = ctx.stats.latency();
-    WatchRow {
-        node: ctx.telemetry.node().to_string(),
-        uptime_ms: ctx.telemetry.uptime_ms(),
-        window_ms: window.as_millis() as u64,
-        jobs_per_sec: jobs.saturating_sub(prev_jobs) as f64 / secs,
-        shed_per_sec: shed.saturating_sub(prev_shed) as f64 / secs,
-        in_flight: ctx.pool.active(),
-        queue_depth: ctx.pool.queue_len() as u64,
-        p50_us: hist.quantile(0.5),
-        p99_us: hist.quantile(0.99),
-        jobs_total: jobs,
-        window_miss_rate: ctx.stats.window_miss_rate(),
-        drift_events: load(&ctx.stats.drift_events),
-    }
-}
-
 /// Streams `watch` snapshots every `interval_ms` until `count` frames
 /// have been sent (0 = unbounded), the client hangs up, or the daemon
 /// starts draining — then closes the stream with an `end` frame. Runs
@@ -508,11 +378,7 @@ fn handle_watch(
     count: u64,
 ) -> io::Result<()> {
     let interval = Duration::from_millis(interval_ms.clamp(50, 60_000));
-    let mut prev = (
-        ctx.stats.jobs_completed.load(Ordering::Relaxed),
-        ctx.stats.jobs_rejected.load(Ordering::Relaxed),
-        Instant::now(),
-    );
+    let mut prev = (Snapshot::take(&DAEMON, ctx), Instant::now());
     let mut sent = 0u64;
     loop {
         // One full interval elapses before each snapshot, so every
@@ -525,7 +391,35 @@ fn handle_watch(
             let left = tick_end.saturating_duration_since(Instant::now());
             std::thread::sleep(left.min(Duration::from_millis(100)));
         }
-        let row = watch_row(ctx, &mut prev);
+        // The row's rates are counter differences between the previous
+        // snapshot and this one; gauges and the latency quantiles (of
+        // the cumulative job histogram) are read from this one.
+        let cur = Snapshot::take(&DAEMON, ctx);
+        let window = prev.1.elapsed();
+        let secs = window.as_secs_f64().max(1e-9);
+        let rate = |key| cur.int(key).saturating_sub(prev.0.int(key)) as f64 / secs;
+        let quantile = |q| match cur.get("latency_us") {
+            Some(Sample::Histogram(hist, _)) => hist.quantile(q),
+            _ => 0,
+        };
+        let row = WatchRow {
+            node: ctx.telemetry.node().to_string(),
+            uptime_ms: cur.int("uptime_ms"),
+            window_ms: window.as_millis() as u64,
+            jobs_per_sec: rate("jobs_completed"),
+            shed_per_sec: rate("jobs_rejected"),
+            in_flight: cur.int("in_flight"),
+            queue_depth: cur.int("queue_depth"),
+            p50_us: quantile(0.5),
+            p99_us: quantile(0.99),
+            jobs_total: cur.int("jobs_completed"),
+            window_miss_rate: match cur.get("window_miss_rate") {
+                Some(Sample::Ratio(rate)) => *rate,
+                _ => 0.0,
+            },
+            drift_events: cur.int("drift_events"),
+        };
+        prev = (cur, Instant::now());
         // A failed write means the dashboard hung up; nothing to tear
         // down — the stream owns no worker or channel.
         send_line(

@@ -43,9 +43,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gencache_bench::ingest::{classify_line, merge_metrics_docs, merge_sim_tables, RouteClass};
-use gencache_obs::Log2Histogram;
 use gencache_sim::par::par_map;
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 
 use crate::client::Client;
 use crate::proto::{
@@ -56,8 +55,9 @@ use crate::proto::{
 use crate::retry::RetryPolicy;
 use crate::server::drain_discard;
 use crate::signal;
+use crate::stats::DAEMON;
 use crate::telemetry::{
-    new_trace_id, prom_label_escape, LogLevel, Logger, PromText, Span, Telemetry,
+    new_trace_id, prom_label_escape, LogLevel, Logger, Metric, Read, Snapshot, Span, Telemetry,
 };
 
 /// How a [`ShardRouter`] is sized and wired.
@@ -485,13 +485,16 @@ fn handle_connection(stream: TcpStream, ctx: &RouterCtx) -> io::Result<()> {
         Err(e) => return send_line(&mut writer, &encode_error(&e)),
     };
     match request {
-        Request::Stats => send_line(&mut writer, &encode_stats(fleet_stats(ctx))),
+        Request::Stats => send_line(&mut writer, &encode_stats(fleet_doc(ctx))),
         Request::Ping { .. } => send_line(&mut writer, &encode_pong()),
         Request::Shards => send_line(&mut writer, &encode_shards(ctx.table.doc())),
         Request::Trace { trace_id } => {
             send_line(&mut writer, &encode_trace(&trace_id, fleet_trace(ctx, &trace_id)))
         }
-        Request::Metrics => send_line(&mut writer, &encode_metrics(&router_metrics(ctx))),
+        Request::Metrics => send_line(
+            &mut writer,
+            &encode_metrics(&Snapshot::take(&ROUTER, ctx).to_prometheus()),
+        ),
         Request::Route { bench } => match ctx.table.route(&bench, &[]) {
             Some(s) => send_line(
                 &mut writer,
@@ -1042,203 +1045,148 @@ fn fleet_trace(ctx: &RouterCtx, trace_id: &str) -> Value {
     Value::Array(spans)
 }
 
-/// The router's own metrics in Prometheus text exposition format.
-/// Shard-side job metrics stay on the shards (scrape them directly or
-/// through the summed `stats` frame); this view is routing health.
-fn router_metrics(ctx: &RouterCtx) -> String {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let (up, down) = ctx.table.shards.iter().fold((0u64, 0u64), |(u, d), s| {
-        if s.up.load(Ordering::Relaxed) {
-            (u + 1, d)
-        } else {
-            (u, d + 1)
-        }
-    });
-    let mut p = PromText::new();
-    p.gauge(
-        "gencache_uptime_ms",
-        "Milliseconds since the router started.",
-        ctx.telemetry.uptime_ms(),
-    );
-    p.gauge("gencache_shards_up", "Backends currently marked healthy.", up);
-    p.gauge("gencache_shards_down", "Backends currently marked down.", down);
-    p.counter(
-        "gencache_router_connections_total",
-        "Connections accepted by the router.",
-        load(&ctx.stats.connections),
-    );
-    p.counter(
-        "gencache_fleet_jobs_total",
-        "Fleet jobs admitted past upload.",
-        load(&ctx.stats.fleet_jobs),
-    );
-    p.counter(
-        "gencache_fleet_jobs_completed_total",
-        "Fleet jobs merged and answered.",
-        load(&ctx.stats.fleet_jobs_completed),
-    );
-    p.counter(
-        "gencache_fleet_jobs_failed_total",
-        "Fleet jobs that ended in an error frame.",
-        load(&ctx.stats.fleet_jobs_failed),
-    );
-    p.counter(
-        "gencache_subjobs_total",
-        "Per-shard sub-jobs dispatched.",
-        load(&ctx.stats.subjobs),
-    );
-    p.counter(
-        "gencache_busy_retries_total",
-        "Busy replies retried under the backoff policy.",
-        load(&ctx.stats.busy_retries),
-    );
-    p.counter(
-        "gencache_failovers_total",
-        "Sub-jobs re-routed to another shard.",
-        load(&ctx.stats.failovers),
-    );
-    p.gauge(
-        "gencache_upload_buffer_peak_bytes",
-        "Largest single job upload buffered in router memory.",
-        load(&ctx.stats.upload_buffer_peak_bytes),
-    );
-    p.counter(
-        "gencache_lines_rejected_total",
-        "Lines the router refused for exceeding the line cap.",
-        load(&ctx.stats.lines_rejected),
-    );
-    let row = |f: &dyn Fn(&Shard) -> u64| -> Vec<(String, u64)> {
-        ctx.table
-            .shards
-            .iter()
-            .map(|s| (format!("addr=\"{}\"", prom_label_escape(&s.addr)), f(s)))
-            .collect()
-    };
-    p.gauge_rows(
-        "gencache_shard_up",
-        "Per-shard health (1 = up).",
-        &row(&|s| u64::from(s.up.load(Ordering::Relaxed))),
-    );
-    p.gauge_rows(
-        "gencache_shard_last_ping_us",
-        "Per-shard round trip of the last successful health ping.",
-        &row(&|s| s.last_ping_us.load(Ordering::Relaxed)),
-    );
-    p.gauge_rows(
-        "gencache_shard_jobs_routed",
-        "Per-shard sub-jobs answered successfully.",
-        &row(&|s| s.jobs_routed.load(Ordering::Relaxed)),
-    );
-    p.into_string()
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
 }
 
-fn field<'v>(doc: &'v Value, name: &str) -> Option<&'v Value> {
-    doc.as_object()?
+fn shards_up(ctx: &RouterCtx) -> u64 {
+    ctx.table
+        .shards
         .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
+        .filter(|s| s.up.load(Ordering::Relaxed))
+        .count() as u64
 }
 
-/// The counters summed across shards into the fleet view — the same
-/// keys, in the same order, as one daemon's stats document. The
-/// router's own refused lines are added to `lines_rejected`.
-const FLEET_COUNTERS: [&str; 12] = [
-    "workers",
-    "queue_depth",
-    "in_flight",
-    "connections",
-    "jobs_accepted",
-    "jobs_completed",
-    "jobs_rejected",
-    "jobs_failed",
-    "jobs_panicked",
-    "bytes_ingested",
-    "lines_served",
-    "lines_rejected",
+/// One labelled row per shard, for the per-shard gauge families.
+fn shard_rows(ctx: &RouterCtx, value: fn(&Shard) -> u64) -> Vec<(String, u64)> {
+    ctx.table
+        .shards
+        .iter()
+        .map(|s| (format!("addr=\"{}\"", prom_label_escape(&s.addr)), value(s)))
+        .collect()
+}
+
+/// Every metric the router publishes. The keyed ones form the fleet
+/// `stats` doc's `router` section, in this order. The two families a
+/// daemon also publishes — uptime and refused lines — reach the fleet
+/// doc through the merge in [`fleet_doc`] instead. Shard-side job
+/// metrics stay on the shards (scrape them directly or through the
+/// summed `stats` frame); the router's Prometheus body is routing
+/// health.
+static ROUTER: [Metric<RouterCtx>; 15] = [
+    Metric {
+        key: "",
+        name: "gencache_uptime_ms",
+        help: "Milliseconds since the router started.",
+        read: Read::NodeGauge(|c| c.telemetry.uptime_ms()),
+    },
+    Metric {
+        key: "connections",
+        name: "gencache_router_connections_total",
+        help: "Connections accepted by the router.",
+        read: Read::Counter(|c| load(&c.stats.connections)),
+    },
+    Metric {
+        key: "fleet_jobs",
+        name: "gencache_fleet_jobs_total",
+        help: "Fleet jobs admitted past upload.",
+        read: Read::Counter(|c| load(&c.stats.fleet_jobs)),
+    },
+    Metric {
+        key: "fleet_jobs_completed",
+        name: "gencache_fleet_jobs_completed_total",
+        help: "Fleet jobs merged and answered.",
+        read: Read::Counter(|c| load(&c.stats.fleet_jobs_completed)),
+    },
+    Metric {
+        key: "fleet_jobs_failed",
+        name: "gencache_fleet_jobs_failed_total",
+        help: "Fleet jobs that ended in an error frame.",
+        read: Read::Counter(|c| load(&c.stats.fleet_jobs_failed)),
+    },
+    Metric {
+        key: "subjobs",
+        name: "gencache_subjobs_total",
+        help: "Per-shard sub-jobs dispatched.",
+        read: Read::Counter(|c| load(&c.stats.subjobs)),
+    },
+    Metric {
+        key: "busy_retries",
+        name: "gencache_busy_retries_total",
+        help: "Busy replies retried under the backoff policy.",
+        read: Read::Counter(|c| load(&c.stats.busy_retries)),
+    },
+    Metric {
+        key: "failovers",
+        name: "gencache_failovers_total",
+        help: "Sub-jobs re-routed to another shard.",
+        read: Read::Counter(|c| load(&c.stats.failovers)),
+    },
+    Metric {
+        key: "upload_buffer_peak_bytes",
+        name: "gencache_upload_buffer_peak_bytes",
+        help: "Largest single job upload buffered in router memory.",
+        read: Read::Gauge(|c| load(&c.stats.upload_buffer_peak_bytes)),
+    },
+    Metric {
+        key: "shards_up",
+        name: "gencache_shards_up",
+        help: "Backends currently marked healthy.",
+        read: Read::Gauge(shards_up),
+    },
+    Metric {
+        key: "shards_down",
+        name: "gencache_shards_down",
+        help: "Backends currently marked down.",
+        read: Read::Gauge(|c| c.table.shards.len() as u64 - shards_up(c)),
+    },
+    Metric {
+        key: "",
+        name: "gencache_lines_rejected_total",
+        help: "Lines the router refused for exceeding the line cap.",
+        read: Read::Counter(|c| load(&c.stats.lines_rejected)),
+    },
+    Metric {
+        key: "",
+        name: "gencache_shard_up",
+        help: "Per-shard health (1 = up).",
+        read: Read::Rows(|c| shard_rows(c, |s| u64::from(s.up.load(Ordering::Relaxed)))),
+    },
+    Metric {
+        key: "",
+        name: "gencache_shard_last_ping_us",
+        help: "Per-shard round trip of the last successful health ping.",
+        read: Read::Rows(|c| shard_rows(c, |s| load(&s.last_ping_us))),
+    },
+    Metric {
+        key: "",
+        name: "gencache_shard_jobs_routed",
+        help: "Per-shard sub-jobs answered successfully.",
+        read: Read::Rows(|c| shard_rows(c, |s| load(&s.jobs_routed))),
+    },
 ];
 
-/// Aggregates every live shard's stats into one fleet document:
-/// counters summed, latency histograms merged exactly, plus the
-/// router's own counters and the shard table.
-fn fleet_stats(ctx: &RouterCtx) -> Value {
-    let mut sums = [0u64; FLEET_COUNTERS.len()];
-    let mut latency = Log2Histogram::new();
-    for shard in &ctx.table.shards {
-        if !shard.up.load(Ordering::Relaxed) {
-            continue;
-        }
-        let doc = match ctx.shard_client(shard).stats() {
-            Ok(Reply::Stats { doc }) => doc,
-            _ => {
-                shard.up.store(false, Ordering::Relaxed);
-                continue;
+/// The fleet `stats` doc: every live shard's `stats` doc parsed back
+/// through [`DAEMON`] and merged by kind with the router's own metrics
+/// (see [`Snapshot::fleet`]), then the `router` section and the shard
+/// table.
+fn fleet_doc(ctx: &RouterCtx) -> Value {
+    let mut nodes = Vec::new();
+    for shard in ctx.table.shards.iter().filter(|s| s.up.load(Ordering::Relaxed)) {
+        match ctx.shard_client(shard).stats() {
+            Ok(Reply::Stats { doc }) => {
+                if let Ok(doc) = serde_json::value_from_str(&doc) {
+                    nodes.push(Snapshot::parse(&DAEMON, &doc));
+                }
             }
-        };
-        let Ok(doc) = serde_json::value_from_str(&doc) else {
-            continue;
-        };
-        for (i, name) in FLEET_COUNTERS.iter().enumerate() {
-            if let Some(Value::UInt(n)) = field(&doc, name) {
-                sums[i] += n;
-            }
-        }
-        if let Some(h) = field(&doc, "latency_us") {
-            if let Ok(h) = Log2Histogram::from_value(h) {
-                latency.merge(&h);
-            }
+            _ => shard.up.store(false, Ordering::Relaxed),
         }
     }
-    let get = |c: &AtomicU64| Value::UInt(c.load(Ordering::Relaxed));
-    let (up, down) =
-        ctx.table.shards.iter().fold((0u64, 0u64), |(up, down), s| {
-            if s.up.load(Ordering::Relaxed) {
-                (up + 1, down)
-            } else {
-                (up, down + 1)
-            }
-        });
-    let mut pairs: Vec<(String, Value)> = FLEET_COUNTERS
-        .iter()
-        .zip(sums)
-        .map(|(name, n)| {
-            let own = match *name {
-                "lines_rejected" => ctx.stats.lines_rejected.load(Ordering::Relaxed),
-                _ => 0,
-            };
-            ((*name).to_string(), Value::UInt(n + own))
-        })
-        .collect();
-    pairs.push((
-        "uptime_ms".to_string(),
-        Value::UInt(ctx.telemetry.uptime_ms()),
-    ));
-    pairs.push(("latency_us".to_string(), latency.to_value()));
-    pairs.push((
-        "router".to_string(),
-        Value::Object(vec![
-            ("connections".to_string(), get(&ctx.stats.connections)),
-            ("fleet_jobs".to_string(), get(&ctx.stats.fleet_jobs)),
-            (
-                "fleet_jobs_completed".to_string(),
-                get(&ctx.stats.fleet_jobs_completed),
-            ),
-            (
-                "fleet_jobs_failed".to_string(),
-                get(&ctx.stats.fleet_jobs_failed),
-            ),
-            ("subjobs".to_string(), get(&ctx.stats.subjobs)),
-            ("busy_retries".to_string(), get(&ctx.stats.busy_retries)),
-            ("failovers".to_string(), get(&ctx.stats.failovers)),
-            (
-                "upload_buffer_peak_bytes".to_string(),
-                get(&ctx.stats.upload_buffer_peak_bytes),
-            ),
-            ("shards_up".to_string(), Value::UInt(up)),
-            ("shards_down".to_string(), Value::UInt(down)),
-        ]),
-    ));
-    pairs.push(("shards".to_string(), ctx.table.doc()));
-    Value::Object(pairs)
+    let own = Snapshot::take(&ROUTER, ctx);
+    let mut fields = Snapshot::fleet(&DAEMON, &nodes, &own).doc_fields();
+    fields.push(("router".to_string(), Value::Object(own.doc_fields())));
+    fields.push(("shards".to_string(), ctx.table.doc()));
+    Value::Object(fields)
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //! * [`Logger`] — a levelled JSONL log stream (stderr or file). Records
 //!   carry the `trace_id` so one job can be grepped across the client,
 //!   router, and shard logs. Disabled loggers skip all formatting.
-//! * [`PromText`] — renders counters, gauges, and
-//!   [`Log2Histogram`]s in Prometheus text exposition format for the
-//!   `metrics` control frame.
+//! * `Snapshot` — one node's metrics (counters, gauges, log2
+//!   histograms, labelled rows), read through the node kind's single
+//!   declaration table. The `stats` doc, the Prometheus text exposition
+//!   of the `metrics` frame, the `watch` row and the fleet merge are all
+//!   renderings of a snapshot, so they cannot disagree.
 //!
 //! Spans use monotonic clocks only: `start_us` is microseconds since the
 //! recording daemon's start (for the client, since the submit call
@@ -28,7 +30,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use gencache_obs::Log2Histogram;
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
 /// Default number of spans retained per daemon before the oldest drop.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -519,79 +521,251 @@ impl Logger {
     }
 }
 
-/// Builder for a Prometheus text exposition document.
-///
-/// Counters and gauges are emitted with `# HELP` / `# TYPE` headers;
-/// [`Log2Histogram`]s become cumulative `_bucket{le=…}` series where each
-/// `le` is the inclusive top of a power-of-two bucket.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
+/// How one metric is read from its node. The variant is the metric's
+/// kind: it fixes the Prometheus `# TYPE`, the value's form in the
+/// `stats` doc, and how a fleet merges it.
+pub(crate) enum Read<S> {
+    /// A monotonic count; a fleet sums it.
+    Counter(fn(&S) -> u64),
+    /// A point-in-time level, such as a pool's size or queue depth; a
+    /// fleet sums it.
+    Gauge(fn(&S) -> u64),
+    /// A point-in-time integer that describes one node, such as its
+    /// uptime; a fleet takes the router's own value or leaves it out.
+    NodeGauge(fn(&S) -> u64),
+    /// A floating-point gauge of one node, such as a miss rate; merged
+    /// like a [`Read::NodeGauge`].
+    Ratio(fn(&S) -> f64),
+    /// A log2 histogram and the exact sum of its values, read together;
+    /// a fleet merges the buckets.
+    Histogram(fn(&S) -> (Log2Histogram, u64)),
+    /// One gauge sample per labelled row, as a preformatted label body
+    /// (e.g. `addr="host:port"`) and its value; Prometheus only, and
+    /// merged like a [`Read::NodeGauge`].
+    Rows(fn(&S) -> Vec<(String, u64)>),
 }
 
-impl PromText {
-    /// An empty document.
-    pub fn new() -> PromText {
-        PromText::default()
-    }
+/// The declaration of one metric: its names on the wire and how to read
+/// it. Each node kind lists its metrics once, in one table; every view
+/// of the node renders a [`Snapshot`] taken through that table.
+pub(crate) struct Metric<S> {
+    /// Key in the node's `stats` doc; empty when the doc has none.
+    pub(crate) key: &'static str,
+    /// Prometheus family name.
+    pub(crate) name: &'static str,
+    /// Prometheus `# HELP` text.
+    pub(crate) help: &'static str,
+    /// Kind and reader.
+    pub(crate) read: Read<S>,
+}
 
-    fn header(&mut self, name: &str, kind: &str, help: &str) {
-        self.out.push_str(&format!("# HELP {name} {help}\n"));
-        self.out.push_str(&format!("# TYPE {name} {kind}\n"));
-    }
+/// A metric's value at snapshot time; the variant is its [`Read`] kind.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Sample {
+    Counter(u64),
+    Gauge(u64),
+    NodeGauge(u64),
+    Ratio(f64),
+    Histogram(Log2Histogram, u64),
+    Rows(Vec<(String, u64)>),
+}
 
-    /// Appends a monotonically increasing counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, "counter", help);
-        self.out.push_str(&format!("{name} {value}\n"));
-    }
-
-    /// Appends a point-in-time gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, "gauge", help);
-        self.out.push_str(&format!("{name} {value}\n"));
-    }
-
-    /// Appends a floating-point gauge (rates, ratios).
-    pub fn gauge_f64(&mut self, name: &str, help: &str, value: f64) {
-        self.header(name, "gauge", help);
-        self.out.push_str(&format!("{name} {value}\n"));
-    }
-
-    /// Appends one gauge series with one sample per labelled row.
-    /// `rows` pairs a preformatted label body (e.g. `addr="host:port"`)
-    /// with the sample value.
-    pub fn gauge_rows(&mut self, name: &str, help: &str, rows: &[(String, u64)]) {
-        if rows.is_empty() {
-            return;
-        }
-        self.header(name, "gauge", help);
-        for (labels, value) in rows {
-            self.out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+impl Sample {
+    /// Adds `other` into a summed kind; other pairs are left alone.
+    fn absorb(&mut self, other: &Sample) {
+        match (self, other) {
+            (Sample::Counter(a), Sample::Counter(b)) | (Sample::Gauge(a), Sample::Gauge(b)) => {
+                *a += b;
+            }
+            (Sample::Histogram(h, sum), Sample::Histogram(other, other_sum)) => {
+                h.merge(other);
+                *sum += other_sum;
+            }
+            _ => {}
         }
     }
+}
 
-    /// Appends a [`Log2Histogram`] as a Prometheus histogram. `sum` is
-    /// the exact sum of recorded values (the histogram itself only keeps
-    /// bucket counts).
-    pub fn histogram(&mut self, name: &str, help: &str, hist: &Log2Histogram, sum: u64) {
-        self.header(name, "histogram", help);
-        let mut cumulative = 0u64;
-        for (b, &count) in hist.counts().iter().enumerate() {
-            cumulative += count;
-            let (_, hi) = Log2Histogram::bucket_range(b);
-            self.out
-                .push_str(&format!("{name}_bucket{{le=\"{hi}\"}} {cumulative}\n"));
+impl<S> Read<S> {
+    fn sample(&self, node: &S) -> Sample {
+        match self {
+            Read::Counter(f) => Sample::Counter(f(node)),
+            Read::Gauge(f) => Sample::Gauge(f(node)),
+            Read::NodeGauge(f) => Sample::NodeGauge(f(node)),
+            Read::Ratio(f) => Sample::Ratio(f(node)),
+            Read::Histogram(f) => {
+                let (hist, sum) = f(node);
+                Sample::Histogram(hist, sum)
+            }
+            Read::Rows(f) => Sample::Rows(f(node)),
         }
-        self.out
-            .push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", hist.total()));
-        self.out.push_str(&format!("{name}_sum {sum}\n"));
-        self.out.push_str(&format!("{name}_count {}\n", hist.total()));
     }
 
-    /// Finishes the document.
-    pub fn into_string(self) -> String {
-        self.out
+    /// The empty sum a fleet adds its nodes into; `None` for the kinds
+    /// that describe one node.
+    fn fleet_zero(&self) -> Option<Sample> {
+        match self {
+            Read::Counter(_) => Some(Sample::Counter(0)),
+            Read::Gauge(_) => Some(Sample::Gauge(0)),
+            Read::Histogram(_) => Some(Sample::Histogram(Log2Histogram::new(), 0)),
+            Read::NodeGauge(_) | Read::Ratio(_) | Read::Rows(_) => None,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Entry {
+    key: &'static str,
+    name: &'static str,
+    help: &'static str,
+    sample: Sample,
+}
+
+impl Entry {
+    fn new<S>(metric: &Metric<S>, sample: Sample) -> Entry {
+        Entry {
+            key: metric.key,
+            name: metric.name,
+            help: metric.help,
+            sample,
+        }
+    }
+}
+
+/// One node's metrics at one instant, in declaration-table order. The
+/// `stats` doc, the Prometheus body, the `watch` row and the fleet merge
+/// are all renderings of it.
+#[derive(Debug)]
+pub(crate) struct Snapshot(Vec<Entry>);
+
+impl Snapshot {
+    /// Reads every metric of `table` from `node`.
+    pub(crate) fn take<S>(table: &[Metric<S>], node: &S) -> Snapshot {
+        Snapshot(
+            table
+                .iter()
+                .map(|m| Entry::new(m, m.read.sample(node)))
+                .collect(),
+        )
+    }
+
+    /// Parses a `stats` doc written from `table` back into a snapshot.
+    /// A key that is missing or of the wrong form is left out. The doc
+    /// carries a histogram's buckets but not its sum, so a parsed
+    /// histogram's sum is 0.
+    pub(crate) fn parse<S>(table: &[Metric<S>], doc: &Value) -> Snapshot {
+        let entries = table.iter().filter(|m| !m.key.is_empty()).filter_map(|m| {
+            let value = serde::obj_field(doc, "stats", m.key).ok()?;
+            let sample = match (&m.read, value) {
+                (Read::Counter(_), Value::UInt(n)) => Sample::Counter(*n),
+                (Read::Gauge(_), Value::UInt(n)) => Sample::Gauge(*n),
+                (Read::NodeGauge(_), Value::UInt(n)) => Sample::NodeGauge(*n),
+                (Read::Ratio(_), Value::Float(f)) => Sample::Ratio(*f),
+                (Read::Histogram(_), v) => Sample::Histogram(Log2Histogram::from_value(v).ok()?, 0),
+                _ => return None,
+            };
+            Some(Entry::new(m, sample))
+        });
+        Snapshot(entries.collect())
+    }
+
+    /// The fleet view of `table`: counters, gauges and histograms are
+    /// summed over `nodes`, plus the router's own metric of the same
+    /// family when it has one. A metric that describes one node is the
+    /// router's own value, or is left out when the router has none.
+    pub(crate) fn fleet<S>(table: &[Metric<S>], nodes: &[Snapshot], router: &Snapshot) -> Snapshot {
+        let entries = table.iter().filter_map(|m| {
+            let own = router.find(|e| e.name == m.name);
+            let sample = match m.read.fleet_zero() {
+                Some(mut sum) => {
+                    for node in nodes.iter().filter_map(|n| n.find(|e| e.name == m.name)) {
+                        sum.absorb(node);
+                    }
+                    if let Some(own) = own {
+                        sum.absorb(own);
+                    }
+                    sum
+                }
+                None => own?.clone(),
+            };
+            Some(Entry::new(m, sample))
+        });
+        Snapshot(entries.collect())
+    }
+
+    fn find(&self, pred: impl Fn(&Entry) -> bool) -> Option<&Sample> {
+        self.0.iter().find(|e| pred(e)).map(|e| &e.sample)
+    }
+
+    /// The sample under `stats` key `key`.
+    pub(crate) fn get(&self, key: &str) -> Option<&Sample> {
+        self.find(|e| e.key == key)
+    }
+
+    /// The integer value under `stats` key `key`; 0 when there is none.
+    pub(crate) fn int(&self, key: &str) -> u64 {
+        match self.get(key) {
+            Some(Sample::Counter(n) | Sample::Gauge(n) | Sample::NodeGauge(n)) => *n,
+            _ => 0,
+        }
+    }
+
+    /// The `stats` doc fields: every keyed metric, in table order.
+    pub(crate) fn doc_fields(&self) -> Vec<(String, Value)> {
+        let fields = self.0.iter().filter(|e| !e.key.is_empty()).filter_map(|e| {
+            let value = match &e.sample {
+                Sample::Counter(n) | Sample::Gauge(n) | Sample::NodeGauge(n) => Value::UInt(*n),
+                Sample::Ratio(f) => Value::Float(*f),
+                Sample::Histogram(hist, _) => hist.to_value(),
+                Sample::Rows(_) => return None,
+            };
+            Some((e.key.to_string(), value))
+        });
+        fields.collect()
+    }
+
+    /// Renders the Prometheus text exposition: `# HELP` / `# TYPE`
+    /// headers, then the samples. A histogram becomes cumulative
+    /// `_bucket{le=…}` series, where each `le` is the inclusive top of a
+    /// power-of-two bucket, plus `_sum` and `_count`. A family with no
+    /// rows is left out.
+    pub(crate) fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        for Entry {
+            name, help, sample, ..
+        } in &self.0
+        {
+            let kind = match sample {
+                Sample::Counter(_) => "counter",
+                Sample::Histogram(..) => "histogram",
+                Sample::Rows(rows) if rows.is_empty() => continue,
+                _ => "gauge",
+            };
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            match sample {
+                Sample::Counter(n) | Sample::Gauge(n) | Sample::NodeGauge(n) => {
+                    out.push_str(&format!("{name} {n}\n"));
+                }
+                Sample::Ratio(f) => out.push_str(&format!("{name} {f}\n")),
+                Sample::Rows(rows) => {
+                    for (labels, value) in rows {
+                        out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+                    }
+                }
+                Sample::Histogram(hist, sum) => {
+                    let mut cumulative = 0u64;
+                    for (b, &count) in hist.counts().iter().enumerate() {
+                        cumulative += count;
+                        let (_, hi) = Log2Histogram::bucket_range(b);
+                        out.push_str(&format!("{name}_bucket{{le=\"{hi}\"}} {cumulative}\n"));
+                    }
+                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", hist.total()));
+                    out.push_str(&format!("{name}_sum {sum}\n"));
+                    out.push_str(&format!("{name}_count {}\n", hist.total()));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -741,9 +915,14 @@ mod tests {
         for v in [0u64, 1, 1, 3, 900] {
             hist.record(v);
         }
-        let mut p = PromText::new();
-        p.histogram("job_latency_us", "Job latency.", &hist, 905);
-        let text = p.into_string();
+        let table = [Metric {
+            key: "latency",
+            name: "job_latency_us",
+            help: "Job latency.",
+            read: Read::Histogram(|h: &(Log2Histogram, u64)| h.clone()),
+        }];
+        let text = Snapshot::take(&table, &(hist, 905)).to_prometheus();
+        assert!(text.contains("# HELP job_latency_us Job latency.\n"));
         assert!(text.contains("# TYPE job_latency_us histogram"));
         assert!(text.contains("job_latency_us_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("job_latency_us_bucket{le=\"1\"} 3\n"));
@@ -758,6 +937,71 @@ mod tests {
             assert!(n >= last, "bucket counts must be cumulative: {text}");
             last = n;
         }
+    }
+
+    #[test]
+    fn fleet_merge_sums_by_kind() {
+        struct Node {
+            jobs: u64,
+            uptime: u64,
+            rate: f64,
+            latency: u64,
+        }
+        let table: [Metric<Node>; 4] = [
+            Metric {
+                key: "jobs",
+                name: "jobs_total",
+                help: "Jobs.",
+                read: Read::Counter(|n| n.jobs),
+            },
+            Metric {
+                key: "uptime_ms",
+                name: "uptime_ms",
+                help: "Uptime.",
+                read: Read::NodeGauge(|n| n.uptime),
+            },
+            Metric {
+                key: "rate",
+                name: "rate",
+                help: "Rate.",
+                read: Read::Ratio(|n| n.rate),
+            },
+            Metric {
+                key: "latency_us",
+                name: "latency_us",
+                help: "Latency.",
+                read: Read::Histogram(|n| {
+                    let mut hist = Log2Histogram::new();
+                    hist.record(n.latency);
+                    (hist, n.latency)
+                }),
+            },
+        ];
+        let node = |jobs, latency| Node {
+            jobs,
+            uptime: 7,
+            rate: 0.5,
+            latency,
+        };
+        // Shards travel as `stats` docs and are parsed back.
+        let nodes: Vec<Snapshot> = [node(2, 10), node(3, 1000)]
+            .iter()
+            .map(|n| {
+                let doc = Value::Object(Snapshot::take(&table, n).doc_fields());
+                Snapshot::parse(&table, &doc)
+            })
+            .collect();
+        let router = Snapshot::take(&table[..2], &node(1, 0));
+        let fleet = Snapshot::fleet(&table, &nodes, &router);
+        assert_eq!(fleet.int("jobs"), 2 + 3 + 1, "counters sum, the router's own included");
+        assert_eq!(fleet.int("uptime_ms"), 7, "a node value is the router's own");
+        assert_eq!(fleet.get("rate"), None, "a node value the router lacks is left out");
+        let Some(Sample::Histogram(hist, _)) = fleet.get("latency_us") else {
+            panic!("fleet lost the histogram");
+        };
+        assert_eq!((hist.total(), hist.max()), (2, 1000), "histograms merge exactly");
+        let keys: Vec<String> = fleet.doc_fields().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["jobs", "uptime_ms", "latency_us"], "table order");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `simulate --metrics-out` produces for the same export and specs,
 //! even while shards die and come back mid-run.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -520,7 +520,7 @@ fn trace_id_propagates_from_client_through_router_to_every_shard() {
 
 #[test]
 fn windowed_fleet_doc_is_byte_identical_to_offline_simulate() {
-    let (_shards, router, _) = start_spread_fleet();
+    let (shards, router, _) = start_spread_fleet();
     let spec = JobSpec {
         windows: true,
         ..fleet_spec()
@@ -545,6 +545,15 @@ fn windowed_fleet_doc_is_byte_identical_to_offline_simulate() {
         Reply::Result { doc, .. } => assert_eq!(doc, offline_doc()),
         other => panic!("unexpected reply {other:?}"),
     }
+    // Fleet stats sum the shards' drift annotations; the last window's
+    // miss rate belongs to one node and stays out of the fleet doc.
+    let fleet = stats_doc(&router.addr);
+    let drift: u64 = shards
+        .iter()
+        .map(|s| doc_uint(&stats_doc(&s.addr), "drift_events"))
+        .sum();
+    assert_eq!(doc_uint(&fleet, "drift_events"), drift);
+    assert!(serde::obj_field(&fleet, "stats", "window_miss_rate").is_err());
 }
 
 #[test]
@@ -633,5 +642,338 @@ fn router_refuses_oversize_lines_and_keeps_serving() {
     match submit_via(&router.addr, &fleet_spec()) {
         Reply::Result { doc, .. } => assert_eq!(doc, offline_doc()),
         other => panic!("expected a result, got {other:?}"),
+    }
+}
+
+/// One metric as the wire names it: `stats` key, Prometheus family,
+/// `# TYPE` and `# HELP` text.
+type Wire = (&'static str, &'static str, &'static str, &'static str);
+
+/// The daemon's metrics, in `stats` doc order. Dashboards and scrapers
+/// key on these names, so any rename or reordering is a wire change.
+const DAEMON_WIRE: [Wire; 16] = [
+    ("workers", "gencache_workers", "gauge", "Worker threads in the pool."),
+    ("queue_depth", "gencache_queue_depth", "gauge", "Jobs queued, not yet running."),
+    ("in_flight", "gencache_in_flight_jobs", "gauge", "Jobs currently executing on a worker."),
+    ("connections", "gencache_connections_total", "counter", "Connections accepted."),
+    ("jobs_accepted", "gencache_jobs_accepted_total", "counter", "Jobs admitted to the queue."),
+    ("jobs_completed", "gencache_jobs_completed_total", "counter", "Jobs finished successfully."),
+    ("jobs_rejected", "gencache_jobs_rejected_total", "counter", "Jobs shed with a busy reply."),
+    ("jobs_failed", "gencache_jobs_failed_total", "counter", "Jobs that ended in an error reply."),
+    ("jobs_panicked", "gencache_jobs_panicked_total", "counter", "Jobs that panicked mid-run."),
+    (
+        "bytes_ingested",
+        "gencache_bytes_ingested_total",
+        "counter",
+        "Export bytes ingested across job uploads.",
+    ),
+    (
+        "lines_served",
+        "gencache_lines_served_total",
+        "counter",
+        "Export lines streamed back by fetch downloads.",
+    ),
+    (
+        "lines_rejected",
+        "gencache_lines_rejected_total",
+        "counter",
+        "Lines refused for exceeding the line cap.",
+    ),
+    ("uptime_ms", "gencache_uptime_ms", "gauge", "Milliseconds since the daemon started."),
+    (
+        "window_miss_rate",
+        "gencache_window_miss_rate",
+        "gauge",
+        "Final-window miss rate of the most recent windowed job.",
+    ),
+    (
+        "drift_events",
+        "gencache_drift_events_total",
+        "counter",
+        "Drift annotations emitted across windowed jobs.",
+    ),
+    (
+        "latency_us",
+        "gencache_job_latency_us",
+        "histogram",
+        "Completed job wall-clock latency in microseconds.",
+    ),
+];
+
+/// The router's metrics. The key is the one in the fleet `stats` doc's
+/// `router` section, in section order; empty for a family that has no
+/// key there.
+const ROUTER_WIRE: [Wire; 15] = [
+    ("", "gencache_uptime_ms", "gauge", "Milliseconds since the router started."),
+    (
+        "connections",
+        "gencache_router_connections_total",
+        "counter",
+        "Connections accepted by the router.",
+    ),
+    ("fleet_jobs", "gencache_fleet_jobs_total", "counter", "Fleet jobs admitted past upload."),
+    (
+        "fleet_jobs_completed",
+        "gencache_fleet_jobs_completed_total",
+        "counter",
+        "Fleet jobs merged and answered.",
+    ),
+    (
+        "fleet_jobs_failed",
+        "gencache_fleet_jobs_failed_total",
+        "counter",
+        "Fleet jobs that ended in an error frame.",
+    ),
+    ("subjobs", "gencache_subjobs_total", "counter", "Per-shard sub-jobs dispatched."),
+    (
+        "busy_retries",
+        "gencache_busy_retries_total",
+        "counter",
+        "Busy replies retried under the backoff policy.",
+    ),
+    ("failovers", "gencache_failovers_total", "counter", "Sub-jobs re-routed to another shard."),
+    (
+        "upload_buffer_peak_bytes",
+        "gencache_upload_buffer_peak_bytes",
+        "gauge",
+        "Largest single job upload buffered in router memory.",
+    ),
+    ("shards_up", "gencache_shards_up", "gauge", "Backends currently marked healthy."),
+    ("shards_down", "gencache_shards_down", "gauge", "Backends currently marked down."),
+    (
+        "",
+        "gencache_lines_rejected_total",
+        "counter",
+        "Lines the router refused for exceeding the line cap.",
+    ),
+    ("", "gencache_shard_up", "gauge", "Per-shard health (1 = up)."),
+    (
+        "",
+        "gencache_shard_last_ping_us",
+        "gauge",
+        "Per-shard round trip of the last successful health ping.",
+    ),
+    (
+        "",
+        "gencache_shard_jobs_routed",
+        "gauge",
+        "Per-shard sub-jobs answered successfully.",
+    ),
+];
+
+fn stats_doc(addr: &str) -> Value {
+    let Ok(Reply::Stats { doc }) = Client::new(addr).stats() else {
+        panic!("stats request to {addr} failed");
+    };
+    serde_json::value_from_str(&doc).expect("stats doc parses")
+}
+
+fn doc_keys(doc: &Value) -> Vec<&str> {
+    let pairs = doc.as_object().expect("stats doc is an object");
+    pairs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+fn doc_uint(doc: &Value, key: &str) -> u64 {
+    match serde::obj_field(doc, "stats", key) {
+        Ok(Value::UInt(n)) => *n,
+        other => panic!("stats field {key}: {other:?}"),
+    }
+}
+
+fn metrics_body(addr: &str) -> String {
+    let Ok(Reply::Metrics { body }) = Client::new(addr).metrics() else {
+        panic!("metrics request to {addr} failed");
+    };
+    body
+}
+
+/// Every family of a Prometheus body as name → (type, help), after
+/// checking that each sample line belongs to a declared family.
+fn prom_families(body: &str) -> BTreeMap<String, (String, String)> {
+    let mut help: BTreeMap<String, String> = BTreeMap::new();
+    let mut families = BTreeMap::new();
+    for line in body.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, text) = rest.split_once(' ').expect("HELP line has text");
+            help.insert(name.to_string(), text.to_string());
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line has a type");
+            let text = help.get(name).cloned().expect("HELP precedes TYPE");
+            families.insert(name.to_string(), (kind.to_string(), text));
+        } else {
+            let series = line.split([' ', '{']).next().unwrap_or("");
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|s| series.strip_suffix(s).filter(|f| families.contains_key(*f)))
+                .unwrap_or(series);
+            assert!(families.contains_key(family), "sample of no family: {line:?}");
+        }
+    }
+    families
+}
+
+fn wire_families(wire: &[Wire]) -> BTreeMap<String, (String, String)> {
+    wire.iter()
+        .map(|&(_, name, kind, help)| (name.to_string(), (kind.to_string(), help.to_string())))
+        .collect()
+}
+
+/// The value of one unlabelled series of a Prometheus body.
+fn prom_sample(body: &str, series: &str) -> f64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {series} sample in:\n{body}"))
+        .parse()
+        .expect("sample value is a number")
+}
+
+fn family_of(wire: &[Wire], key: &str) -> &'static str {
+    wire.iter().find(|w| w.0 == key).expect("key is on the wire").1
+}
+
+#[test]
+fn metric_names_on_the_wire_are_pinned() {
+    let shard = TestServer::start();
+    let router = TestRouter::start(vec![shard.addr.clone()], Duration::from_secs(600));
+
+    let keys: Vec<&str> = DAEMON_WIRE.iter().map(|w| w.0).collect();
+    assert_eq!(doc_keys(&stats_doc(&shard.addr)), keys, "daemon stats keys");
+    // Sixteen keys, sixteen families, one table: the daemon's stats keys
+    // and its Prometheus families correspond one to one.
+    let families = prom_families(&metrics_body(&shard.addr));
+    assert_eq!(families, wire_families(&DAEMON_WIRE), "daemon families");
+    assert_eq!(families.len(), keys.len());
+
+    // One backend, so the per-shard row families are present too.
+    assert_eq!(
+        prom_families(&metrics_body(&router.addr)),
+        wire_families(&ROUTER_WIRE),
+        "router families"
+    );
+    let fleet = stats_doc(&router.addr);
+    let section = serde::obj_field(&fleet, "stats", "router").expect("router section");
+    let keys: Vec<&str> = ROUTER_WIRE.iter().map(|w| w.0).filter(|k| !k.is_empty()).collect();
+    assert_eq!(doc_keys(section), keys, "router section keys");
+}
+
+/// Sends one line over the 1 MiB cap as a connection's first frame.
+fn send_oversize_line(addr: &str) {
+    let stream = TcpStream::connect(addr).unwrap();
+    (&stream).write_all("x".repeat(2 << 20).as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains("line cap"), "got {reply}");
+}
+
+#[test]
+fn stats_metrics_and_watch_agree_across_a_fleet() {
+    let shards: Vec<TestServer> = (0..3).map(|_| TestServer::start()).collect();
+    // No health ping may land while the views are read: a ping is a job
+    // on the shard it reaches.
+    let router = TestRouter::start(
+        shards.iter().map(|s| s.addr.clone()).collect(),
+        Duration::from_secs(600),
+    );
+    let spec = JobSpec {
+        specs: vec!["unified".to_string()],
+        ..JobSpec::default()
+    };
+    let windowed = JobSpec {
+        windows: true,
+        ..spec.clone()
+    };
+    for job in [&spec, &spec, &windowed] {
+        let reply = submit_via(&router.addr, job);
+        assert!(matches!(reply, Reply::Result { .. }), "got {reply:?}");
+    }
+    send_oversize_line(&shards[0].addr);
+    send_oversize_line(&router.addr);
+    // Quiescence: a worker can still be winding down after its reply.
+    for shard in &shards {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let doc = stats_doc(&shard.addr);
+            if doc_uint(&doc, "in_flight") == 0 && doc_uint(&doc, "queue_depth") == 0 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "shard never idled");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    let mut docs = Vec::new();
+    for shard in &shards {
+        let doc = stats_doc(&shard.addr);
+        let body = metrics_body(&shard.addr);
+        let rows = Client::new(&shard.addr).watch_once(50).expect("daemon watch");
+        for key in [
+            "jobs_completed",
+            "jobs_rejected",
+            "lines_rejected",
+            "drift_events",
+            "queue_depth",
+            "in_flight",
+        ] {
+            let family = family_of(&DAEMON_WIRE, key);
+            assert_eq!(
+                doc_uint(&doc, key) as f64,
+                prom_sample(&body, family),
+                "{}: stats {key} vs {family}",
+                shard.addr
+            );
+        }
+        let latency = serde::obj_field(&doc, "stats", "latency_us").unwrap();
+        assert_eq!(
+            doc_uint(latency, "total") as f64,
+            prom_sample(&body, "gencache_job_latency_us_count"),
+            "{}: latency total vs _count",
+            shard.addr
+        );
+        let row = &rows[0];
+        assert_eq!(row.jobs_total, doc_uint(&doc, "jobs_completed"));
+        assert_eq!(row.drift_events, doc_uint(&doc, "drift_events"));
+        assert_eq!(row.queue_depth, doc_uint(&doc, "queue_depth"));
+        assert_eq!(row.in_flight, doc_uint(&doc, "in_flight"));
+        docs.push(doc);
+    }
+    let sum = |key: &str| docs.iter().map(|d| doc_uint(d, key)).sum::<u64>();
+    assert_eq!(sum("lines_rejected"), 1);
+
+    let fleet = stats_doc(&router.addr);
+    let body = metrics_body(&router.addr);
+    let section = serde::obj_field(&fleet, "stats", "router").expect("router section");
+    assert_eq!(sum("jobs_completed"), doc_uint(section, "subjobs"));
+    // Each shard counted one more connection for the router's stats
+    // request, so `connections` is left out.
+    for key in [
+        "workers",
+        "queue_depth",
+        "in_flight",
+        "jobs_accepted",
+        "jobs_completed",
+        "jobs_rejected",
+        "jobs_failed",
+        "jobs_panicked",
+        "bytes_ingested",
+        "lines_served",
+        "drift_events",
+    ] {
+        assert_eq!(doc_uint(&fleet, key), sum(key), "fleet {key}");
+    }
+    let own_rejected = prom_sample(&body, "gencache_lines_rejected_total") as u64;
+    assert_eq!(own_rejected, 1);
+    assert_eq!(doc_uint(&fleet, "lines_rejected"), sum("lines_rejected") + own_rejected);
+    let total = |d: &Value| doc_uint(serde::obj_field(d, "stats", "latency_us").unwrap(), "total");
+    assert_eq!(total(&fleet), docs.iter().map(total).sum::<u64>());
+
+    for &(key, family, _, _) in ROUTER_WIRE.iter().filter(|w| !w.0.is_empty()) {
+        // The metrics request is the router's next connection.
+        let expected = doc_uint(section, key) + u64::from(key == "connections");
+        assert_eq!(
+            prom_sample(&body, family),
+            expected as f64,
+            "router section {key} vs {family}"
+        );
     }
 }

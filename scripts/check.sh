@@ -182,6 +182,9 @@ cmp "$sim_metrics" "$serve_metrics" \
 ./target/release/gencache-client stats --addr "$addr" \
   | grep -q '"jobs_completed":1' \
   || { echo "stats did not report the completed job"; exit 1; }
+./target/release/gencache-client metrics --addr "$addr" \
+  | grep -qx 'gencache_jobs_completed_total 1' \
+  || { echo "metrics did not report the completed job"; exit 1; }
 grep -q '"event":"job_admitted"' "$serve_events_log" \
   || { echo "structured log has no job_admitted record"; cat "$serve_events_log"; exit 1; }
 ./target/release/gencache-client watch --addr "$addr" --count 1 --plain \
@@ -210,6 +213,9 @@ grep -q "1048576-byte line cap" "$bad_err" \
 ./target/release/gencache-client stats --addr "$addr" \
   | grep -q '"lines_rejected":1' \
   || { echo "stats did not count the rejected line"; exit 1; }
+./target/release/gencache-client metrics --addr "$addr" \
+  | grep -qx 'gencache_lines_rejected_total 1' \
+  || { echo "metrics did not count the rejected line"; exit 1; }
 ./target/release/gencache-client submit --addr "$addr" --events "$events" \
   --metrics-out "$serve_metrics" --no-table 2> /dev/null
 cmp "$sim_metrics" "$serve_metrics" \
