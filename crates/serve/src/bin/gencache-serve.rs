@@ -18,6 +18,9 @@
 //! rotated once to `FILE.1` (replacing any previous `FILE.1`) and
 //! logging continues in a fresh file; the default (0) never rotates.
 //! `--trace-capacity 0` turns span recording off entirely.
+//! `--depth LINES` bounds a `fetch` download's channel and the streamed
+//! recorder behind it; job uploads are bounded in bytes instead (6 MiB
+//! of chunks in flight per job, `gencache_serve::MAX_INGEST_BYTES`).
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -25,9 +28,9 @@ use std::time::Duration;
 
 use gencache_serve::{signal, LogLevel, Server, ServerConfig};
 
-const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / --depth LINES / \
-     --read-timeout-ms N / --deadline-ms N / --log FILE|-|none / \
-     --log-level debug|info|warn|error / --log-max-bytes N / --trace-capacity N";
+const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / \
+     --depth LINES (fetch download channel) / --read-timeout-ms N / --deadline-ms N / \
+     --log FILE|-|none / --log-level debug|info|warn|error / --log-max-bytes N / --trace-capacity N";
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
     let mut config = ServerConfig {

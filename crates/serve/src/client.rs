@@ -12,6 +12,7 @@ use crate::proto::{
     WatchRow,
 };
 use crate::retry::RetryPolicy;
+use crate::server::CHUNK_BYTES;
 use crate::signal;
 use crate::telemetry::{new_trace_id, Logger, Span, Telemetry};
 
@@ -66,29 +67,7 @@ impl Client {
     /// violation in the reply.
     pub fn submit(&self, reader: impl BufRead, spec: &JobSpec) -> io::Result<Reply> {
         let stream = self.connect()?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let upload = || -> io::Result<()> {
-            writeln!(writer, "{}", encode_job(spec))?;
-            let mut lines = 0u64;
-            for line in reader.lines() {
-                let line = line?;
-                writeln!(writer, "{line}")?;
-                lines += 1;
-            }
-            writeln!(writer, "{}", encode_end(lines))?;
-            writer.flush()
-        };
-        match upload() {
-            Ok(()) => {}
-            // The server may have closed the upload side after an early
-            // busy/error reply; go read it.
-            Err(e)
-                if e.kind() == io::ErrorKind::BrokenPipe
-                    || e.kind() == io::ErrorKind::ConnectionReset
-                    || e.kind() == io::ErrorKind::ConnectionAborted => {}
-            Err(e) => return Err(e),
-        }
-        stream.shutdown(Shutdown::Write).ok();
+        upload(&stream, reader, spec, &mut Sent::default())?;
         read_reply(stream)
     }
 
@@ -148,33 +127,12 @@ impl Client {
         let tel = Telemetry::new("client", 16, Logger::disabled());
         let job_started = Instant::now();
         let stream = self.connect()?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut sent_lines = 0u64;
-        let mut sent_bytes = 0u64;
+        let mut sent = Sent::default();
         let upload_started = Instant::now();
-        let uploaded = (|| -> io::Result<()> {
-            writeln!(writer, "{}", encode_job(&spec))?;
-            for line in reader.lines() {
-                let line = line?;
-                sent_bytes += line.len() as u64 + 1;
-                writeln!(writer, "{line}")?;
-                sent_lines += 1;
-            }
-            writeln!(writer, "{}", encode_end(sent_lines))?;
-            writer.flush()
-        })();
-        match uploaded {
-            Ok(()) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::BrokenPipe
-                    || e.kind() == io::ErrorKind::ConnectionReset
-                    || e.kind() == io::ErrorKind::ConnectionAborted => {}
-            Err(e) => return Err(e),
-        }
+        upload(&stream, reader, &spec, &mut sent)?;
         if let Some(span) = tel.span(&trace_id, "upload", upload_started) {
-            span.lines(sent_lines).bytes(sent_bytes).end();
+            span.lines(sent.lines).bytes(sent.bytes).end();
         }
-        stream.shutdown(Shutdown::Write).ok();
         let wait_started = Instant::now();
         let reply = read_reply(stream)?;
         if let Some(span) = tel.span(&trace_id, "reply_wait", wait_started) {
@@ -413,6 +371,58 @@ impl Client {
     }
 }
 
+/// Export lines and bytes an upload has written so far.
+#[derive(Default)]
+struct Sent {
+    lines: u64,
+    bytes: u64,
+}
+
+/// Writes one job upload to `stream`: the job frame, every line of
+/// `reader` with its `\n` or `\r\n` replaced by `\n`, and the `end`
+/// frame with the line count; then closes the write side. One line
+/// buffer is reused for the whole upload.
+///
+/// A write failure is tolerated (the server may already have answered
+/// `busy` or `error`; the caller reads that reply). A line of `reader`
+/// that is not UTF-8 is an `InvalidData` error.
+fn upload(
+    stream: &TcpStream,
+    mut reader: impl BufRead,
+    spec: &JobSpec,
+    sent: &mut Sent,
+) -> io::Result<()> {
+    // Written in blocks of the daemon's read buffer, so each of its
+    // reads can take a full chunk's worth of lines.
+    let mut writer = BufWriter::with_capacity(CHUNK_BYTES, stream);
+    let mut line = String::new();
+    let mut write_all = || -> io::Result<()> {
+        writeln!(writer, "{}", encode_job(spec))?;
+        while reader.read_line(&mut line)? > 0 {
+            let text = line
+                .strip_suffix('\n')
+                .map_or(line.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+            writer.write_all(text.as_bytes())?;
+            writer.write_all(b"\n")?;
+            sent.lines += 1;
+            sent.bytes += text.len() as u64 + 1;
+            line.clear();
+        }
+        writeln!(writer, "{}", encode_end(sent.lines))?;
+        writer.flush()
+    };
+    match write_all() {
+        Ok(()) => {}
+        Err(e)
+            if e.kind() == io::ErrorKind::BrokenPipe
+                || e.kind() == io::ErrorKind::ConnectionReset
+                || e.kind() == io::ErrorKind::ConnectionAborted => {}
+        Err(e) => return Err(e),
+    }
+    stream.shutdown(Shutdown::Write).ok();
+    Ok(())
+}
+
 fn read_reply(stream: TcpStream) -> io::Result<Reply> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -423,4 +433,46 @@ fn read_reply(stream: TcpStream) -> io::Result<Reply> {
         ));
     }
     parse_reply(line.trim_end_matches(['\r', '\n'])).map_err(io::Error::other)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Runs [`upload`] over a loopback connection and returns its result,
+    /// what it counted, and the bytes the peer received.
+    fn uploaded(input: &[u8]) -> (io::Result<()>, u64, u64, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut sent = Sent::default();
+        let result = upload(&stream, input, &JobSpec::default(), &mut sent);
+        drop(stream);
+        let mut received = String::new();
+        peer.read_to_string(&mut received).unwrap();
+        (result, sent.lines, sent.bytes, received)
+    }
+
+    #[test]
+    fn upload_normalises_line_endings_and_counts_lines() {
+        let (result, lines, bytes, received) = uploaded(b"a\r\nb\n\nc\rd\r\ne");
+        result.unwrap();
+        assert_eq!((lines, bytes), (5, 11));
+        let job = encode_job(&JobSpec::default());
+        let end = encode_end(5);
+        assert_eq!(received, format!("{job}\na\nb\n\nc\rd\ne\n{end}\n"));
+    }
+
+    #[test]
+    fn upload_refuses_a_line_that_is_not_utf8() {
+        let (result, lines, _, received) = uploaded(b"ok\n\xff\xfe\nnever\n");
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(lines, 1);
+        assert!(
+            !received.contains("\"end\""),
+            "no end frame after a bad line"
+        );
+    }
 }

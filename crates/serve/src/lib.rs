@@ -62,7 +62,7 @@ pub mod telemetry;
 pub use client::Client;
 pub use proto::{JobSpec, Reply, Request, WatchRow};
 pub use retry::RetryPolicy;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, CHUNKS_IN_FLIGHT, CHUNK_BYTES, MAX_INGEST_BYTES};
 pub use shard::{ShardConfig, ShardRouter};
 pub use stats::ServerStats;
 pub use telemetry::{LogLevel, Logger, Span, Telemetry};

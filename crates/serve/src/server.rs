@@ -1,22 +1,24 @@
 //! The daemon: accept loop, per-connection protocol, and job execution.
 //!
-//! Memory discipline: a connection thread never holds more than one
-//! protocol line (at most [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES))
-//! plus the bounded ingest channel's in-flight window.
-//! Export lines flow socket → bounded channel → [`StreamIngest`], which
-//! keeps each benchmark's reference request trace (one op per frontend
-//! request) and one size entry per distinct trace id of the stream being
-//! ingested — peak memory is that plus the channel depth, independent of
-//! how many model streams and cache-side event lines the export
-//! carries. When
-//! the worker stalls, the channel fills, the connection thread blocks in
-//! `send`, the socket's receive window closes, and backpressure reaches
-//! the client as plain TCP flow control. Queue-level backpressure is
-//! separate: admission uses a non-blocking submit, and a full queue is
-//! answered with a `busy` frame (HTTP 429 in spirit) instead of an
-//! ever-growing backlog.
+//! Memory discipline: a job upload flows socket → connection thread →
+//! bounded chunk channel → [`StreamIngest`]. The connection thread reads
+//! one protocol line at a time (at most
+//! [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES)) and gathers whole
+//! lines into chunks of up to [`CHUNK_BYTES`]; at most
+//! [`CHUNKS_IN_FLIGHT`] chunks wait for the worker, so a job's in-flight
+//! upload memory is bounded by [`MAX_INGEST_BYTES`] whatever the upload's
+//! length. [`StreamIngest`] keeps each benchmark's reference request
+//! trace (one op per frontend request) and one size entry per distinct
+//! trace id of the stream being ingested — peak memory is that plus the
+//! chunk window, independent of how many model streams and cache-side
+//! event lines the export carries. When the worker stalls, the channel
+//! fills, the connection thread blocks in `send`, the socket's receive
+//! window closes, and backpressure reaches the client as plain TCP flow
+//! control. Queue-level backpressure is separate: admission uses a
+//! non-blocking submit, and a full queue is answered with a `busy` frame
+//! (HTTP 429 in spirit) instead of an ever-growing backlog.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +39,7 @@ use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
     encode_busy, encode_end, encode_error, encode_metrics, encode_pong, encode_result,
     encode_stats, encode_trace, encode_watch, is_control_line, line_cap_error, parse_request,
-    read_line_capped, CappedLine, JobSpec, Request, WatchRow,
+    read_line_capped, CappedLine, JobSpec, Request, WatchRow, MAX_LINE_BYTES,
 };
 use crate::signal;
 use crate::stats::{ServerStats, DAEMON};
@@ -53,7 +55,9 @@ pub struct ServerConfig {
     pub workers: Option<usize>,
     /// Pending-job queue depth; `None` means twice the worker count.
     pub queue_depth: Option<usize>,
-    /// Bounded ingest/download channel depth, in lines.
+    /// Depth, in lines, of a `fetch` download's channel and of the
+    /// streamed recorder behind it. Job uploads do not use it: they are
+    /// bounded in bytes by [`MAX_INGEST_BYTES`].
     pub channel_depth: usize,
     /// Per-connection socket read timeout.
     pub read_timeout: Duration,
@@ -240,10 +244,27 @@ impl Server {
     }
 }
 
+/// A connection thread hands a job's upload to the worker in chunks of
+/// whole lines of at most this many bytes (a longer line goes alone),
+/// sooner when the socket has nothing more buffered. Also the size of a
+/// connection's read buffer.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Chunks that may wait in a job's ingest channel for the worker.
+pub const CHUNKS_IN_FLIGHT: usize = 4;
+
+/// The most chunk memory one job holds in flight: the queued chunks, the
+/// one being filled and the one being ingested, each within one capped
+/// line. That is 6 MiB with the 1 MiB line cap, and 6 × [`CHUNK_BYTES`]
+/// when no line is longer than a chunk. The connection's read buffer and
+/// the one line being read come on top.
+pub const MAX_INGEST_BYTES: usize = (CHUNKS_IN_FLIGHT + 2) * MAX_LINE_BYTES;
+
 /// What flows from the connection thread to the ingesting worker.
 enum IngestItem {
-    /// One raw export line.
-    Line(String),
+    /// Whole export lines, each ending in `\n` (line endings already
+    /// stripped and replaced).
+    Chunk(String),
     /// The client's `end` frame: claimed line count for integrity.
     End {
         lines: u64,
@@ -289,7 +310,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     ServerStats::bump(&ctx.stats.connections);
     stream.set_read_timeout(Some(ctx.read_timeout))?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::with_capacity(CHUNK_BYTES, stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut first = Vec::new();
     let line = match read_line_capped(&mut reader, &mut first)? {
@@ -461,7 +482,7 @@ fn handle_ping(ctx: &Ctx, writer: &mut impl Write, hold_ms: u64) -> io::Result<(
 
 fn handle_job(
     ctx: &Ctx,
-    reader: &mut impl BufRead,
+    reader: &mut BufReader<impl Read>,
     writer: &mut impl Write,
     mut spec: JobSpec,
 ) -> io::Result<()> {
@@ -477,7 +498,11 @@ fn handle_job(
     };
     let deadline_ms = spec.deadline_ms.unwrap_or(ctx.default_deadline_ms);
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    let (lines_tx, lines_rx) = bounded::<IngestItem>(ctx.channel_depth);
+    let (chunk_tx, chunk_rx) = bounded::<IngestItem>(CHUNKS_IN_FLIGHT);
+    // Spent chunk buffers come back for reuse. A new one is made only
+    // when none is spare, so at most CHUNKS_IN_FLIGHT + 2 exist at once
+    // and the worker's return never finds this channel full.
+    let (spent_tx, mut spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
     let (reply_tx, mut reply_rx) = bounded::<JobOutcome>(1);
     // The deadline clock starts at admission, not at worker pickup —
     // time spent queued behind the bounded pool counts against the
@@ -488,7 +513,7 @@ fn handle_job(
     let job_trace = trace_id.clone();
     let job = Box::new(move || {
         run_job(
-            &spec, lines_rx, &reply_tx, deadline, admitted, &tel, &stats, &job_trace,
+            &spec, chunk_rx, &spent_tx, &reply_tx, deadline, admitted, &tel, &stats, &job_trace,
         );
     });
     match ctx.pool.try_submit(job) {
@@ -533,49 +558,61 @@ fn handle_job(
         ],
     );
 
-    // Forward the upload line by line; the bounded send blocks when the
-    // worker falls behind, which is exactly the backpressure we want.
+    // Forward the upload in chunks of whole lines; the bounded send
+    // blocks when the worker falls behind, which is exactly the
+    // backpressure we want. A chunk goes out before a line that would
+    // take it past CHUNK_BYTES, once the read buffer is drained (so a
+    // trickling client's lines are as prompt as its writes), and before
+    // the closing item (so the worker sees every line ahead of the end
+    // or the failure).
     let mut buf = Vec::new();
-    loop {
-        match read_line_capped(reader, &mut buf) {
-            Ok(CappedLine::Eof) => {
-                let _ = lines_tx.send(IngestItem::Abort(
-                    "connection closed mid-upload".to_string(),
-                ));
-                break;
-            }
+    let mut chunk = String::with_capacity(CHUNK_BYTES);
+    let last = loop {
+        let item = match read_line_capped(reader, &mut buf) {
+            Ok(CappedLine::Eof) => IngestItem::Abort("connection closed mid-upload".to_string()),
             Ok(CappedLine::TooLong) => {
                 ServerStats::bump(&ctx.stats.lines_rejected);
-                let _ = lines_tx.send(IngestItem::Abort(line_cap_error()));
-                break;
+                IngestItem::Abort(line_cap_error())
             }
-            Err(e) => {
-                let _ = lines_tx.send(IngestItem::Abort(format!("upload read failed: {e}")));
-                break;
-            }
+            Err(e) => IngestItem::Abort(format!("upload read failed: {e}")),
             Ok(CappedLine::Line(raw)) => {
                 ServerStats::add(&ctx.stats.bytes_ingested, raw.len() as u64);
                 let line = raw.trim_end_matches(['\r', '\n']);
                 if is_control_line(line) {
-                    let item = match parse_request(line) {
+                    match parse_request(line) {
                         Ok(Request::End { lines }) => IngestItem::End { lines },
                         Ok(_) => IngestItem::Abort(
                             "unexpected control frame inside an export upload".to_string(),
                         ),
                         Err(e) => IngestItem::Abort(e),
-                    };
-                    let _ = lines_tx.send(item);
-                    break;
-                }
-                if lines_tx.send(IngestItem::Line(line.to_string())).is_err() {
-                    // The worker already gave up (deadline, malformed
-                    // stream); its reply is waiting for us.
-                    break;
+                    }
+                } else {
+                    // A failed send means the worker already gave up
+                    // (deadline, malformed stream); its reply is waiting.
+                    if chunk.len() + line.len() >= CHUNK_BYTES
+                        && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
+                    {
+                        break None;
+                    }
+                    chunk.push_str(line);
+                    chunk.push('\n');
+                    if reader.buffer().is_empty()
+                        && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
+                    {
+                        break None;
+                    }
+                    continue;
                 }
             }
+        };
+        break Some(item);
+    };
+    if let Some(item) = last {
+        if send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
+            let _ = chunk_tx.send(item);
         }
     }
-    drop(lines_tx);
+    drop(chunk_tx);
 
     match reply_rx.recv() {
         Some(Ok(parts)) => {
@@ -625,13 +662,30 @@ fn handle_job(
     }
 }
 
+/// Hands the gathered lines to the worker as one chunk, then starts the
+/// next in a spent buffer if one has come back. Returns `false` when the
+/// worker has hung up.
+fn send_chunk(tx: &Sender<IngestItem>, spent: &mut Receiver<String>, chunk: &mut String) -> bool {
+    if chunk.is_empty() {
+        return true;
+    }
+    if tx.send(IngestItem::Chunk(std::mem::take(chunk))).is_err() {
+        return false;
+    }
+    *chunk = spent
+        .try_recv()
+        .unwrap_or_else(|| String::with_capacity(CHUNK_BYTES));
+    true
+}
+
 /// The worker side of a job: bounded ingest, then the shared simulation
 /// runner — the exact machinery behind offline `simulate`, so the reply
 /// document is byte-identical to `simulate --metrics-out`.
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     spec: &JobSpec,
-    mut lines_rx: Receiver<IngestItem>,
+    mut chunk_rx: Receiver<IngestItem>,
+    spent_tx: &Sender<String>,
     reply_tx: &Sender<JobOutcome>,
     deadline: Option<Duration>,
     admitted: Instant,
@@ -679,7 +733,7 @@ fn run_job(
     let mut ingest = StreamIngest::new();
     let mut received = 0u64;
     let mut complete = false;
-    while let Some(item) = lines_rx.recv() {
+    while let Some(item) = chunk_rx.recv() {
         if deadline.is_some_and(|d| started.elapsed() >= d) {
             log_deadline("ingest");
             return fail_stage(
@@ -689,10 +743,18 @@ fn run_job(
             );
         }
         match item {
-            IngestItem::Line(line) => {
-                received += 1;
-                if let Err(e) = ingest.push_line(&line) {
-                    return fail_stage("ingest", ingest_started, e);
+            IngestItem::Chunk(mut chunk) => {
+                for line in chunk.split_terminator('\n') {
+                    received += 1;
+                    if let Err(e) = ingest.push_line(line) {
+                        return fail_stage("ingest", ingest_started, e);
+                    }
+                }
+                // A buffer one long line grew far past the chunk size is
+                // freed rather than kept for the rest of the upload.
+                if chunk.capacity() <= 2 * CHUNK_BYTES {
+                    chunk.clear();
+                    let _ = spent_tx.try_send(chunk);
                 }
             }
             IngestItem::End { lines } => {
@@ -713,7 +775,7 @@ fn run_job(
     }
     // Dropping the receiver here unblocks a connection thread still
     // stuck in `send` on a full channel.
-    drop(lines_rx);
+    drop(chunk_rx);
     if !complete {
         return fail_stage(
             "ingest",

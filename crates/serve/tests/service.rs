@@ -16,7 +16,11 @@ use gencache_bench::ingest::{
 };
 use gencache_bench::{export_telemetry, record_all, value_to_json, HarnessOptions};
 use gencache_obs::{parse_stream_line, StreamLine};
-use gencache_serve::{Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, Span};
+use gencache_serve::proto::{encode_end, encode_job, line_cap_error, parse_reply};
+use gencache_serve::{
+    Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, Span, CHUNKS_IN_FLIGHT,
+    CHUNK_BYTES, MAX_INGEST_BYTES,
+};
 use gencache_workloads::Suite;
 use serde::Value;
 
@@ -181,7 +185,8 @@ fn concurrent_clients_match_offline_simulate_byte_for_byte() {
     };
     assert_eq!(counter(&doc, "jobs_completed"), 5);
     assert_eq!(counter(&doc, "jobs_failed"), 0);
-    assert!(counter(&doc, "bytes_ingested") >= 5 * export.len() as u64);
+    let upload = export.len() + encode_end(export.lines().count() as u64).len() + 1;
+    assert_eq!(counter(&doc, "bytes_ingested"), 5 * upload as u64);
 }
 
 #[test]
@@ -794,5 +799,286 @@ fn idle_connection_times_out_instead_of_wedging() {
     );
     drop(stream);
     // And the daemon is still healthy.
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+}
+
+/// Sends `writes` to the daemon as separate socket writes, `pause`
+/// apart, closes the write side, and returns the parsed reply frame.
+fn raw_exchange(addr: &str, writes: &[&[u8]], pause: Duration) -> Reply {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    for (i, bytes) in writes.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(pause);
+        }
+        writer.write_all(bytes).unwrap();
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    parse_reply(line.trim_end()).unwrap()
+}
+
+/// The error offline ingest reports for `lines`, as the daemon's worker
+/// would on the same upload.
+fn offline_ingest_error(lines: &[&str]) -> String {
+    let mut ingest = StreamIngest::new();
+    lines
+        .iter()
+        .find_map(|line| ingest.push_line(line).err())
+        .expect("the lines hold a bad one")
+}
+
+fn stats_doc(server: &TestServer) -> String {
+    let Reply::Stats { doc } = server.client().stats().unwrap() else {
+        panic!("stats request failed");
+    };
+    doc
+}
+
+#[test]
+fn ingest_memory_is_bounded_in_bytes_not_lines() {
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let hold = {
+        let addr = server.addr.clone();
+        std::thread::spawn(move || Client::new(addr).ping(1500))
+    };
+    server.wait_stats(
+        |doc| counter(doc, "jobs_accepted") >= 1 && counter(doc, "queue_depth") == 0,
+        "worker to pick up the held ping",
+    );
+
+    // A few hundred 100 KiB whitespace-only lines queued behind the held
+    // worker: nothing is ingested, so the connection thread may only read
+    // as far ahead as the chunk window lets it.
+    let lines = 256u64;
+    let blank = format!("{}\n", " ".repeat(100 * 1024));
+    let uploader = {
+        let addr = server.addr.clone();
+        let blank = blank.clone();
+        std::thread::spawn(move || {
+            let stream = TcpStream::connect(&addr).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            writeln!(writer, "{}", encode_job(&JobSpec::default())).unwrap();
+            for _ in 0..lines {
+                writer.write_all(blank.as_bytes()).unwrap();
+            }
+            writeln!(writer, "{}", encode_end(lines)).unwrap();
+            let mut reply = String::new();
+            BufReader::new(stream).read_line(&mut reply).unwrap();
+            reply
+        })
+    };
+    // Each line is a chunk by itself: the queued chunks, the one the
+    // connection thread is blocked sending and at most one more line are
+    // all it may have read.
+    let line_bytes = blank.len() as u64;
+    let window = (CHUNKS_IN_FLIGHT + 2) as u64 * line_bytes;
+    assert!(window <= MAX_INGEST_BYTES as u64);
+    server.wait_stats(
+        |doc| counter(doc, "bytes_ingested") >= window - line_bytes,
+        "the upload to fill the chunk window",
+    );
+    for _ in 0..20 {
+        let ingested = counter(&stats_doc(&server), "bytes_ingested");
+        assert!(
+            ingested <= window,
+            "read {ingested} bytes ahead of a held worker; the chunk window is {window}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    assert!(matches!(hold.join().unwrap(), Ok(Reply::Pong)));
+    // Blank lines alone are no export, so the job itself fails; what
+    // matters is that the whole upload went through and was answered.
+    let reply = uploader.join().unwrap();
+    assert!(reply.contains("\"error\""), "got {reply}");
+    assert_eq!(
+        counter(&stats_doc(&server), "bytes_ingested"),
+        lines * blank.len() as u64 + encode_end(lines).len() as u64 + 1
+    );
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+    let export = export();
+    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+        Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
+        other => panic!("expected result, got {other:?}"),
+    }
+}
+
+#[test]
+fn chunk_boundaries_keep_served_docs_byte_identical() {
+    let export = export();
+    assert!(
+        export.len() > 3 * CHUNK_BYTES + 64,
+        "the export must span several chunks"
+    );
+    let expected = offline_doc(export, &[], false, false);
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+
+    let header = format!("{}\n", encode_job(&JobSpec::default()));
+    let framed = |body: &str, lines: usize| format!("{header}{body}{}\n", encode_end(lines as u64));
+    let upload = framed(export, export.lines().count());
+    // The export again with blank and whitespace-only lines between its
+    // lines and some CRLF endings: blank lines count toward `end` but
+    // ingest to nothing.
+    let mut padded = String::new();
+    let mut padded_lines = 0;
+    for (i, line) in export.lines().enumerate() {
+        padded.push_str(line);
+        padded.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+        padded_lines += 1;
+        if i % 5 == 0 {
+            padded.push('\n');
+            padded_lines += 1;
+        }
+        if i % 7 == 0 {
+            padded.push_str(" \t \n");
+            padded_lines += 1;
+        }
+    }
+    let padded = framed(&padded, padded_lines);
+
+    let bytes = upload.as_bytes();
+    // Writes that cut lines mid-way at 64 KiB - 1, + 1 and exactly.
+    let (a, rest) = bytes.split_at(CHUNK_BYTES - 1);
+    let (b, rest) = rest.split_at(CHUNK_BYTES + 1);
+    let (c, rest) = rest.split_at(CHUNK_BYTES);
+    let straddled: Vec<&[u8]> = vec![a, b, c, rest];
+    // A prefix trickled one byte per write, then the rest at once.
+    let (prefix, tail) = bytes.split_at(2000);
+    let mut trickled: Vec<&[u8]> = prefix.chunks(1).collect();
+    trickled.push(tail);
+    let cases = [
+        ("one write", vec![bytes], Duration::ZERO),
+        ("straddled writes", straddled, Duration::from_millis(20)),
+        ("trickled prefix", trickled, Duration::ZERO),
+        ("blank lines", vec![padded.as_bytes()], Duration::ZERO),
+    ];
+    // Every byte after the job frame is counted, exactly.
+    let mut ingested = 0u64;
+    for (name, writes, pause) in cases {
+        match raw_exchange(&server.addr, &writes, pause) {
+            Reply::Result { doc, .. } => assert_eq!(doc, expected, "{name}: diverged"),
+            other => panic!("{name}: expected result, got {other:?}"),
+        }
+        let sent: usize = writes.iter().map(|w| w.len()).sum();
+        ingested += (sent - header.len()) as u64;
+        assert_eq!(
+            counter(&stats_doc(&server), "bytes_ingested"),
+            ingested,
+            "{name}: byte count"
+        );
+    }
+}
+
+#[test]
+fn upload_errors_keep_their_texts_and_order() {
+    let export = export();
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        ..ServerConfig::default()
+    });
+    let header = format!("{}\n", encode_job(&JobSpec::default()));
+    let head: Vec<&str> = export.lines().take(3).collect();
+    let expect_error = |upload: &str, want: &str| {
+        match raw_exchange(&server.addr, &[upload.as_bytes()], Duration::ZERO) {
+            Reply::Error { message } => assert_eq!(message, want),
+            other => panic!("expected error {want:?}, got {other:?}"),
+        }
+    };
+
+    // A malformed line inside a chunk, then more lines and EOF: the
+    // worker reports the bad line, not the missing end frame.
+    let bad = "{this is not json";
+    let mut lines = head.clone();
+    lines.push(bad);
+    lines.extend(export.lines().skip(3).take(2));
+    let upload: String = std::iter::once(header.clone())
+        .chain(lines.iter().map(|l| format!("{l}\n")))
+        .collect();
+    expect_error(&upload, &offline_ingest_error(&lines));
+
+    // An end frame whose count disagrees with the lines that arrived.
+    let body: String = head.iter().map(|l| format!("{l}\n")).collect();
+    let upload = format!("{header}{body}{}\n", encode_end(9999));
+    expect_error(
+        &upload,
+        "upload truncated: client sent 9999 export lines, received 3",
+    );
+    // Cut off before any end frame.
+    expect_error(&format!("{header}{body}"), "connection closed mid-upload");
+
+    // An oversize line after valid ones: the cap error, counted once.
+    let upload = format!("{header}{body}{}\n", "x".repeat(2 << 20));
+    expect_error(&upload, &line_cap_error());
+    assert_eq!(counter(&stats_doc(&server), "lines_rejected"), 1);
+
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+        Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
+        other => panic!("expected result, got {other:?}"),
+    }
+}
+
+#[test]
+fn deadline_during_ingest_is_answered_before_the_read_timeout() {
+    let export = export();
+    let read_timeout = Duration::from_secs(5);
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        read_timeout,
+        ..ServerConfig::default()
+    });
+    let trace_id = "dead1e55dead1e55";
+    let spec = JobSpec {
+        trace_id: Some(trace_id.to_string()),
+        deadline_ms: Some(200),
+        ..JobSpec::default()
+    };
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(2 * read_timeout)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut lines = export.lines();
+    writeln!(writer, "{}", encode_job(&spec)).unwrap();
+    for line in lines.by_ref().take(3) {
+        writeln!(writer, "{line}").unwrap();
+    }
+    // Past the deadline, two more lines and no end frame: the worker
+    // must see the first of them (it is not held back for a fuller
+    // chunk), fail the job, and the second lets the connection thread
+    // notice and answer.
+    std::thread::sleep(Duration::from_millis(400));
+    let sent = Instant::now();
+    for line in lines.take(2) {
+        writeln!(writer, "{line}").unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(
+        sent.elapsed() < read_timeout / 2,
+        "answered after {:?}, near the {read_timeout:?} read timeout",
+        sent.elapsed()
+    );
+    match parse_reply(reply.trim_end()) {
+        Ok(Reply::Error { message }) => assert_eq!(message, "deadline exceeded during ingest"),
+        other => panic!("expected a deadline error, got {other:?}"),
+    }
+    drop(writer);
+    let spans = trace_spans(&server.client(), trace_id);
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.stage == "ingest" && s.outcome == "error: deadline exceeded during ingest"),
+        "ingest span must carry the deadline outcome: {spans:?}"
+    );
     assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
 }

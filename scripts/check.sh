@@ -182,6 +182,15 @@ cmp "$sim_metrics" "$serve_metrics" \
 ./target/release/gencache-client stats --addr "$addr" \
   | grep -q '"jobs_completed":1' \
   || { echo "stats did not report the completed job"; exit 1; }
+# Every upload byte after the job frame is counted: the export itself
+# plus the end frame and its newline.
+events_lines=$(( $(wc -l < "$events") ))
+end_frame="{\"type\":\"end\",\"lines\":$events_lines}"
+want_bytes=$(( $(wc -c < "$events") + ${#end_frame} + 1 ))
+./target/release/gencache-client stats --addr "$addr" \
+  | grep -qE "\"bytes_ingested\":$want_bytes[,}]" \
+  || { echo "stats did not count the upload's $want_bytes bytes exactly"; \
+       ./target/release/gencache-client stats --addr "$addr"; exit 1; }
 ./target/release/gencache-client metrics --addr "$addr" \
   | grep -qx 'gencache_jobs_completed_total 1' \
   || { echo "metrics did not report the completed job"; exit 1; }
