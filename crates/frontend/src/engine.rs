@@ -18,7 +18,9 @@
 //!    Executing a block that *diverges* from the trace body is a trace
 //!    exit, making the divergent block a new trace-head candidate.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gencache_cache::TraceId;
 use gencache_program::{Addr, ModuleId, ProgramImage, Time, TRACE_CREATION_THRESHOLD};
@@ -102,25 +104,85 @@ struct TraceGen {
     module: ModuleId,
 }
 
+/// Multiply-fold hashing for the engine's `Addr` keys: one 64×64→128-bit
+/// multiply by a fixed odd constant, high and low halves xored so every
+/// input bit reaches the low bits the table indexes by. Not collision
+/// resistant; every key comes from the planner's own program image.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What the image says about a block, cached when it enters the
+/// basic-block cache.
+#[derive(Debug, Clone, Copy)]
+struct BlockFacts {
+    size: u32,
+    /// Target of the block's backward branch, if it ends in one.
+    backward_target: Option<Addr>,
+}
+
+impl BlockFacts {
+    /// Reads a block's facts from `image`; `None` for unmapped code.
+    fn of(image: &ProgramImage, addr: Addr) -> Option<BlockFacts> {
+        let block = image.block_at(addr)?;
+        let backward_target = block.ends_in_backward_branch().then(|| {
+            block
+                .terminator()
+                .direct_target()
+                .expect("backward has target")
+        });
+        Some(BlockFacts {
+            size: block.size_bytes(),
+            backward_target,
+        })
+    }
+}
+
+/// Everything the engine knows about one block address.
+#[derive(Debug, Default)]
+struct Slot {
+    /// Set while the block is resident in the basic-block cache.
+    block: Option<BlockFacts>,
+    /// Execution counter, once the address is a trace-head candidate.
+    counter: Option<u32>,
+    /// The live trace headed at this address (one trace per head).
+    trace: Option<TraceId>,
+}
+
 /// The frontend engine. Owns a copy of the program image so it can apply
 /// unmaps as they stream by.
 #[derive(Debug)]
 pub struct Engine {
     image: ProgramImage,
     threshold: u32,
-    /// Blocks resident in the basic-block cache, with their sizes.
-    bb_cache: HashMap<Addr, u32>,
-    /// Trace-head candidates and their execution counters.
-    head_counters: HashMap<Addr, u32>,
-    /// Live traces by head address (one trace per head).
-    traces_by_head: HashMap<Addr, Trace>,
-    /// Live trace ids → head address, for invalidation bookkeeping.
-    heads_by_id: HashMap<TraceId, Addr>,
+    /// Per-address state: bb-cache residency, head counter, live trace.
+    /// An unmap removes every slot in the unmapped range, so cached
+    /// block facts never outlive their module.
+    slots: HashMap<Addr, Slot, BuildHasherDefault<AddrHasher>>,
+    /// Traces by id. The engine allocates ids densely from 0, so the id
+    /// is the index; `None` once invalidated.
+    traces: Vec<Option<Trace>>,
+    live_traces: usize,
     /// Execution position inside a trace body, if any.
     in_trace: Option<(TraceId, usize)>,
     /// Active trace-generation recording, if any.
     generating: Option<TraceGen>,
-    next_trace_id: u64,
     stats: FrontendStats,
 }
 
@@ -142,13 +204,11 @@ impl Engine {
         Engine {
             image,
             threshold,
-            bb_cache: HashMap::new(),
-            head_counters: HashMap::new(),
-            traces_by_head: HashMap::new(),
-            heads_by_id: HashMap::new(),
+            slots: HashMap::default(),
+            traces: Vec::new(),
+            live_traces: 0,
             in_trace: None,
             generating: None,
-            next_trace_id: 0,
             stats: FrontendStats::default(),
         }
     }
@@ -160,14 +220,13 @@ impl Engine {
 
     /// The number of live traces.
     pub fn live_trace_count(&self) -> usize {
-        self.traces_by_head.len()
+        self.live_traces
     }
 
     /// Looks up a live trace by id.
     pub fn trace(&self, id: TraceId) -> Option<&Trace> {
-        self.heads_by_id
-            .get(&id)
-            .and_then(|head| self.traces_by_head.get(head))
+        let index = usize::try_from(id.as_u64()).ok()?;
+        self.traces.get(index)?.as_ref()
     }
 
     /// Processes one workload event, reporting frontend events to `sink`.
@@ -193,8 +252,7 @@ impl Engine {
 
         // --- Execution inside an existing trace. ------------------------
         if let Some((tid, pos)) = self.in_trace {
-            let head = self.heads_by_id[&tid];
-            let body = self.traces_by_head[&head].body();
+            let body = self.trace(tid).expect("in_trace names a live trace").body();
             if pos < body.len() && body[pos] == addr {
                 let next = pos + 1;
                 self.in_trace = if next < body.len() {
@@ -208,7 +266,7 @@ impl Engine {
             // trace-head candidate (Section 4.1, rule (b)).
             self.in_trace = None;
             self.stats.trace_exits += 1;
-            self.head_counters.entry(addr).or_insert(0);
+            self.slots.entry(addr).or_default().counter.get_or_insert(0);
         }
 
         self.dispatch(addr, now, sink);
@@ -216,10 +274,25 @@ impl Engine {
 
     /// Normal dispatch of a block outside any trace context.
     fn dispatch(&mut self, addr: Addr, now: Time, sink: &mut impl FnMut(FrontendEvent)) {
+        let (slot, read) = match self.slots.entry(addr) {
+            Entry::Occupied(e) => (e.into_mut(), None),
+            Entry::Vacant(e) => {
+                // Executed code in an unmapped region: the workload never
+                // does this by construction; ignore defensively.
+                let Some(facts) = BlockFacts::of(&self.image, addr) else {
+                    return;
+                };
+                (e.insert(Slot::default()), Some(facts))
+            }
+        };
+
         // Entering an existing trace?
-        if let Some(trace) = self.traces_by_head.get(&addr) {
-            let tid = trace.id();
-            let len = trace.body().len();
+        if let Some(tid) = slot.trace {
+            let len = self.traces[tid.as_u64() as usize]
+                .as_ref()
+                .expect("slot traces are live")
+                .body()
+                .len();
             self.stats.trace_accesses += 1;
             self.stats.context_switches += 2; // dispatcher → trace → back
             self.in_trace = if len > 1 { Some((tid, 1)) } else { None };
@@ -227,47 +300,47 @@ impl Engine {
             return;
         }
 
-        let Some(block) = self.image.block_at(addr) else {
-            // Executed code in an unmapped region: the workload never does
-            // this by construction; ignore defensively.
-            return;
-        };
-        let size = block.size_bytes();
-        let backward_target = block.ends_in_backward_branch().then(|| {
-            block
-                .terminator()
-                .direct_target()
-                .expect("backward has target")
-        });
-
         // Copy into the basic-block cache on first execution.
-        if let std::collections::hash_map::Entry::Vacant(e) = self.bb_cache.entry(addr) {
-            e.insert(size);
-            self.stats.bb_blocks += 1;
-            self.stats.bb_bytes += u64::from(size);
-            self.stats.footprint_bytes += u64::from(size);
-            self.update_peak();
-        }
+        let facts = match slot.block {
+            Some(facts) => facts,
+            None => {
+                let Some(facts) = read.or_else(|| BlockFacts::of(&self.image, addr)) else {
+                    return; // a head candidate in unmapped code
+                };
+                slot.block = Some(facts);
+                self.stats.bb_blocks += 1;
+                self.stats.bb_bytes += u64::from(facts.size);
+                self.stats.footprint_bytes += u64::from(facts.size);
+                self.stats.update_peak();
+                facts
+            }
+        };
 
         // A backward branch marks its target as a trace-head candidate
-        // (Section 4.1, rule (a)).
-        if let Some(target) = backward_target {
-            self.head_counters.entry(target).or_insert(0);
+        // (Section 4.1, rule (a)); then count executions of candidates.
+        if facts.backward_target == Some(addr) {
+            slot.counter.get_or_insert(0);
         }
-
-        // Count executions of trace-head candidates and fire generation.
-        if let Some(counter) = self.head_counters.get_mut(&addr) {
+        let fire = slot.counter.as_mut().is_some_and(|counter| {
             *counter += 1;
-            if *counter >= self.threshold && !self.traces_by_head.contains_key(&addr) {
-                self.begin_generation(addr, size, now, sink);
-            }
+            *counter >= self.threshold
+        });
+        if let Some(target) = facts.backward_target.filter(|&t| t != addr) {
+            self.slots
+                .entry(target)
+                .or_default()
+                .counter
+                .get_or_insert(0);
+        }
+        if fire {
+            self.begin_generation(addr, facts, now, sink);
         }
     }
 
     fn begin_generation(
         &mut self,
         head: Addr,
-        head_size: u32,
+        facts: BlockFacts,
         now: Time,
         sink: &mut impl FnMut(FrontendEvent),
     ) {
@@ -276,62 +349,64 @@ impl Engine {
             .module_containing(head)
             .expect("head resolved above")
             .id();
-        let head_block = self.image.block_at(head).expect("head resolved above");
-        let ends_backward = head_block.ends_in_backward_branch();
         self.generating = Some(TraceGen {
             head,
             body: vec![head],
-            size_bytes: head_size,
+            size_bytes: facts.size,
             module,
         });
         // A one-block loop terminates generation immediately.
-        if ends_backward {
+        if facts.backward_target.is_some() {
             self.finish_generation(now, sink);
         }
     }
 
     fn extend_generation(&mut self, addr: Addr, now: Time, sink: &mut impl FnMut(FrontendEvent)) {
         let generating = self.generating.as_ref().expect("checked by caller");
+        let (heads_trace, cached) = self
+            .slots
+            .get(&addr)
+            .map_or((false, None), |s| (s.trace.is_some(), s.block));
 
         // Stop condition: reached the start of an existing trace, or
         // wrapped around to the head being generated.
-        if self.traces_by_head.contains_key(&addr) || addr == generating.head {
+        if heads_trace || addr == generating.head {
             self.finish_generation(now, sink);
             // The block still executes normally (it may be a trace access).
             self.dispatch(addr, now, sink);
             return;
         }
 
-        let Some(block) = self.image.block_at(addr) else {
-            self.finish_generation(now, sink);
-            return;
-        };
-        let size = block.size_bytes();
-        let ends_backward = block.ends_in_backward_branch();
-
         // The tail block also belongs in the basic-block cache.
-        if let std::collections::hash_map::Entry::Vacant(e) = self.bb_cache.entry(addr) {
-            e.insert(size);
-            self.stats.bb_blocks += 1;
-            self.stats.bb_bytes += u64::from(size);
-            self.stats.footprint_bytes += u64::from(size);
-        }
+        let facts = match cached {
+            Some(facts) => facts,
+            None => {
+                let Some(facts) = BlockFacts::of(&self.image, addr) else {
+                    self.finish_generation(now, sink);
+                    return;
+                };
+                self.slots.entry(addr).or_default().block = Some(facts);
+                self.stats.bb_blocks += 1;
+                self.stats.bb_bytes += u64::from(facts.size);
+                self.stats.footprint_bytes += u64::from(facts.size);
+                facts
+            }
+        };
 
         let generating = self.generating.as_mut().expect("checked by caller");
         generating.body.push(addr);
-        generating.size_bytes += size;
+        generating.size_bytes += facts.size;
         let full = generating.body.len() >= MAX_TRACE_BLOCKS;
 
         // Stop condition: a backward branch ends the trace (rule (a)).
-        if ends_backward || full {
+        if facts.backward_target.is_some() || full {
             self.finish_generation(now, sink);
         }
     }
 
     fn finish_generation(&mut self, now: Time, sink: &mut impl FnMut(FrontendEvent)) {
         let generating = self.generating.take().expect("generation active");
-        let id = TraceId::new(self.next_trace_id);
-        self.next_trace_id += 1;
+        let id = TraceId::new(self.traces.len() as u64);
         let trace = Trace::new(
             id,
             generating.head,
@@ -343,9 +418,10 @@ impl Engine {
         self.stats.traces_created += 1;
         self.stats.trace_bytes_created += u64::from(trace.size_bytes());
         self.stats.live_trace_bytes += u64::from(trace.size_bytes());
-        self.update_peak();
-        self.heads_by_id.insert(id, trace.head());
-        self.traces_by_head.insert(trace.head(), trace.clone());
+        self.stats.update_peak();
+        self.slots.entry(trace.head()).or_default().trace = Some(id);
+        self.traces.push(Some(trace.clone()));
+        self.live_traces += 1;
         sink(FrontendEvent::TraceCreated { trace });
     }
 
@@ -354,39 +430,36 @@ impl Engine {
             return; // unknown or already unloaded: nothing to invalidate
         };
 
-        // Drop stale basic blocks (their bytes leave the bb cache but stay
-        // in the cumulative footprint).
-        self.bb_cache.retain(|addr, size| {
-            if range.contains(*addr) {
-                self.stats.bb_bytes -= u64::from(*size);
-                false
-            } else {
-                true
-            }
-        });
-        self.head_counters.retain(|addr, _| !range.contains(*addr));
-
-        // Invalidate traces whose head lies in the unmapped range. (The
-        // workload planner only builds intra-module control flow, so a
-        // trace's body blocks always share the head's module.)
+        // Drop every slot in the range: stale basic blocks (their bytes
+        // leave the bb cache but stay in the cumulative footprint), head
+        // counters, and the traces headed there. (The workload planner
+        // only builds intra-module control flow, so a trace's body blocks
+        // always share the head's module.)
         let mut ids = Vec::new();
-        self.traces_by_head.retain(|head, trace| {
-            if range.contains(*head) {
-                ids.push(trace.id());
-                self.stats.traces_invalidated += 1;
-                self.stats.trace_bytes_invalidated += u64::from(trace.size_bytes());
-                self.stats.live_trace_bytes -= u64::from(trace.size_bytes());
-                false
-            } else {
-                true
+        let stats = &mut self.stats;
+        let traces = &mut self.traces;
+        self.slots.retain(|addr, slot| {
+            if !range.contains(*addr) {
+                return true;
             }
+            if let Some(facts) = slot.block {
+                stats.bb_bytes -= u64::from(facts.size);
+            }
+            if let Some(id) = slot.trace {
+                let trace = traces[id.as_u64() as usize]
+                    .take()
+                    .expect("slot traces are live");
+                ids.push(id);
+                stats.traces_invalidated += 1;
+                stats.trace_bytes_invalidated += u64::from(trace.size_bytes());
+                stats.live_trace_bytes -= u64::from(trace.size_bytes());
+            }
+            false
         });
-        // HashMap iteration order is instance-specific; sort so the
-        // invalidation event (and thus the recorded log) is deterministic.
+        self.live_traces -= ids.len();
+        // Slot iteration order is arbitrary; sort so the invalidation
+        // event (and thus the recorded log) is deterministic.
         ids.sort_unstable();
-        for id in &ids {
-            self.heads_by_id.remove(id);
-        }
         if let Some((tid, _)) = self.in_trace {
             if ids.contains(&tid) {
                 self.in_trace = None;
@@ -401,14 +474,16 @@ impl Engine {
             sink(FrontendEvent::TracesInvalidated { ids, time: now });
         }
     }
+}
 
+impl FrontendStats {
     fn update_peak(&mut self) {
-        let current = self.stats.bb_bytes + self.stats.live_trace_bytes;
-        if current > self.stats.peak_cache_bytes {
-            self.stats.peak_cache_bytes = current;
+        let current = self.bb_bytes + self.live_trace_bytes;
+        if current > self.peak_cache_bytes {
+            self.peak_cache_bytes = current;
         }
-        if self.stats.live_trace_bytes > self.stats.peak_trace_bytes {
-            self.stats.peak_trace_bytes = self.stats.live_trace_bytes;
+        if self.live_trace_bytes > self.peak_trace_bytes {
+            self.peak_trace_bytes = self.live_trace_bytes;
         }
     }
 }
@@ -704,6 +779,188 @@ mod tests {
         let t1 = engine.trace(TraceId::new(1)).unwrap();
         assert_eq!(t0.head(), r1.head);
         assert_eq!(t1.head(), r2.head);
+    }
+
+    /// An executable loop plus a loop in `x.dll` (module 1).
+    fn exe_and_dll_image() -> (ProgramImage, Region, Region) {
+        let mut exe = ModuleBuilder::new(
+            ModuleId::new(0),
+            "t.exe",
+            ModuleKind::Executable,
+            Addr::new(0x1000),
+            64 * 1024,
+        );
+        let exe_loop = exe.add_loop(&[20, 26]).unwrap();
+        let mut dll = ModuleBuilder::new(
+            ModuleId::new(1),
+            "x.dll",
+            ModuleKind::SharedLibrary,
+            Addr::new(0x10_0000),
+            64 * 1024,
+        );
+        let dll_loop = dll.add_loop(&[20, 20, 26]).unwrap();
+        let mut image = ProgramImage::new();
+        image.map(exe.finish()).unwrap();
+        image.map(dll.finish()).unwrap();
+        (image, exe_loop, dll_loop)
+    }
+
+    fn exec(engine: &mut Engine, addr: Addr, t: u64) -> Vec<FrontendEvent> {
+        let mut events = Vec::new();
+        engine.on_event(
+            TimedEvent::new(Time::from_micros(t), WorkloadEvent::Exec { addr }),
+            &mut |e| events.push(e),
+        );
+        events
+    }
+
+    fn unload_dll(engine: &mut Engine, t: u64) -> Vec<FrontendEvent> {
+        let mut events = Vec::new();
+        engine.on_event(
+            TimedEvent::new(
+                Time::from_micros(t),
+                WorkloadEvent::Unload {
+                    module: ModuleId::new(1),
+                },
+            ),
+            &mut |e| events.push(e),
+        );
+        events
+    }
+
+    #[test]
+    fn unload_while_executing_inside_a_trace() {
+        let (image, exe_loop, dll_loop) = exe_and_dll_image();
+        let mut engine = Engine::with_threshold(image, 5);
+        run_loop(&mut engine, &dll_loop, 10, 0);
+        let tid = TraceId::new(0);
+        assert_eq!(engine.trace(tid).unwrap().head(), dll_loop.head);
+
+        // Enter the trace at its head; execution now sits at body[1].
+        let entered = exec(&mut engine, dll_loop.head, 100);
+        assert!(matches!(entered[..], [FrontendEvent::TraceAccess { id, .. }] if id == tid));
+        assert_eq!(engine.in_trace, Some((tid, 1)));
+
+        let out = unload_dll(&mut engine, 101);
+        assert!(
+            matches!(&out[..], [FrontendEvent::TracesInvalidated { ids, .. }] if ids == &[tid])
+        );
+        assert_eq!(engine.in_trace, None);
+        assert!(engine.trace(tid).is_none());
+        assert_eq!(engine.live_trace_count(), 0);
+        assert!(engine.slots.keys().all(|a| a.as_u64() < 0x10_0000));
+
+        // The next body block is gone with its module: no trace exit,
+        // no slot.
+        let exits = engine.stats().trace_exits;
+        assert!(exec(&mut engine, dll_loop.path(0)[1], 102).is_empty());
+        assert_eq!(engine.stats().trace_exits, exits);
+
+        // Other code still traces, under the next id.
+        let events = run_loop(&mut engine, &exe_loop, 10, 200);
+        let created = events.iter().find_map(|e| match e {
+            FrontendEvent::TraceCreated { trace } => Some(trace.id()),
+            _ => None,
+        });
+        assert_eq!(created, Some(TraceId::new(1)));
+        assert_eq!(engine.live_trace_count(), 1);
+    }
+
+    #[test]
+    fn unload_while_generating_a_trace_in_the_module() {
+        let (image, exe_loop, dll_loop) = exe_and_dll_image();
+        let mut engine = Engine::with_threshold(image, 5);
+        let mut t = 0;
+        'run: for _ in 0..10 {
+            for &addr in dll_loop.path(0) {
+                assert!(exec(&mut engine, addr, t).is_empty());
+                t += 1;
+                if engine.generating.is_some() {
+                    break 'run;
+                }
+            }
+        }
+        assert!(engine.generating.is_some(), "generation began at the head");
+        // Record one tail block, then unmap the module under it.
+        assert!(exec(&mut engine, dll_loop.path(0)[1], t).is_empty());
+        assert!(
+            unload_dll(&mut engine, t + 1).is_empty(),
+            "no trace to invalidate"
+        );
+        assert!(engine.generating.is_none());
+        assert_eq!(engine.stats().traces_created, 0);
+        assert_eq!(engine.stats().bb_bytes, 0);
+        assert_eq!(engine.stats().footprint_bytes, 66);
+        assert!(engine.slots.is_empty());
+
+        // The abandoned recording took no id.
+        run_loop(&mut engine, &exe_loop, 10, 1000);
+        assert_eq!(engine.trace(TraceId::new(0)).unwrap().head(), exe_loop.head);
+        assert_eq!(engine.live_trace_count(), 1);
+    }
+
+    #[test]
+    fn executing_unloaded_code_is_ignored() {
+        let (image, exe_loop, dll_loop) = exe_and_dll_image();
+        let mut engine = Engine::with_threshold(image, 5);
+        run_loop(&mut engine, &exe_loop, 10, 0);
+        run_loop(&mut engine, &dll_loop, 10, 100);
+        unload_dll(&mut engine, 200);
+
+        let slots = engine.slots.len();
+        let traces = engine.traces.len();
+        let live = engine.live_trace_count();
+        let before = *engine.stats();
+        for (i, &addr) in dll_loop.path(0).iter().enumerate() {
+            assert!(exec(&mut engine, addr, 300 + i as u64).is_empty());
+        }
+        assert_eq!(engine.slots.len(), slots);
+        assert_eq!(engine.traces.len(), traces);
+        assert_eq!(engine.live_trace_count(), live);
+        let mut after = *engine.stats();
+        assert_eq!(after.exec_events, before.exec_events + 3);
+        after.exec_events = before.exec_events;
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn backward_target_counter_precedes_first_execution() {
+        let (image, region) = loop_image(&[20, 20, 26]);
+        let mut engine = Engine::with_threshold(image, 3);
+        let [b0, b1, b2] = region.path(0) else {
+            panic!("three-block loop");
+        };
+        // Enter the loop mid-body: b2's backward branch names b0 a head
+        // candidate before b0 has ever executed.
+        exec(&mut engine, *b1, 0);
+        exec(&mut engine, *b2, 1);
+        let head = &engine.slots[b0];
+        assert_eq!(head.counter, Some(0));
+        assert!(head.block.is_none() && head.trace.is_none());
+        assert_eq!(engine.stats().bb_blocks, 2);
+
+        // Its first execution both caches the block and counts it.
+        exec(&mut engine, *b0, 2);
+        let head = &engine.slots[b0];
+        assert_eq!(head.counter, Some(1));
+        assert_eq!(head.block.map(|f| f.size), Some(20));
+        assert_eq!(engine.stats().bb_blocks, 3);
+        assert_eq!(engine.stats().bb_bytes, 66);
+        assert_eq!(engine.stats().peak_cache_bytes, 66);
+
+        // Two more iterations reach the threshold of 3; the third
+        // records the trace.
+        let mut t = 3;
+        for _ in 0..3 {
+            for &addr in &[*b1, *b2, *b0] {
+                exec(&mut engine, addr, t);
+                t += 1;
+            }
+        }
+        let trace = engine.trace(TraceId::new(0)).expect("trace created");
+        assert_eq!(trace.head(), *b0);
+        assert_eq!(trace.body(), &[*b0, *b1, *b2]);
+        assert_eq!(engine.slots[b0].trace, Some(TraceId::new(0)));
     }
 
     #[test]

@@ -564,10 +564,17 @@ fn handle_job(
     // take it past CHUNK_BYTES, once the read buffer is drained (so a
     // trickling client's lines are as prompt as its writes), and before
     // the closing item (so the worker sees every line ahead of the end
-    // or the failure).
+    // or the failure). Before blocking on a drained buffer, a passed
+    // deadline stops the reading: the worker fails the job as soon as
+    // it receives the closing item, without the client's next write.
     let mut buf = Vec::new();
     let mut chunk = String::with_capacity(CHUNK_BYTES);
     let last = loop {
+        if reader.buffer().is_empty() && deadline.is_some_and(|d| admitted.elapsed() >= d) {
+            break Some(IngestItem::Abort(
+                "deadline exceeded during ingest".to_string(),
+            ));
+        }
         let item = match read_line_capped(reader, &mut buf) {
             Ok(CappedLine::Eof) => IngestItem::Abort("connection closed mid-upload".to_string()),
             Ok(CappedLine::TooLong) => {

@@ -1029,6 +1029,23 @@ fn upload_errors_keep_their_texts_and_order() {
 
 #[test]
 fn deadline_during_ingest_is_answered_before_the_read_timeout() {
+    // Past the deadline, two more lines and no end frame: the worker
+    // must see the first of them (it is not held back for a fuller
+    // chunk) and fail the job.
+    deadline_passes_before_late_lines(2);
+}
+
+#[test]
+fn deadline_passed_before_a_single_late_line_is_answered_at_once() {
+    // One line and then silence: the connection thread must stop
+    // reading instead of waiting for a next line that never comes.
+    deadline_passes_before_late_lines(1);
+}
+
+/// Uploads three lines, sleeps past a 200 ms deadline, sends `late`
+/// more lines 100 ms apart with no end frame, and expects the deadline
+/// error well before the 5 s read timeout.
+fn deadline_passes_before_late_lines(late: usize) {
     let export = export();
     let read_timeout = Duration::from_secs(5);
     let server = TestServer::start(ServerConfig {
@@ -1051,13 +1068,9 @@ fn deadline_during_ingest_is_answered_before_the_read_timeout() {
     for line in lines.by_ref().take(3) {
         writeln!(writer, "{line}").unwrap();
     }
-    // Past the deadline, two more lines and no end frame: the worker
-    // must see the first of them (it is not held back for a fuller
-    // chunk), fail the job, and the second lets the connection thread
-    // notice and answer.
     std::thread::sleep(Duration::from_millis(400));
     let sent = Instant::now();
-    for line in lines.take(2) {
+    for line in lines.take(late) {
         writeln!(writer, "{line}").unwrap();
         std::thread::sleep(Duration::from_millis(100));
     }

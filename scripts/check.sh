@@ -21,6 +21,17 @@ cargo test --doc -q
 echo "=== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== record-suite smoke: recording and export match the committed seed-0 digest"
+mkdir -p target/tmp
+record_err="target/tmp/check-record-suite.err"
+record_last="$(cargo run --release --offline -q -p gencache-perf -- \
+  run --workload record-suite --seconds 1 2> "$record_err" | tail -n 1)" \
+  || { echo "record-suite run failed"; cat "$record_err"; exit 1; }
+case "$record_last" in
+  *'"correct":true'*) rm -f "$record_err" ;;
+  *) echo "record-suite run was not correct: $record_last"; cat "$record_err"; exit 1 ;;
+esac
+
 echo "=== explain smoke: event export round-trips through serde"
 mkdir -p target/tmp
 events="target/tmp/check-events.jsonl"
