@@ -36,8 +36,7 @@ use gencache_obs::{
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
 use gencache_sim::{
-    collect_events, parse_spec, record, replay_sim_observed, simulate_switches, ModelSpec,
-    ReplayResult, SimSpec,
+    parse_spec, record, replay_into, replay_observed, replay_spec, ReplayResult, SimSpec,
 };
 use gencache_workloads::{benchmark, WorkloadProfile};
 
@@ -835,8 +834,8 @@ fn main() -> ExitCode {
     // replay of this log reconstructs the identical frontend trace, so
     // one next-use index and one Belady floor serve all models.
     let oracle = opts.oracle.then(|| {
-        let (_, events) = collect_events(&run.log, ModelSpec::Unified);
-        let trace = reconstruct_trace(&events).expect("instrumented streams invert");
+        let (_, buffer) = replay_observed(&run.log, SimSpec::Unified, EventBuffer::new());
+        let trace = reconstruct_trace(&buffer.events).expect("instrumented streams invert");
         let index = NextUseIndex::build(&trace);
         let result = oracle_replay(&trace, capacity);
         OracleContext { index, result }
@@ -848,16 +847,16 @@ fn main() -> ExitCode {
         sample_every,
         oracle: oracle.as_ref(),
     };
-    for (label, spec) in export_specs() {
-        let (result, events) = collect_events(&run.log, spec);
-        explain_model(&ctx, label, &result, &events, &opts);
-    }
-    // Extra --spec models ride the same narrative path; adaptive specs
-    // additionally get their controller's decision log narrated.
-    for (label, spec) in &extra_specs {
-        let (result, buffer) = replay_sim_observed(&run.log, *spec, capacity, EventBuffer::new());
-        explain_model(&ctx, label, &result, &buffer.events, &opts);
-        if let Some(report) = simulate_switches(&run.log, *spec, capacity) {
+    // Extra --spec models ride the same narrative path after the
+    // exported ones; adaptive specs additionally get their controller's
+    // decision log narrated, read from the same replay.
+    let exported = export_specs().map(|(label, spec)| (label.to_string(), spec));
+    for (label, spec) in exported.into_iter().chain(extra_specs) {
+        let (result, buffer, switches) = replay_spec(spec, capacity, EventBuffer::new(), |m| {
+            replay_into(&run.log, m)
+        });
+        explain_model(&ctx, &label, &result, &buffer.events, &opts);
+        if let Some(report) = switches {
             render_switches(&report);
         }
     }

@@ -6,7 +6,7 @@
 //! This tool closes that loop offline. It parses a `--events-out`
 //! export back into each benchmark's canonical frontend trace — one
 //! line at a time through the shared bounded-memory
-//! [`StreamIngest`](gencache_bench::ingest::StreamIngest), the same
+//! [`StreamIngest`], the same
 //! layer the `gencache-serve` daemon drives over TCP — then replays
 //! the ordinary machinery against configurations that were never
 //! recorded: any capacity, any nursery/probation/persistent split, any

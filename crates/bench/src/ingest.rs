@@ -36,8 +36,8 @@ use gencache_obs::{
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
 use gencache_sim::{
-    parse_spec, policy_grid, proportion_grid, simulate_cell, trace_to_log, AccessLog,
-    CellSections, ModelSpec, SimSpec, SimulatedSpec, SpecReports,
+    parse_spec, policy_grid, proportion_grid, simulate_cell, trace_to_log, AccessLog, CellSections,
+    SimSpec, SimulatedSpec, SpecReports,
 };
 use serde::Value;
 
@@ -369,20 +369,18 @@ pub fn resolve_sim_specs(labels: &[String], grid: bool) -> Result<Vec<SimSpec>, 
         specs.push(parse_spec(label)?);
     }
     if grid {
-        specs.push(SimSpec::Model(ModelSpec::Unified));
+        specs.push(SimSpec::Unified);
         for proportions in proportion_grid() {
             for policy in policy_grid() {
-                specs.push(SimSpec::Model(ModelSpec::Generational {
+                specs.push(SimSpec::Generational {
                     proportions,
                     policy,
-                }));
+                });
             }
         }
     }
     if specs.is_empty() {
-        for (_, spec) in export_specs() {
-            specs.push(SimSpec::Model(spec));
-        }
+        specs.extend(export_specs().map(|(_, spec)| spec));
     }
     let mut seen = Vec::new();
     specs.retain(|s| {
@@ -506,6 +504,7 @@ pub fn run_sim_job(
         let sections = CellSections {
             sample_every: every,
             phases: input.phases,
+            sampling: None,
             regret: indexes[i]
                 .as_ref()
                 .map(|index| (index, options.regret_top.unwrap_or(TOP_REGRET))),

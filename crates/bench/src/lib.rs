@@ -44,15 +44,16 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
+use gencache_core::CacheModel;
 use gencache_obs::{
-    CostObserver, JsonlSink, MetricsObserver, RunMeta, SamplingObserver, SamplingParams,
-    StreamHeader, METRICS_SCHEMA, METRICS_VERSION,
+    JsonlSink, RunMeta, SamplingParams, StreamHeader, METRICS_SCHEMA, METRICS_VERSION,
 };
 use serde::Value;
 use gencache_sim::par::{par_map, par_map_timed};
 use gencache_sim::{
-    compare_figure9_metered, record, replay_observed, Comparison, ModelSpec, ProgressMeter,
-    RecordedRun, RecorderOptions, SpecReports, StreamedRecording, DEFAULT_STREAM_DEPTH,
+    compare_figure9_metered, record, replay_cell, replay_into, replay_observed, CellSections,
+    Comparison, ProgressMeter, RecordedRun, RecorderOptions, SimSpec, SpecReports,
+    StreamedRecording, DEFAULT_STREAM_DEPTH,
 };
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 
@@ -89,10 +90,11 @@ pub struct HarnessOptions {
     /// Seed for the sampling observer's striding/reservoir decisions.
     pub sample_seed: u64,
     /// Run the record→replay pipeline through the bounded-channel
-    /// streamed path: no benchmark's full [`AccessLog`] is ever
-    /// materialized. Each replay re-records (recording is
-    /// deterministic), trading one extra recording pass per replay for
-    /// peak memory bounded by O(channel depth + model state).
+    /// streamed path: no benchmark's full
+    /// [`AccessLog`](gencache_sim::AccessLog) is ever materialized.
+    /// Each replay re-records (recording is deterministic), trading one
+    /// extra recording pass per replay for peak memory bounded by
+    /// O(channel depth + model state).
     pub stream: bool,
     /// Bounded-channel depth for `--stream` (records in flight);
     /// `None` uses [`DEFAULT_STREAM_DEPTH`].
@@ -349,10 +351,10 @@ pub fn compare_all_streamed(
 
 /// The full record → export → compare pipeline behind every figure
 /// binary, dispatching on `--stream`: the materialized path records each
-/// benchmark's [`AccessLog`] once and replays it in place, while the
-/// streamed path never materializes a log and instead re-records through
-/// a bounded channel for each replay. Both produce bit-identical
-/// comparisons and telemetry artifacts.
+/// benchmark's [`AccessLog`](gencache_sim::AccessLog) once and replays
+/// it in place, while the streamed path never materializes a log and
+/// instead re-records through a bounded channel for each replay. Both
+/// produce bit-identical comparisons and telemetry artifacts.
 pub fn comparison_pipeline(opts: &HarnessOptions) -> Vec<(WorkloadProfile, Comparison)> {
     if opts.stream {
         let recs = record_all_streamed(opts);
@@ -368,10 +370,10 @@ pub fn comparison_pipeline(opts: &HarnessOptions) -> Vec<(WorkloadProfile, Compa
 /// The organizations exported by `--events-out` / `--metrics-out`: the
 /// unified baseline and the paper's best-overall generational layout
 /// (45%–10%–45%, promote on first probation hit).
-pub fn export_specs() -> [(&'static str, ModelSpec); 2] {
+pub fn export_specs() -> [(&'static str, SimSpec); 2] {
     [
-        ("unified", ModelSpec::Unified),
-        ("gen-45-10-45@hit1", ModelSpec::best_generational()),
+        ("unified", SimSpec::Unified),
+        ("gen-45-10-45@hit1", SimSpec::best_generational()),
     ]
 }
 
@@ -551,48 +553,38 @@ pub fn write_metrics_doc(path: &str, doc: Value) -> io::Result<()> {
     file.write_all(b"\n")
 }
 
-/// The observers one exported model's metrics section needs, teed so a
-/// single replay fills them all: exact metrics, phase-bucketed costs,
-/// and (under `--sample`) the bounded-memory sampled report.
-type ExportObserver = ((MetricsObserver, CostObserver), Option<SamplingObserver>);
-
 /// Writes the metrics document for profile-keyed rows (recorded runs or
-/// streamed recordings). `facts` gives a row's access count and duration
-/// in µs; `replay` drives the teed [`ExportObserver`] through one
-/// exported model and hands it back, so each (row, model) cell replays
-/// once.
+/// streamed recordings). `facts` gives a row's access count, duration
+/// in µs and budget; `drive` feeds a row's records to one model, so each
+/// (row, model) cell replays once through [`replay_cell`].
 fn write_export_metrics<T: Sync>(
     path: &str,
     rows: &[(WorkloadProfile, T)],
     opts: &HarnessOptions,
-    facts: impl Fn(&T) -> (u64, u64) + Sync,
-    replay: impl Fn(&T, ModelSpec, ExportObserver) -> ExportObserver + Sync,
+    facts: impl Fn(&T) -> (u64, u64, u64) + Sync,
+    drive: impl Fn(&T, &mut dyn CacheModel) + Sync,
 ) -> io::Result<()> {
     let sampling = opts.sampling_params();
     // Per-benchmark reports fan out across workers; document assembly
     // folds them in input-index order, so the output is bit-identical
     // for every jobs value.
-    let per_bench: Vec<Vec<SpecReports>> = par_map(rows, opts.effective_jobs(), |(profile, row)| {
-        let (accesses, duration_us) = facts(row);
-        let every = sample_interval_for(accesses);
-        export_specs()
-            .iter()
-            .map(|&(_, spec)| {
-                let observer = (
-                    (
-                        MetricsObserver::with_timeline(every),
-                        CostObserver::with_phases(profile.phases.max(1), duration_us),
-                    ),
-                    sampling.map(|p| SamplingObserver::with_timeline(p, every)),
-                );
-                let ((metrics, costs), sampled) = replay(row, spec, observer);
-                SpecReports {
-                    sampled: sampled.map(|s| s.report()),
-                    ..SpecReports::new(metrics.report(), costs.into_report())
-                }
-            })
-            .collect()
-    });
+    let per_bench: Vec<Vec<SpecReports>> =
+        par_map(rows, opts.effective_jobs(), |(profile, row)| {
+            let (accesses, duration_us, capacity) = facts(row);
+            let sections = CellSections {
+                sample_every: sample_interval_for(accesses),
+                phases: profile.phases.max(1),
+                sampling,
+                regret: None,
+                window_width: None,
+            };
+            export_specs()
+                .iter()
+                .map(|&(_, spec)| {
+                    replay_cell(spec, capacity, duration_us, &sections, |m| drive(row, m)).reports
+                })
+                .collect()
+        });
     let labels: Vec<String> = export_specs()
         .iter()
         .map(|&(label, _)| label.to_string())
@@ -609,8 +601,12 @@ fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<
         path,
         runs,
         opts,
-        |run| (run.log.access_count(), run.log.duration.as_micros()),
-        |run, spec, observer| replay_observed(&run.log, spec, observer).1,
+        |run| {
+            let log = &run.log;
+            let capacity = (log.peak_trace_bytes / 2).max(1);
+            (log.access_count(), log.duration.as_micros(), capacity)
+        },
+        |run, model| replay_into(&run.log, model),
     )
 }
 
@@ -619,8 +615,8 @@ fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOption
         path,
         recs,
         opts,
-        |rec| (rec.access_count(), rec.facts().duration.as_micros()),
-        |rec, spec, observer| rec.replay_observed(spec, observer).1,
+        |rec| (rec.access_count(), rec.facts().duration.as_micros(), rec.capacity()),
+        |rec, model| rec.replay_models(&mut [model]),
     )
 }
 

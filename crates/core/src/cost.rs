@@ -1,7 +1,7 @@
 //! The instruction-overhead cost model of Table 2 — re-exported.
 //!
 //! The formulas and [`CostLedger`] moved to
-//! [`gencache_obs::cost`](gencache_obs::cost) so the observer layer can
+//! [`gencache_obs::cost`] so the observer layer can
 //! price the event stream ([`gencache_obs::CostObserver`]) without a
 //! dependency cycle (`gencache-core` depends on `gencache-obs`, not the
 //! other way round). This shim keeps every existing

@@ -62,9 +62,7 @@ pub use cost::{
 };
 pub use event::{CacheEvent, FrontendOp, Region};
 pub use hist::Log2Histogram;
-pub use metrics::{
-    ChurnEntry, MetricsObserver, MetricsReport, RegionMetrics, TimelineSample, TOP_CHURN,
-};
+pub use metrics::{ChurnEntry, MetricsReport, RegionMetrics, TimelineSample, TOP_CHURN};
 pub use observer::{EventBuffer, EventRecord, JsonlSink, NullObserver, Observer};
 pub use oracle::{oracle_replay, oracle_replay_events, NextUseIndex, OracleResult};
 pub use reconstruct::reconstruct_stats;
@@ -72,12 +70,15 @@ pub use regret::{
     PhaseRegret, RegionRegret, RegretCell, RegretContributor, RegretObserver, RegretReport,
     WorstEviction, TOP_REGRET,
 };
+pub use sample::{
+    Exact, Gate, MetricsFold, MetricsObserver, ReservoirSnapshot, Sampled, SampledReport,
+    SamplingObserver, SamplingParams, SamplingSummary,
+};
 pub use schema::{
     parse_stream_line, parse_stream_line_tree, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA,
     EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
 };
 pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};
-pub use sample::{ReservoirSnapshot, SampledReport, SamplingObserver, SamplingParams, SamplingSummary};
 pub use window::{
     detect_drift, DriftAnnotation, DriftKind, Window, WindowObserver, WindowReport,
     CHURN_BURST_FACTOR, CHURN_MIN_REMISSES, DEFAULT_WINDOW_CAP, EWMA_ALPHA, PH_DELTA, PH_LAMBDA,

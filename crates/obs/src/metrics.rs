@@ -1,15 +1,14 @@
-//! Aggregation: mergeable counters, histograms and occupancy timelines
-//! built from the event stream.
+//! The aggregate reports: mergeable counters, histograms and occupancy
+//! timelines built from the event stream by a
+//! [`MetricsObserver`](crate::MetricsObserver).
 
 use std::collections::HashMap;
 
-use gencache_cache::TraceMap;
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{CacheEvent, Region};
+use crate::event::Region;
 use crate::hist::Log2Histogram;
-use crate::observer::Observer;
 
 /// How many evicted-then-remissed traces a report keeps.
 pub const TOP_CHURN: usize = 20;
@@ -111,7 +110,7 @@ pub struct ChurnEntry {
     pub remisses: u64,
 }
 
-/// The serializable end product of a [`MetricsObserver`] run.
+/// The serializable end product of a [`MetricsObserver`](crate::MetricsObserver) run.
 ///
 /// Reports merge associatively; shard reports folded in input-index
 /// order produce byte-identical JSON for any worker count.
@@ -199,204 +198,12 @@ pub(crate) fn sort_churn(mut entries: Vec<ChurnEntry>) -> Vec<ChurnEntry> {
     entries
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ChurnState {
-    pub(crate) bytes: u32,
-    pub(crate) evictions: u64,
-    pub(crate) remisses: u64,
-}
-
-/// An [`Observer`] that aggregates the event stream into a
-/// [`MetricsReport`]: counters, log2 histograms, an occupancy timeline
-/// and an eviction-churn table.
-#[derive(Debug, Clone)]
-pub struct MetricsObserver {
-    /// Take a timeline sample every this many accesses (0 = never).
-    sample_every: u64,
-    accesses: u64,
-    hits: u64,
-    misses: u64,
-    regions: Vec<RegionMetrics>,
-    timeline: Vec<TimelineSample>,
-    churn: TraceMap<u64, ChurnState>,
-}
-
-impl Default for MetricsObserver {
-    fn default() -> Self {
-        MetricsObserver::new()
-    }
-}
-
-impl MetricsObserver {
-    /// An aggregator without timeline sampling.
-    pub fn new() -> Self {
-        MetricsObserver::with_timeline(0)
-    }
-
-    /// An aggregator sampling the occupancy timeline every
-    /// `sample_every` accesses (0 disables sampling). Sampling is
-    /// keyed on event counts, not wall clock, so it is deterministic.
-    pub fn with_timeline(sample_every: u64) -> Self {
-        MetricsObserver {
-            sample_every,
-            accesses: 0,
-            hits: 0,
-            misses: 0,
-            regions: vec![RegionMetrics::default(); 4],
-            timeline: Vec::new(),
-            churn: TraceMap::new(),
-        }
-    }
-
-    /// Builds the serializable report from everything observed so far.
-    pub fn report(&self) -> MetricsReport {
-        let churn = self
-            .churn
-            .iter()
-            .filter(|(_, s)| s.remisses > 0)
-            .map(|(trace, s)| ChurnEntry {
-                trace,
-                bytes: s.bytes,
-                evictions: s.evictions,
-                remisses: s.remisses,
-            })
-            .collect();
-        MetricsReport {
-            accesses: self.accesses,
-            hits: self.hits,
-            misses: self.misses,
-            regions: self.regions.clone(),
-            timeline: self.timeline.clone(),
-            top_churn: sort_churn(churn),
-        }
-    }
-
-    fn on_access(&mut self, time: Time) {
-        self.accesses += 1;
-        if self.sample_every > 0 && self.accesses.is_multiple_of(self.sample_every) {
-            let mut resident = [0u64; 4];
-            for (slot, r) in resident.iter_mut().zip(&self.regions) {
-                *slot = r.resident_bytes;
-            }
-            self.timeline.push(TimelineSample {
-                accesses: self.accesses,
-                time,
-                resident,
-                hits: self.hits,
-                misses: self.misses,
-            });
-        }
-    }
-
-    fn region_mut(&mut self, region: Region) -> &mut RegionMetrics {
-        &mut self.regions[region.index()]
-    }
-}
-
-impl Observer for MetricsObserver {
-    fn on_event(&mut self, event: &CacheEvent) {
-        match *event {
-            CacheEvent::Insert {
-                region,
-                trace,
-                bytes,
-                time,
-                ..
-            } => {
-                let r = self.region_mut(region);
-                r.inserts += 1;
-                r.insert_bytes += u64::from(bytes);
-                r.trace_bytes.record(u64::from(bytes));
-                r.resident_bytes += u64::from(bytes);
-                r.peak_resident_bytes = r.peak_resident_bytes.max(r.resident_bytes);
-                self.churn
-                    .get_or_insert_with(trace.as_u64(), || ChurnState {
-                        bytes,
-                        ..ChurnState::default()
-                    });
-                let _ = time;
-            }
-            CacheEvent::Hit {
-                region,
-                reuse_us,
-                time,
-                ..
-            } => {
-                self.hits += 1;
-                let r = self.region_mut(region);
-                r.hits += 1;
-                r.reuse_us.record(reuse_us);
-                self.on_access(time);
-            }
-            CacheEvent::Miss { trace, time, .. } => {
-                self.misses += 1;
-                if let Some(state) = self.churn.get_mut(trace.as_u64()) {
-                    if state.evictions > 0 {
-                        state.remisses += 1;
-                    }
-                }
-                self.on_access(time);
-            }
-            CacheEvent::Evict {
-                region,
-                trace,
-                bytes,
-                cause,
-                age_us,
-                idle_us,
-                ..
-            } => {
-                let r = self.region_mut(region);
-                match cause {
-                    gencache_cache::EvictionCause::Capacity => r.capacity_evictions += 1,
-                    gencache_cache::EvictionCause::Unmapped => r.unmap_evictions += 1,
-                    gencache_cache::EvictionCause::Flush => r.flush_evictions += 1,
-                    gencache_cache::EvictionCause::Discarded
-                    | gencache_cache::EvictionCause::Promoted => r.discards += 1,
-                }
-                r.evicted_bytes += u64::from(bytes);
-                r.resident_bytes = r.resident_bytes.saturating_sub(u64::from(bytes));
-                r.lifetime_us.record(age_us);
-                r.evict_idle_us.record(idle_us);
-                let state = self
-                    .churn
-                    .get_or_insert_with(trace.as_u64(), ChurnState::default);
-                state.bytes = bytes;
-                state.evictions += 1;
-            }
-            CacheEvent::Promote {
-                from, to, bytes, ..
-            } => {
-                let bytes = u64::from(bytes);
-                let source = self.region_mut(from);
-                source.promotions_out += 1;
-                source.resident_bytes = source.resident_bytes.saturating_sub(bytes);
-                let target = self.region_mut(to);
-                target.promotions_in += 1;
-                target.resident_bytes += bytes;
-                target.peak_resident_bytes = target.peak_resident_bytes.max(target.resident_bytes);
-            }
-            // Pure accounting duplicate of `Promote`, which already moved
-            // the resident bytes and counted the promotion.
-            CacheEvent::PromotedIn { .. } => {}
-            CacheEvent::Pin { region, .. } => self.region_mut(region).pins += 1,
-            CacheEvent::Unpin { region, .. } => self.region_mut(region).unpins += 1,
-            // Frontend requests that changed nothing in this model; only
-            // the offline trace reconstruction consumes them.
-            CacheEvent::Noop { .. } => {}
-            CacheEvent::PointerReset { region, resets, .. } => {
-                self.region_mut(region).pointer_resets += u64::from(resets);
-            }
-            // Adaptive swaps are narrated by the switch report; the
-            // flush they force arrives as ordinary `Evict` events.
-            CacheEvent::PolicySwap { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CacheEvent;
+    use crate::observer::Observer;
+    use crate::sample::MetricsObserver;
     use gencache_cache::{EvictionCause, TraceId};
 
     fn insert(trace: u64, bytes: u32, at: u64) -> CacheEvent {

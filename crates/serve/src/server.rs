@@ -482,7 +482,7 @@ fn handle_ping(ctx: &Ctx, writer: &mut impl Write, hold_ms: u64) -> io::Result<(
 
 fn handle_job(
     ctx: &Ctx,
-    reader: &mut BufReader<impl Read>,
+    reader: &mut BufReader<TcpStream>,
     writer: &mut impl Write,
     mut spec: JobSpec,
 ) -> io::Result<()> {
@@ -567,13 +567,25 @@ fn handle_job(
     // or the failure). Before blocking on a drained buffer, a passed
     // deadline stops the reading: the worker fails the job as soon as
     // it receives the closing item, without the client's next write.
+    // A blocking read waits no longer than the deadline has left, so a
+    // client that stalls is answered at the deadline, not at the read
+    // timeout.
+    let deadline_error = || IngestItem::Abort("deadline exceeded during ingest".to_string());
+    let mut read_timeout = ctx.read_timeout;
     let mut buf = Vec::new();
     let mut chunk = String::with_capacity(CHUNK_BYTES);
     let last = loop {
-        if reader.buffer().is_empty() && deadline.is_some_and(|d| admitted.elapsed() >= d) {
-            break Some(IngestItem::Abort(
-                "deadline exceeded during ingest".to_string(),
-            ));
+        if let Some(d) = deadline.filter(|_| reader.buffer().is_empty()) {
+            let left = d.saturating_sub(admitted.elapsed());
+            if left.is_zero() {
+                break Some(deadline_error());
+            }
+            if left.min(ctx.read_timeout) != read_timeout {
+                read_timeout = left.min(ctx.read_timeout);
+                if let Err(e) = reader.get_ref().set_read_timeout(Some(read_timeout)) {
+                    break Some(IngestItem::Abort(format!("upload read failed: {e}")));
+                }
+            }
         }
         let item = match read_line_capped(reader, &mut buf) {
             Ok(CappedLine::Eof) => IngestItem::Abort("connection closed mid-upload".to_string()),
@@ -581,6 +593,7 @@ fn handle_job(
                 ServerStats::bump(&ctx.stats.lines_rejected);
                 IngestItem::Abort(line_cap_error())
             }
+            Err(_) if deadline.is_some_and(|d| admitted.elapsed() >= d) => deadline_error(),
             Err(e) => IngestItem::Abort(format!("upload read failed: {e}")),
             Ok(CappedLine::Line(raw)) => {
                 ServerStats::add(&ctx.stats.bytes_ingested, raw.len() as u64);
@@ -614,6 +627,11 @@ fn handle_job(
         };
         break Some(item);
     };
+    if read_timeout != ctx.read_timeout {
+        // A socket that refuses the option is broken; the reply write
+        // below reports that.
+        let _ = reader.get_ref().set_read_timeout(Some(ctx.read_timeout));
+    }
     if let Some(item) = last {
         if send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
             let _ = chunk_tx.send(item);

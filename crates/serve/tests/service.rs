@@ -1042,6 +1042,13 @@ fn deadline_passed_before_a_single_late_line_is_answered_at_once() {
     deadline_passes_before_late_lines(1);
 }
 
+#[test]
+fn deadline_passed_in_silence_is_answered_at_the_deadline() {
+    // No line after the deadline: the blocked read itself must end when
+    // the deadline passes, not at the read timeout.
+    deadline_passes_before_late_lines(0);
+}
+
 /// Uploads three lines, sleeps past a 200 ms deadline, sends `late`
 /// more lines 100 ms apart with no end frame, and expects the deadline
 /// error well before the 5 s read timeout.

@@ -53,7 +53,6 @@ mod simulate;
 pub mod stream;
 mod streamed;
 mod sweep;
-mod telemetry;
 mod threads;
 
 pub use analysis::{occupancy_series, reuse_profile, ReuseProfile};
@@ -68,16 +67,12 @@ pub use replay::{
     replay_into_metered, Comparison, ReplayCursor, ReplayResult, ReplayStep,
 };
 pub use simulate::{
-    parse_spec, replay_sim_observed, simulate_cell, simulate_costs, simulate_metrics,
-    simulate_regret_top, simulate_switches, simulate_windows, trace_to_log, CellSections,
-    LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
+    parse_spec, replay_cell, replay_observed, replay_sim_observed, replay_spec, simulate_cell,
+    simulate_costs, simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows,
+    trace_to_log, CellSections, LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
 };
 pub use streamed::{compare_figure9_streamed, StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};
-pub use telemetry::{
-    collect_costs, collect_events, collect_metrics, collect_sampled, replay_observed, suite_costs,
-    suite_metrics, suite_sampled, ModelSpec,
-};
 pub use threads::{
     partition_by_module, replay_thread_private, replay_thread_shared, BudgetSplit, ThreadCacheKind,
     ThreadedOutcome,

@@ -26,16 +26,15 @@ use gencache_core::{
     PromotionPolicy, Proportions, SwitchReport, UnifiedModel,
 };
 use gencache_obs::{
-    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, NullObserver,
-    Observer, RegretObserver, RegretReport, SampledReport, SimTrace, TraceOp, WindowObserver,
-    WindowReport,
+    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, NullObserver, Observer,
+    RegretObserver, RegretReport, SampledReport, SamplingObserver, SamplingParams, SimTrace,
+    TraceOp, WindowObserver, WindowReport,
 };
 use gencache_program::{Addr, Time};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::log::{AccessLog, LogRecord};
 use crate::replay::{replay_into, ReplayResult};
-use crate::telemetry::ModelSpec;
 
 /// Rebuilds a replayable [`AccessLog`] from a recovered frontend trace.
 ///
@@ -135,9 +134,15 @@ impl LocalPolicy {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimSpec {
-    /// A configuration the live export path also knows: the unified
-    /// baseline or a generational hierarchy.
-    Model(ModelSpec),
+    /// The unified pseudo-circular baseline.
+    Unified,
+    /// A generational hierarchy over the same total budget.
+    Generational {
+        /// Nursery/probation/persistent split of the budget.
+        proportions: Proportions,
+        /// When probation traces are promoted.
+        policy: PromotionPolicy,
+    },
     /// A local replacement policy in unified cost accounting.
     Local(LocalPolicy),
     /// The adaptive policy engine auditioning a candidate set of
@@ -146,16 +151,25 @@ pub enum SimSpec {
 }
 
 impl SimSpec {
+    /// The paper's best-overall generational configuration:
+    /// 45%–10%–45% with promotion on first probation hit.
+    pub fn best_generational() -> Self {
+        SimSpec::Generational {
+            proportions: Proportions::best_overall(),
+            policy: PromotionPolicy::OnHit { hits: 1 },
+        }
+    }
+
     /// The canonical label for this spec — the same strings the live
     /// `--events-out` / `--metrics-out` exports use for their model
     /// sections, so simulated and recorded documents line up.
     pub fn label(&self) -> String {
         match *self {
-            SimSpec::Model(ModelSpec::Unified) => "unified".to_string(),
-            SimSpec::Model(ModelSpec::Generational {
+            SimSpec::Unified => "unified".to_string(),
+            SimSpec::Generational {
                 proportions,
                 policy,
-            }) => format!("gen-{proportions}@{}", policy_label(policy)),
+            } => format!("gen-{proportions}@{}", policy_label(policy)),
             SimSpec::Local(policy) => policy.name().to_string(),
             SimSpec::Adaptive(set) => set.label(),
         }
@@ -188,7 +202,7 @@ fn policy_label(policy: PromotionPolicy) -> String {
 ///   `adaptive:45-10-45@hit1+25-50-25@evict5`.
 pub fn parse_spec(label: &str) -> Result<SimSpec, String> {
     if label == "unified" {
-        return Ok(SimSpec::Model(ModelSpec::Unified));
+        return Ok(SimSpec::Unified);
     }
     if let Some(policy) = LocalPolicy::ALL.iter().find(|p| p.name() == label) {
         return Ok(SimSpec::Local(*policy));
@@ -208,10 +222,10 @@ pub fn parse_spec(label: &str) -> Result<SimSpec, String> {
     }
     let body = label.strip_prefix("gen-").unwrap_or(label);
     let (proportions, policy) = parse_gen_body(label, body)?;
-    Ok(SimSpec::Model(ModelSpec::Generational {
+    Ok(SimSpec::Generational {
         proportions,
         policy,
-    }))
+    })
 }
 
 /// Parses one `N-P-S@POLICY` body (shared by the `gen-` and
@@ -268,22 +282,22 @@ fn parse_gen_body(label: &str, body: &str) -> Result<(Proportions, PromotionPoli
 /// [`replay_models`](crate::StreamedRecording::replay_models) pass.
 /// Returns the replay outcome, the observer, and (adaptive specs only)
 /// the controller's switch report, read from the same model instance.
-pub(crate) fn replay_spec<O: Observer>(
+pub fn replay_spec<O: Observer>(
     spec: SimSpec,
     capacity: u64,
     observer: O,
     drive: impl FnOnce(&mut dyn CacheModel),
 ) -> (ReplayResult, O, Option<SwitchReport>) {
     match spec {
-        SimSpec::Model(ModelSpec::Unified) => {
+        SimSpec::Unified => {
             let mut model = UnifiedModel::observed(capacity, observer);
             drive(&mut model);
             (ReplayResult::of(&model), model.into_observer(), None)
         }
-        SimSpec::Model(ModelSpec::Generational {
+        SimSpec::Generational {
             proportions,
             policy,
-        }) => {
+        } => {
             let config = GenerationalConfig::new(capacity, proportions, policy);
             let mut model = GenerationalModel::observed(config, observer);
             drive(&mut model);
@@ -321,6 +335,16 @@ pub fn replay_sim_observed<O: Observer>(
     (result, observer)
 }
 
+/// [`replay_sim_observed`] at the paper's standard budget, half the
+/// unbounded peak: the budget of the live export path.
+pub fn replay_observed<O: Observer>(
+    log: &AccessLog,
+    spec: SimSpec,
+    observer: O,
+) -> (ReplayResult, O) {
+    replay_sim_observed(log, spec, (log.peak_trace_bytes / 2).max(1), observer)
+}
+
 /// Replays an adaptive spec and returns the controller's account of the
 /// run — epochs, drift detections, probe auditions and committed
 /// switches. Returns `None` for non-adaptive specs, which have no
@@ -336,8 +360,8 @@ pub fn simulate_switches(log: &AccessLog, spec: SimSpec, capacity: u64) -> Optio
 // produces every section from a single replay; these remain as the
 // per-section references it is tested against.
 
-/// [`replay_sim_observed`] through a [`MetricsObserver`]; `sample_every`
-/// as in [`collect_metrics`](crate::collect_metrics).
+/// [`replay_sim_observed`] through a [`MetricsObserver`] sampling the
+/// occupancy timeline every `sample_every` accesses (0 disables it).
 pub fn simulate_metrics(
     log: &AccessLog,
     spec: SimSpec,
@@ -408,7 +432,7 @@ pub struct SpecReports {
     pub metrics: MetricsReport,
     /// The Table 2 cost attribution.
     pub costs: CostReport,
-    /// The bounded-memory sampled report (live export under `--sample`).
+    /// The bounded-memory sampled report (`--sample`).
     pub sampled: Option<SampledReport>,
     /// Decision-level Belady-regret attribution (`--oracle`).
     pub regret: Option<RegretReport>,
@@ -515,9 +539,9 @@ pub struct SimulatedSpec {
     /// Replay counters and management-cost ledger.
     pub result: ReplayResult,
     /// The report sections, identical in shape to the live
-    /// `--metrics-out` sections. `sampled` is always absent; `regret`
-    /// and `windows` are present only when [`CellSections`] asked for
-    /// them, `switches` only for [`SimSpec::Adaptive`] specs.
+    /// `--metrics-out` sections. `sampled`, `regret` and `windows` are
+    /// present only when [`CellSections`] asked for them, `switches`
+    /// only for [`SimSpec::Adaptive`] specs.
     pub reports: SpecReports,
 }
 
@@ -528,6 +552,8 @@ pub struct CellSections<'a> {
     pub sample_every: u64,
     /// Phase count for cost and regret attribution.
     pub phases: u32,
+    /// Also fold a bounded-memory sampled report with these knobs.
+    pub sampling: Option<SamplingParams>,
     /// Score every eviction for Belady regret against this next-use
     /// index, keeping this many top contributors.
     pub regret: Option<(&'a NextUseIndex, usize)>,
@@ -535,38 +561,45 @@ pub struct CellSections<'a> {
     pub window_width: Option<u64>,
 }
 
-/// Replays `log` into `spec` **once** and produces every requested
-/// section from that single pass: the metrics, cost, regret and window
-/// observers are teed onto one model instance, and an adaptive spec's
-/// switch report is read from the same model. Observers are passive,
-/// so each section is identical to its separate single-section replay
-/// ([`simulate_metrics`], [`simulate_costs`], [`simulate_regret_top`],
-/// [`simulate_windows`], [`simulate_switches`]).
-pub fn simulate_cell(
-    log: &AccessLog,
+/// Drives `spec` **once** through `drive` at `capacity` and produces
+/// every section `sections` asks for from that single pass: the
+/// metrics, sampled, cost, regret and window observers are teed onto
+/// one model instance, and an adaptive spec's switch report is read
+/// from the same model. `duration_us` spans the cost and regret phases.
+/// This is the one place a cell's observers and its [`SpecReports`]
+/// are built, for [`simulate_cell`] and the live `--metrics-out`
+/// export alike.
+pub fn replay_cell(
     spec: SimSpec,
     capacity: u64,
+    duration_us: u64,
     sections: &CellSections<'_>,
+    drive: impl FnOnce(&mut dyn CacheModel),
 ) -> SimulatedSpec {
-    let duration_us = log.duration.as_micros();
     let observer = (
         (
             MetricsObserver::with_timeline(sections.sample_every),
-            CostObserver::with_phases(sections.phases, duration_us),
+            sections
+                .sampling
+                .map(|p| SamplingObserver::with_timeline(p, sections.sample_every)),
         ),
         (
-            sections.regret.map(|(index, top)| {
-                RegretObserver::with_top(index, sections.phases, duration_us, top)
-            }),
-            sections.window_width.map(WindowObserver::new),
+            CostObserver::with_phases(sections.phases, duration_us),
+            (
+                sections.regret.map(|(index, top)| {
+                    RegretObserver::with_top(index, sections.phases, duration_us, top)
+                }),
+                sections.window_width.map(WindowObserver::new),
+            ),
         ),
     );
-    let (result, ((metrics, costs), (regret, windows)), switches) =
-        replay_spec(spec, capacity, observer, |m| replay_into(log, m));
+    let (result, ((metrics, sampled), (costs, (regret, windows))), switches) =
+        replay_spec(spec, capacity, observer, drive);
     SimulatedSpec {
         label: spec.label(),
         result,
         reports: SpecReports {
+            sampled: sampled.map(|s| s.report()),
             regret: regret.map(|r| r.report()),
             windows: windows.map(|w| w.report()),
             switches,
@@ -575,20 +608,119 @@ pub fn simulate_cell(
     }
 }
 
+/// Replays `log` into `spec` **once** through [`replay_cell`].
+/// Observers are passive, so each section is identical to its separate
+/// single-section replay ([`simulate_metrics`], [`simulate_costs`],
+/// [`simulate_regret_top`], [`simulate_windows`],
+/// [`simulate_switches`]).
+pub fn simulate_cell(
+    log: &AccessLog,
+    spec: SimSpec,
+    capacity: u64,
+    sections: &CellSections<'_>,
+) -> SimulatedSpec {
+    replay_cell(spec, capacity, log.duration.as_micros(), sections, |m| {
+        replay_into(log, m)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gencache_cache::TraceId;
+    use gencache_obs::EventBuffer;
+
+    /// Ten 120-byte traces accessed round-robin for 30 rounds.
+    fn churn_log(name: &str, seed: u64) -> AccessLog {
+        let rec = |id: u64| TraceRecord::new(TraceId::new(id), 120, Addr::new(0x1000 + id));
+        let mut records = Vec::new();
+        let mut t = 0u64;
+        for id in 0..10 {
+            t += 1;
+            records.push(LogRecord::Create {
+                record: rec(seed * 1000 + id),
+                time: Time::from_micros(t),
+            });
+        }
+        for round in 0..30u64 {
+            for id in 0..10 {
+                t += 1;
+                records.push(LogRecord::Access {
+                    id: TraceId::new(seed * 1000 + (id + round) % 10),
+                    time: Time::from_micros(t),
+                });
+            }
+        }
+        AccessLog {
+            benchmark: name.into(),
+            records,
+            duration: Time::from_secs_f64(1.0),
+            peak_trace_bytes: 10 * 120,
+        }
+    }
+
+    #[test]
+    fn metrics_agree_with_model_counters() {
+        let log = churn_log("agree", 1);
+        for spec in [SimSpec::Unified, SimSpec::best_generational()] {
+            let (result, metrics) = replay_observed(&log, spec, MetricsObserver::new());
+            let report = metrics.report();
+            assert_eq!(report.accesses, result.metrics.accesses);
+            assert_eq!(report.hits, result.metrics.hits);
+            assert_eq!(report.misses, result.metrics.misses);
+        }
+    }
+
+    #[test]
+    fn events_and_metrics_describe_the_same_run() {
+        let log = churn_log("same", 2);
+        let spec = SimSpec::best_generational();
+        let (_, buffer) = replay_observed(&log, spec, EventBuffer::new());
+        let mut replayed = MetricsObserver::with_timeline(16);
+        for event in &buffer.events {
+            replayed.on_event(event);
+        }
+        let (_, direct) = replay_observed(&log, spec, MetricsObserver::with_timeline(16));
+        assert_eq!(replayed.report(), direct.report());
+    }
+
+    #[test]
+    fn cost_report_total_equals_model_ledger() {
+        let log = churn_log("cost", 4);
+        for spec in [SimSpec::Unified, SimSpec::best_generational()] {
+            let observer = CostObserver::with_phases(8, log.duration.as_micros());
+            let (result, costs) = replay_observed(&log, spec, observer);
+            let report = costs.into_report();
+            // Same formulas, charged in the same order: bitwise equal.
+            assert_eq!(report.total, result.ledger);
+            let phase_events: u64 = report.phases.iter().map(|p| p.ledger.miss_events).sum();
+            assert_eq!(phase_events, result.ledger.miss_events);
+        }
+    }
+
+    #[test]
+    fn sampled_counters_match_unsampled_metrics() {
+        let log = churn_log("sampled", 5);
+        let observer = (
+            MetricsObserver::new(),
+            SamplingObserver::new(SamplingParams::bounded(17)),
+        );
+        let (_, (exact, sampled)) = replay_observed(&log, SimSpec::best_generational(), observer);
+        let (exact, sampled) = (exact.report(), sampled.report());
+        assert_eq!(sampled.metrics.accesses, exact.accesses);
+        assert_eq!(sampled.metrics.hits, exact.hits);
+        assert_eq!(sampled.metrics.misses, exact.misses);
+    }
 
     #[test]
     fn spec_labels_roundtrip() {
         let specs = [
-            SimSpec::Model(ModelSpec::Unified),
-            SimSpec::Model(ModelSpec::best_generational()),
-            SimSpec::Model(ModelSpec::Generational {
+            SimSpec::Unified,
+            SimSpec::best_generational(),
+            SimSpec::Generational {
                 proportions: Proportions::new(0.30, 0.20, 0.50),
                 policy: PromotionPolicy::OnEviction { threshold: 5 },
-            }),
+            },
             SimSpec::Local(LocalPolicy::Lru),
             SimSpec::Local(LocalPolicy::PreemptiveFlush),
             SimSpec::Adaptive(CandidateSet::default_set()),
@@ -617,7 +749,7 @@ mod tests {
             "the default roster canonicalizes to the bare spec name"
         );
         assert_eq!(
-            SimSpec::Model(ModelSpec::best_generational()).label(),
+            SimSpec::best_generational().label(),
             "gen-45-10-45@hit1",
             "must match the live export's model label"
         );
@@ -628,13 +760,13 @@ mod tests {
         // Byte-for-byte comparability hinges on parsed proportions being
         // the exact doubles the grid constructors produce.
         match parse_spec("45-10-45@hit1").unwrap() {
-            SimSpec::Model(ModelSpec::Generational { proportions, .. }) => {
+            SimSpec::Generational { proportions, .. } => {
                 assert_eq!(proportions, Proportions::best_overall());
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse_spec("33-33-33@evict10").unwrap() {
-            SimSpec::Model(ModelSpec::Generational { proportions, .. }) => {
+            SimSpec::Generational { proportions, .. } => {
                 assert_eq!(proportions, Proportions::even_thirds());
             }
             other => panic!("unexpected {other:?}"),
@@ -723,9 +855,11 @@ mod tests {
         let log = trace_to_log(&trace, "phased", 12_000, 8_000);
         let index = NextUseIndex::build(&trace);
         let (capacity, every, phases, width, top) = (4_000, 64, 4, 128, 8);
+        let params = SamplingParams::bounded(3);
         let sections = CellSections {
             sample_every: every,
             phases,
+            sampling: Some(params),
             regret: Some((&index, top)),
             window_width: Some(width),
         };
@@ -749,7 +883,9 @@ mod tests {
             assert_eq!(reports.windows, Some(windows), "{label} windows");
             let switches = simulate_switches(&log, spec, capacity);
             assert_eq!(reports.switches, switches, "{label} switches");
-            assert!(reports.sampled.is_none());
+            let sampler = SamplingObserver::with_timeline(params, every);
+            let (_, sampler) = replay_sim_observed(&log, spec, capacity, sampler);
+            assert_eq!(reports.sampled, Some(sampler.report()), "{label} sampled");
 
             let deletions: u64 = metrics
                 .regions
@@ -768,12 +904,13 @@ mod tests {
             );
 
             let bare = CellSections {
+                sampling: None,
                 regret: None,
                 window_width: None,
                 ..sections
             };
             let bare = simulate_cell(&log, spec, capacity, &bare).reports;
-            assert!(bare.regret.is_none() && bare.windows.is_none());
+            assert!(bare.sampled.is_none() && bare.regret.is_none() && bare.windows.is_none());
             assert_eq!((bare.metrics, bare.switches), (metrics, switches));
         }
     }

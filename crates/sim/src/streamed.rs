@@ -28,7 +28,6 @@ use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSumma
 use crate::replay::{Comparison, ReplayCursor, ReplayResult};
 use crate::simulate::{replay_spec, SimSpec};
 use crate::stream;
-use crate::telemetry::ModelSpec;
 
 /// Default bounded-channel depth for streamed replays: deep enough to
 /// decouple producer and consumer scheduling hiccups, small enough that
@@ -146,11 +145,10 @@ impl StreamedRecording {
     /// runs on the consumer thread, so it needs no `Send` bound. Tee
     /// several observers (`(A, B)`, `Option<O>`) to collect several
     /// reports from one re-recording pass.
-    pub fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O) {
-        let (result, observer, _) =
-            replay_spec(SimSpec::Model(spec), self.capacity(), observer, |model| {
-                self.replay_models(&mut [model])
-            });
+    pub fn replay_observed<O: Observer>(&self, spec: SimSpec, observer: O) -> (ReplayResult, O) {
+        let (result, observer, _) = replay_spec(spec, self.capacity(), observer, |model| {
+            self.replay_models(&mut [model])
+        });
         (result, observer)
     }
 
@@ -242,9 +240,9 @@ mod tests {
     fn streamed_observed_replay_matches_materialized() {
         let run = record(&profile()).unwrap();
         let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 16).unwrap();
-        for spec in [ModelSpec::Unified, ModelSpec::best_generational()] {
+        for spec in [SimSpec::Unified, SimSpec::best_generational()] {
             let (res_m, obs_m) =
-                crate::telemetry::replay_observed(&run.log, spec, MetricsObserver::with_timeline(64));
+                crate::replay_observed(&run.log, spec, MetricsObserver::with_timeline(64));
             let (res_s, obs_s) = rec.replay_observed(spec, MetricsObserver::with_timeline(64));
             assert_eq!(doc(&res_s), doc(&res_m));
             assert_eq!(obs_s.report(), obs_m.report());

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use gencache_cache::TraceId;
 use gencache_core::{CandidateSet, GenerationalConfig};
 use gencache_obs::{CacheEvent, FrontendOp, Observer, Region};
-use gencache_sim::{parse_spec, record, replay_sim_observed, LocalPolicy, ModelSpec, SimSpec};
+use gencache_sim::{parse_spec, record, replay_sim_observed, LocalPolicy, SimSpec};
 use gencache_workloads::benchmark;
 
 #[derive(Debug)]
@@ -53,11 +53,11 @@ fn generational_capacity(config: &GenerationalConfig) -> [u64; 4] {
 impl InvariantObserver {
     fn for_spec(spec: SimSpec, capacity: u64) -> Self {
         let (capacity, roster) = match spec {
-            SimSpec::Model(ModelSpec::Unified) => ([capacity, 0, 0, 0], None),
-            SimSpec::Model(ModelSpec::Generational {
+            SimSpec::Unified => ([capacity, 0, 0, 0], None),
+            SimSpec::Generational {
                 proportions,
                 policy,
-            }) => {
+            } => {
                 let config = GenerationalConfig::new(capacity, proportions, policy);
                 (generational_capacity(&config), None)
             }

@@ -10,10 +10,10 @@
 //! are mapped back.
 
 use gencache_cache::TraceId;
-use gencache_obs::{reconstruct_trace, NextUseIndex, SimTrace, TraceOp};
+use gencache_obs::{reconstruct_trace, EventBuffer, NextUseIndex, SimTrace, TraceOp};
 use gencache_sim::{
-    collect_events, parse_spec, record, simulate_cell, trace_to_log, CellSections, LocalPolicy,
-    ModelSpec, SpecReports,
+    parse_spec, record, replay_observed, simulate_cell, trace_to_log, CellSections, LocalPolicy,
+    SimSpec, SpecReports,
 };
 use gencache_workloads::benchmark;
 
@@ -83,8 +83,8 @@ fn map_back(mut reports: SpecReports) -> SpecReports {
 fn sparse_ids_replay_identically_under_every_spec_class() {
     let profile = benchmark("word").expect("word exists").scaled_down(64);
     let run = record(&profile).expect("calibrated profiles always plan");
-    let (_, events) = collect_events(&run.log, ModelSpec::Unified);
-    let trace = reconstruct_trace(&events).expect("stream inverts");
+    let (_, buffer) = replay_observed(&run.log, SimSpec::Unified, EventBuffer::new());
+    let trace = reconstruct_trace(&buffer.events).expect("stream inverts");
     let sparse_trace = relabel(&trace);
     let log_of = |t: &SimTrace| {
         trace_to_log(
@@ -103,6 +103,7 @@ fn sparse_ids_replay_identically_under_every_spec_class() {
     let sections = |index| CellSections {
         sample_every: 64,
         phases: 4,
+        sampling: None,
         regret: Some((index, 16)),
         window_width: Some(256),
     };

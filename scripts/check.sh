@@ -21,6 +21,9 @@ cargo test --doc -q
 echo "=== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== cargo doc --workspace -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "=== record-suite smoke: recording and export match the committed seed-0 digest"
 mkdir -p target/tmp
 record_err="target/tmp/check-record-suite.err"

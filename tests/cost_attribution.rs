@@ -6,11 +6,11 @@
 
 use gencache_core::overhead_ratio;
 use gencache_bench::{record_all, HarnessOptions};
-use gencache_obs::{CostLedger, Log2Histogram, SampledReport, SamplingParams};
-use gencache_sim::{
-    collect_metrics, collect_sampled, compare_figure9, suite_costs, suite_sampled, AccessLog,
-    ModelSpec,
+use gencache_obs::{
+    CostLedger, CostObserver, CostReport, Log2Histogram, MetricsObserver, SampledReport,
+    SamplingObserver, SamplingParams,
 };
+use gencache_sim::{compare_figure9, replay_observed, AccessLog, SimSpec};
 use gencache_workloads::Suite;
 
 fn opts() -> HarnessOptions {
@@ -29,6 +29,16 @@ fn suite_logs() -> Vec<AccessLog> {
         .collect()
 }
 
+/// Every log's cost report with `phases` phases, merged in log order.
+fn merged_costs(logs: &[AccessLog], spec: SimSpec, phases: u32) -> CostReport {
+    let mut merged = CostReport::new(phases as usize);
+    for log in logs {
+        let observer = CostObserver::with_phases(phases, log.duration.as_micros());
+        merged.merge(&replay_observed(log, spec, observer).1.into_report());
+    }
+    merged
+}
+
 /// The `CostObserver` totals, folded across the suite, equal the
 /// ledgers the Figure 11 comparison computes — bitwise, because both
 /// charge the same Table 2 formulas in the same replay order — and so
@@ -42,12 +52,12 @@ fn suite_cost_totals_reconcile_with_figure11_ledgers() {
         let comparison = compare_figure9(log);
         unified.merge(&comparison.unified.ledger);
         // Index 1 is 45-10-45 promote-on-first-hit — the same layout
-        // `ModelSpec::best_generational()` instruments.
+        // `SimSpec::best_generational()` instruments.
         generational.merge(&comparison.generational[1].ledger);
     }
 
-    let unified_costs = suite_costs(&logs, ModelSpec::Unified, 8, 2);
-    let gen_costs = suite_costs(&logs, ModelSpec::best_generational(), 8, 2);
+    let unified_costs = merged_costs(&logs, SimSpec::Unified, 8);
+    let gen_costs = merged_costs(&logs, SimSpec::best_generational(), 8);
     assert_eq!(unified_costs.total, unified, "unified suite ledger diverged");
     assert_eq!(gen_costs.total, generational, "generational suite ledger diverged");
     assert_eq!(
@@ -87,10 +97,13 @@ fn assert_median_close(name: &str, exact: &Log2Histogram, sampled: &Log2Histogra
 #[test]
 fn sampling_keeps_counters_exact_and_quantiles_faithful() {
     let logs = suite_logs();
-    let spec = ModelSpec::best_generational();
     for log in &logs {
-        let (_, exact) = collect_metrics(log, spec, 0);
-        let (_, sampled) = collect_sampled(log, spec, SamplingParams::bounded(42), 0);
+        let observer = (
+            MetricsObserver::new(),
+            SamplingObserver::new(SamplingParams::bounded(42)),
+        );
+        let (_, (exact, sampled)) = replay_observed(log, SimSpec::best_generational(), observer);
+        let (exact, sampled) = (exact.report(), sampled.report());
         let m = &sampled.metrics;
         assert_eq!(m.accesses, exact.accesses, "{}", log.benchmark);
         assert_eq!(m.hits, exact.hits, "{}", log.benchmark);
@@ -126,12 +139,16 @@ fn sampling_keeps_counters_exact_and_quantiles_faithful() {
 #[test]
 fn suite_reports_roundtrip_through_json() {
     let logs = suite_logs();
-    let spec = ModelSpec::best_generational();
-    let costs = suite_costs(&logs, spec, 6, 1);
+    let spec = SimSpec::best_generational();
+    let costs = merged_costs(&logs, spec, 6);
     let json = serde_json::to_string(&costs).unwrap();
-    assert_eq!(serde_json::from_str::<gencache_obs::CostReport>(&json).unwrap(), costs);
+    assert_eq!(serde_json::from_str::<CostReport>(&json).unwrap(), costs);
 
-    let sampled = suite_sampled(&logs, spec, SamplingParams::bounded(7), 64, 1);
+    let mut sampled = SampledReport::default();
+    for log in &logs {
+        let observer = SamplingObserver::with_timeline(SamplingParams::bounded(7), 64);
+        sampled.merge(&replay_observed(log, spec, observer).1.report());
+    }
     let json = serde_json::to_string(&sampled).unwrap();
     assert_eq!(serde_json::from_str::<SampledReport>(&json).unwrap(), sampled);
 }

@@ -1,11 +1,10 @@
-//! Suite-level parallel determinism: `record_all` and `compare_all` must
-//! produce byte-identical results (via serde_json) for any `--jobs`
-//! value. The suite driver fans whole benchmarks across workers, so this
-//! guards the reassembly-in-input-order contract end to end.
+//! Suite-level parallel determinism: `record_all`, `compare_all` and the
+//! live `--metrics-out` document must be byte-identical for any `--jobs`
+//! value. `record_all` fans whole benchmarks across workers and the
+//! document merges their reports, so this guards the
+//! reassembly-in-input-order contract end to end.
 
-use gencache_bench::{compare_all, record_all, HarnessOptions};
-use gencache_obs::SamplingParams;
-use gencache_sim::{suite_costs, suite_metrics, suite_sampled, AccessLog, ModelSpec};
+use gencache_bench::{compare_all, export_telemetry, record_all, HarnessOptions};
 use gencache_workloads::Suite;
 
 fn opts(jobs: usize) -> HarnessOptions {
@@ -43,54 +42,46 @@ fn suite_fanout_is_byte_identical_across_job_counts() {
     }
 }
 
+/// The live `--metrics-out` document for the suite at `jobs` workers,
+/// under `--sample N --sample-seed 11` when `sample` is given.
+fn export_doc(jobs: usize, sample: Option<u64>) -> String {
+    let dir = std::env::temp_dir().join(format!("gencache-par-eq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("metrics-{jobs}-{sample:?}.json"));
+    let opts = HarnessOptions {
+        metrics_out: Some(path.to_str().unwrap().to_string()),
+        sample,
+        sample_seed: 11,
+        ..opts(jobs)
+    };
+    export_telemetry(&opts, &record_all(&opts)).unwrap();
+    let doc = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    doc
+}
+
 #[test]
 fn suite_costs_and_sampled_are_byte_identical_across_job_counts() {
-    let runs = record_all(&opts(1));
-    let logs: Vec<AccessLog> = runs.iter().map(|(_, r)| r.log.clone()).collect();
-    for spec in [ModelSpec::Unified, ModelSpec::best_generational()] {
-        let serial_costs = serde_json::to_string(&suite_costs(&logs, spec, 8, 1)).unwrap();
-        let serial_sampled = serde_json::to_string(&suite_sampled(
-            &logs,
-            spec,
-            SamplingParams::bounded(11),
-            64,
-            1,
-        ))
-        .unwrap();
-        for jobs in [2, 8] {
-            let costs = serde_json::to_string(&suite_costs(&logs, spec, 8, jobs)).unwrap();
-            assert_eq!(
-                serial_costs, costs,
-                "merged cost report with {jobs} jobs diverged from serial ({spec:?})"
-            );
-            let sampled = serde_json::to_string(&suite_sampled(
-                &logs,
-                spec,
-                SamplingParams::bounded(11),
-                64,
-                jobs,
-            ))
-            .unwrap();
-            assert_eq!(
-                serial_sampled, sampled,
-                "merged sampled report with {jobs} jobs diverged from serial ({spec:?})"
-            );
-        }
+    let serial = export_doc(1, Some(4));
+    assert!(serial.contains(r#""costs":{"#) && serial.contains(r#""sampled":{"#));
+    for jobs in [2, 8] {
+        assert_eq!(
+            serial,
+            export_doc(jobs, Some(4)),
+            "sampled metrics document with {jobs} jobs diverged from serial"
+        );
     }
 }
 
 #[test]
 fn suite_metrics_are_byte_identical_across_job_counts() {
-    let runs = record_all(&opts(1));
-    let logs: Vec<AccessLog> = runs.iter().map(|(_, r)| r.log.clone()).collect();
-    for spec in [ModelSpec::Unified, ModelSpec::best_generational()] {
-        let serial = serde_json::to_string(&suite_metrics(&logs, spec, 64, 1)).unwrap();
-        for jobs in [2, 8] {
-            let sharded = serde_json::to_string(&suite_metrics(&logs, spec, 64, jobs)).unwrap();
-            assert_eq!(
-                serial, sharded,
-                "merged metrics with {jobs} jobs diverged from serial ({spec:?})"
-            );
-        }
+    let serial = export_doc(1, None);
+    assert!(serial.contains(r#""metrics":{"#) && !serial.contains(r#""sampled":"#));
+    for jobs in [2, 8] {
+        assert_eq!(
+            serial,
+            export_doc(jobs, None),
+            "metrics document with {jobs} jobs diverged from serial"
+        );
     }
 }

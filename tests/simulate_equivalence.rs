@@ -19,10 +19,12 @@
 
 use gencache_bench::ingest::{run_sim_job, SimJobInput, SimJobOptions};
 use gencache_bench::sample_interval;
-use gencache_obs::{oracle_replay, reconstruct_trace};
+use gencache_obs::{
+    oracle_replay, reconstruct_trace, CostObserver, EventBuffer, MetricsObserver, SimTrace,
+};
 use gencache_sim::{
-    collect_costs, collect_events, collect_metrics, parse_spec, record, simulate_costs,
-    simulate_metrics, sweep_with_jobs, trace_to_log, AccessLog, ModelSpec, SimSpec,
+    parse_spec, record, replay_observed, simulate_costs, simulate_metrics, sweep_with_jobs,
+    trace_to_log, AccessLog, SimSpec,
 };
 use gencache_workloads::benchmark;
 
@@ -31,10 +33,8 @@ use gencache_workloads::benchmark;
 fn recorded_and_reconstructed() -> (AccessLog, AccessLog, u64) {
     let profile = benchmark("word").expect("word exists").scaled_down(32);
     let run = record(&profile).expect("calibrated profiles always plan");
-    let (_, events) = collect_events(&run.log, ModelSpec::Unified);
-    let trace = reconstruct_trace(&events).expect("stream inverts");
     let reconstructed = trace_to_log(
-        &trace,
+        &frontend_trace(&run.log),
         profile.name.clone(),
         run.log.duration.as_micros(),
         run.log.peak_trace_bytes,
@@ -43,12 +43,10 @@ fn recorded_and_reconstructed() -> (AccessLog, AccessLog, u64) {
     (run.log, reconstructed, capacity)
 }
 
-fn model_spec(label: &str) -> (SimSpec, ModelSpec) {
-    let spec = parse_spec(label).expect("valid spec label");
-    let SimSpec::Model(model) = spec else {
-        panic!("{label} is not a model spec");
-    };
-    (spec, model)
+/// The frontend trace reconstructed from `log`'s unified event stream.
+fn frontend_trace(log: &AccessLog) -> SimTrace {
+    let (_, buffer) = replay_observed(log, SimSpec::Unified, EventBuffer::new());
+    reconstruct_trace(&buffer.events).expect("stream inverts")
 }
 
 #[test]
@@ -65,8 +63,13 @@ fn simulation_reproduces_recording_and_counterfactuals_bitwise() {
     // Original configuration and two counterfactual layouts, one of
     // which (30-20-50@evict5) no live export ever recorded.
     for label in ["unified", "gen-45-10-45@hit1", "30-20-50@evict5"] {
-        let (spec, model) = model_spec(label);
-        let (rec_result, rec_metrics) = collect_metrics(&original, model, every);
+        let spec = parse_spec(label).expect("valid spec label");
+        let observer = (
+            MetricsObserver::with_timeline(every),
+            CostObserver::with_phases(phases, original.duration.as_micros()),
+        );
+        let (rec_result, (rec_metrics, rec_costs)) = replay_observed(&original, spec, observer);
+        let (rec_metrics, rec_costs) = (rec_metrics.report(), rec_costs.into_report());
         let (sim_result, sim_metrics) = simulate_metrics(&reconstructed, spec, capacity, every);
         assert_eq!(sim_result.metrics, rec_result.metrics, "{label} model metrics");
         assert_eq!(sim_result.ledger, rec_result.ledger, "{label} Equation 3 ledger");
@@ -77,7 +80,6 @@ fn simulation_reproduces_recording_and_counterfactuals_bitwise() {
             "{label} serialized metrics"
         );
 
-        let (_, rec_costs) = collect_costs(&original, model, phases);
         let (_, sim_costs) = simulate_costs(&reconstructed, spec, capacity, phases);
         assert_eq!(sim_costs, rec_costs, "{label} cost report");
         assert_eq!(
@@ -95,10 +97,9 @@ fn simulated_grid_is_jobs_invariant() {
         .iter()
         .map(|l| parse_spec(l).expect("valid spec label"))
         .collect();
-    let (_, events) = collect_events(&original, ModelSpec::Unified);
     let inputs = [SimJobInput {
         name: reconstructed.benchmark.clone(),
-        trace: reconstruct_trace(&events).expect("stream inverts"),
+        trace: frontend_trace(&original),
         log: reconstructed,
         capacity,
         phases: 12,
@@ -160,9 +161,7 @@ fn sweep_on_reconstructed_log_matches_rerecording() {
 #[test]
 fn oracle_lower_bounds_the_unified_baseline() {
     let (original, reconstructed, capacity) = recorded_and_reconstructed();
-    let (_, events) = collect_events(&original, ModelSpec::Unified);
-    let trace = reconstruct_trace(&events).expect("stream inverts");
-    let oracle = oracle_replay(&trace, capacity);
+    let oracle = oracle_replay(&frontend_trace(&original), capacity);
     let every = sample_interval(&reconstructed);
     let (result, _) = simulate_metrics(
         &reconstructed,
