@@ -65,7 +65,7 @@ fn main() {
     let mut defrag_rates = Vec::new();
     for (p, r) in &runs {
         eprintln!("replaying {} ...", p.name);
-        let cap = (r.log.peak_trace_bytes / 2).max(1);
+        let cap = r.log.capacity();
 
         let mut plain = LruCache::new(cap);
         let (acc, plain_misses) = replay_cache(&r.log, &mut plain);

@@ -34,7 +34,7 @@ fn main() {
             .iter()
             .filter(|r| matches!(r, gencache_sim::LogRecord::Pin { .. }))
             .count();
-        let cap = (run.log.peak_trace_bytes / 2).max(1);
+        let cap = run.log.capacity();
         let mut model = UnifiedModel::new(cap);
         replay_into(&run.log, &mut model);
         table.row([

@@ -28,7 +28,7 @@ fn main() {
     let mut gen_fracs = Vec::new();
     for (p, r) in &runs {
         eprintln!("replaying {} ...", p.name);
-        let cap = (r.log.peak_trace_bytes / 2).max(1);
+        let cap = r.log.capacity();
         let mut unified = UnifiedModel::new(cap);
         let uni = replay_with_linking(&r.log, &mut unified);
         let mut gen = GenerationalModel::new(GenerationalConfig::figure9_configs(cap)[1]);

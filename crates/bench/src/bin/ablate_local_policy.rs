@@ -31,7 +31,7 @@ fn main() {
     let mut flush_rates = Vec::new();
     for (p, r) in &runs {
         eprintln!("replaying {} ...", p.name);
-        let cap = (r.log.peak_trace_bytes / 2).max(1);
+        let cap = r.log.capacity();
         let caches: [(&str, Box<dyn CodeCache>); 4] = [
             ("pseudo-circular", Box::new(PseudoCircularCache::new(cap))),
             ("lru", Box::new(LruCache::new(cap))),

@@ -7,11 +7,8 @@
 //! the generational win.
 
 use gencache_bench::{record_all, HarnessOptions};
-use gencache_core::{
-    overhead_ratio, CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy,
-    Proportions, UnifiedModel,
-};
-use gencache_sim::replay_into;
+use gencache_core::{GenerationalConfig, PromotionPolicy, Proportions};
+use gencache_sim::compare;
 use gencache_sim::report::{arithmetic_mean, fmt_pct, TextTable};
 
 fn main() {
@@ -29,45 +26,29 @@ fn main() {
     let mut without = Vec::new();
     for (p, r) in &runs {
         eprintln!("replaying {} ...", p.name);
-        let cap = (r.log.peak_trace_bytes / 2).max(1);
-        let mut unified = UnifiedModel::new(cap);
-        replay_into(&r.log, &mut unified);
-        let u = unified.metrics().miss_rate();
-
-        let mut three = GenerationalModel::new(GenerationalConfig::new(
-            cap,
-            Proportions::best_overall(),
-            PromotionPolicy::OnHit { hits: 1 },
-        ));
-        replay_into(&r.log, &mut three);
-        let mut two = GenerationalModel::new(GenerationalConfig::new(
-            cap,
-            Proportions::new(0.5, 0.0, 0.5),
-            PromotionPolicy::OnHit { hits: 1 },
-        ));
-        replay_into(&r.log, &mut two);
-
-        let red = |m: &GenerationalModel| {
-            if u == 0.0 {
-                0.0
-            } else {
-                (u - m.metrics().miss_rate()) / u
-            }
+        let config = |proportions| {
+            GenerationalConfig::new(
+                r.log.capacity(),
+                proportions,
+                PromotionPolicy::OnHit { hits: 1 },
+            )
         };
-        with.push(red(&three));
-        without.push(red(&two));
+        // Both hierarchies and the unified baseline, from one pass.
+        let c = compare(
+            &r.log,
+            &[
+                config(Proportions::best_overall()),
+                config(Proportions::new(0.5, 0.0, 0.5)),
+            ],
+        );
+        with.push(c.miss_rate_reduction(0));
+        without.push(c.miss_rate_reduction(1));
         table.row([
             p.name.clone(),
-            fmt_pct(red(&three)),
-            fmt_pct(red(&two)),
-            format!(
-                "{:.1}%",
-                overhead_ratio(three.ledger(), unified.ledger()) * 100.0
-            ),
-            format!(
-                "{:.1}%",
-                overhead_ratio(two.ledger(), unified.ledger()) * 100.0
-            ),
+            fmt_pct(c.miss_rate_reduction(0)),
+            fmt_pct(c.miss_rate_reduction(1)),
+            format!("{:.1}%", c.overhead_ratio(0) * 100.0),
+            format!("{:.1}%", c.overhead_ratio(1) * 100.0),
         ]);
     }
     print!("{}", table.render());

@@ -27,7 +27,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use gencache_bench::ingest::open_lines;
-use gencache_bench::{export_specs, export_telemetry, HarnessOptions};
+use gencache_bench::{export_specs, export_telemetry, sample_interval, HarnessOptions};
 use gencache_core::{SwitchKind, SwitchReport};
 use gencache_obs::{
     oracle_replay, parse_stream_line, reconstruct_trace, CacheEvent, CostObserver, EventBuffer,
@@ -36,7 +36,7 @@ use gencache_obs::{
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
 use gencache_sim::{
-    parse_spec, record, replay_into, replay_observed, replay_spec, ReplayResult, SimSpec,
+    parse_spec, record, replay_observed, replay_spec, ReplayResult, SimSpec,
 };
 use gencache_workloads::{benchmark, WorkloadProfile};
 
@@ -816,9 +816,9 @@ fn main() -> ExitCode {
     }
     eprintln!("recording {} ...", profile.name);
     let run = record(&profile).expect("calibrated profiles always plan");
-    let capacity = (run.log.peak_trace_bytes / 2).max(1);
+    let capacity = run.log.capacity();
     let duration_us = run.log.duration.as_micros();
-    let sample_every = (run.log.access_count() / 64).max(1);
+    let sample_every = sample_interval(&run.log);
 
     println!(
         "explain {}: {} log records, {} accesses, budget {} (0.5 × maxCache {}), {} phases",
@@ -852,9 +852,7 @@ fn main() -> ExitCode {
     // decision log narrated, read from the same replay.
     let exported = export_specs().map(|(label, spec)| (label.to_string(), spec));
     for (label, spec) in exported.into_iter().chain(extra_specs) {
-        let (result, buffer, switches) = replay_spec(spec, capacity, EventBuffer::new(), |m| {
-            replay_into(&run.log, m)
-        });
+        let (result, buffer, switches) = replay_spec(&run.log, spec, capacity, EventBuffer::new());
         explain_model(&ctx, &label, &result, &buffer.events, &opts);
         if let Some(report) = switches {
             render_switches(&report);

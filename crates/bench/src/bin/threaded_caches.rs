@@ -25,7 +25,7 @@ fn main() {
     let mut penalties = Vec::new();
     for (p, r) in &runs {
         eprintln!("replaying {} ...", p.name);
-        let capacity = (r.log.peak_trace_bytes / 2).max(1);
+        let capacity = r.log.capacity();
         let shared = replay_thread_shared(&r.log, capacity, ThreadCacheKind::Generational);
         let mut cells = vec![
             p.name.clone(),

@@ -36,8 +36,8 @@ use gencache_obs::{
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
 use gencache_sim::{
-    parse_spec, policy_grid, proportion_grid, simulate_cell, trace_to_log, AccessLog, CellSections,
-    SimSpec, SimulatedSpec, SpecReports,
+    parse_spec, policy_grid, proportion_grid, simulate_cell, standard_capacity, trace_to_log,
+    AccessLog, CellSections, SimSpec, SimulatedSpec, SpecReports,
 };
 use serde::Value;
 
@@ -303,7 +303,7 @@ impl StreamIngest {
                 },
                 |m| m.duration_us,
             );
-            let cap = capacity.unwrap_or_else(|| (peak / 2).max(1));
+            let cap = capacity.unwrap_or_else(|| standard_capacity(peak));
             let phases = meta.map_or(1, |m| m.phases.max(1));
             let trace = self.benches[name].reference.clone();
             let log = trace_to_log(&trace, name.clone(), duration_us, peak);

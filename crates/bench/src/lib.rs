@@ -44,17 +44,16 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
-use gencache_core::CacheModel;
 use gencache_obs::{
     JsonlSink, RunMeta, SamplingParams, StreamHeader, METRICS_SCHEMA, METRICS_VERSION,
 };
-use serde::Value;
 use gencache_sim::par::{par_map, par_map_timed};
 use gencache_sim::{
-    compare_figure9_metered, record, replay_cell, replay_into, replay_observed, CellSections,
-    Comparison, ProgressMeter, RecordedRun, RecorderOptions, SimSpec, SpecReports,
+    compare_figure9, record, replay_observed, simulate_cell, CellSections, Comparison,
+    ProgressMeter, RecordedRun, RecorderOptions, Recording, SimSpec, SpecReports,
     StreamedRecording, DEFAULT_STREAM_DEPTH,
 };
+use serde::Value;
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 
 pub mod ingest;
@@ -81,7 +80,8 @@ pub struct HarnessOptions {
     /// Write aggregated per-benchmark and suite-merged metrics here as
     /// one JSON document.
     pub metrics_out: Option<String>,
-    /// Print a rate-limited records-replayed/total heartbeat to stderr.
+    /// Print a rate-limited records-replayed/total heartbeat to stderr
+    /// (with either recording source, `--stream` included).
     pub progress: bool,
     /// Record 1-in-N distribution values through a bounded-memory
     /// [`SamplingObserver`](gencache_obs::SamplingObserver) and add a
@@ -102,9 +102,10 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--scale N`, `--suite spec|interactive`, `--jobs N`,
-    /// `--events-out FILE`, `--metrics-out FILE` and `--progress` from
-    /// `args`.
+    /// Parses `--scale N`, `--suite spec|interactive|adversarial`,
+    /// `--jobs N`, `--events-out FILE`, `--metrics-out FILE`,
+    /// `--progress`, `--sample N`, `--sample-seed S`, `--stream` and
+    /// `--stream-depth N` from `args`.
     ///
     /// # Panics
     ///
@@ -222,118 +223,77 @@ impl HarnessOptions {
     }
 }
 
-/// Records every selected benchmark, fanning benchmarks across the
-/// harness's worker threads and printing per-shard wall-clock timings to
-/// stderr. Output order matches [`HarnessOptions::profiles`] regardless
-/// of the job count.
-pub fn record_all(opts: &HarnessOptions) -> Vec<Run> {
-    let profiles = opts.profiles();
-    let jobs = opts.effective_jobs();
-    eprintln!("recording {} benchmarks ({jobs} jobs) ...", profiles.len());
-    let started = Instant::now();
-    let results = par_map_timed(&profiles, jobs, |p| {
-        record(p).expect("calibrated profiles always plan")
-    });
-    let mut out = Vec::with_capacity(profiles.len());
-    for (profile, (run, shard)) in profiles.into_iter().zip(results) {
-        eprintln!("  recorded {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
-        out.push((profile, run));
-    }
-    eprintln!(
-        "recorded {} benchmarks in {:.3}s wall-clock",
-        out.len(),
-        started.elapsed().as_secs_f64()
-    );
-    out
-}
-
-/// Replays every recorded run through the Figure 9 three-configuration
-/// comparison, fanning benchmarks across the harness's worker threads
-/// and printing per-shard wall-clock timings to stderr. Output order
-/// matches `runs` and is bit-identical for every job count.
-pub fn compare_all(opts: &HarnessOptions, runs: &[Run]) -> Vec<(WorkloadProfile, Comparison)> {
-    let jobs = opts.effective_jobs();
-    eprintln!("replaying {} benchmarks ({jobs} jobs) ...", runs.len());
-    let started = Instant::now();
-    // Each Figure 9 comparison replays the log into four models:
-    // unified plus the three generational configurations.
-    let total_records: u64 = runs.iter().map(|(_, r)| r.log.records.len() as u64 * 4).sum();
-    let meter = if opts.progress {
-        ProgressMeter::new("replay", total_records)
-    } else {
-        ProgressMeter::disabled("replay", total_records)
-    };
-    let results = par_map_timed(runs, jobs, |(_, r)| compare_figure9_metered(&r.log, &meter));
-    if opts.progress {
-        meter.finish();
-    }
-    let out: Vec<(WorkloadProfile, Comparison)> = runs
-        .iter()
-        .zip(results)
-        .map(|((p, _), (c, shard))| {
-            eprintln!("  replayed {:<10} in {:7.3}s", p.name, shard.as_secs_f64());
-            (p.clone(), c)
-        })
-        .collect();
-    eprintln!(
-        "replayed {} benchmarks in {:.3}s wall-clock",
-        out.len(),
-        started.elapsed().as_secs_f64()
-    );
-    out
-}
-
 /// A recorded benchmark paired with its profile.
 pub type Run = (WorkloadProfile, RecordedRun);
 
-/// A probed streamed recording paired with its profile — the `--stream`
-/// counterpart of [`Run`], holding run facts instead of a log.
-pub type StreamedRun = (WorkloadProfile, StreamedRecording);
-
-/// Probes every selected benchmark for the streamed pipeline: one
-/// recording pass per benchmark that discards records and keeps only the
-/// run facts. Fan-out, ordering, and timing output mirror
-/// [`record_all`].
-pub fn record_all_streamed(opts: &HarnessOptions) -> Vec<StreamedRun> {
+/// Builds one recording per selected benchmark with `make`, fanning
+/// benchmarks across the harness's worker threads and printing
+/// per-shard wall-clock timings to stderr under `verb` (`recording`,
+/// `probing`) and its past tense `done`. Output order matches
+/// [`HarnessOptions::profiles`] regardless of the job count.
+fn record_rows<R: Send>(
+    opts: &HarnessOptions,
+    (verb, done): (&str, &str),
+    make: impl Fn(&WorkloadProfile) -> R + Sync,
+) -> Vec<(WorkloadProfile, R)> {
     let profiles = opts.profiles();
     let jobs = opts.effective_jobs();
-    let depth = opts.effective_stream_depth();
-    eprintln!(
-        "probing {} benchmarks ({jobs} jobs, stream depth {depth}) ...",
-        profiles.len()
-    );
+    eprintln!("{verb} {} benchmarks ({jobs} jobs) ...", profiles.len());
     let started = Instant::now();
-    let results = par_map_timed(&profiles, jobs, |p| {
-        StreamedRecording::probe(p, RecorderOptions::default(), depth)
-            .expect("calibrated profiles always plan")
-    });
+    let results = par_map_timed(&profiles, jobs, make);
     let mut out = Vec::with_capacity(profiles.len());
     for (profile, (rec, shard)) in profiles.into_iter().zip(results) {
-        eprintln!("  probed   {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
+        eprintln!("  {done:<8} {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
         out.push((profile, rec));
     }
     eprintln!(
-        "probed {} benchmarks in {:.3}s wall-clock",
+        "{done} {} benchmarks in {:.3}s wall-clock",
         out.len(),
         started.elapsed().as_secs_f64()
     );
     out
 }
 
-/// Streamed counterpart of [`compare_all`]: each benchmark re-records
-/// through a bounded channel and drives all four Figure 9 models from
-/// the single stream. Output order matches `recs` and is bit-identical
-/// to the materialized path for every job count. (`--progress` is a
-/// no-op here: the producer thread owns the record counter.)
-pub fn compare_all_streamed(
+/// Records every selected benchmark, materializing each log. Benchmarks
+/// fan out across the harness's worker threads with per-shard timings
+/// on stderr; output order matches [`HarnessOptions::profiles`]
+/// regardless of the job count.
+pub fn record_all(opts: &HarnessOptions) -> Vec<Run> {
+    record_rows(opts, ("recording", "recorded"), |p| {
+        record(p).expect("calibrated profiles always plan")
+    })
+}
+
+/// Probes every selected benchmark for the streamed pipeline: one
+/// recording pass per benchmark that discards records and keeps only the
+/// run facts, at the `--stream-depth` channel depth. Fan-out, ordering
+/// and timing output match [`record_all`].
+pub fn record_all_streamed(opts: &HarnessOptions) -> Vec<(WorkloadProfile, StreamedRecording)> {
+    let depth = opts.effective_stream_depth();
+    record_rows(opts, ("probing", "probed"), |p| {
+        StreamedRecording::probe(p, RecorderOptions::default(), depth)
+            .expect("calibrated profiles always plan")
+    })
+}
+
+/// Replays every recording through the Figure 9 comparison — the
+/// unified baseline and three generational layouts, all driven from one
+/// pass per benchmark — fanning benchmarks across the harness's worker
+/// threads and printing per-shard wall-clock timings to stderr. Every
+/// pass reports its records into `meter`, which is finished at the end.
+/// Output order matches `rows` and is bit-identical for every job count
+/// and either recording source.
+pub fn compare_all<R: Recording + Sync>(
     opts: &HarnessOptions,
-    recs: &[StreamedRun],
+    rows: &[(WorkloadProfile, R)],
+    meter: &ProgressMeter,
 ) -> Vec<(WorkloadProfile, Comparison)> {
     let jobs = opts.effective_jobs();
-    eprintln!("replaying {} benchmarks ({jobs} jobs, streamed) ...", recs.len());
+    eprintln!("replaying {} benchmarks ({jobs} jobs) ...", rows.len());
     let started = Instant::now();
-    let results = par_map_timed(recs, jobs, |(_, rec)| rec.compare_figure9());
-    let out: Vec<(WorkloadProfile, Comparison)> = recs
+    let results = par_map_timed(rows, jobs, |(_, rec)| compare_figure9(&rec.metered(meter)));
+    meter.finish();
+    let out: Vec<(WorkloadProfile, Comparison)> = rows
         .iter()
         .zip(results)
         .map(|((p, _), (c, shard))| {
@@ -350,21 +310,32 @@ pub fn compare_all_streamed(
 }
 
 /// The full record → export → compare pipeline behind every figure
-/// binary, dispatching on `--stream`: the materialized path records each
-/// benchmark's [`AccessLog`](gencache_sim::AccessLog) once and replays
-/// it in place, while the streamed path never materializes a log and
-/// instead re-records through a bounded channel for each replay. Both
-/// produce bit-identical comparisons and telemetry artifacts.
+/// binary. `--stream` only chooses the recording constructor: the
+/// materialized path records each benchmark's
+/// [`AccessLog`](gencache_sim::AccessLog) once and replays it in place,
+/// while the streamed path never materializes a log and instead
+/// re-records through a bounded channel for each replay. Both produce
+/// bit-identical comparisons and telemetry artifacts.
 pub fn comparison_pipeline(opts: &HarnessOptions) -> Vec<(WorkloadProfile, Comparison)> {
     if opts.stream {
-        let recs = record_all_streamed(opts);
-        export_telemetry_streamed(opts, &recs).expect("telemetry export failed");
-        compare_all_streamed(opts, &recs)
+        export_and_compare(opts, &record_all_streamed(opts))
     } else {
-        let runs = record_all(opts);
-        export_telemetry(opts, &runs).expect("telemetry export failed");
-        compare_all(opts, &runs)
+        export_and_compare(opts, &record_all(opts))
     }
+}
+
+fn export_and_compare<R: Recording + Sync>(
+    opts: &HarnessOptions,
+    rows: &[(WorkloadProfile, R)],
+) -> Vec<(WorkloadProfile, Comparison)> {
+    export_telemetry(opts, rows).expect("telemetry export failed");
+    let total = rows.iter().map(|(_, rec)| rec.record_count()).sum();
+    let meter = if opts.progress {
+        ProgressMeter::new("replay", total)
+    } else {
+        ProgressMeter::disabled("replay", total)
+    };
+    compare_all(opts, rows, &meter)
 }
 
 /// The organizations exported by `--events-out` / `--metrics-out`: the
@@ -381,54 +352,50 @@ pub fn export_specs() -> [(&'static str, SimSpec); 2] {
 /// replay. Keyed on access counts, not wall clock, so the timeline is
 /// deterministic — and reproducible by the offline simulator, whose
 /// reconstructed log preserves the access count exactly.
-pub fn sample_interval(log: &gencache_sim::AccessLog) -> u64 {
-    sample_interval_for(log.access_count())
+pub fn sample_interval<R: Recording>(rec: &R) -> u64 {
+    (rec.access_count() / 64).max(1)
 }
 
-/// [`sample_interval`] keyed on a bare access count, for the streamed
-/// path where no log exists.
-pub fn sample_interval_for(accesses: u64) -> u64 {
-    (accesses / 64).max(1)
-}
-
-/// Honors `--events-out` and `--metrics-out`: replays every recorded
-/// run through the [`export_specs`] models with instrumentation attached
-/// and writes the requested artifacts. A no-op when neither flag is set.
-pub fn export_telemetry(opts: &HarnessOptions, runs: &[Run]) -> io::Result<()> {
+/// Honors `--events-out` and `--metrics-out`: replays every recording
+/// through the [`export_specs`] models with instrumentation attached and
+/// writes the requested artifacts. A no-op when neither flag is set.
+pub fn export_telemetry<R: Recording + Sync>(
+    opts: &HarnessOptions,
+    rows: &[(WorkloadProfile, R)],
+) -> io::Result<()> {
     if let Some(path) = &opts.events_out {
-        let lines = write_events(path, runs)?;
+        let writer = BufWriter::new(File::create(path)?);
+        let (mut writer, lines) = stream_events_to(writer, rows)?;
+        writer.flush()?;
         eprintln!("wrote {lines} events to {path}");
     }
     if let Some(path) = &opts.metrics_out {
-        write_metrics(path, runs, opts)?;
+        write_metrics(path, rows, opts)?;
         eprintln!("wrote metrics to {path}");
     }
     Ok(())
 }
 
-/// Streamed counterpart of [`export_telemetry`]: every artifact is
-/// produced through bounded-channel replays (one extra recording pass
-/// per instrumented replay) and is byte-identical to the materialized
-/// export.
-pub fn export_telemetry_streamed(opts: &HarnessOptions, recs: &[StreamedRun]) -> io::Result<()> {
-    if let Some(path) = &opts.events_out {
-        let lines = write_events_streamed(path, recs)?;
-        eprintln!("wrote {lines} events to {path}");
-    }
-    if let Some(path) = &opts.metrics_out {
-        write_metrics_streamed(path, recs, opts)?;
-        eprintln!("wrote metrics to {path}");
-    }
-    Ok(())
-}
-
-fn write_events(path: &str, runs: &[Run]) -> io::Result<u64> {
-    let mut writer = BufWriter::new(File::create(path)?);
-    let header =
-        serde_json::to_string(&StreamHeader::current()).map_err(|e| io::Error::other(format!("{e:?}")))?;
+/// Streams a v2 `gencache-events` export of `rows` into `writer` —
+/// header, then per (benchmark, exported model) a [`RunMeta`] line
+/// followed by the event lines, each model's events produced by one
+/// replay pass (never buffered whole). This is the `--events-out` file
+/// of the figure pipeline, byte-identical for either recording source.
+/// Returns the writer and the number of lines written — useful when the
+/// writer is a socket (the serve daemon's `fetch`) rather than a file.
+///
+/// # Errors
+///
+/// Propagates the writer's I/O errors.
+pub fn stream_events_to<W: Write, R: Recording>(
+    mut writer: W,
+    rows: &[(WorkloadProfile, R)],
+) -> io::Result<(W, u64)> {
+    let header = serde_json::to_string(&StreamHeader::current())
+        .map_err(|e| io::Error::other(format!("{e:?}")))?;
     writeln!(writer, "{header}")?;
     let mut lines = 1u64;
-    for (profile, run) in runs {
+    for (profile, rec) in rows {
         for (label, spec) in export_specs() {
             // The run facts the events alone cannot reproduce; the
             // offline simulator rebuilds capacity / cost attribution
@@ -436,60 +403,16 @@ fn write_events(path: &str, runs: &[Run]) -> io::Result<u64> {
             let meta = RunMeta {
                 source: profile.name.clone(),
                 model: label.to_string(),
-                duration_us: run.log.duration.as_micros(),
-                peak_trace_bytes: run.log.peak_trace_bytes,
+                duration_us: rec.duration().as_micros(),
+                peak_trace_bytes: rec.peak_trace_bytes(),
                 phases: profile.phases.max(1),
             };
-            let meta = serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
+            let meta =
+                serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
             writeln!(writer, "{meta}")?;
             lines += 1;
             let sink = JsonlSink::new(writer, profile.name.clone(), label);
-            let (_, sink) = replay_observed(&run.log, spec, sink);
-            lines += sink.lines();
-            writer = sink.finish()?;
-        }
-    }
-    writer.flush()?;
-    Ok(lines)
-}
-
-fn write_events_streamed(path: &str, recs: &[StreamedRun]) -> io::Result<u64> {
-    let writer = BufWriter::new(File::create(path)?);
-    let (mut writer, lines) = stream_events_to(writer, recs)?;
-    writer.flush()?;
-    Ok(lines)
-}
-
-/// Streams a v2 `gencache-events` export of `recs` into `writer` —
-/// header, then per (benchmark, exported model) a [`RunMeta`] line
-/// followed by the event lines, each model's events produced by one
-/// bounded-channel replay (never materialized). Byte-identical to the
-/// `--events-out` file written by the figure pipeline. Returns the
-/// writer and the number of lines written — useful when the writer is a
-/// socket (the serve daemon's `fetch`) rather than a file.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O errors.
-pub fn stream_events_to<W: Write>(mut writer: W, recs: &[StreamedRun]) -> io::Result<(W, u64)> {
-    let header =
-        serde_json::to_string(&StreamHeader::current()).map_err(|e| io::Error::other(format!("{e:?}")))?;
-    writeln!(writer, "{header}")?;
-    let mut lines = 1u64;
-    for (profile, rec) in recs {
-        for (label, spec) in export_specs() {
-            let meta = RunMeta {
-                source: profile.name.clone(),
-                model: label.to_string(),
-                duration_us: rec.facts().duration.as_micros(),
-                peak_trace_bytes: rec.facts().frontend.peak_trace_bytes,
-                phases: profile.phases.max(1),
-            };
-            let meta = serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
-            writeln!(writer, "{meta}")?;
-            lines += 1;
-            let sink = JsonlSink::new(writer, profile.name.clone(), label);
-            let (_, sink) = rec.replay_observed(spec, sink);
+            let (_, sink) = replay_observed(rec, spec, sink);
             lines += sink.lines();
             writer = sink.finish()?;
         }
@@ -553,26 +476,22 @@ pub fn write_metrics_doc(path: &str, doc: Value) -> io::Result<()> {
     file.write_all(b"\n")
 }
 
-/// Writes the metrics document for profile-keyed rows (recorded runs or
-/// streamed recordings). `facts` gives a row's access count, duration
-/// in µs and budget; `drive` feeds a row's records to one model, so each
-/// (row, model) cell replays once through [`replay_cell`].
-fn write_export_metrics<T: Sync>(
+/// Writes the `--metrics-out` document for `rows`: each (benchmark,
+/// exported model) cell replays once through [`simulate_cell`] at the
+/// recording's standard capacity.
+fn write_metrics<R: Recording + Sync>(
     path: &str,
-    rows: &[(WorkloadProfile, T)],
+    rows: &[(WorkloadProfile, R)],
     opts: &HarnessOptions,
-    facts: impl Fn(&T) -> (u64, u64, u64) + Sync,
-    drive: impl Fn(&T, &mut dyn CacheModel) + Sync,
 ) -> io::Result<()> {
     let sampling = opts.sampling_params();
     // Per-benchmark reports fan out across workers; document assembly
     // folds them in input-index order, so the output is bit-identical
     // for every jobs value.
     let per_bench: Vec<Vec<SpecReports>> =
-        par_map(rows, opts.effective_jobs(), |(profile, row)| {
-            let (accesses, duration_us, capacity) = facts(row);
+        par_map(rows, opts.effective_jobs(), |(profile, rec)| {
             let sections = CellSections {
-                sample_every: sample_interval_for(accesses),
+                sample_every: sample_interval(rec),
                 phases: profile.phases.max(1),
                 sampling,
                 regret: None,
@@ -580,9 +499,7 @@ fn write_export_metrics<T: Sync>(
             };
             export_specs()
                 .iter()
-                .map(|&(_, spec)| {
-                    replay_cell(spec, capacity, duration_us, &sections, |m| drive(row, m)).reports
-                })
+                .map(|&(_, spec)| simulate_cell(rec, spec, rec.capacity(), &sections).reports)
                 .collect()
         });
     let labels: Vec<String> = export_specs()
@@ -594,30 +511,6 @@ fn write_export_metrics<T: Sync>(
         .zip(&per_bench)
         .map(|((profile, _), reports)| (profile.name.as_str(), reports));
     write_metrics_doc(path, metrics_doc(&labels, benchmarks))
-}
-
-fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<()> {
-    write_export_metrics(
-        path,
-        runs,
-        opts,
-        |run| {
-            let log = &run.log;
-            let capacity = (log.peak_trace_bytes / 2).max(1);
-            (log.access_count(), log.duration.as_micros(), capacity)
-        },
-        |run, model| replay_into(&run.log, model),
-    )
-}
-
-fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOptions) -> io::Result<()> {
-    write_export_metrics(
-        path,
-        recs,
-        opts,
-        |rec| (rec.access_count(), rec.facts().duration.as_micros(), rec.capacity()),
-        |rec, model| rec.replay_models(&mut [model]),
-    )
 }
 
 /// One suite's borrowed slice of profile-keyed rows.

@@ -483,7 +483,7 @@ fn handle_ping(ctx: &Ctx, writer: &mut impl Write, hold_ms: u64) -> io::Result<(
 fn handle_job(
     ctx: &Ctx,
     reader: &mut BufReader<TcpStream>,
-    writer: &mut impl Write,
+    writer: &mut (impl Write + Send),
     mut spec: JobSpec,
 ) -> io::Result<()> {
     // Every job gets a trace id: the client normally stamps one; a bare
@@ -502,8 +502,8 @@ fn handle_job(
     // Spent chunk buffers come back for reuse. A new one is made only
     // when none is spare, so at most CHUNKS_IN_FLIGHT + 2 exist at once
     // and the worker's return never finds this channel full.
-    let (spent_tx, mut spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
-    let (reply_tx, mut reply_rx) = bounded::<JobOutcome>(1);
+    let (spent_tx, spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
+    let (reply_tx, reply_rx) = bounded::<JobOutcome>(1);
     // The deadline clock starts at admission, not at worker pickup —
     // time spent queued behind the bounded pool counts against the
     // budget, so a deadline'd job cannot wait unboundedly.
@@ -558,6 +558,36 @@ fn handle_job(
         ],
     );
 
+    // The reply goes out from its own thread the moment the worker
+    // settles the job, while this thread goes on reading the upload: a
+    // client that stalls right after a malformed line is answered at
+    // once, not when a read it never ends times out.
+    std::thread::scope(|scope| {
+        let replier = scope.spawn(|| send_reply(ctx, writer, reply_rx, &trace_id, admitted));
+        forward_upload(ctx, reader, chunk_tx, spent_rx, deadline, admitted);
+        let failed = replier
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        if failed {
+            // An error reply can precede the rest of the upload; read it
+            // off so closing cannot RST the reply away.
+            drain_discard(reader);
+        }
+        Ok(())
+    })
+}
+
+/// Forwards the upload to the worker in chunks of whole lines until the
+/// end frame, a failure, or the worker hanging up; then closes the
+/// channel.
+fn forward_upload(
+    ctx: &Ctx,
+    reader: &mut BufReader<TcpStream>,
+    chunk_tx: Sender<IngestItem>,
+    mut spent_rx: Receiver<String>,
+    deadline: Option<Duration>,
+    admitted: Instant,
+) {
     // Forward the upload in chunks of whole lines; the bounded send
     // blocks when the worker falls behind, which is exactly the
     // backpressure we want. A chunk goes out before a line that would
@@ -629,7 +659,7 @@ fn handle_job(
     };
     if read_timeout != ctx.read_timeout {
         // A socket that refuses the option is broken; the reply write
-        // below reports that.
+        // reports that.
         let _ = reader.get_ref().set_read_timeout(Some(ctx.read_timeout));
     }
     if let Some(item) = last {
@@ -637,8 +667,18 @@ fn handle_job(
             let _ = chunk_tx.send(item);
         }
     }
-    drop(chunk_tx);
+}
 
+/// Waits for the worker's outcome and writes the reply. Returns whether
+/// the reply was an error, after which the rest of the upload is
+/// drained.
+fn send_reply(
+    ctx: &Ctx,
+    writer: &mut impl Write,
+    mut reply_rx: Receiver<JobOutcome>,
+    trace_id: &str,
+    admitted: Instant,
+) -> io::Result<bool> {
     match reply_rx.recv() {
         Some(Ok(parts)) => {
             ServerStats::bump(&ctx.stats.jobs_completed);
@@ -652,7 +692,7 @@ fn handle_job(
                 parts.elapsed_us,
             );
             let sent = send_line(writer, &line);
-            if let Some(sp) = ctx.telemetry.span(&trace_id, "reply", reply_started) {
+            if let Some(sp) = ctx.telemetry.span(trace_id, "reply", reply_started) {
                 let outcome = if sent.is_ok() {
                     "ok"
                 } else {
@@ -660,29 +700,27 @@ fn handle_job(
                 };
                 sp.bytes(line.len() as u64 + 1).outcome(outcome).end();
             }
-            sent
+            sent.map(|()| false)
         }
         Some(Err(message)) => {
             ServerStats::bump(&ctx.stats.jobs_failed);
             ctx.telemetry.log().event(
                 LogLevel::Warn,
                 "job_failed",
-                Some(&trace_id),
+                Some(trace_id),
                 &[("message", Value::Str(message.clone()))],
             );
             let reply_started = Instant::now();
             let line = encode_error(&message);
             let sent = send_line(writer, &line);
-            if let Some(sp) = ctx.telemetry.span(&trace_id, "reply", reply_started) {
+            if let Some(sp) = ctx.telemetry.span(trace_id, "reply", reply_started) {
                 sp.bytes(line.len() as u64 + 1).end();
             }
-            sent?;
-            drain_discard(reader);
-            Ok(())
+            sent.map(|()| true)
         }
         None => {
             ServerStats::bump(&ctx.stats.jobs_failed);
-            send_line(writer, &encode_error("job worker terminated unexpectedly"))
+            send_line(writer, &encode_error("job worker terminated unexpectedly")).map(|()| false)
         }
     }
 }

@@ -1049,6 +1049,46 @@ fn deadline_passed_in_silence_is_answered_at_the_deadline() {
     deadline_passes_before_late_lines(0);
 }
 
+#[test]
+fn malformed_line_then_silence_is_answered_before_the_read_timeout() {
+    // Three valid lines, a malformed one, and then neither more bytes
+    // nor EOF: the worker fails the job at the malformed line, and the
+    // reply must not wait for the connection's 30 s read timeout.
+    let export = export();
+    let read_timeout = Duration::from_secs(30);
+    let server = TestServer::start(ServerConfig {
+        workers: Some(1),
+        read_timeout,
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(2 * read_timeout)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writeln!(writer, "{}", encode_job(&JobSpec::default())).unwrap();
+    for line in export.lines().take(3) {
+        writeln!(writer, "{line}").unwrap();
+    }
+    writeln!(writer, "{{\"event\": broken").unwrap();
+    let sent = Instant::now();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(
+        sent.elapsed() < read_timeout / 3,
+        "answered after {:?}, near the {read_timeout:?} read timeout",
+        sent.elapsed()
+    );
+    match parse_reply(reply.trim_end()) {
+        Ok(Reply::Error { message }) => assert!(
+            message.starts_with("unrecognized stream line"),
+            "want the worker's parse error, got {message:?}"
+        ),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    drop(writer);
+    assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
+}
+
 /// Uploads three lines, sleeps past a 200 ms deadline, sends `late`
 /// more lines 100 ms apart with no end frame, and expects the deadline
 /// error well before the 5 s read timeout.

@@ -20,6 +20,8 @@ use gencache_cache::TraceId;
 use serde::{Deserialize, Serialize};
 
 use crate::log::{AccessLog, LogRecord};
+use crate::recording::Recording;
+use crate::replay::ReplayCursor;
 
 /// A Fenwick (binary indexed) tree over byte weights.
 #[derive(Debug)]
@@ -197,52 +199,31 @@ pub fn reuse_profile(log: &AccessLog) -> ReuseProfile {
     profile
 }
 
-/// Replays `log` into `model`, sampling resident bytes at `samples`
+/// Replays `rec` into `model`, sampling resident bytes at `samples`
 /// evenly spaced points — the cache-occupancy timeline (rendered with
 /// [`crate::report::sparkline`]).
 ///
 /// Returns exactly `samples` values (or fewer for very short logs).
-pub fn occupancy_series(
-    log: &AccessLog,
+pub fn occupancy_series<R: Recording>(
+    rec: &R,
     model: &mut dyn gencache_core::CacheModel,
     samples: usize,
 ) -> Vec<u64> {
-    use crate::log::LogRecord;
-    let n = log.records.len();
+    let n = rec.record_count() as usize;
     if n == 0 || samples == 0 {
         return Vec::new();
     }
     let stride = (n / samples).max(1);
     let mut series = Vec::with_capacity(samples);
-    let mut catalog: HashMap<TraceId, gencache_cache::TraceRecord> = HashMap::new();
-    let mut now = gencache_program::Time::ZERO;
-    for (i, record) in log.records.iter().enumerate() {
-        match *record {
-            LogRecord::Create { record, time } => {
-                catalog.insert(record.id, record);
-                now = time;
-                model.on_access(record, time);
-            }
-            LogRecord::Access { id, time } => {
-                let rec = catalog[&id];
-                now = time;
-                model.on_access(rec, time);
-            }
-            LogRecord::Invalidate { id, time } => {
-                now = time;
-                model.on_unmap(id, time);
-            }
-            LogRecord::Pin { id } => {
-                model.on_pin(id, true, now);
-            }
-            LogRecord::Unpin { id } => {
-                model.on_pin(id, false, now);
-            }
-        }
-        if i % stride == stride - 1 && series.len() < samples {
+    let mut cursor = ReplayCursor::new();
+    let mut replayed = 0;
+    rec.for_each_record(|record| {
+        cursor.step(record).drive(model);
+        replayed += 1;
+        if replayed % stride == 0 && series.len() < samples {
             series.push(model.resident_bytes());
         }
-    }
+    });
     series
 }
 

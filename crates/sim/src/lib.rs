@@ -8,12 +8,18 @@
 //!
 //! 1. **Record** — run the benchmark under the dynamic optimizer with an
 //!    *unbounded* code cache and capture the verbose log of trace
-//!    creations, trace-cache accesses, and unmap invalidations
-//!    ([`record`], producing an [`AccessLog`]).
-//! 2. **Replay** — drive bounded cache simulators from the log: a unified
-//!    pseudo-circular cache sized at half the benchmark's unbounded peak,
-//!    versus generational hierarchies of identical total size
-//!    ([`compare`], [`compare_figure9`]).
+//!    creations, trace-cache accesses, and unmap invalidations. A
+//!    [`Recording`] has two constructors: [`record`] materializes the log
+//!    as an [`AccessLog`] inside a [`RecordedRun`], and
+//!    [`StreamedRecording::probe`] keeps only the run facts and
+//!    re-records through a bounded channel for every replay pass.
+//! 2. **Replay** — drive bounded cache simulators from the recording: a
+//!    unified pseudo-circular cache sized at half the benchmark's
+//!    unbounded peak ([`standard_capacity`]), versus generational
+//!    hierarchies of identical total size ([`compare`],
+//!    [`compare_figure9`]). Every replay driver takes any [`Recording`]
+//!    and drives all its models from one pass, so the two constructors
+//!    give byte-identical results.
 //!
 //! Plus [`sweep`] for the proportion × promotion-threshold configuration
 //! study, [`par`] for the deterministic thread-scoped fan-out that
@@ -47,6 +53,7 @@ mod log;
 pub mod par;
 mod progress;
 mod recorder;
+mod recording;
 mod replay;
 pub mod report;
 mod simulate;
@@ -62,16 +69,16 @@ pub use progress::{ProgressMeter, PROGRESS_BATCH};
 pub use recorder::{
     record, record_stream_with, record_with, RecordFacts, RecordedRun, RecorderOptions, RunSummary,
 };
+pub use recording::{standard_capacity, Metered, Recording};
 pub use replay::{
-    compare, compare_figure9, compare_figure9_metered, compare_metered, replay_into,
-    replay_into_metered, Comparison, ReplayCursor, ReplayResult, ReplayStep,
+    compare, compare_figure9, replay_into, Comparison, ReplayCursor, ReplayResult, ReplayStep,
 };
 pub use simulate::{
-    parse_spec, replay_cell, replay_observed, replay_sim_observed, replay_spec, simulate_cell,
+    parse_spec, replay_observed, replay_sim_observed, replay_spec, simulate_cell,
     simulate_costs, simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows,
     trace_to_log, CellSections, LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
 };
-pub use streamed::{compare_figure9_streamed, StreamedRecording, DEFAULT_STREAM_DEPTH};
+pub use streamed::{StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};
 pub use threads::{
     partition_by_module, replay_thread_private, replay_thread_shared, BudgetSplit, ThreadCacheKind,

@@ -21,6 +21,7 @@ use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::log::{AccessLog, LogRecord};
+use crate::replay::{ReplayCursor, ReplayStep};
 
 /// Outcome counters of a linking-aware replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,22 +93,17 @@ pub fn replay_with_linking(log: &AccessLog, model: &mut dyn LinkableModel) -> Li
     let mut report = LinkReport::default();
     // Established links with the endpoint epochs they were created at.
     let mut links: HashMap<(TraceId, TraceId), (Time, Time)> = HashMap::new();
-    let mut catalog = HashMap::new();
+    let mut cursor = ReplayCursor::new();
     let mut prev: Option<TraceId> = None;
-    // Clock for untimed pin records: the most recent timed record.
-    let mut now = Time::ZERO;
 
     for record in &log.records {
-        match *record {
-            LogRecord::Create { record, time } => {
-                catalog.insert(record.id, record);
-                now = time;
-                model.on_access(record, time);
-                prev = Some(record.id);
+        match (cursor.step(record), record) {
+            (ReplayStep::Access(rec, time), LogRecord::Create { .. }) => {
+                model.on_access(rec, time);
+                prev = Some(rec.id);
             }
-            LogRecord::Access { id, time } => {
-                let rec = catalog[&id];
-                now = time;
+            (ReplayStep::Access(rec, time), _) => {
+                let id = rec.id;
                 // Epochs *before* this access services (a miss will
                 // re-insert and change the epoch).
                 let to_epoch_before = model.resident_since(id);
@@ -144,8 +140,7 @@ pub fn replay_with_linking(log: &AccessLog, model: &mut dyn LinkableModel) -> Li
                 }
                 prev = Some(id);
             }
-            LogRecord::Invalidate { id, time } => {
-                now = time;
+            (ReplayStep::Unmap(id, time), _) => {
                 model.on_unmap(id, time);
                 let stale: Vec<(TraceId, TraceId)> = links
                     .keys()
@@ -160,12 +155,7 @@ pub fn replay_with_linking(log: &AccessLog, model: &mut dyn LinkableModel) -> Li
                     prev = None;
                 }
             }
-            LogRecord::Pin { id } => {
-                model.on_pin(id, true, now);
-            }
-            LogRecord::Unpin { id } => {
-                model.on_pin(id, false, now);
-            }
+            (step @ ReplayStep::Pin(..), _) => step.drive(model),
         }
     }
 
@@ -176,7 +166,7 @@ pub fn replay_with_linking(log: &AccessLog, model: &mut dyn LinkableModel) -> Li
         .flat_map(|(a, b)| [a, b])
         .collect::<HashSet<_>>()
         .iter()
-        .all(|id| catalog.contains_key(id)));
+        .all(|&&id| cursor.created(id)));
     report
 }
 

@@ -65,6 +65,13 @@ pub struct AccessLog {
 }
 
 impl AccessLog {
+    /// The paper's standard bounded budget for this log:
+    /// [`standard_capacity`](crate::standard_capacity) of its unbounded
+    /// peak.
+    pub fn capacity(&self) -> u64 {
+        crate::recording::standard_capacity(self.peak_trace_bytes)
+    }
+
     /// Number of trace executions (creations count as the first one).
     pub fn access_count(&self) -> u64 {
         self.records

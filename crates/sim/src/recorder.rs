@@ -106,9 +106,10 @@ pub struct RecordFacts {
 
 impl RecordFacts {
     /// The paper's standard bounded-cache budget for this recording:
-    /// half the unbounded peak, at least one byte.
+    /// [`standard_capacity`](crate::standard_capacity) of the unbounded
+    /// peak.
     pub fn capacity(&self) -> u64 {
-        (self.frontend.peak_trace_bytes / 2).max(1)
+        crate::recording::standard_capacity(self.frontend.peak_trace_bytes)
     }
 
     /// Builds the same [`RunSummary`] the materialized path derives from

@@ -1,4 +1,4 @@
-//! Replaying a recorded log into bounded cache models, and the standard
+//! Replaying a [`Recording`] into bounded cache models, and the standard
 //! unified-vs-generational comparison of Section 6.
 
 use gencache_cache::{TraceId, TraceMap, TraceRecord};
@@ -9,8 +9,8 @@ use gencache_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::log::{AccessLog, LogRecord};
-use crate::progress::{ProgressMeter, PROGRESS_BATCH};
+use crate::log::LogRecord;
+use crate::recording::Recording;
 
 /// Per-stream replay state: the trace catalog (sizes and head addresses
 /// resolved from creation records) and the standing clock for untimed
@@ -19,9 +19,9 @@ use crate::progress::{ProgressMeter, PROGRESS_BATCH};
 /// One cursor [`step`](ReplayCursor::step)s through a record stream
 /// exactly once, and the resolved [`ReplayStep`] can then
 /// [`drive`](ReplayStep::drive) *any number of models* — this is what
-/// lets the streamed record path feed one bounded-channel pass into the
-/// whole Figure 9 model set without materializing the log, while
-/// [`replay_into`] stays a thin loop over the same logic.
+/// lets [`Recording::drive`] feed one pass of either source, a
+/// materialized log or a bounded-channel stream, into the whole Figure 9
+/// model set.
 #[derive(Debug, Default)]
 pub struct ReplayCursor {
     catalog: TraceMap<TraceId, TraceRecord>,
@@ -47,6 +47,11 @@ impl ReplayCursor {
     /// A fresh cursor at time zero with an empty catalog.
     pub fn new() -> Self {
         ReplayCursor::default()
+    }
+
+    /// Whether the stream so far created trace `id`.
+    pub fn created(&self, id: TraceId) -> bool {
+        self.catalog.get(id).is_some()
     }
 
     /// Resolves the next `record` of the stream into a driveable step,
@@ -94,38 +99,14 @@ impl ReplayStep {
     }
 }
 
-/// Replays `log` into `model`, returning nothing; inspect the model's
+/// Replays `rec` into `model`, returning nothing; inspect the model's
 /// metrics and ledger afterwards.
 ///
 /// Creations and accesses both present the trace for execution (a trace
 /// is executed as soon as it is generated); invalidations force deletion;
 /// pin/unpin windows mark traces undeletable.
-pub fn replay_into(log: &AccessLog, model: &mut dyn CacheModel) {
-    let mut cursor = ReplayCursor::new();
-    for record in &log.records {
-        cursor.step(record).drive(model);
-    }
-}
-
-/// [`replay_into`] with a shared [`ProgressMeter`] heartbeat.
-///
-/// Progress is flushed into the meter every [`PROGRESS_BATCH`] records
-/// (and once at the end), so the shared-atomic traffic stays negligible
-/// even with many workers replaying concurrently.
-pub fn replay_into_metered(log: &AccessLog, model: &mut dyn CacheModel, meter: &ProgressMeter) {
-    let mut cursor = ReplayCursor::new();
-    let mut pending = 0u64;
-    for record in &log.records {
-        cursor.step(record).drive(model);
-        pending += 1;
-        if pending == PROGRESS_BATCH {
-            meter.add(pending);
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        meter.add(pending);
-    }
+pub fn replay_into<R: Recording>(rec: &R, model: &mut dyn CacheModel) {
+    rec.drive(&mut [model]);
 }
 
 /// The result of replaying one log into one model.
@@ -194,66 +175,53 @@ impl Comparison {
     }
 }
 
-/// Replays `log` against the unified baseline and each generational
-/// configuration, all sharing the same total capacity.
+/// Replays `rec` against the unified baseline and each generational
+/// configuration, all sharing the same total capacity and all driven
+/// from **one** pass over the records. Pass a
+/// [`metered`](Recording::metered) recording for a progress heartbeat.
 ///
 /// Capacity follows the paper: half the cache size the benchmark needed
 /// to avoid management entirely.
-pub fn compare(log: &AccessLog, configs: &[GenerationalConfig]) -> Comparison {
-    let meter = ProgressMeter::disabled("replay", 0);
-    compare_metered(log, configs, &meter)
-}
-
-/// [`compare`] with a shared [`ProgressMeter`]: each of the
-/// `1 + configs.len()` model replays reports per-record progress, so a
-/// suite driver can show a live heartbeat across its whole fan-out.
-pub fn compare_metered(
-    log: &AccessLog,
-    configs: &[GenerationalConfig],
-    meter: &ProgressMeter,
-) -> Comparison {
-    let capacity = (log.peak_trace_bytes / 2).max(1);
-
-    let mut unified = UnifiedModel::new(capacity);
-    replay_into_metered(log, &mut unified, meter);
-    let unified_result = ReplayResult::of(&unified);
-
-    let mut generational = Vec::with_capacity(configs.len());
+pub fn compare<R: Recording>(rec: &R, configs: &[GenerationalConfig]) -> Comparison {
+    let capacity = rec.capacity();
     for config in configs {
         debug_assert_eq!(
             config.total_bytes(),
             capacity,
             "configs must share the budget"
         );
-        let mut model = GenerationalModel::new(*config);
-        replay_into_metered(log, &mut model, meter);
-        generational.push(ReplayResult::of(&model));
     }
+    let mut unified = UnifiedModel::new(capacity);
+    let mut generational: Vec<GenerationalModel> =
+        configs.iter().map(|c| GenerationalModel::new(*c)).collect();
+    let mut models: Vec<&mut dyn CacheModel> = Vec::with_capacity(1 + generational.len());
+    models.push(&mut unified);
+    for model in &mut generational {
+        models.push(model);
+    }
+    rec.drive(&mut models);
 
     Comparison {
-        benchmark: log.benchmark.clone(),
+        benchmark: rec.benchmark().to_string(),
         capacity,
-        unified: unified_result,
-        generational,
+        unified: ReplayResult::of(&unified),
+        generational: generational
+            .iter()
+            .map(|model| ReplayResult::of(model))
+            .collect(),
     }
 }
 
-/// Convenience: the three Figure 9 configurations over the log's standard
-/// capacity.
-pub fn compare_figure9(log: &AccessLog) -> Comparison {
-    let meter = ProgressMeter::disabled("replay", 0);
-    compare_figure9_metered(log, &meter)
-}
-
-/// [`compare_figure9`] with a shared [`ProgressMeter`] heartbeat.
-pub fn compare_figure9_metered(log: &AccessLog, meter: &ProgressMeter) -> Comparison {
-    let capacity = (log.peak_trace_bytes / 2).max(1);
-    compare_metered(log, &GenerationalConfig::figure9_configs(capacity), meter)
+/// Convenience: the three Figure 9 configurations over the recording's
+/// standard capacity.
+pub fn compare_figure9<R: Recording>(rec: &R) -> Comparison {
+    compare(rec, &GenerationalConfig::figure9_configs(rec.capacity()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::AccessLog;
     use gencache_program::{Addr, Time};
 
     /// A synthetic log with heavy churn over long-lived traces: the

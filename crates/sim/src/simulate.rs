@@ -34,7 +34,8 @@ use gencache_program::{Addr, Time};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::log::{AccessLog, LogRecord};
-use crate::replay::{replay_into, ReplayResult};
+use crate::recording::Recording;
+use crate::replay::ReplayResult;
 
 /// Rebuilds a replayable [`AccessLog`] from a recovered frontend trace.
 ///
@@ -275,19 +276,18 @@ fn parse_gen_body(label: &str, body: &str) -> Result<(Proportions, PromotionPoli
     Ok((proportions, policy))
 }
 
-/// Drives the configuration named by `spec` over an explicit `capacity`
-/// budget with `observer` attached — the one spec→model mapping every
-/// replay entry point shares. `drive` feeds the model its records: a
-/// materialized [`replay_into`] or a streamed
-/// [`replay_models`](crate::StreamedRecording::replay_models) pass.
+/// Replays `rec` into the configuration named by `spec` over an explicit
+/// `capacity` budget with `observer` attached — the one spec→model
+/// mapping every replay entry point shares.
 /// Returns the replay outcome, the observer, and (adaptive specs only)
 /// the controller's switch report, read from the same model instance.
-pub fn replay_spec<O: Observer>(
+pub fn replay_spec<R: Recording, O: Observer>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     observer: O,
-    drive: impl FnOnce(&mut dyn CacheModel),
 ) -> (ReplayResult, O, Option<SwitchReport>) {
+    let drive = |model: &mut dyn CacheModel| rec.drive(&mut [model]);
     match spec {
         SimSpec::Unified => {
             let mut model = UnifiedModel::observed(capacity, observer);
@@ -318,42 +318,46 @@ pub fn replay_spec<O: Observer>(
     }
 }
 
-/// Replays `log` into the configuration named by `spec` over an
+/// Replays `rec` into the configuration named by `spec` over an
 /// explicit `capacity` budget, with `observer` attached.
 ///
-/// With `capacity == (log.peak_trace_bytes / 2).max(1)` — the paper's
+/// At the recording's [`capacity`](Recording::capacity) — the paper's
 /// standard rule — this is behaviorally identical to the live export
 /// path's replay, which is what makes simulated reports comparable
 /// byte-for-byte.
-pub fn replay_sim_observed<O: Observer>(
-    log: &AccessLog,
+pub fn replay_sim_observed<R: Recording, O: Observer>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     observer: O,
 ) -> (ReplayResult, O) {
-    let (result, observer, _) = replay_spec(spec, capacity, observer, |m| replay_into(log, m));
+    let (result, observer, _) = replay_spec(rec, spec, capacity, observer);
     (result, observer)
 }
 
 /// [`replay_sim_observed`] at the paper's standard budget, half the
 /// unbounded peak: the budget of the live export path.
-pub fn replay_observed<O: Observer>(
-    log: &AccessLog,
+pub fn replay_observed<R: Recording, O: Observer>(
+    rec: &R,
     spec: SimSpec,
     observer: O,
 ) -> (ReplayResult, O) {
-    replay_sim_observed(log, spec, (log.peak_trace_bytes / 2).max(1), observer)
+    replay_sim_observed(rec, spec, rec.capacity(), observer)
 }
 
 /// Replays an adaptive spec and returns the controller's account of the
 /// run — epochs, drift detections, probe auditions and committed
 /// switches. Returns `None` for non-adaptive specs, which have no
 /// controller to narrate.
-pub fn simulate_switches(log: &AccessLog, spec: SimSpec, capacity: u64) -> Option<SwitchReport> {
+pub fn simulate_switches<R: Recording>(
+    rec: &R,
+    spec: SimSpec,
+    capacity: u64,
+) -> Option<SwitchReport> {
     let SimSpec::Adaptive(_) = spec else {
         return None;
     };
-    replay_spec(spec, capacity, NullObserver, |m| replay_into(log, m)).2
+    replay_spec(rec, spec, capacity, NullObserver).2
 }
 
 // The section wrappers below replay once per section. `simulate_cell`
@@ -362,27 +366,27 @@ pub fn simulate_switches(log: &AccessLog, spec: SimSpec, capacity: u64) -> Optio
 
 /// [`replay_sim_observed`] through a [`MetricsObserver`] sampling the
 /// occupancy timeline every `sample_every` accesses (0 disables it).
-pub fn simulate_metrics(
-    log: &AccessLog,
+pub fn simulate_metrics<R: Recording>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     sample_every: u64,
 ) -> (ReplayResult, MetricsReport) {
     let (result, observer) =
-        replay_sim_observed(log, spec, capacity, MetricsObserver::with_timeline(sample_every));
+        replay_sim_observed(rec, spec, capacity, MetricsObserver::with_timeline(sample_every));
     (result, observer.report())
 }
 
 /// [`replay_sim_observed`] through a [`CostObserver`] with
 /// phase-bucketed Table 2 attribution.
-pub fn simulate_costs(
-    log: &AccessLog,
+pub fn simulate_costs<R: Recording>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     phases: u32,
 ) -> (ReplayResult, CostReport) {
-    let observer = CostObserver::with_phases(phases, log.duration.as_micros());
-    let (result, observer) = replay_sim_observed(log, spec, capacity, observer);
+    let observer = CostObserver::with_phases(phases, rec.duration().as_micros());
+    let (result, observer) = replay_sim_observed(rec, spec, capacity, observer);
     (result, observer.into_report())
 }
 
@@ -392,16 +396,16 @@ pub fn simulate_costs(
 /// identifies, with the same phase bucketing as [`simulate_costs`]. The
 /// report keeps the `top` highest-regret traces (the default cap is
 /// [`TOP_REGRET`](gencache_obs::TOP_REGRET)).
-pub fn simulate_regret_top(
-    log: &AccessLog,
+pub fn simulate_regret_top<R: Recording>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     phases: u32,
     index: &NextUseIndex,
     top: usize,
 ) -> (ReplayResult, RegretReport) {
-    let observer = RegretObserver::with_top(index, phases, log.duration.as_micros(), top);
-    let (result, observer) = replay_sim_observed(log, spec, capacity, observer);
+    let observer = RegretObserver::with_top(index, phases, rec.duration().as_micros(), top);
+    let (result, observer) = replay_sim_observed(rec, spec, capacity, observer);
     (result, observer.report())
 }
 
@@ -410,14 +414,14 @@ pub fn simulate_regret_top(
 /// annotations. `window_accesses` is the window width; using the same
 /// ~64-sample interval rule as the timeline keeps the series
 /// deterministic and reproducible offline.
-pub fn simulate_windows(
-    log: &AccessLog,
+pub fn simulate_windows<R: Recording>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
     window_accesses: u64,
 ) -> (ReplayResult, WindowReport) {
     let (result, observer) =
-        replay_sim_observed(log, spec, capacity, WindowObserver::new(window_accesses));
+        replay_sim_observed(rec, spec, capacity, WindowObserver::new(window_accesses));
     (result, observer.report())
 }
 
@@ -561,21 +565,24 @@ pub struct CellSections<'a> {
     pub window_width: Option<u64>,
 }
 
-/// Drives `spec` **once** through `drive` at `capacity` and produces
-/// every section `sections` asks for from that single pass: the
-/// metrics, sampled, cost, regret and window observers are teed onto
-/// one model instance, and an adaptive spec's switch report is read
-/// from the same model. `duration_us` spans the cost and regret phases.
-/// This is the one place a cell's observers and its [`SpecReports`]
-/// are built, for [`simulate_cell`] and the live `--metrics-out`
-/// export alike.
-pub fn replay_cell(
+/// Replays `rec` into `spec` **once** at `capacity` and produces every
+/// section `sections` asks for from that single pass: the metrics,
+/// sampled, cost, regret and window observers are teed onto one model
+/// instance, and an adaptive spec's switch report is read from the same
+/// model. The recording's duration spans the cost and regret phases.
+/// This is the one place a cell's observers and its [`SpecReports`] are
+/// built, for the offline simulator and the live `--metrics-out` export
+/// alike. Observers are passive, so each section is identical to its
+/// separate single-section replay ([`simulate_metrics`],
+/// [`simulate_costs`], [`simulate_regret_top`], [`simulate_windows`],
+/// [`simulate_switches`]).
+pub fn simulate_cell<R: Recording>(
+    rec: &R,
     spec: SimSpec,
     capacity: u64,
-    duration_us: u64,
     sections: &CellSections<'_>,
-    drive: impl FnOnce(&mut dyn CacheModel),
 ) -> SimulatedSpec {
+    let duration_us = rec.duration().as_micros();
     let observer = (
         (
             MetricsObserver::with_timeline(sections.sample_every),
@@ -594,7 +601,7 @@ pub fn replay_cell(
         ),
     );
     let (result, ((metrics, sampled), (costs, (regret, windows))), switches) =
-        replay_spec(spec, capacity, observer, drive);
+        replay_spec(rec, spec, capacity, observer);
     SimulatedSpec {
         label: spec.label(),
         result,
@@ -606,22 +613,6 @@ pub fn replay_cell(
             ..SpecReports::new(metrics.report(), costs.into_report())
         },
     }
-}
-
-/// Replays `log` into `spec` **once** through [`replay_cell`].
-/// Observers are passive, so each section is identical to its separate
-/// single-section replay ([`simulate_metrics`], [`simulate_costs`],
-/// [`simulate_regret_top`], [`simulate_windows`],
-/// [`simulate_switches`]).
-pub fn simulate_cell(
-    log: &AccessLog,
-    spec: SimSpec,
-    capacity: u64,
-    sections: &CellSections<'_>,
-) -> SimulatedSpec {
-    replay_cell(spec, capacity, log.duration.as_micros(), sections, |m| {
-        replay_into(log, m)
-    })
 }
 
 #[cfg(test)]

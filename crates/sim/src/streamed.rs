@@ -1,32 +1,29 @@
-//! The streamed record path: recorder → bounded channel → replay.
+//! The streamed constructor of a [`Recording`]: recorder → bounded
+//! channel → replay.
 //!
-//! The materialized pipeline records a benchmark into a full
-//! [`AccessLog`](crate::AccessLog) and replays it afterwards, so its peak
+//! A [`Recording`] has two constructors. [`record`](crate::record)
+//! materializes the full [`AccessLog`](crate::AccessLog), so its peak
 //! memory grows linearly with stream length — the ROADMAP's blocker for
-//! production trace volumes. This module removes the log entirely:
-//! recording is deterministic, so a [`StreamedRecording`] runs the
-//! recorder **twice**. The first pass ([`StreamedRecording::probe`])
-//! discards every record and keeps only the [`RecordFacts`] — enough to
-//! size the paper's standard capacity (`peak/2`) and build the
-//! [`RunSummary`]. Each replay then re-records on a producer thread,
-//! pushes records through a [`stream::bounded`] channel, and drives the
-//! cache models incrementally on the consumer side. Peak memory is
-//! O(channel depth + model state), never O(stream length), at the cost of
-//! one extra recording pass per replay — the explicit trade the streamed
-//! figure binaries make with `--stream`.
-//!
-//! One channel pass can drive *many* models at once (via
-//! [`ReplayCursor`]), so the Figure 9 four-model comparison still costs a
-//! single producer pass.
+//! production trace volumes. [`StreamedRecording::probe`] never holds
+//! the log: recording is deterministic, so it runs the recorder once,
+//! discarding every record and keeping only the [`RecordFacts`] — enough
+//! to size the paper's standard capacity (`peak/2`) and build the
+//! [`RunSummary`]. Each pass of [`Recording::for_each_record`] then
+//! re-records on a producer thread and pushes records through a
+//! [`stream::bounded`] channel to the consumer, where the shared
+//! [`Recording::drive`] loop feeds the cache models incrementally. Peak
+//! memory is O(channel depth + model state), never O(stream length), at
+//! the cost of one extra recording pass per replay — the explicit trade
+//! the figure binaries make with `--stream`. One pass drives any number
+//! of models, so the Figure 9 four-model comparison still costs a single
+//! producer pass.
 
-use gencache_core::{CacheModel, GenerationalConfig, GenerationalModel, UnifiedModel};
-use gencache_obs::Observer;
+use gencache_program::Time;
 use gencache_workloads::{PlanError, WorkloadProfile};
 
 use crate::log::LogRecord;
 use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSummary};
-use crate::replay::{Comparison, ReplayCursor, ReplayResult};
-use crate::simulate::{replay_spec, SimSpec};
+use crate::recording::Recording;
 use crate::stream;
 
 /// Default bounded-channel depth for streamed replays: deep enough to
@@ -37,12 +34,10 @@ pub const DEFAULT_STREAM_DEPTH: usize = 4096;
 /// A benchmark recording that never materializes its log.
 ///
 /// Construct with [`probe`](StreamedRecording::probe) (pass 1: facts
-/// only), then call [`replay_models`](StreamedRecording::replay_models) /
-/// [`replay_observed`](StreamedRecording::replay_observed) /
-/// [`compare_figure9`](StreamedRecording::compare_figure9) any number of
-/// times — each replay re-records through a bounded channel, so callers
-/// that want several reports tee their observers into one
-/// `replay_observed` call rather than replaying once per report.
+/// only), then replay it through any [`Recording`] consumer any number
+/// of times — each pass re-records through a bounded channel, so callers
+/// that want several reports tee their observers into one replay rather
+/// than replaying once per report.
 #[derive(Debug, Clone)]
 pub struct StreamedRecording {
     profile: WorkloadProfile,
@@ -74,44 +69,40 @@ impl StreamedRecording {
             summary,
         })
     }
+}
 
-    /// The recorded workload.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+impl Recording for StreamedRecording {
+    fn benchmark(&self) -> &str {
+        &self.profile.name
     }
 
-    /// The probed run facts.
-    pub fn facts(&self) -> &RecordFacts {
-        &self.facts
+    fn duration(&self) -> Time {
+        self.facts.duration
     }
 
-    /// The characterization summary — identical to the one the
-    /// materialized [`record`](crate::record) path derives from its log.
-    pub fn summary(&self) -> &RunSummary {
-        &self.summary
+    fn peak_trace_bytes(&self) -> u64 {
+        self.facts.frontend.peak_trace_bytes
     }
 
-    /// The paper's standard bounded budget: half the unbounded peak.
-    pub fn capacity(&self) -> u64 {
-        self.facts.capacity()
-    }
-
-    /// Executions in the stream (creations + accesses) — the
-    /// materialized log's `access_count()`.
-    pub fn access_count(&self) -> u64 {
+    fn access_count(&self) -> u64 {
         self.facts.accesses
     }
 
-    /// Total records per recording pass.
-    pub fn record_count(&self) -> u64 {
+    fn record_count(&self) -> u64 {
         self.facts.records
     }
 
-    /// Pass 2: re-records on a producer thread and drives every model in
-    /// `models` from the single bounded-channel stream. Determinism makes
-    /// this stream byte-identical to the probed one.
-    pub fn replay_models(&self, models: &mut [&mut dyn CacheModel]) {
-        let (tx, rx) = stream::bounded::<LogRecord>(self.depth);
+    /// The characterization summary — identical to the one the
+    /// materialized [`record`](crate::record) path derives.
+    fn summary(&self) -> Option<&RunSummary> {
+        Some(&self.summary)
+    }
+
+    /// Re-records on a producer thread and hands each record to `visit`
+    /// on this thread as it leaves the bounded channel. Determinism makes
+    /// every pass byte-identical to the probed one.
+    fn for_each_record(&self, mut visit: impl FnMut(&LogRecord)) {
+        let (tx, mut rx) = stream::bounded::<LogRecord>(self.depth);
         let profile = &self.profile;
         let options = self.options;
         std::thread::scope(|s| {
@@ -127,73 +118,12 @@ impl StreamedRecording {
                 })
                 .expect("profile planned successfully during probe");
             });
-            let mut rx = rx;
-            let mut cursor = ReplayCursor::new();
             while let Some(record) = rx.recv() {
-                let step = cursor.step(&record);
-                for model in models.iter_mut() {
-                    step.drive(*model);
-                }
+                visit(&record);
             }
             producer.join().expect("recorder thread panicked");
         });
     }
-
-    /// Streamed counterpart of
-    /// [`replay_observed`](crate::replay_observed): replays into the
-    /// model described by `spec` with `observer` attached. The observer
-    /// runs on the consumer thread, so it needs no `Send` bound. Tee
-    /// several observers (`(A, B)`, `Option<O>`) to collect several
-    /// reports from one re-recording pass.
-    pub fn replay_observed<O: Observer>(&self, spec: SimSpec, observer: O) -> (ReplayResult, O) {
-        let (result, observer, _) = replay_spec(spec, self.capacity(), observer, |model| {
-            self.replay_models(&mut [model])
-        });
-        (result, observer)
-    }
-
-    /// Streamed counterpart of [`compare_figure9`](crate::compare_figure9):
-    /// the unified baseline and the three Figure 9 generational layouts,
-    /// all driven from **one** producer pass.
-    pub fn compare_figure9(&self) -> Comparison {
-        let capacity = self.capacity();
-        let configs = GenerationalConfig::figure9_configs(capacity);
-        let mut unified = UnifiedModel::new(capacity);
-        let mut generational: Vec<GenerationalModel> =
-            configs.iter().map(|c| GenerationalModel::new(*c)).collect();
-
-        let mut models: Vec<&mut dyn CacheModel> = Vec::with_capacity(1 + generational.len());
-        models.push(&mut unified);
-        for model in &mut generational {
-            models.push(model);
-        }
-        self.replay_models(&mut models);
-
-        Comparison {
-            benchmark: self.profile.name.clone(),
-            capacity,
-            unified: ReplayResult::of(&unified),
-            generational: generational
-                .iter()
-                .map(|model| ReplayResult::of(model))
-                .collect(),
-        }
-    }
-}
-
-/// Probes `profile` and runs the streamed Figure 9 comparison in one
-/// call, returning the recording for further replays.
-///
-/// # Errors
-///
-/// Returns [`PlanError`] if the workload cannot be planned.
-pub fn compare_figure9_streamed(
-    profile: &WorkloadProfile,
-    depth: usize,
-) -> Result<(StreamedRecording, Comparison), PlanError> {
-    let rec = StreamedRecording::probe(profile, RecorderOptions::default(), depth)?;
-    let comparison = rec.compare_figure9();
-    Ok((rec, comparison))
 }
 
 #[cfg(test)]
@@ -201,6 +131,7 @@ mod tests {
     use super::*;
     use crate::recorder::record;
     use crate::replay::compare_figure9;
+    use crate::simulate::{replay_observed, SimSpec};
     use gencache_obs::MetricsObserver;
     use gencache_workloads::Suite;
     use serde::Serialize;
@@ -222,8 +153,10 @@ mod tests {
     fn probed_summary_matches_materialized_summary() {
         let run = record(&profile()).unwrap();
         let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 64).unwrap();
-        assert_eq!(doc(&rec.summary()), doc(&run.summary));
-        assert_eq!(rec.capacity(), (run.log.peak_trace_bytes / 2).max(1));
+        let summary = rec.summary().expect("a probe keeps its summary");
+        assert_eq!(doc(summary), doc(&run.summary));
+        assert_eq!(rec.peak_trace_bytes(), run.log.peak_trace_bytes);
+        assert_eq!(rec.capacity(), run.log.capacity());
         assert_eq!(rec.access_count(), run.log.access_count());
         assert_eq!(rec.record_count(), run.log.records.len() as u64);
     }
@@ -232,8 +165,8 @@ mod tests {
     fn streamed_figure9_is_bit_identical_to_materialized() {
         let run = record(&profile()).unwrap();
         let materialized = compare_figure9(&run.log);
-        let (_, streamed) = compare_figure9_streamed(&profile(), 32).unwrap();
-        assert_eq!(doc(&streamed), doc(&materialized));
+        let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 32).unwrap();
+        assert_eq!(doc(&compare_figure9(&rec)), doc(&materialized));
     }
 
     #[test]
@@ -242,8 +175,8 @@ mod tests {
         let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 16).unwrap();
         for spec in [SimSpec::Unified, SimSpec::best_generational()] {
             let (res_m, obs_m) =
-                crate::replay_observed(&run.log, spec, MetricsObserver::with_timeline(64));
-            let (res_s, obs_s) = rec.replay_observed(spec, MetricsObserver::with_timeline(64));
+                replay_observed(&run.log, spec, MetricsObserver::with_timeline(64));
+            let (res_s, obs_s) = replay_observed(&rec, spec, MetricsObserver::with_timeline(64));
             assert_eq!(doc(&res_s), doc(&res_m));
             assert_eq!(obs_s.report(), obs_m.report());
         }
@@ -251,7 +184,8 @@ mod tests {
 
     #[test]
     fn tiny_channel_depth_still_replays_completely() {
-        let (rec, comparison) = compare_figure9_streamed(&profile(), 1).unwrap();
+        let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 1).unwrap();
+        let comparison = compare_figure9(&rec);
         assert_eq!(comparison.unified.metrics.accesses, rec.access_count());
     }
 }

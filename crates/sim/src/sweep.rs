@@ -10,7 +10,7 @@
 use gencache_core::{GenerationalConfig, PromotionPolicy, Proportions};
 use serde::{Deserialize, Serialize};
 
-use crate::log::AccessLog;
+use crate::recording::Recording;
 use crate::replay::{compare, Comparison};
 
 /// One sweep sample: a configuration and its outcome versus unified.
@@ -53,26 +53,26 @@ pub fn policy_grid() -> Vec<PromotionPolicy> {
     ]
 }
 
-/// Sweeps the full proportion × policy grid over one benchmark log,
+/// Sweeps the full proportion × policy grid over one benchmark recording,
 /// fanning the grid points across [`effective_jobs`](crate::par::effective_jobs)
 /// worker threads (override with `GENCACHE_JOBS`).
-pub fn sweep(log: &AccessLog) -> Vec<SweepPoint> {
-    sweep_with_jobs(log, crate::par::effective_jobs(None))
+pub fn sweep<R: Recording + Sync>(rec: &R) -> Vec<SweepPoint> {
+    sweep_with_jobs(rec, crate::par::effective_jobs(None))
 }
 
 /// [`sweep`] with an explicit worker count. Each grid point replays the
-/// shared read-only log against its own cache models; the results are
+/// shared read-only recording against its own cache models; the results are
 /// reassembled in grid order, so the output is bit-identical for every
 /// `jobs` value (enforced by `tests/par_determinism.rs`).
-pub fn sweep_with_jobs(log: &AccessLog, jobs: usize) -> Vec<SweepPoint> {
-    let capacity = (log.peak_trace_bytes / 2).max(1);
+pub fn sweep_with_jobs<R: Recording + Sync>(rec: &R, jobs: usize) -> Vec<SweepPoint> {
+    let capacity = rec.capacity();
     let grid: Vec<(Proportions, PromotionPolicy)> = proportion_grid()
         .into_iter()
         .flat_map(|proportions| policy_grid().into_iter().map(move |p| (proportions, p)))
         .collect();
     crate::par::par_map(&grid, jobs, |&(proportions, policy)| {
         let config = GenerationalConfig::new(capacity, proportions, policy);
-        let comparison: Comparison = compare(log, &[config]);
+        let comparison: Comparison = compare(rec, &[config]);
         SweepPoint {
             nursery: proportions.nursery,
             probation: proportions.probation,
@@ -103,7 +103,7 @@ pub fn best_point(points: &[SweepPoint]) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::LogRecord;
+    use crate::log::{AccessLog, LogRecord};
     use gencache_cache::{TraceId, TraceRecord};
     use gencache_program::{Addr, Time};
 

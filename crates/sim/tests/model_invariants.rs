@@ -221,7 +221,7 @@ fn every_spec_class_keeps_region_invariants_on_every_family() {
     for name in ["gcc", "word", "churnstorm"] {
         let profile = benchmark(name).expect("profile exists").scaled_down(64);
         let run = record(&profile).expect("calibrated profiles always plan");
-        let capacity = (run.log.peak_trace_bytes / 2).max(1);
+        let capacity = run.log.capacity();
         for label in &labels {
             let spec = parse_spec(label).unwrap();
             let observer = InvariantObserver::for_spec(spec, capacity);

@@ -99,7 +99,7 @@ fn sparse_ids_replay_identically_under_every_spec_class() {
         NextUseIndex::build(&trace),
         NextUseIndex::build(&sparse_trace),
     );
-    let capacity = (run.log.peak_trace_bytes / 2).max(1);
+    let capacity = run.log.capacity();
     let sections = |index| CellSections {
         sample_every: 64,
         phases: 4,

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  forced-deletion log records: {invalidations}");
 
     // Replay into a bounded cache and observe the holes.
-    let capacity = (run.log.peak_trace_bytes / 2).max(1);
+    let capacity = run.log.capacity();
     let mut model = UnifiedModel::new(capacity);
     replay_into(&run.log, &mut model);
     let frag = model.cache().fragmentation();

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .scaled_down(scale);
     println!("recording `crafty` at 1/{scale} scale...");
     let run = record(&profile)?;
-    let capacity = (run.log.peak_trace_bytes / 2).max(1);
+    let capacity = run.log.capacity();
     println!(
         "replaying {} accesses into {} byte caches\n",
         run.log.access_count(),

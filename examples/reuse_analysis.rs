@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Occupancy timelines at the paper's operating point.
-    let capacity = (peak / 2).max(1);
+    let capacity = run.log.capacity();
     let mut unified = UnifiedModel::new(capacity);
     let unified_series = occupancy_series(&run.log, &mut unified, 60);
     let mut generational = GenerationalModel::new(GenerationalConfig::figure9_configs(capacity)[1]);

@@ -5,6 +5,7 @@
 //! reassembly-in-input-order contract end to end.
 
 use gencache_bench::{compare_all, export_telemetry, record_all, HarnessOptions};
+use gencache_sim::ProgressMeter;
 use gencache_workloads::Suite;
 
 fn opts(jobs: usize) -> HarnessOptions {
@@ -23,7 +24,8 @@ fn suite_fanout_is_byte_identical_across_job_counts() {
         &baseline.iter().map(|(_, r)| &r.log).collect::<Vec<_>>(),
     )
     .unwrap();
-    let baseline_cmp = serde_json::to_string(&compare_all(&opts(1), &baseline)).unwrap();
+    let meter = ProgressMeter::disabled("replay", 0);
+    let baseline_cmp = serde_json::to_string(&compare_all(&opts(1), &baseline, &meter)).unwrap();
     for jobs in [2, 8] {
         let runs = record_all(&opts(jobs));
         let logs = serde_json::to_string(
@@ -34,7 +36,7 @@ fn suite_fanout_is_byte_identical_across_job_counts() {
             baseline_logs, logs,
             "record_all with {jobs} jobs diverged from serial"
         );
-        let cmp = serde_json::to_string(&compare_all(&opts(jobs), &runs)).unwrap();
+        let cmp = serde_json::to_string(&compare_all(&opts(jobs), &runs, &meter)).unwrap();
         assert_eq!(
             baseline_cmp, cmp,
             "compare_all with {jobs} jobs diverged from serial"

@@ -52,7 +52,7 @@ fn log_serde_roundtrip_replays_identically() {
     let json = serde_json::to_string(&run.log).expect("serializes");
     let back: AccessLog = serde_json::from_str(&json).expect("deserializes");
 
-    let cap = (run.log.peak_trace_bytes / 2).max(1);
+    let cap = run.log.capacity();
     let mut m1 = UnifiedModel::new(cap);
     let mut m2 = UnifiedModel::new(cap);
     replay_into(&run.log, &mut m1);
@@ -63,7 +63,7 @@ fn log_serde_roundtrip_replays_identically() {
 #[test]
 fn misses_bounded_by_creations_plus_evictions() {
     let run = record(&small_profile()).expect("plans");
-    let cap = (run.log.peak_trace_bytes / 2).max(1);
+    let cap = run.log.capacity();
     let mut model = UnifiedModel::new(cap);
     replay_into(&run.log, &mut model);
     let m = model.metrics();
@@ -94,7 +94,7 @@ fn unmap_events_remove_traces_from_all_models() {
         .collect();
     assert!(!invalidated.is_empty(), "profile has DLL churn");
 
-    let cap = (run.log.peak_trace_bytes / 2).max(1);
+    let cap = run.log.capacity();
     let mut model = GenerationalModel::new(GenerationalConfig::figure9_configs(cap)[1]);
     replay_into(&run.log, &mut model);
     // After replay no invalidated trace may linger in any generation,
@@ -108,7 +108,7 @@ fn unmap_events_remove_traces_from_all_models() {
 #[test]
 fn generational_capacity_accounting_holds() {
     let run = record(&small_profile()).expect("plans");
-    let cap = (run.log.peak_trace_bytes / 2).max(1);
+    let cap = run.log.capacity();
     for config in GenerationalConfig::figure9_configs(cap) {
         let mut model = GenerationalModel::new(config);
         replay_into(&run.log, &mut model);

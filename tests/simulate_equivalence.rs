@@ -39,7 +39,7 @@ fn recorded_and_reconstructed() -> (AccessLog, AccessLog, u64) {
         run.log.duration.as_micros(),
         run.log.peak_trace_bytes,
     );
-    let capacity = (run.log.peak_trace_bytes / 2).max(1);
+    let capacity = run.log.capacity();
     (run.log, reconstructed, capacity)
 }
 
