@@ -231,7 +231,11 @@ fn phase_of(time_us: u64, duration_us: u64, phases: u32) -> usize {
 /// Aggregates one side into per-phase counters and a cost attribution.
 /// Resident occupancy is reconstructed by integrating insert/evict/
 /// promote byte flows across the whole hierarchy.
-fn analyze(events: &[CacheEvent], duration_us: u64, phases: u32) -> (Vec<PhaseSide>, Vec<CostLedger>, CostLedger) {
+fn analyze(
+    events: &[CacheEvent],
+    duration_us: u64,
+    phases: u32,
+) -> (Vec<PhaseSide>, Vec<CostLedger>, CostLedger) {
     let mut sides = vec![PhaseSide::default(); phases as usize];
     let mut resident = 0i64;
     let mut cost_observer = CostObserver::with_phases(phases, duration_us);
@@ -268,9 +272,7 @@ fn render_regret_pair(pair: &Pair<'_>, phases: u32, duration_us: u64) {
     match reconstruct_trace(pair.right) {
         Ok(t) if t == trace => {}
         Ok(_) => {
-            eprintln!(
-                "  regret skipped: the two streams reconstruct different frontend traces"
-            );
+            eprintln!("  regret skipped: the two streams reconstruct different frontend traces");
             return;
         }
         Err(e) => {
@@ -291,7 +293,11 @@ fn render_regret_pair(pair: &Pair<'_>, phases: u32, duration_us: u64) {
     let summarize = |c: &RegretCell| {
         format!(
             "{} execs regret ({}/{} evictions, {} re-misses, {:.2} Minstr)",
-            c.regret_sum, c.regretful, c.evictions, c.remisses, c.remiss_instructions / 1e6,
+            c.regret_sum,
+            c.regretful,
+            c.evictions,
+            c.remisses,
+            c.remiss_instructions / 1e6,
         )
     };
     println!(
@@ -299,8 +305,7 @@ fn render_regret_pair(pair: &Pair<'_>, phases: u32, duration_us: u64) {
         summarize(&left.total),
         summarize(&right.total),
     );
-    let cell =
-        |r: &[PhaseRegret], p: usize| r.get(p).map(|x| x.total).unwrap_or_default();
+    let cell = |r: &[PhaseRegret], p: usize| r.get(p).map(|x| x.total).unwrap_or_default();
     let peak = (0..phases as usize)
         .map(|p| {
             (cell(&right.phases, p).regret_sum as i64 - cell(&left.phases, p).regret_sum as i64)
@@ -370,8 +375,16 @@ fn render_windows_pair(pair: &Pair<'_>) {
             .map(|w| (w.miss_rate() * 1000.0) as u64)
             .collect()
     };
-    println!("  {:>10} {} (per window)", "miss L", sparkline(&rates(&left)));
-    println!("  {:>10} {} (per window)", "miss R", sparkline(&rates(&right)));
+    println!(
+        "  {:>10} {} (per window)",
+        "miss L",
+        sparkline(&rates(&left))
+    );
+    println!(
+        "  {:>10} {} (per window)",
+        "miss R",
+        sparkline(&rates(&right))
+    );
     if left.annotations.is_empty() && right.annotations.is_empty() {
         println!("  Neither side drifts: both windowed miss rates are stationary.");
         return;
@@ -381,10 +394,22 @@ fn render_windows_pair(pair: &Pair<'_>) {
     let mut rows: Vec<(u64, &str, String, f64, Option<f64>)> = Vec::new();
     let other_rate = |r: &WindowReport, w: u64| r.windows.get(w as usize).map(Window::miss_rate);
     for a in &left.annotations {
-        rows.push((a.window, "L", a.kind.to_string(), a.miss_rate, other_rate(&right, a.window)));
+        rows.push((
+            a.window,
+            "L",
+            a.kind.to_string(),
+            a.miss_rate,
+            other_rate(&right, a.window),
+        ));
     }
     for a in &right.annotations {
-        rows.push((a.window, "R", a.kind.to_string(), a.miss_rate, other_rate(&left, a.window)));
+        rows.push((
+            a.window,
+            "R",
+            a.kind.to_string(),
+            a.miss_rate,
+            other_rate(&left, a.window),
+        ));
     }
     rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
     let mut table = TextTable::new(["window", "side", "drift", "miss%", "other side%"]);

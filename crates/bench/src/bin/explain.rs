@@ -35,9 +35,7 @@ use gencache_obs::{
     RegretObserver, SamplingObserver, SamplingParams, StreamLine, WindowObserver, WindowReport,
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
-use gencache_sim::{
-    parse_spec, record, replay_observed, replay_spec, ReplayResult, SimSpec,
-};
+use gencache_sim::{parse_spec, record, replay_observed, replay_spec, ReplayResult, SimSpec};
 use gencache_workloads::{benchmark, WorkloadProfile};
 
 struct ExplainOptions {
@@ -92,7 +90,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ExplainOptions {
             "--windows" => opts.windows = true,
             "--window-width" => {
                 let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v.parse().expect("--window-width must be a positive integer");
+                let width: u64 = v
+                    .parse()
+                    .expect("--window-width must be a positive integer");
                 assert!(width > 0, "--window-width must be positive");
                 opts.window_width = Some(width);
             }
@@ -117,8 +117,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ExplainOptions {
                 opts.harness.jobs = Some(jobs);
             }
             "--events-out" => {
-                opts.harness.events_out =
-                    Some(it.next().expect("--events-out needs a file path"));
+                opts.harness.events_out = Some(it.next().expect("--events-out needs a file path"));
             }
             "--metrics-out" => {
                 opts.harness.metrics_out =
@@ -132,8 +131,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ExplainOptions {
             }
             "--sample-seed" => {
                 let v = it.next().expect("--sample-seed needs a value");
-                opts.harness.sample_seed =
-                    v.parse().expect("--sample-seed must be an integer");
+                opts.harness.sample_seed = v.parse().expect("--sample-seed must be an integer");
             }
             other => panic!(
                 "unknown argument {other:?}; use --bench NAME / --scale N / --jobs N / \
@@ -219,15 +217,22 @@ fn render_phase_table(
     regions: &[Region],
 ) {
     let phases = u64::from(profile.phases.max(1));
-    let mut observers: Vec<MetricsObserver> =
-        (0..phases).map(|_| MetricsObserver::new()).collect();
+    let mut observers: Vec<MetricsObserver> = (0..phases).map(|_| MetricsObserver::new()).collect();
     for event in events {
         let p = phase_of(event.time().as_micros(), duration_us, phases);
         observers[p].on_event(event);
     }
     println!("\nPer-phase activity (phase-local deltas):");
     let mut table = TextTable::new([
-        "phase", "region", "hits", "inserts", "cap-evt", "flush", "unmap", "discard", "promote→",
+        "phase",
+        "region",
+        "hits",
+        "inserts",
+        "cap-evt",
+        "flush",
+        "unmap",
+        "discard",
+        "promote→",
     ]);
     for (p, observer) in observers.iter().enumerate() {
         let report = observer.report();
@@ -403,9 +408,7 @@ fn render_costs(
                 .causes()
                 .iter()
                 .filter(|(_, c)| c.events > 0)
-                .map(|(name, c)| {
-                    format!("{name} {:.1}%", 100.0 * c.instructions / evict_total)
-                })
+                .map(|(name, c)| format!("{name} {:.1}%", 100.0 * c.instructions / evict_total))
                 .collect();
             println!(
                 "  {:>10}: {:>8.2} Minstr ({} evict / {} promote events{}{})",
@@ -413,7 +416,11 @@ fn render_costs(
                 rc.ledger.total() / 1e6,
                 rc.ledger.eviction_events,
                 rc.ledger.promotion_events,
-                if causes.is_empty() { "" } else { "; evictions: " },
+                if causes.is_empty() {
+                    ""
+                } else {
+                    "; evictions: "
+                },
                 causes.join(", "),
             );
         }
@@ -509,9 +516,20 @@ fn render_regret(
         return;
     }
     let entries = &report.contributors[..report.contributors.len().min(top)];
-    let peak = entries.iter().map(|c| c.regret_sum).max().unwrap_or(1).max(1);
+    let peak = entries
+        .iter()
+        .map(|c| c.regret_sum)
+        .max()
+        .unwrap_or(1)
+        .max(1);
     let mut table = TextTable::new([
-        "trace", "bytes", "evictions", "regret", "remisses", "Minstr", "",
+        "trace",
+        "bytes",
+        "evictions",
+        "regret",
+        "remisses",
+        "Minstr",
+        "",
     ]);
     for c in entries {
         table.row([
@@ -809,8 +827,8 @@ fn main() -> ExitCode {
             (label.clone(), spec)
         })
         .collect();
-    let mut profile = benchmark(&opts.bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {:?}", opts.bench));
+    let mut profile =
+        benchmark(&opts.bench).unwrap_or_else(|| panic!("unknown benchmark {:?}", opts.bench));
     if opts.harness.scale > 1 {
         profile = profile.scaled_down(opts.harness.scale);
     }

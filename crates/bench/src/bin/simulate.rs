@@ -99,7 +99,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
             "--windows" => opts.windows = true,
             "--window-width" => {
                 let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v.parse().expect("--window-width must be a positive integer");
+                let width: u64 = v
+                    .parse()
+                    .expect("--window-width must be a positive integer");
                 assert!(width > 0, "--window-width must be positive");
                 opts.window_width = Some(width);
             }
@@ -138,7 +140,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
             other => panic!("unknown argument {other:?}; {USAGE}"),
         }
     }
-    assert!(!opts.events.is_empty(), "--events FILE is required; {USAGE}");
+    assert!(
+        !opts.events.is_empty(),
+        "--events FILE is required; {USAGE}"
+    );
     opts
 }
 
@@ -252,8 +257,14 @@ fn render_adaptive_regret(out: &SimJobOutput) -> String {
         if adaptive.is_empty() || statics.is_empty() {
             continue;
         }
-        let regret_of =
-            |s: &SimulatedSpec| s.reports.regret.as_ref().expect("filtered").total.regret_sum;
+        let regret_of = |s: &SimulatedSpec| {
+            s.reports
+                .regret
+                .as_ref()
+                .expect("filtered")
+                .total
+                .regret_sum
+        };
         let best = statics
             .iter()
             .min_by_key(|s| (regret_of(s), s.label.clone()))
@@ -334,7 +345,10 @@ fn watch(path: &str, rows: &[BaselineRow], tolerance: f64) -> Result<usize, Stri
             .iter()
             .find(|r| r.benchmark == base.benchmark && r.spec == base.spec)
         else {
-            println!("  MISSING {} [{}]: row not simulated", base.benchmark, base.spec);
+            println!(
+                "  MISSING {} [{}]: row not simulated",
+                base.benchmark, base.spec
+            );
             violations += 1;
             continue;
         };
@@ -342,7 +356,11 @@ fn watch(path: &str, rows: &[BaselineRow], tolerance: f64) -> Result<usize, Stri
             ("accesses", base.accesses as f64, current.accesses as f64),
             ("hits", base.hits as f64, current.hits as f64),
             ("misses", base.misses as f64, current.misses as f64),
-            ("uncachable", base.uncachable as f64, current.uncachable as f64),
+            (
+                "uncachable",
+                base.uncachable as f64,
+                current.uncachable as f64,
+            ),
             ("Minstr", base.minstr, current.minstr),
         ]
         .into_iter()
@@ -388,17 +406,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let inputs = match ingest.into_inputs(
-        opts.bench.as_deref(),
-        opts.model.as_deref(),
-        opts.capacity,
-    ) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let inputs =
+        match ingest.into_inputs(opts.bench.as_deref(), opts.model.as_deref(), opts.capacity) {
+            Ok(i) => i,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
     let specs = match resolve_sim_specs(&opts.specs, opts.grid) {
         Ok(s) => s,
         Err(e) => {

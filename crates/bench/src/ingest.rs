@@ -694,7 +694,11 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
     for doc in docs {
         match doc_field(doc, "schema") {
             Some(Value::Str(s)) if s == METRICS_SCHEMA => {}
-            other => return Err(format!("shard doc has schema {other:?}, not {METRICS_SCHEMA:?}")),
+            other => {
+                return Err(format!(
+                    "shard doc has schema {other:?}, not {METRICS_SCHEMA:?}"
+                ))
+            }
         }
         match doc_field(doc, "version") {
             Some(Value::UInt(v)) if *v == u64::from(METRICS_VERSION) => {}
@@ -740,7 +744,9 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
                 );
             }
             if sections.insert(name.clone(), reports).is_some() {
-                return Err(format!("benchmark {name:?} appears in more than one shard doc"));
+                return Err(format!(
+                    "benchmark {name:?} appears in more than one shard doc"
+                ));
             }
         }
     }
@@ -799,7 +805,9 @@ pub fn merge_sim_tables(order: &[String], tables: &[String]) -> Result<String, S
         }
     }
     if let Some(extra) = segments.keys().next() {
-        return Err(format!("shard tables contain unexpected benchmark {extra:?}"));
+        return Err(format!(
+            "shard tables contain unexpected benchmark {extra:?}"
+        ));
     }
     Ok(text)
 }
@@ -996,7 +1004,10 @@ mod tests {
 
     fn pair<'v>(value: &'v mut Value, key: &str) -> &'v mut (String, Value) {
         let pairs = object(value);
-        pairs.iter_mut().find(|(k, _)| k == key).expect("key present")
+        pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("key present")
     }
 
     #[test]
@@ -1023,8 +1034,7 @@ mod tests {
                 other => panic!("benchmarks is not an array: {other:?}"),
             })
         };
-        let in_section =
-            |edit: &dyn Fn(&mut Value)| in_bench(&|b| edit(&mut pair(b, "unified").1));
+        let in_section = |edit: &dyn Fn(&mut Value)| in_bench(&|b| edit(&mut pair(b, "unified").1));
         let (a, b) = (["a".to_string()], ["b".to_string()]);
         let cases: Vec<(Vec<Value>, &[String], &str)> = vec![
             (
@@ -1051,7 +1061,9 @@ mod tests {
                 "a: no section for spec \"unified\"",
             ),
             (
-                vec![in_section(&|s| object(s).push(("sampled".into(), Value::Null)))],
+                vec![in_section(&|s| {
+                    object(s).push(("sampled".into(), Value::Null))
+                })],
                 &a,
                 "a/unified: sampled sections cannot be fleet-merged",
             ),
@@ -1101,7 +1113,8 @@ mod tests {
         let inputs = ingest.into_inputs(None, None, None).unwrap();
         let specs = resolve_sim_specs(&[], false).unwrap();
         let cancel = AtomicBool::new(true);
-        let err = run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, Some(&cancel)).unwrap_err();
+        let err =
+            run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, Some(&cancel)).unwrap_err();
         assert!(err.contains("canceled"), "unexpected error: {err}");
     }
 }

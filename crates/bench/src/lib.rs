@@ -53,8 +53,8 @@ use gencache_sim::{
     ProgressMeter, RecordedRun, RecorderOptions, Recording, SimSpec, SpecReports,
     StreamedRecording, DEFAULT_STREAM_DEPTH,
 };
-use serde::Value;
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
+use serde::Value;
 
 pub mod ingest;
 
@@ -130,7 +130,9 @@ impl HarnessOptions {
                         "spec" | "spec2000" => Suite::Spec2000,
                         "interactive" | "windows" => Suite::Interactive,
                         "adversarial" => Suite::Adversarial,
-                        other => panic!("unknown suite {other:?}; use spec|interactive|adversarial"),
+                        other => {
+                            panic!("unknown suite {other:?}; use spec|interactive|adversarial")
+                        }
                     });
                 }
                 "--jobs" => {
@@ -163,7 +165,9 @@ impl HarnessOptions {
                 }
                 "--stream-depth" => {
                     let v = it.next().expect("--stream-depth needs a value");
-                    let depth: usize = v.parse().expect("--stream-depth must be a positive integer");
+                    let depth: usize = v
+                        .parse()
+                        .expect("--stream-depth must be a positive integer");
                     assert!(depth > 0, "--stream-depth must be positive");
                     opts.stream_depth = Some(depth);
                 }
@@ -243,7 +247,11 @@ fn record_rows<R: Send>(
     let results = par_map_timed(&profiles, jobs, make);
     let mut out = Vec::with_capacity(profiles.len());
     for (profile, (rec, shard)) in profiles.into_iter().zip(results) {
-        eprintln!("  {done:<8} {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
+        eprintln!(
+            "  {done:<8} {:<10} in {:7.3}s",
+            profile.name,
+            shard.as_secs_f64()
+        );
         out.push((profile, rec));
     }
     eprintln!(
@@ -453,7 +461,10 @@ where
         .collect();
     Value::Object(vec![
         ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
-        ("version".to_string(), Value::UInt(u64::from(METRICS_VERSION))),
+        (
+            "version".to_string(),
+            Value::UInt(u64::from(METRICS_VERSION)),
+        ),
         ("suite".to_string(), Value::Object(suite_pairs)),
         ("benchmarks".to_string(), Value::Array(bench_values)),
     ])
@@ -626,7 +637,10 @@ mod tests {
             .expect("calibrated profiles always plan");
         let recs = vec![(profile, rec)];
         let (full, lines) = stream_events_to(Vec::new(), &recs).unwrap();
-        assert!(lines > 10, "expected an export with events, got {lines} lines");
+        assert!(
+            lines > 10,
+            "expected an export with events, got {lines} lines"
+        );
         // Fail in the header, among the first model's events, and on the
         // very last event line.
         for budget in [0, full.len() / 3, full.len() - 1] {

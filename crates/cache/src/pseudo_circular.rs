@@ -416,7 +416,9 @@ mod tests {
         donor.insert(rec(1, 40), Time::ZERO).unwrap();
         donor.touch(TraceId::new(1), Time::from_micros(3));
         donor.touch(TraceId::new(1), Time::from_micros(7));
-        let victim = donor.remove(TraceId::new(1), EvictionCause::Promoted).unwrap();
+        let victim = donor
+            .remove(TraceId::new(1), EvictionCause::Promoted)
+            .unwrap();
 
         let mut target = PseudoCircularCache::new(100);
         target

@@ -44,7 +44,11 @@ fn run_ops(cache: &mut dyn CodeCache, ops: &[Op]) {
                     Ok(report) => {
                         // Pinned traces must never appear among victims.
                         for victim in &report.evicted {
-                            assert!(!victim.entry.pinned, "pinned trace {} was evicted", victim.id());
+                            assert!(
+                                !victim.entry.pinned,
+                                "pinned trace {} was evicted",
+                                victim.id()
+                            );
                             assert!(
                                 !pinned_now.contains(&victim.id().as_u64()),
                                 "trace pinned by the driver was evicted"

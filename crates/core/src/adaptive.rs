@@ -207,7 +207,10 @@ impl CandidateSet {
     /// nursery- and persistent-leaning corners of the proportion grid.
     pub fn default_set() -> Self {
         CandidateSet::new(&[
-            Candidate::new(Proportions::best_overall(), PromotionPolicy::OnHit { hits: 1 }),
+            Candidate::new(
+                Proportions::best_overall(),
+                PromotionPolicy::OnHit { hits: 1 },
+            ),
             Candidate::new(
                 Proportions::probation_heavy(),
                 PromotionPolicy::OnEviction { threshold: 5 },
@@ -682,7 +685,10 @@ mod tests {
 
     #[test]
     fn candidate_labels_match_spec_grammar() {
-        let c = Candidate::new(Proportions::best_overall(), PromotionPolicy::OnHit { hits: 1 });
+        let c = Candidate::new(
+            Proportions::best_overall(),
+            PromotionPolicy::OnHit { hits: 1 },
+        );
         assert_eq!(c.label(), "45-10-45@hit1");
         let c = Candidate::new(
             Proportions::probation_heavy(),
@@ -693,7 +699,10 @@ mod tests {
 
     #[test]
     fn candidate_set_bounds_and_labels() {
-        let one = Candidate::new(Proportions::even_thirds(), PromotionPolicy::OnHit { hits: 1 });
+        let one = Candidate::new(
+            Proportions::even_thirds(),
+            PromotionPolicy::OnHit { hits: 1 },
+        );
         assert!(CandidateSet::new(&[]).is_err());
         assert!(CandidateSet::new(&vec![one; MAX_CANDIDATES + 1]).is_err());
         let set = CandidateSet::new(&[one]).unwrap();

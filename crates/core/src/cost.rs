@@ -20,6 +20,5 @@
 //! ```
 
 pub use gencache_obs::cost::{
-    context_switch, eviction, miss_service, overhead_ratio, promotion, trace_generation,
-    CostLedger,
+    context_switch, eviction, miss_service, overhead_ratio, promotion, trace_generation, CostLedger,
 };

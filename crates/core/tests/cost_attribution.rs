@@ -44,7 +44,10 @@ fn drive(model: &mut dyn CacheModel, ops: &[Op]) {
         match *op {
             Op::Access { id, bytes } => {
                 let bytes = *sizes.entry(id).or_insert(bytes);
-                model.on_access(TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)), now);
+                model.on_access(
+                    TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)),
+                    now,
+                );
             }
             Op::Unmap { id } => {
                 model.on_unmap(TraceId::new(id), now);
@@ -55,7 +58,10 @@ fn drive(model: &mut dyn CacheModel, ops: &[Op]) {
 
 fn policies() -> Vec<(&'static str, Box<dyn CodeCache>)> {
     vec![
-        ("pseudo-circular", Box::new(PseudoCircularCache::new(CAPACITY))),
+        (
+            "pseudo-circular",
+            Box::new(PseudoCircularCache::new(CAPACITY)),
+        ),
         ("lru", Box::new(LruCache::new(CAPACITY))),
         ("clock", Box::new(ClockCache::new(CAPACITY))),
         ("flush-on-full", Box::new(FlushCache::new(CAPACITY))),
@@ -91,8 +97,14 @@ fn assert_phase_counters_sum(report: &CostReport) -> Result<(), TestCaseError> {
         report.phases.iter().map(|p| f(&p.ledger)).sum()
     };
     prop_assert_eq!(by_phase(|l| l.miss_events), report.total.miss_events);
-    prop_assert_eq!(by_phase(|l| l.eviction_events), report.total.eviction_events);
-    prop_assert_eq!(by_phase(|l| l.promotion_events), report.total.promotion_events);
+    prop_assert_eq!(
+        by_phase(|l| l.eviction_events),
+        report.total.eviction_events
+    );
+    prop_assert_eq!(
+        by_phase(|l| l.promotion_events),
+        report.total.promotion_events
+    );
     Ok(())
 }
 

@@ -4,6 +4,7 @@
 //! operation stream. A divergence means an emission site is missing,
 //! duplicated, or tagged with the wrong cause.
 
+use gencache_cache::CacheStats;
 use gencache_cache::{
     ClockCache, CodeCache, FlushCache, LruCache, PhaseDetector, PreemptiveFlushCache,
     PseudoCircularCache, TraceId, TraceRecord, UnboundedCache,
@@ -11,7 +12,6 @@ use gencache_cache::{
 use gencache_core::{
     CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy, Proportions, UnifiedModel,
 };
-use gencache_cache::CacheStats;
 use gencache_obs::{reconstruct_stats, EventBuffer, MetricsObserver, Region};
 use gencache_program::{Addr, Time};
 use proptest::prelude::*;
@@ -48,7 +48,10 @@ fn drive(model: &mut dyn CacheModel, ops: &[Op]) {
                 // A re-created trace keeps its first size, like a real
                 // regeneration of the same source region.
                 let bytes = *sizes.entry(id).or_insert(bytes);
-                model.on_access(TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)), now);
+                model.on_access(
+                    TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)),
+                    now,
+                );
             }
             Op::Unmap { id } => {
                 model.on_unmap(TraceId::new(id), now);
@@ -59,7 +62,10 @@ fn drive(model: &mut dyn CacheModel, ops: &[Op]) {
 
 fn policies() -> Vec<(&'static str, Box<dyn CodeCache>)> {
     vec![
-        ("pseudo-circular", Box::new(PseudoCircularCache::new(CAPACITY))),
+        (
+            "pseudo-circular",
+            Box::new(PseudoCircularCache::new(CAPACITY)),
+        ),
         ("lru", Box::new(LruCache::new(CAPACITY))),
         ("clock", Box::new(ClockCache::new(CAPACITY))),
         ("flush-on-full", Box::new(FlushCache::new(CAPACITY))),

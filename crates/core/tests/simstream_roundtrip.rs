@@ -64,13 +64,19 @@ fn run_ops(model: &mut dyn CacheModel, ops: &[Op]) {
 /// The six local replacement policies, built fresh at `capacity`.
 fn local_cache(which: usize, capacity: u64) -> (&'static str, Box<dyn CodeCache>) {
     match which {
-        0 => ("pseudo-circular", Box::new(PseudoCircularCache::new(capacity))),
+        0 => (
+            "pseudo-circular",
+            Box::new(PseudoCircularCache::new(capacity)),
+        ),
         1 => ("lru", Box::new(LruCache::new(capacity))),
         2 => ("clock", Box::new(ClockCache::new(capacity))),
         3 => ("flush-on-full", Box::new(FlushCache::new(capacity))),
         4 => (
             "preemptive-flush",
-            Box::new(PreemptiveFlushCache::new(capacity, PhaseDetector::default())),
+            Box::new(PreemptiveFlushCache::new(
+                capacity,
+                PhaseDetector::default(),
+            )),
         ),
         _ => ("unbounded", Box::new(UnboundedCache::new())),
     }

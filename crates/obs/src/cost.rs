@@ -250,7 +250,8 @@ impl PhaseCost {
     fn merge(&mut self, other: &PhaseCost) {
         self.ledger.merge(&other.ledger);
         if self.regions.len() < other.regions.len() {
-            self.regions.resize(other.regions.len(), RegionCost::default());
+            self.regions
+                .resize(other.regions.len(), RegionCost::default());
         }
         for (mine, theirs) in self.regions.iter_mut().zip(&other.regions) {
             mine.merge(theirs);
@@ -298,7 +299,8 @@ impl CostReport {
     pub fn merge(&mut self, other: &CostReport) {
         self.total.merge(&other.total);
         if self.regions.len() < other.regions.len() {
-            self.regions.resize(other.regions.len(), RegionCost::default());
+            self.regions
+                .resize(other.regions.len(), RegionCost::default());
         }
         for (mine, theirs) in self.regions.iter_mut().zip(&other.regions) {
             mine.merge(theirs);
@@ -412,11 +414,15 @@ impl Observer for CostObserver {
                 self.report.regions[region.index()].charge_eviction(bytes, cause);
                 self.report.phases[p].regions[region.index()].charge_eviction(bytes, cause);
             }
-            CacheEvent::Promote { to, bytes, time, .. } => {
+            CacheEvent::Promote {
+                to, bytes, time, ..
+            } => {
                 let p = self.phase_of(time.as_micros());
                 self.report.total.charge_promotion(bytes);
                 self.report.phases[p].ledger.charge_promotion(bytes);
-                self.report.regions[to.index()].ledger.charge_promotion(bytes);
+                self.report.regions[to.index()]
+                    .ledger
+                    .charge_promotion(bytes);
                 self.report.phases[p].regions[to.index()]
                     .ledger
                     .charge_promotion(bytes);
@@ -554,9 +560,19 @@ mod tests {
         let mut o = CostObserver::with_phases(4, 400);
         o.on_event(&miss(242, 50));
         o.on_event(&evict(Region::Persistent, 242, EvictionCause::Flush, 150));
-        o.on_event(&evict(Region::Persistent, 100, EvictionCause::Capacity, 150));
+        o.on_event(&evict(
+            Region::Persistent,
+            100,
+            EvictionCause::Capacity,
+            150,
+        ));
         o.on_event(&promote(Region::Persistent, 242, 250));
-        o.on_event(&evict(Region::Probation, 100, EvictionCause::Discarded, 350));
+        o.on_event(&evict(
+            Region::Probation,
+            100,
+            EvictionCause::Discarded,
+            350,
+        ));
         let r = o.report();
 
         assert_eq!(r.total.miss_events, 1);
@@ -577,8 +593,14 @@ mod tests {
 
         // Phase × region × cause: the flush charge sits in phase 1's
         // persistent slot specifically.
-        assert_eq!(r.phases[1].regions[Region::Persistent.index()].flush.events, 1);
-        assert_eq!(r.phases[0].regions[Region::Persistent.index()].flush.events, 0);
+        assert_eq!(
+            r.phases[1].regions[Region::Persistent.index()].flush.events,
+            1
+        );
+        assert_eq!(
+            r.phases[0].regions[Region::Persistent.index()].flush.events,
+            0
+        );
 
         // The miss stays unattributed at region level.
         let region_total: f64 = r.regions.iter().map(|rc| rc.ledger.total()).sum();

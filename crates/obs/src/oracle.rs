@@ -152,11 +152,7 @@ pub fn oracle_replay_events(trace: &SimTrace, capacity: u64) -> (OracleResult, V
 
 /// The oracle replay loop, parameterized over an event sink so the
 /// plain summary replay pays nothing for emission.
-fn replay_core(
-    trace: &SimTrace,
-    capacity: u64,
-    mut emit: impl FnMut(CacheEvent),
-) -> OracleResult {
+fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)) -> OracleResult {
     // Pass 1: for every op index, the index of the *next* execution of
     // the same trace (NEVER if none). Built backwards in O(n).
     let n = trace.ops.len();

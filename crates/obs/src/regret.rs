@@ -308,8 +308,7 @@ impl RegretReport {
                 })
                 .or_insert_with(|| e.clone());
         }
-        self.contributors =
-            sort_contributors(by_trace.into_values().collect(), self.top as usize);
+        self.contributors = sort_contributors(by_trace.into_values().collect(), self.top as usize);
     }
 }
 
@@ -394,12 +393,7 @@ impl<'a> RegretObserver<'a> {
 
     /// A walker whose report keeps up to `top` contributor traces
     /// (minimum 1) instead of the default [`TOP_REGRET`].
-    pub fn with_top(
-        index: &'a NextUseIndex,
-        phases: u32,
-        duration_us: u64,
-        top: usize,
-    ) -> Self {
+    pub fn with_top(index: &'a NextUseIndex, phases: u32, duration_us: u64, top: usize) -> Self {
         let phases = phases.max(1);
         RegretObserver {
             index,
@@ -716,7 +710,12 @@ mod tests {
         // 2 runs again 2 executions after. Evicting 1 instead of 2 is a
         // regret of exactly 1 execution, realized as one re-miss.
         let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 1), access(1, 2), access(2, 3)],
+            ops: vec![
+                create(1, 100, 0),
+                create(2, 100, 1),
+                access(1, 2),
+                access(2, 3),
+            ],
         };
         let events = vec![
             miss(1, 100, 0),
@@ -753,7 +752,12 @@ mod tests {
     #[test]
     fn evicting_the_furthest_resident_is_regret_free() {
         let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 1), access(1, 2), access(2, 3)],
+            ops: vec![
+                create(1, 100, 0),
+                create(2, 100, 1),
+                access(1, 2),
+                access(2, 3),
+            ],
         };
         let events = vec![
             miss(1, 100, 0),
@@ -857,7 +861,12 @@ mod tests {
     #[test]
     fn merge_combines_cells_and_contributors() {
         let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 1), access(1, 2), access(2, 3)],
+            ops: vec![
+                create(1, 100, 0),
+                create(2, 100, 1),
+                access(1, 2),
+                access(2, 3),
+            ],
         };
         let events = vec![
             miss(1, 100, 0),

@@ -179,7 +179,8 @@ impl ReservoirSnapshot {
             *self = other.clone();
             return;
         }
-        let mut rng = splitmix64(self.seen ^ other.seen.rotate_left(32) ^ 0xA5A5_5A5A_1234_5678) | 1;
+        let mut rng =
+            splitmix64(self.seen ^ other.seen.rotate_left(32) ^ 0xA5A5_5A5A_1234_5678) | 1;
         let cap = self.capacity as usize;
         for (count, &v) in (self.seen..).zip(other.values.iter()) {
             if self.values.len() < cap {

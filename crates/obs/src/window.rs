@@ -276,10 +276,11 @@ impl WindowReport {
         self.doublings += other.doublings;
         let offset = self.windows.len() as u64;
         self.windows.extend_from_slice(&other.windows);
-        self.annotations.extend(other.annotations.iter().map(|a| DriftAnnotation {
-            window: a.window + offset,
-            ..*a
-        }));
+        self.annotations
+            .extend(other.annotations.iter().map(|a| DriftAnnotation {
+                window: a.window + offset,
+                ..*a
+            }));
     }
 }
 
@@ -390,7 +391,10 @@ impl Observer for WindowObserver {
                 self.on_access();
             }
             CacheEvent::Evict {
-                trace, bytes, cause, ..
+                trace,
+                bytes,
+                cause,
+                ..
             } => {
                 match cause {
                     gencache_cache::EvictionCause::Capacity => {
@@ -601,14 +605,14 @@ mod tests {
         }
         let churny_kinds: Vec<DriftKind> =
             churny.report().annotations.iter().map(|a| a.kind).collect();
-        let cold_kinds: Vec<DriftKind> =
-            cold.report().annotations.iter().map(|a| a.kind).collect();
+        let cold_kinds: Vec<DriftKind> = cold.report().annotations.iter().map(|a| a.kind).collect();
         assert!(
             churny_kinds.contains(&DriftKind::ThrashOnset),
             "churn-dominated step should classify as thrash: {churny_kinds:?}"
         );
         assert!(
-            cold_kinds.contains(&DriftKind::PhaseShift) && !cold_kinds.contains(&DriftKind::ThrashOnset),
+            cold_kinds.contains(&DriftKind::PhaseShift)
+                && !cold_kinds.contains(&DriftKind::ThrashOnset),
             "cold step should classify as phase shift: {cold_kinds:?}"
         );
     }

@@ -107,7 +107,9 @@ fn parse_submit(mut it: impl Iterator<Item = String>) -> SubmitArgs {
             "--windows" => args.spec.windows = true,
             "--window-width" => {
                 let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v.parse().expect("--window-width must be a positive integer");
+                let width: u64 = v
+                    .parse()
+                    .expect("--window-width must be a positive integer");
                 assert!(width > 0, "--window-width must be positive");
                 args.spec.window_width = Some(width);
             }
@@ -513,8 +515,17 @@ fn render_watch_frame(node: &str, seq: u64, rows: &[gencache_serve::WatchRow]) -
     let mut out = String::new();
     out.push_str(&format!(
         "{:<24} {:>8} {:>8} {:>7} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>6}\n",
-        "NODE", "UP(s)", "JOBS/S", "SHED/S", "INFL", "QUEUE", "P50(us)", "P99(us)", "JOBS",
-        "W.MISS", "DRIFT"
+        "NODE",
+        "UP(s)",
+        "JOBS/S",
+        "SHED/S",
+        "INFL",
+        "QUEUE",
+        "P50(us)",
+        "P99(us)",
+        "JOBS",
+        "W.MISS",
+        "DRIFT"
     ));
     for r in rows {
         out.push_str(&format!(

@@ -67,8 +67,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
             }
             "--deadline-ms" => {
                 let v = it.next().expect("--deadline-ms needs a value");
-                config.default_deadline_ms =
-                    v.parse().expect("--deadline-ms must be an integer");
+                config.default_deadline_ms = v.parse().expect("--deadline-ms must be an integer");
             }
             "--log" => config.log = Some(it.next().expect("--log needs FILE, -, or none")),
             "--log-level" => {
@@ -83,8 +82,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
             }
             "--trace-capacity" => {
                 let v = it.next().expect("--trace-capacity needs a value");
-                config.trace_capacity =
-                    v.parse().expect("--trace-capacity must be an integer");
+                config.trace_capacity = v.parse().expect("--trace-capacity must be an integer");
             }
             other => panic!("unknown argument {other:?}; {USAGE}"),
         }

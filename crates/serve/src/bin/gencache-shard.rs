@@ -80,8 +80,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ShardConfig {
             }
             "--trace-capacity" => {
                 let v = it.next().expect("--trace-capacity needs a value");
-                config.trace_capacity =
-                    v.parse().expect("--trace-capacity must be an integer");
+                config.trace_capacity = v.parse().expect("--trace-capacity must be an integer");
             }
             other => panic!("unknown argument {other:?}; {USAGE}"),
         }

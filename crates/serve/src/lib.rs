@@ -53,9 +53,9 @@ pub mod client;
 pub mod pool;
 pub mod proto;
 pub mod retry;
+mod server;
 pub mod shard;
 pub mod signal;
-mod server;
 pub mod stats;
 pub mod telemetry;
 

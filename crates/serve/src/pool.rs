@@ -128,8 +128,12 @@ impl WorkerPool {
     /// in-flight jobs run to completion. Idempotent.
     pub fn shutdown(&self) {
         *self.tx.lock().expect("job sender poisoned") = None;
-        let handles: Vec<JoinHandle<()>> =
-            self.workers.lock().expect("worker handles poisoned").drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = self
+            .workers
+            .lock()
+            .expect("worker handles poisoned")
+            .drain(..)
+            .collect();
         for handle in handles {
             handle.join().expect("worker thread panicked");
         }

@@ -398,12 +398,7 @@ pub enum Reply {
 }
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 fn render(value: &Value) -> String {
@@ -726,7 +721,9 @@ mod tests {
         assert!(!is_control_line(
             "{\"schema\":\"gencache-events\",\"version\":2}"
         ));
-        assert!(!is_control_line("{\"source\":\"gcc\",\"model\":\"unified\"}"));
+        assert!(!is_control_line(
+            "{\"source\":\"gcc\",\"model\":\"unified\"}"
+        ));
     }
 
     #[test]
@@ -895,7 +892,10 @@ mod tests {
     #[test]
     fn result_reply_roundtrips_doc_bytes() {
         let doc = Value::Object(vec![
-            ("schema".to_string(), Value::Str("gencache-metrics".to_string())),
+            (
+                "schema".to_string(),
+                Value::Str("gencache-metrics".to_string()),
+            ),
             ("version".to_string(), Value::UInt(2)),
         ]);
         let doc_json = gencache_bench::value_to_json(&doc);

@@ -266,9 +266,7 @@ enum IngestItem {
     /// stripped and replaced).
     Chunk(String),
     /// The client's `end` frame: claimed line count for integrity.
-    End {
-        lines: u64,
-    },
+    End { lines: u64 },
     /// The upload failed (read error, bad frame); the worker must not
     /// treat what it has as a complete export.
     Abort(String),
@@ -353,13 +351,10 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
         ),
         // Watch runs right here on the connection thread — a slow or
         // idle dashboard never occupies a worker slot.
-        Request::Watch { interval_ms, count } => {
-            handle_watch(ctx, &mut writer, interval_ms, count)
+        Request::Watch { interval_ms, count } => handle_watch(ctx, &mut writer, interval_ms, count),
+        Request::End { .. } => {
+            send_line(&mut writer, &encode_error("end frame outside a job upload"))
         }
-        Request::End { .. } => send_line(
-            &mut writer,
-            &encode_error("end frame outside a job upload"),
-        ),
         // Fleet-only frames: a plain daemon is not a router.
         Request::Shards | Request::Route { .. } => send_line(
             &mut writer,
@@ -443,10 +438,7 @@ fn handle_watch(
         prev = (cur, Instant::now());
         // A failed write means the dashboard hung up; nothing to tear
         // down — the stream owns no worker or channel.
-        send_line(
-            writer,
-            &encode_watch(ctx.telemetry.node(), sent, &[row]),
-        )?;
+        send_line(writer, &encode_watch(ctx.telemetry.node(), sent, &[row]))?;
         sent += 1;
         if count > 0 && sent >= count {
             return send_line(writer, &encode_end(sent));
@@ -682,7 +674,8 @@ fn send_reply(
     match reply_rx.recv() {
         Some(Ok(parts)) => {
             ServerStats::bump(&ctx.stats.jobs_completed);
-            ctx.stats.record_latency(admitted.elapsed().as_micros() as u64);
+            ctx.stats
+                .record_latency(admitted.elapsed().as_micros() as u64);
             let reply_started = Instant::now();
             let line = encode_result(
                 parts.doc,
@@ -849,14 +842,11 @@ fn run_job(
     if let Some(sp) = tel.span(trace_id, "ingest", ingest_started) {
         sp.lines(ingest.lines()).bytes(ingest.bytes()).end();
     }
-    let inputs = match ingest.into_inputs(
-        spec.bench.as_deref(),
-        spec.model.as_deref(),
-        spec.capacity,
-    ) {
-        Ok(i) => i,
-        Err(e) => return fail(e),
-    };
+    let inputs =
+        match ingest.into_inputs(spec.bench.as_deref(), spec.model.as_deref(), spec.capacity) {
+            Ok(i) => i,
+            Err(e) => return fail(e),
+        };
     let specs = match resolve_sim_specs(&spec.specs, spec.grid) {
         Ok(s) => s,
         Err(e) => return fail(e),
@@ -991,12 +981,7 @@ impl Write for ChannelWriter {
     }
 }
 
-fn handle_fetch(
-    ctx: &Ctx,
-    writer: &mut impl Write,
-    bench: &str,
-    scale: u64,
-) -> io::Result<()> {
+fn handle_fetch(ctx: &Ctx, writer: &mut impl Write, bench: &str, scale: u64) -> io::Result<()> {
     let (line_tx, mut line_rx) = bounded::<String>(ctx.channel_depth);
     let bench_name = bench.to_string();
     let depth = ctx.channel_depth;

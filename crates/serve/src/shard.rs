@@ -191,9 +191,9 @@ impl ShardTable {
 
     /// The first live, non-excluded shard in `key`'s preference order.
     fn route(&self, key: &str, excluded: &[usize]) -> Option<usize> {
-        self.preference(key).into_iter().find(|&s| {
-            self.shards[s].up.load(Ordering::Relaxed) && !excluded.contains(&s)
-        })
+        self.preference(key)
+            .into_iter()
+            .find(|&s| self.shards[s].up.load(Ordering::Relaxed) && !excluded.contains(&s))
     }
 
     fn doc(&self) -> Value {
@@ -488,9 +488,10 @@ fn handle_connection(stream: TcpStream, ctx: &RouterCtx) -> io::Result<()> {
         Request::Stats => send_line(&mut writer, &encode_stats(fleet_doc(ctx))),
         Request::Ping { .. } => send_line(&mut writer, &encode_pong()),
         Request::Shards => send_line(&mut writer, &encode_shards(ctx.table.doc())),
-        Request::Trace { trace_id } => {
-            send_line(&mut writer, &encode_trace(&trace_id, fleet_trace(ctx, &trace_id)))
-        }
+        Request::Trace { trace_id } => send_line(
+            &mut writer,
+            &encode_trace(&trace_id, fleet_trace(ctx, &trace_id)),
+        ),
         Request::Metrics => send_line(
             &mut writer,
             &encode_metrics(&Snapshot::take(&ROUTER, ctx).to_prometheus()),
@@ -523,9 +524,7 @@ fn handle_connection(stream: TcpStream, ctx: &RouterCtx) -> io::Result<()> {
             }
             handle_fetch(ctx, &mut writer, &bench, scale)
         }
-        Request::Watch { interval_ms, count } => {
-            handle_watch(ctx, &mut writer, interval_ms, count)
-        }
+        Request::Watch { interval_ms, count } => handle_watch(ctx, &mut writer, interval_ms, count),
     }
 }
 
@@ -545,7 +544,9 @@ fn handle_watch(
     // Each shard sample must finish inside the router→shard read
     // timeout, so long client intervals sample briefly and sleep out
     // the remainder.
-    let sample = interval.min(ctx.read_timeout / 2).max(Duration::from_millis(50));
+    let sample = interval
+        .min(ctx.read_timeout / 2)
+        .max(Duration::from_millis(50));
     let mut sent = 0u64;
     loop {
         let started = Instant::now();
@@ -839,7 +840,9 @@ fn run_fleet_job(
                             ("why", Value::Str(why)),
                         ],
                     );
-                    let was = ctx.table.shards[shard_idx].up.swap(false, Ordering::Relaxed);
+                    let was = ctx.table.shards[shard_idx]
+                        .up
+                        .swap(false, Ordering::Relaxed);
                     if was {
                         ctx.telemetry.log().event(
                             LogLevel::Warn,
@@ -938,7 +941,11 @@ fn handle_job(
             let sent = send_line(writer, &line);
             if let Some(span) = ctx.telemetry.span(&trace_id, "reply", reply_started) {
                 span.bytes(line.len() as u64 + 1)
-                    .outcome(if sent.is_ok() { "ok" } else { "error: reply write failed" })
+                    .outcome(if sent.is_ok() {
+                        "ok"
+                    } else {
+                        "error: reply write failed"
+                    })
                     .end();
             }
             sent
@@ -1172,7 +1179,12 @@ static ROUTER: [Metric<RouterCtx>; 15] = [
 /// table.
 fn fleet_doc(ctx: &RouterCtx) -> Value {
     let mut nodes = Vec::new();
-    for shard in ctx.table.shards.iter().filter(|s| s.up.load(Ordering::Relaxed)) {
+    for shard in ctx
+        .table
+        .shards
+        .iter()
+        .filter(|s| s.up.load(Ordering::Relaxed))
+    {
         match ctx.shard_client(shard).stats() {
             Ok(Reply::Stats { doc }) => {
                 if let Ok(doc) = serde_json::value_from_str(&doc) {
@@ -1219,7 +1231,10 @@ mod tests {
             counts[s] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
-            assert!(c > 30, "shard {i} got only {c}/300 keys — ring is unbalanced");
+            assert!(
+                c > 30,
+                "shard {i} got only {c}/300 keys — ring is unbalanced"
+            );
         }
     }
 

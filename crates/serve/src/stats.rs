@@ -241,7 +241,10 @@ mod tests {
         assert_eq!((hist.total(), *sum), (2, 1000));
         // `_sum` and `_count` come from the same read.
         let body = snap.to_prometheus();
-        assert!(body.contains("gencache_job_latency_us_sum 1000\n"), "{body}");
+        assert!(
+            body.contains("gencache_job_latency_us_sum 1000\n"),
+            "{body}"
+        );
         assert!(body.contains("gencache_job_latency_us_count 2\n"), "{body}");
         assert!(body.contains("gencache_drift_events_total 3\n"), "{body}");
     }

@@ -502,10 +502,7 @@ impl Logger {
         let mut pairs = vec![
             ("ts_ms".to_string(), Value::UInt(ts_ms)),
             ("level".to_string(), Value::Str(level.name().to_string())),
-            (
-                "component".to_string(),
-                Value::Str(self.component.clone()),
-            ),
+            ("component".to_string(), Value::Str(self.component.clone())),
             ("event".to_string(), Value::Str(event.to_string())),
         ];
         if let Some(id) = trace_id {
@@ -902,10 +899,7 @@ mod tests {
             logger.event(LogLevel::Info, "tick", None, &[("i", Value::UInt(i))]);
         }
         assert!(!dir.join("serve.log.1").exists(), "default must not rotate");
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap().lines().count(),
-            50
-        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -993,13 +987,29 @@ mod tests {
             .collect();
         let router = Snapshot::take(&table[..2], &node(1, 0));
         let fleet = Snapshot::fleet(&table, &nodes, &router);
-        assert_eq!(fleet.int("jobs"), 2 + 3 + 1, "counters sum, the router's own included");
-        assert_eq!(fleet.int("uptime_ms"), 7, "a node value is the router's own");
-        assert_eq!(fleet.get("rate"), None, "a node value the router lacks is left out");
+        assert_eq!(
+            fleet.int("jobs"),
+            2 + 3 + 1,
+            "counters sum, the router's own included"
+        );
+        assert_eq!(
+            fleet.int("uptime_ms"),
+            7,
+            "a node value is the router's own"
+        );
+        assert_eq!(
+            fleet.get("rate"),
+            None,
+            "a node value the router lacks is left out"
+        );
         let Some(Sample::Histogram(hist, _)) = fleet.get("latency_us") else {
             panic!("fleet lost the histogram");
         };
-        assert_eq!((hist.total(), hist.max()), (2, 1000), "histograms merge exactly");
+        assert_eq!(
+            (hist.total(), hist.max()),
+            (2, 1000),
+            "histograms merge exactly"
+        );
         let keys: Vec<String> = fleet.doc_fields().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, ["jobs", "uptime_ms", "latency_us"], "table order");
     }

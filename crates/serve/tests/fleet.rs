@@ -413,7 +413,11 @@ fn killing_a_shard_mid_fleet_degrades_gracefully() {
     // shard's benchmarks failed over to live ones transparently.
     match submit_via(&router.addr, &fleet_spec()) {
         Reply::Result { doc, .. } => {
-            assert_eq!(doc, offline_doc(), "failover run diverged from offline simulate");
+            assert_eq!(
+                doc,
+                offline_doc(),
+                "failover run diverged from offline simulate"
+            );
         }
         other => panic!("unexpected reply {other:?}"),
     }
@@ -423,12 +427,18 @@ fn killing_a_shard_mid_fleet_degrades_gracefully() {
     let Reply::Shards { doc } = router.client().shards().unwrap() else {
         panic!("shards request failed");
     };
-    assert!(doc.contains("\"up\":false"), "victim not marked down: {doc}");
+    assert!(
+        doc.contains("\"up\":false"),
+        "victim not marked down: {doc}"
+    );
     let Reply::Stats { doc } = router.client().stats().unwrap() else {
         panic!("stats request failed");
     };
     assert!(doc.contains("\"shards_down\":1"), "stats disagree: {doc}");
-    assert!(doc.contains("\"failovers\":1"), "no failover charged: {doc}");
+    assert!(
+        doc.contains("\"failovers\":1"),
+        "no failover charged: {doc}"
+    );
 }
 
 /// Fetches and parses the span set a daemon retains for `trace_id`.
@@ -480,8 +490,10 @@ fn trace_id_propagates_from_client_through_router_to_every_shard() {
     // shard's — one id across all three layers.
     let spans = trace_spans(&router.client(), trace_id);
     assert!(spans.iter().all(|s| s.trace_id == trace_id));
-    let router_spans: Vec<&Span> =
-        spans.iter().filter(|s| s.node.starts_with("router:")).collect();
+    let router_spans: Vec<&Span> = spans
+        .iter()
+        .filter(|s| s.node.starts_with("router:"))
+        .collect();
     for stage in ["accept", "ingest", "merge", "reply"] {
         assert!(
             router_spans.iter().any(|s| s.stage == stage),
@@ -499,7 +511,10 @@ fn trace_id_propagates_from_client_through_router_to_every_shard() {
         .filter_map(|s| s.node.strip_prefix("serve:"))
         .collect();
     assert!(!dispatched.is_empty(), "router recorded no dispatch spans");
-    assert_eq!(dispatched, served, "dispatch targets and serve nodes disagree");
+    assert_eq!(
+        dispatched, served,
+        "dispatch targets and serve nodes disagree"
+    );
     // Each shard that got work timed the full serve pipeline.
     for addr in &served {
         let node = format!("serve:{addr}");
@@ -652,15 +667,60 @@ type Wire = (&'static str, &'static str, &'static str, &'static str);
 /// The daemon's metrics, in `stats` doc order. Dashboards and scrapers
 /// key on these names, so any rename or reordering is a wire change.
 const DAEMON_WIRE: [Wire; 16] = [
-    ("workers", "gencache_workers", "gauge", "Worker threads in the pool."),
-    ("queue_depth", "gencache_queue_depth", "gauge", "Jobs queued, not yet running."),
-    ("in_flight", "gencache_in_flight_jobs", "gauge", "Jobs currently executing on a worker."),
-    ("connections", "gencache_connections_total", "counter", "Connections accepted."),
-    ("jobs_accepted", "gencache_jobs_accepted_total", "counter", "Jobs admitted to the queue."),
-    ("jobs_completed", "gencache_jobs_completed_total", "counter", "Jobs finished successfully."),
-    ("jobs_rejected", "gencache_jobs_rejected_total", "counter", "Jobs shed with a busy reply."),
-    ("jobs_failed", "gencache_jobs_failed_total", "counter", "Jobs that ended in an error reply."),
-    ("jobs_panicked", "gencache_jobs_panicked_total", "counter", "Jobs that panicked mid-run."),
+    (
+        "workers",
+        "gencache_workers",
+        "gauge",
+        "Worker threads in the pool.",
+    ),
+    (
+        "queue_depth",
+        "gencache_queue_depth",
+        "gauge",
+        "Jobs queued, not yet running.",
+    ),
+    (
+        "in_flight",
+        "gencache_in_flight_jobs",
+        "gauge",
+        "Jobs currently executing on a worker.",
+    ),
+    (
+        "connections",
+        "gencache_connections_total",
+        "counter",
+        "Connections accepted.",
+    ),
+    (
+        "jobs_accepted",
+        "gencache_jobs_accepted_total",
+        "counter",
+        "Jobs admitted to the queue.",
+    ),
+    (
+        "jobs_completed",
+        "gencache_jobs_completed_total",
+        "counter",
+        "Jobs finished successfully.",
+    ),
+    (
+        "jobs_rejected",
+        "gencache_jobs_rejected_total",
+        "counter",
+        "Jobs shed with a busy reply.",
+    ),
+    (
+        "jobs_failed",
+        "gencache_jobs_failed_total",
+        "counter",
+        "Jobs that ended in an error reply.",
+    ),
+    (
+        "jobs_panicked",
+        "gencache_jobs_panicked_total",
+        "counter",
+        "Jobs that panicked mid-run.",
+    ),
     (
         "bytes_ingested",
         "gencache_bytes_ingested_total",
@@ -679,7 +739,12 @@ const DAEMON_WIRE: [Wire; 16] = [
         "counter",
         "Lines refused for exceeding the line cap.",
     ),
-    ("uptime_ms", "gencache_uptime_ms", "gauge", "Milliseconds since the daemon started."),
+    (
+        "uptime_ms",
+        "gencache_uptime_ms",
+        "gauge",
+        "Milliseconds since the daemon started.",
+    ),
     (
         "window_miss_rate",
         "gencache_window_miss_rate",
@@ -704,14 +769,24 @@ const DAEMON_WIRE: [Wire; 16] = [
 /// `router` section, in section order; empty for a family that has no
 /// key there.
 const ROUTER_WIRE: [Wire; 15] = [
-    ("", "gencache_uptime_ms", "gauge", "Milliseconds since the router started."),
+    (
+        "",
+        "gencache_uptime_ms",
+        "gauge",
+        "Milliseconds since the router started.",
+    ),
     (
         "connections",
         "gencache_router_connections_total",
         "counter",
         "Connections accepted by the router.",
     ),
-    ("fleet_jobs", "gencache_fleet_jobs_total", "counter", "Fleet jobs admitted past upload."),
+    (
+        "fleet_jobs",
+        "gencache_fleet_jobs_total",
+        "counter",
+        "Fleet jobs admitted past upload.",
+    ),
     (
         "fleet_jobs_completed",
         "gencache_fleet_jobs_completed_total",
@@ -724,29 +799,54 @@ const ROUTER_WIRE: [Wire; 15] = [
         "counter",
         "Fleet jobs that ended in an error frame.",
     ),
-    ("subjobs", "gencache_subjobs_total", "counter", "Per-shard sub-jobs dispatched."),
+    (
+        "subjobs",
+        "gencache_subjobs_total",
+        "counter",
+        "Per-shard sub-jobs dispatched.",
+    ),
     (
         "busy_retries",
         "gencache_busy_retries_total",
         "counter",
         "Busy replies retried under the backoff policy.",
     ),
-    ("failovers", "gencache_failovers_total", "counter", "Sub-jobs re-routed to another shard."),
+    (
+        "failovers",
+        "gencache_failovers_total",
+        "counter",
+        "Sub-jobs re-routed to another shard.",
+    ),
     (
         "upload_buffer_peak_bytes",
         "gencache_upload_buffer_peak_bytes",
         "gauge",
         "Largest single job upload buffered in router memory.",
     ),
-    ("shards_up", "gencache_shards_up", "gauge", "Backends currently marked healthy."),
-    ("shards_down", "gencache_shards_down", "gauge", "Backends currently marked down."),
+    (
+        "shards_up",
+        "gencache_shards_up",
+        "gauge",
+        "Backends currently marked healthy.",
+    ),
+    (
+        "shards_down",
+        "gencache_shards_down",
+        "gauge",
+        "Backends currently marked down.",
+    ),
     (
         "",
         "gencache_lines_rejected_total",
         "counter",
         "Lines the router refused for exceeding the line cap.",
     ),
-    ("", "gencache_shard_up", "gauge", "Per-shard health (1 = up)."),
+    (
+        "",
+        "gencache_shard_up",
+        "gauge",
+        "Per-shard health (1 = up).",
+    ),
     (
         "",
         "gencache_shard_last_ping_us",
@@ -806,7 +906,10 @@ fn prom_families(body: &str) -> BTreeMap<String, (String, String)> {
                 .iter()
                 .find_map(|s| series.strip_suffix(s).filter(|f| families.contains_key(*f)))
                 .unwrap_or(series);
-            assert!(families.contains_key(family), "sample of no family: {line:?}");
+            assert!(
+                families.contains_key(family),
+                "sample of no family: {line:?}"
+            );
         }
     }
     families
@@ -828,7 +931,10 @@ fn prom_sample(body: &str, series: &str) -> f64 {
 }
 
 fn family_of(wire: &[Wire], key: &str) -> &'static str {
-    wire.iter().find(|w| w.0 == key).expect("key is on the wire").1
+    wire.iter()
+        .find(|w| w.0 == key)
+        .expect("key is on the wire")
+        .1
 }
 
 #[test]
@@ -852,7 +958,11 @@ fn metric_names_on_the_wire_are_pinned() {
     );
     let fleet = stats_doc(&router.addr);
     let section = serde::obj_field(&fleet, "stats", "router").expect("router section");
-    let keys: Vec<&str> = ROUTER_WIRE.iter().map(|w| w.0).filter(|k| !k.is_empty()).collect();
+    let keys: Vec<&str> = ROUTER_WIRE
+        .iter()
+        .map(|w| w.0)
+        .filter(|k| !k.is_empty())
+        .collect();
     assert_eq!(doc_keys(section), keys, "router section keys");
 }
 
@@ -906,7 +1016,9 @@ fn stats_metrics_and_watch_agree_across_a_fleet() {
     for shard in &shards {
         let doc = stats_doc(&shard.addr);
         let body = metrics_body(&shard.addr);
-        let rows = Client::new(&shard.addr).watch_once(50).expect("daemon watch");
+        let rows = Client::new(&shard.addr)
+            .watch_once(50)
+            .expect("daemon watch");
         for key in [
             "jobs_completed",
             "jobs_rejected",
@@ -963,7 +1075,10 @@ fn stats_metrics_and_watch_agree_across_a_fleet() {
     }
     let own_rejected = prom_sample(&body, "gencache_lines_rejected_total") as u64;
     assert_eq!(own_rejected, 1);
-    assert_eq!(doc_uint(&fleet, "lines_rejected"), sum("lines_rejected") + own_rejected);
+    assert_eq!(
+        doc_uint(&fleet, "lines_rejected"),
+        sum("lines_rejected") + own_rejected
+    );
     let total = |d: &Value| doc_uint(serde::obj_field(d, "stats", "latency_us").unwrap(), "total");
     assert_eq!(total(&fleet), docs.iter().map(total).sum::<u64>());
 

@@ -18,8 +18,8 @@ use gencache_bench::{export_telemetry, record_all, value_to_json, HarnessOptions
 use gencache_obs::{parse_stream_line, StreamLine};
 use gencache_serve::proto::{encode_end, encode_job, line_cap_error, parse_reply};
 use gencache_serve::{
-    Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, Span, CHUNKS_IN_FLIGHT,
-    CHUNK_BYTES, MAX_INGEST_BYTES,
+    Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, Span, CHUNKS_IN_FLIGHT, CHUNK_BYTES,
+    MAX_INGEST_BYTES,
 };
 use gencache_workloads::Suite;
 use serde::Value;
@@ -121,7 +121,9 @@ fn counter(doc: &str, name: &str) -> u64 {
     // The stats document is flat JSON with unsigned counters; a
     // substring scan keeps the test free of a parser dependency.
     let needle = format!("\"{name}\":");
-    let at = doc.find(&needle).unwrap_or_else(|| panic!("{name} missing from {doc}"));
+    let at = doc
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{name} missing from {doc}"));
     doc[at + needle.len()..]
         .chars()
         .take_while(char::is_ascii_digit)
@@ -170,8 +172,16 @@ fn concurrent_clients_match_offline_simulate_byte_for_byte() {
             .collect();
         for (i, handle) in handles.into_iter().enumerate() {
             match handle.join().expect("client thread panicked") {
-                Ok(Reply::Result { doc, benches, specs, .. }) => {
-                    assert_eq!(doc, expected[i], "client {i} diverged from offline simulate");
+                Ok(Reply::Result {
+                    doc,
+                    benches,
+                    specs,
+                    ..
+                }) => {
+                    assert_eq!(
+                        doc, expected[i],
+                        "client {i} diverged from offline simulate"
+                    );
                     assert_eq!(benches, 1);
                     assert!(specs >= 1);
                 }
@@ -219,7 +229,10 @@ fn full_queue_sheds_submissions_with_busy() {
 
     // ...and a submission is shed immediately instead of hanging.
     let started = Instant::now();
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Busy { .. }) => {}
         other => panic!("expected busy, got {other:?}"),
     }
@@ -238,7 +251,10 @@ fn full_queue_sheds_submissions_with_busy() {
     assert!(counter(&doc, "jobs_rejected") >= 1);
 
     // Capacity is free again: the same submission now succeeds.
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Result { .. }) => {}
         other => panic!("expected result after drain, got {other:?}"),
     }
@@ -302,7 +318,10 @@ fn malformed_and_truncated_uploads_fail_cleanly_and_daemon_survives() {
         panic!("stats request failed");
     };
     assert!(counter(&doc, "jobs_failed") >= 2);
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Result { doc, .. }) => {
             assert_eq!(doc, offline_doc(export, &[], false, false));
         }
@@ -340,7 +359,10 @@ fn oversize_lines_are_refused_and_daemon_survives() {
         };
         assert_eq!(counter(&doc, "lines_rejected"), 1, "{doc}");
         assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
-        match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+        match server
+            .client()
+            .submit(export.as_bytes(), &JobSpec::default())
+        {
             Ok(Reply::Result { doc, .. }) => {
                 assert_eq!(doc, offline_doc(export, &[], false, false));
             }
@@ -454,12 +476,20 @@ fn fetch_client_hanging_up_mid_export_fails_the_job_without_a_panic() {
     let mut writer = stream.try_clone().unwrap();
     // A large download (tens of thousands of lines), so the worker is
     // still exporting when the connection goes away.
-    writeln!(writer, "{}", gencache_serve::proto::encode_fetch("solitaire", 4)).unwrap();
+    writeln!(
+        writer,
+        "{}",
+        gencache_serve::proto::encode_fetch("solitaire", 4)
+    )
+    .unwrap();
     writer.flush().unwrap();
     let mut reader = BufReader::new(stream);
     let mut first = String::new();
     reader.read_line(&mut first).unwrap();
-    assert!(first.contains("\"schema\""), "expected the export header, got {first:?}");
+    assert!(
+        first.contains("\"schema\""),
+        "expected the export header, got {first:?}"
+    );
     drop(reader);
     drop(writer);
 
@@ -507,7 +537,11 @@ fn busy_submission_succeeds_under_retry_policy() {
     // With retries disabled, the shed surfaces as the final busy reply.
     let no_retry = server
         .client()
-        .submit_with_retry(|| Ok(export.as_bytes()), &JobSpec::default(), &RetryPolicy::none())
+        .submit_with_retry(
+            || Ok(export.as_bytes()),
+            &JobSpec::default(),
+            &RetryPolicy::none(),
+        )
         .unwrap();
     assert!(matches!(no_retry, Reply::Busy { .. }), "got {no_retry:?}");
 
@@ -589,7 +623,10 @@ fn interleaved_upload_streams_get_a_clear_error() {
         .find(|l| matches!(parse_stream_line(l), Ok(StreamLine::Event(_))))
         .expect("export has event lines");
     let interleaved = format!("{export}{first_event}\n");
-    match server.client().submit(interleaved.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(interleaved.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Error { message }) => {
             assert!(
                 message.contains("interleave"),
@@ -600,7 +637,10 @@ fn interleaved_upload_streams_get_a_clear_error() {
     }
 
     // The daemon took no damage: the clean export still simulates.
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Result { .. }) => {}
         other => panic!("expected result, got {other:?}"),
     }
@@ -677,9 +717,9 @@ fn happy_job_records_every_stage_and_metrics_expose_it() {
         if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
             continue;
         }
-        let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-            panic!("metrics line has no sample value: {line:?}")
-        });
+        let (series, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("metrics line has no sample value: {line:?}"));
         assert!(!series.is_empty(), "empty series name: {line:?}");
         assert!(
             value == "+Inf" || value.parse::<f64>().is_ok(),
@@ -737,7 +777,9 @@ fn shed_and_deadline_jobs_leave_diagnosable_spans() {
     }
     let spans = trace_spans(&server.client(), shed_id);
     assert!(
-        spans.iter().any(|s| s.stage == "accept" && s.outcome == "busy"),
+        spans
+            .iter()
+            .any(|s| s.stage == "accept" && s.outcome == "busy"),
         "shed job must record a busy accept span: {spans:?}"
     );
 
@@ -765,7 +807,9 @@ fn shed_and_deadline_jobs_leave_diagnosable_spans() {
     assert!(matches!(queued.join().unwrap(), Ok(Reply::Pong)));
     let spans = trace_spans(&server.client(), late_id);
     assert!(
-        spans.iter().any(|s| s.stage == "accept" && s.outcome == "ok"),
+        spans
+            .iter()
+            .any(|s| s.stage == "accept" && s.outcome == "ok"),
         "late job was admitted: {spans:?}"
     );
     assert!(
@@ -903,7 +947,10 @@ fn ingest_memory_is_bounded_in_bytes_not_lines() {
     );
     assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
     let export = export();
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
         other => panic!("expected result, got {other:?}"),
     }
@@ -987,11 +1034,13 @@ fn upload_errors_keep_their_texts_and_order() {
     });
     let header = format!("{}\n", encode_job(&JobSpec::default()));
     let head: Vec<&str> = export.lines().take(3).collect();
-    let expect_error = |upload: &str, want: &str| {
-        match raw_exchange(&server.addr, &[upload.as_bytes()], Duration::ZERO) {
-            Reply::Error { message } => assert_eq!(message, want),
-            other => panic!("expected error {want:?}, got {other:?}"),
-        }
+    let expect_error = |upload: &str, want: &str| match raw_exchange(
+        &server.addr,
+        &[upload.as_bytes()],
+        Duration::ZERO,
+    ) {
+        Reply::Error { message } => assert_eq!(message, want),
+        other => panic!("expected error {want:?}, got {other:?}"),
     };
 
     // A malformed line inside a chunk, then more lines and EOF: the
@@ -1021,7 +1070,10 @@ fn upload_errors_keep_their_texts_and_order() {
     assert_eq!(counter(&stats_doc(&server), "lines_rejected"), 1);
 
     assert!(matches!(server.client().ping(0), Ok(Reply::Pong)));
-    match server.client().submit(export.as_bytes(), &JobSpec::default()) {
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
         Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
         other => panic!("expected result, got {other:?}"),
     }

@@ -74,9 +74,9 @@ pub use replay::{
     compare, compare_figure9, replay_into, Comparison, ReplayCursor, ReplayResult, ReplayStep,
 };
 pub use simulate::{
-    parse_spec, replay_observed, replay_sim_observed, replay_spec, simulate_cell,
-    simulate_costs, simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows,
-    trace_to_log, CellSections, LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
+    parse_spec, replay_observed, replay_sim_observed, replay_spec, simulate_cell, simulate_costs,
+    simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows, trace_to_log,
+    CellSections, LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
 };
 pub use streamed::{StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};

@@ -2,11 +2,11 @@
 //! unified-vs-generational comparison of Section 6.
 
 use gencache_cache::{TraceId, TraceMap, TraceRecord};
-use gencache_program::Time;
 use gencache_core::{
     overhead_ratio, CacheModel, CostLedger, GenerationalConfig, GenerationalModel, ModelMetrics,
     UnifiedModel,
 };
+use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::log::LogRecord;

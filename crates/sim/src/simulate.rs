@@ -313,7 +313,11 @@ pub fn replay_spec<R: Recording, O: Observer>(
             let mut model = AdaptiveModel::observed(set, capacity, observer);
             drive(&mut model);
             let switches = model.switch_report();
-            (ReplayResult::of(&model), model.into_observer(), Some(switches))
+            (
+                ReplayResult::of(&model),
+                model.into_observer(),
+                Some(switches),
+            )
         }
     }
 }
@@ -372,8 +376,12 @@ pub fn simulate_metrics<R: Recording>(
     capacity: u64,
     sample_every: u64,
 ) -> (ReplayResult, MetricsReport) {
-    let (result, observer) =
-        replay_sim_observed(rec, spec, capacity, MetricsObserver::with_timeline(sample_every));
+    let (result, observer) = replay_sim_observed(
+        rec,
+        spec,
+        capacity,
+        MetricsObserver::with_timeline(sample_every),
+    );
     (result, observer.report())
 }
 
@@ -515,7 +523,11 @@ impl SpecReports {
     /// missing and `bad KEY: …` when a section fails to deserialize.
     pub fn from_value(value: &Value) -> Result<Self, String> {
         fn field<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
-            value.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+            value
+                .as_object()?
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
         }
         fn parse<T: Deserialize>(value: &Value, key: &str) -> Result<Option<T>, String> {
             field(value, key)
@@ -886,7 +898,10 @@ mod tests {
             assert!(deletions > 0, "{label} must delete traces");
             assert_eq!(switches.is_some(), label == "adaptive");
             if let Some(report) = &switches {
-                assert!(report.switches >= 1, "adaptive must commit a switch: {report:?}");
+                assert!(
+                    report.switches >= 1,
+                    "adaptive must commit a switch: {report:?}"
+                );
             }
             assert_eq!(
                 SpecReports::from_value(&reports.to_value()).as_ref(),

@@ -110,7 +110,11 @@ impl<T> Sender<T> {
     ///
     /// Returns the item back if the receiver was dropped.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         loop {
             if !state.receiver_alive {
                 return Err(SendError(item));
@@ -135,7 +139,11 @@ impl<T> Sender<T> {
     /// [`TrySendError::Full`] when the queue is at capacity (shed load),
     /// [`TrySendError::Disconnected`] when the receiver is gone.
     pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         if !state.receiver_alive {
             return Err(TrySendError::Disconnected(item));
         }
@@ -185,7 +193,11 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         state.senders -= 1;
         if state.senders == 0 {
             // Wake a receiver blocked in recv so it can observe the close.
@@ -207,7 +219,11 @@ impl<T> Receiver<T> {
     /// Blocks until an item arrives, returning `None` once every sender
     /// is dropped and the queue is drained.
     pub fn recv(&mut self) -> Option<T> {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         loop {
             if let Some(item) = state.queue.pop_front() {
                 self.shared.not_full.notify_one();
@@ -226,7 +242,11 @@ impl<T> Receiver<T> {
 
     /// Pops an item if one is queued right now, without blocking.
     pub fn try_recv(&mut self) -> Option<T> {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         let item = state.queue.pop_front();
         if item.is_some() {
             self.shared.not_full.notify_one();
@@ -252,7 +272,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().expect("channel lock never poisoned");
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .expect("channel lock never poisoned");
         state.receiver_alive = false;
         state.queue.clear();
         // Wake every sender blocked in send so they can fail fast.

@@ -15,7 +15,9 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     // to see (serial, undersubscribed, oversubscribed).
     for (name, scale) in [("word", 32), ("excel", 32)] {
         for salt in [0u64, 0x1234_5678] {
-            let mut profile = benchmark(name).expect("built-in benchmark").scaled_down(scale);
+            let mut profile = benchmark(name)
+                .expect("built-in benchmark")
+                .scaled_down(scale);
             profile.seed ^= salt;
             let run = record(&profile).expect("calibrated profiles always plan");
             let serial = serde_json::to_string(&sweep_with_jobs(&run.log, 1)).unwrap();

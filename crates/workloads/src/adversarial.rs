@@ -75,8 +75,8 @@ pub fn adversarial_benchmark(name: &str) -> Option<WorkloadProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ExecutionPlan, PlanStep};
     use crate::plan::Role;
+    use crate::plan::{ExecutionPlan, PlanStep};
 
     #[test]
     fn profiles_are_valid_and_shifted() {
@@ -146,9 +146,7 @@ mod tests {
         let runs_of_persistent = plan
             .steps()
             .iter()
-            .filter(|s| {
-                matches!(s, PlanStep::Run { region, .. } if persistent.contains(region))
-            })
+            .filter(|s| matches!(s, PlanStep::Run { region, .. } if persistent.contains(region)))
             .count();
         assert!(runs_of_persistent > 0);
     }

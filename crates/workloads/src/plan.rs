@@ -256,11 +256,9 @@ impl ExecutionPlan {
                 cursor += 1;
             }
         }
-        let medium_frac = profile
-            .shift
-            .map_or(profile.medium_frac, |s| {
-                (profile.medium_frac + s.medium_frac) / 2.0
-            });
+        let medium_frac = profile.shift.map_or(profile.medium_frac, |s| {
+            (profile.medium_frac + s.medium_frac) / 2.0
+        });
         let medium_target = (total_path as f64 * medium_frac) as u64;
         assigned = 0;
         while cursor < exe_indices.len() && assigned < medium_target {

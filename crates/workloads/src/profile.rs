@@ -236,7 +236,10 @@ impl WorkloadProfile {
                 ));
             }
             if shift.flood <= 0.0 || !shift.flood.is_finite() {
-                return Err(format!("shift flood weight {} must be positive", shift.flood));
+                return Err(format!(
+                    "shift flood weight {} must be positive",
+                    shift.flood
+                ));
             }
         }
         Ok(())

@@ -4,8 +4,8 @@
 //! bitwise equal — and the bounded-memory sampling observer must keep
 //! every counter exact while its sampled distributions stay faithful.
 
-use gencache_core::overhead_ratio;
 use gencache_bench::{record_all, HarnessOptions};
+use gencache_core::overhead_ratio;
 use gencache_obs::{
     CostLedger, CostObserver, CostReport, Log2Histogram, MetricsObserver, SampledReport,
     SamplingObserver, SamplingParams,
@@ -58,8 +58,14 @@ fn suite_cost_totals_reconcile_with_figure11_ledgers() {
 
     let unified_costs = merged_costs(&logs, SimSpec::Unified, 8);
     let gen_costs = merged_costs(&logs, SimSpec::best_generational(), 8);
-    assert_eq!(unified_costs.total, unified, "unified suite ledger diverged");
-    assert_eq!(gen_costs.total, generational, "generational suite ledger diverged");
+    assert_eq!(
+        unified_costs.total, unified,
+        "unified suite ledger diverged"
+    );
+    assert_eq!(
+        gen_costs.total, generational,
+        "generational suite ledger diverged"
+    );
     assert_eq!(
         overhead_ratio(&gen_costs.total, &unified_costs.total),
         overhead_ratio(&generational, &unified),
@@ -150,5 +156,8 @@ fn suite_reports_roundtrip_through_json() {
         sampled.merge(&replay_observed(log, spec, observer).1.report());
     }
     let json = serde_json::to_string(&sampled).unwrap();
-    assert_eq!(serde_json::from_str::<SampledReport>(&json).unwrap(), sampled);
+    assert_eq!(
+        serde_json::from_str::<SampledReport>(&json).unwrap(),
+        sampled
+    );
 }

@@ -20,18 +20,14 @@ fn opts(jobs: usize) -> HarnessOptions {
 #[test]
 fn suite_fanout_is_byte_identical_across_job_counts() {
     let baseline = record_all(&opts(1));
-    let baseline_logs = serde_json::to_string(
-        &baseline.iter().map(|(_, r)| &r.log).collect::<Vec<_>>(),
-    )
-    .unwrap();
+    let baseline_logs =
+        serde_json::to_string(&baseline.iter().map(|(_, r)| &r.log).collect::<Vec<_>>()).unwrap();
     let meter = ProgressMeter::disabled("replay", 0);
     let baseline_cmp = serde_json::to_string(&compare_all(&opts(1), &baseline, &meter)).unwrap();
     for jobs in [2, 8] {
         let runs = record_all(&opts(jobs));
-        let logs = serde_json::to_string(
-            &runs.iter().map(|(_, r)| &r.log).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let logs =
+            serde_json::to_string(&runs.iter().map(|(_, r)| &r.log).collect::<Vec<_>>()).unwrap();
         assert_eq!(
             baseline_logs, logs,
             "record_all with {jobs} jobs diverged from serial"

@@ -71,8 +71,14 @@ fn simulation_reproduces_recording_and_counterfactuals_bitwise() {
         let (rec_result, (rec_metrics, rec_costs)) = replay_observed(&original, spec, observer);
         let (rec_metrics, rec_costs) = (rec_metrics.report(), rec_costs.into_report());
         let (sim_result, sim_metrics) = simulate_metrics(&reconstructed, spec, capacity, every);
-        assert_eq!(sim_result.metrics, rec_result.metrics, "{label} model metrics");
-        assert_eq!(sim_result.ledger, rec_result.ledger, "{label} Equation 3 ledger");
+        assert_eq!(
+            sim_result.metrics, rec_result.metrics,
+            "{label} model metrics"
+        );
+        assert_eq!(
+            sim_result.ledger, rec_result.ledger,
+            "{label} Equation 3 ledger"
+        );
         assert_eq!(sim_metrics, rec_metrics, "{label} metrics report");
         assert_eq!(
             serde_json::to_string(&sim_metrics).unwrap(),
@@ -125,8 +131,16 @@ fn simulated_grid_is_jobs_invariant() {
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(parallel) {
             assert_eq!(a.label, b.label, "jobs={jobs}");
-            assert_eq!(a.result.metrics, b.result.metrics, "{} jobs={jobs}", a.label);
-            assert_eq!(a.reports.metrics, b.reports.metrics, "{} jobs={jobs}", a.label);
+            assert_eq!(
+                a.result.metrics, b.result.metrics,
+                "{} jobs={jobs}",
+                a.label
+            );
+            assert_eq!(
+                a.reports.metrics, b.reports.metrics,
+                "{} jobs={jobs}",
+                a.label
+            );
             assert_eq!(a.reports.costs, b.reports.costs, "{} jobs={jobs}", a.label);
             assert_eq!(
                 serde_json::to_string(&a.reports.regret).unwrap(),
