@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting covers every workspace member, the vendored stand-ins
+# under vendor/ included.
+echo "=== cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "=== cargo build --release"
 cargo build --release
 
