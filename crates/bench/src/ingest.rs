@@ -30,8 +30,9 @@ use std::io::{self, BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gencache_obs::{
-    oracle_replay, parse_stream_line, NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine,
-    TraceRebuilder, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
+    oracle_replay, parse_stream_line, parse_stream_line_tree, read_event_line, CacheEvent,
+    NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine, TraceRebuilder, METRICS_SCHEMA,
+    METRICS_VERSION, TOP_REGRET,
 };
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
@@ -59,6 +60,7 @@ pub fn open_lines(path: &str) -> io::Result<Box<dyn BufRead>> {
 }
 
 /// How one model stream relates to its benchmark's reference trace.
+#[derive(Clone, Copy)]
 enum ModelRole {
     /// First stream seen for the benchmark: its ops *are* the reference.
     Builder,
@@ -70,10 +72,24 @@ enum ModelRole {
 /// Ingestion state for one benchmark.
 #[derive(Default)]
 struct BenchIngest {
+    name: String,
     models: Vec<String>,
     meta: BTreeMap<String, RunMeta>,
     reference: SimTrace,
+    /// The role of every stream that has delivered events. The active
+    /// stream's role lives in [`ActiveStream`] and is written back here
+    /// when the stream ends.
     states: BTreeMap<String, ModelRole>,
+}
+
+/// The `(source, model)` stream currently delivering events, with
+/// everything its next event line needs already looked up.
+struct ActiveStream {
+    source: String,
+    model: String,
+    /// Index of the stream's benchmark in [`StreamIngest::benches`].
+    bench: usize,
+    role: ModelRole,
 }
 
 /// Incremental, bounded-memory parser for a v2 `gencache-events`
@@ -84,14 +100,14 @@ pub struct StreamIngest {
     saw_header: bool,
     lines: u64,
     bytes: u64,
-    order: Vec<String>,
-    benches: BTreeMap<String, BenchIngest>,
-    /// The `(source, model)` stream currently delivering events; a
-    /// previously-seen stream reappearing after another means the upload
-    /// interleaves streams, which the O(1) cursor verification cannot
-    /// process — caught here with a clear error instead of a confusing
-    /// op-by-op divergence report.
-    active: Option<(String, String)>,
+    /// Benchmarks in order of first appearance.
+    benches: Vec<BenchIngest>,
+    /// The stream currently delivering events. An event line of this
+    /// stream touches nothing else; a previously-seen stream reappearing
+    /// after another means the upload interleaves streams, which the
+    /// O(1) cursor verification cannot process — caught with a clear
+    /// error instead of a confusing op-by-op divergence report.
+    active: Option<ActiveStream>,
     /// The active stream's event → request inversion. Streams never
     /// resume, so one rebuilder serves them all, reset at each new
     /// stream.
@@ -100,10 +116,11 @@ pub struct StreamIngest {
 
 impl std::fmt::Debug for StreamIngest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = self.benches.iter().map(|b| b.name.as_str()).collect();
         f.debug_struct("StreamIngest")
             .field("lines", &self.lines)
             .field("bytes", &self.bytes)
-            .field("benchmarks", &self.order)
+            .field("benchmarks", &names)
             .finish_non_exhaustive()
     }
 }
@@ -143,85 +160,123 @@ impl StreamIngest {
             return Ok(());
         }
         self.lines += 1;
-        match parse_stream_line(line)? {
+        // The line is dispatched as `parse_stream_line` does, but an
+        // event line's labels stay borrowed.
+        if let Some(e) = read_event_line(line) {
+            return self.push_event(&e.source, &e.model, &e.event);
+        }
+        match parse_stream_line_tree(line)? {
             StreamLine::Header(header) => {
                 header.validate()?;
                 self.saw_header = true;
             }
             StreamLine::Meta(meta) => {
-                let bench = bench_entry(&mut self.order, &mut self.benches, &meta.source);
+                let index = self.bench_index(&meta.source);
+                let bench = &mut self.benches[index];
                 if !bench.models.contains(&meta.model) {
                     bench.models.push(meta.model.clone());
                 }
                 bench.meta.insert(meta.model.clone(), meta);
             }
             StreamLine::Event(record) => {
-                let source = record.source;
-                let model = record.model;
-                let bench = bench_entry(&mut self.order, &mut self.benches, &source);
-                let is_active = self
-                    .active
-                    .as_ref()
-                    .is_some_and(|(s, m)| *s == source && *m == model);
-                // The active stream was set up when it started; only a
-                // stream change needs the checks and the new state.
-                if !is_active {
-                    if bench.states.contains_key(&model) {
-                        return Err(format!(
-                            "{source}: stream for model {model:?} reappears after \
-                             another stream — the upload interleaves (source, model) \
-                             streams; lines must stay grouped per stream exactly as \
-                             the exporter writes them"
-                        ));
-                    }
-                    self.active = Some((source.clone(), model.clone()));
-                    if !bench.models.contains(&model) {
-                        bench.models.push(model.clone());
-                    }
-                    // The first stream that produces events builds the
-                    // reference; everything after verifies against it.
-                    let role = if bench
-                        .states
-                        .values()
-                        .any(|role| matches!(role, ModelRole::Builder))
-                    {
-                        ModelRole::Checker { cursor: 0 }
-                    } else {
-                        ModelRole::Builder
-                    };
-                    bench.states.insert(model.clone(), role);
-                    self.rebuilder = TraceRebuilder::new();
-                }
-                let role = bench.states.get_mut(&model).expect("stream state exists");
-                let op = self
-                    .rebuilder
-                    .push(&record.event)
-                    .map_err(|e| format!("{source} [{model}]: {e}"))?;
-                if let Some(op) = op {
-                    match role {
-                        ModelRole::Builder => bench.reference.ops.push(op),
-                        ModelRole::Checker { cursor } => {
-                            if bench.reference.ops.get(*cursor) != Some(&op) {
-                                return Err(format!(
-                                    "{source}: stream for {model:?} diverges from the \
-                                     benchmark's reference frontend trace at op {} — the \
-                                     export mixes runs (or interleaves streams out of \
-                                     export order)",
-                                    *cursor
-                                ));
-                            }
-                            *cursor += 1;
-                        }
-                    }
-                }
+                return self.push_event(&record.source, &record.model, &record.event);
             }
         }
         Ok(())
     }
 
+    /// Consumes one event of the `(source, model)` stream.
+    fn push_event(&mut self, source: &str, model: &str, event: &CacheEvent) -> Result<(), String> {
+        let is_active = self
+            .active
+            .as_ref()
+            .is_some_and(|a| a.source == source && a.model == model);
+        if !is_active {
+            self.start_stream(source, model)?;
+        }
+        let active = self.active.as_mut().expect("a stream is active");
+        let op = self
+            .rebuilder
+            .push(event)
+            .map_err(|e| format!("{source} [{model}]: {e}"))?;
+        let Some(op) = op else {
+            return Ok(());
+        };
+        let reference = &mut self.benches[active.bench].reference.ops;
+        match &mut active.role {
+            ModelRole::Builder => reference.push(op),
+            ModelRole::Checker { cursor } => {
+                if reference.get(*cursor) != Some(&op) {
+                    return Err(format!(
+                        "{source}: stream for {model:?} diverges from the \
+                         benchmark's reference frontend trace at op {} — the \
+                         export mixes runs (or interleaves streams out of \
+                         export order)",
+                        *cursor
+                    ));
+                }
+                *cursor += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the active stream and makes `(source, model)` the active
+    /// one: the first stream of a benchmark to produce events builds the
+    /// reference, and every later one verifies against it.
+    fn start_stream(&mut self, source: &str, model: &str) -> Result<(), String> {
+        let index = self.bench_index(source);
+        if self.benches[index].states.contains_key(model) {
+            return Err(format!(
+                "{source}: stream for model {model:?} reappears after \
+                 another stream — the upload interleaves (source, model) \
+                 streams; lines must stay grouped per stream exactly as \
+                 the exporter writes them"
+            ));
+        }
+        self.end_stream();
+        let bench = &mut self.benches[index];
+        if !bench.models.iter().any(|m| m == model) {
+            bench.models.push(model.to_string());
+        }
+        let role = if bench.states.is_empty() {
+            ModelRole::Builder
+        } else {
+            ModelRole::Checker { cursor: 0 }
+        };
+        bench.states.insert(model.to_string(), role);
+        self.active = Some(ActiveStream {
+            source: source.to_string(),
+            model: model.to_string(),
+            bench: index,
+            role,
+        });
+        self.rebuilder = TraceRebuilder::new();
+        Ok(())
+    }
+
+    /// Writes the active stream's role back to its benchmark.
+    fn end_stream(&mut self) {
+        if let Some(a) = self.active.take() {
+            self.benches[a.bench].states.insert(a.model, a.role);
+        }
+    }
+
+    /// The index of benchmark `source`, added at the end if it is new.
+    fn bench_index(&mut self, source: &str) -> usize {
+        if let Some(i) = self.benches.iter().position(|b| b.name == source) {
+            return i;
+        }
+        self.benches.push(BenchIngest {
+            name: source.to_string(),
+            ..BenchIngest::default()
+        });
+        self.benches.len() - 1
+    }
+
     /// Finishes ingestion: checks every verified stream covered the full
     /// reference trace and converts each selected benchmark into a
-    /// simulation input.
+    /// simulation input. Each reference trace moves into its input.
     ///
     /// `bench` restricts to one benchmark; `model` picks which stream's
     /// run metadata fixes capacity/duration/phases (default: the
@@ -234,20 +289,30 @@ impl StreamIngest {
     /// benchmark/model, a truncated verified stream, or missing run
     /// metadata without a `capacity` override.
     pub fn into_inputs(
-        self,
+        mut self,
         bench: Option<&str>,
         model: Option<&str>,
         capacity: Option<u64>,
     ) -> Result<Vec<SimJobInput>, String> {
-        if self.order.is_empty() {
+        if self.benches.is_empty() {
             return Err("export contains no event streams".to_string());
         }
+        if let Some(want) = bench {
+            if !self.benches.iter().any(|b| b.name == want) {
+                let names: Vec<&str> = self.benches.iter().map(|b| b.name.as_str()).collect();
+                return Err(format!(
+                    "benchmark {want:?} not in export; available: {}",
+                    names.join(", ")
+                ));
+            }
+        }
+        self.end_stream();
         let mut inputs = Vec::new();
-        for name in &self.order {
-            if bench.is_some_and(|want| want != name) {
+        for b in self.benches {
+            if bench.is_some_and(|want| want != b.name) {
                 continue;
             }
-            let b = &self.benches[name];
+            let name = b.name;
             let chosen = match model {
                 Some(label) => {
                     if !b.states.contains_key(label) {
@@ -305,39 +370,18 @@ impl StreamIngest {
             );
             let cap = capacity.unwrap_or_else(|| standard_capacity(peak));
             let phases = meta.map_or(1, |m| m.phases.max(1));
-            let trace = self.benches[name].reference.clone();
+            let trace = b.reference;
             let log = trace_to_log(&trace, name.clone(), duration_us, peak);
             inputs.push(SimJobInput {
-                name: name.clone(),
+                name,
                 trace,
                 log,
                 capacity: cap,
                 phases,
             });
         }
-        if inputs.is_empty() {
-            return Err(match bench {
-                Some(want) => format!(
-                    "benchmark {want:?} not in export; available: {}",
-                    self.order.join(", ")
-                ),
-                None => "no benchmarks selected".to_string(),
-            });
-        }
         Ok(inputs)
     }
-}
-
-fn bench_entry<'a>(
-    order: &mut Vec<String>,
-    benches: &'a mut BTreeMap<String, BenchIngest>,
-    source: &str,
-) -> &'a mut BenchIngest {
-    if !benches.contains_key(source) {
-        order.push(source.to_string());
-        benches.insert(source.to_string(), BenchIngest::default());
-    }
-    benches.get_mut(source).expect("just inserted")
 }
 
 /// One benchmark ready to simulate: its recovered frontend trace plus

@@ -75,8 +75,8 @@ pub use sample::{
     SamplingObserver, SamplingParams, SamplingSummary,
 };
 pub use schema::{
-    parse_stream_line, parse_stream_line_tree, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA,
-    EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
+    parse_stream_line, parse_stream_line_tree, read_event_line, EventLine, RunMeta, StreamHeader,
+    StreamLine, EVENTS_SCHEMA, EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
 };
 pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};
 pub use window::{

@@ -15,6 +15,8 @@
 //! no header) still parse — every line is an event — so old exports
 //! remain readable by consumers that choose to warn instead of reject.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, JsonReader, Serialize};
 
 use crate::event::CacheEvent;
@@ -113,24 +115,50 @@ pub enum StreamLine {
 
 /// Parses one JSONL line of an event export.
 ///
-/// An event line is read directly from the text into an
-/// [`EventRecord`], with no value tree. Every other line goes to
-/// [`parse_stream_line_tree`]: headers, meta lines, malformed lines,
-/// and any line with a top-level `schema` or `duration_us` key (the
-/// keys that dispatch checks). The result is always the one
-/// [`parse_stream_line_tree`] returns.
+/// An event line is read directly from the text by
+/// [`read_event_line`], with no value tree, and its labels are then
+/// owned. Every other line goes to [`parse_stream_line_tree`]: headers,
+/// meta lines, malformed lines, and any line with a top-level `schema`
+/// or `duration_us` key (the keys that dispatch checks). The result is
+/// always the one [`parse_stream_line_tree`] returns.
 pub fn parse_stream_line(line: &str) -> Result<StreamLine, String> {
     match read_event_line(line) {
-        Some(record) => Ok(StreamLine::Event(record)),
+        Some(event) => Ok(StreamLine::Event(event.into_record())),
         None => parse_stream_line_tree(line),
     }
 }
 
-/// Reads `line` as an [`EventRecord`] object, or `None` when it is not
-/// one or carries a key the tree dispatch would try first. As in the
-/// derived reader, the first occurrence of a key wins and unknown keys
-/// are parsed and dropped.
-fn read_event_line(line: &str) -> Option<EventRecord> {
+/// An event line whose labels are borrowed from the line's text; a
+/// label is owned only when its text has escapes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventLine<'a> {
+    /// Benchmark the event was recorded from.
+    pub source: Cow<'a, str>,
+    /// Model label the event stream was replayed into.
+    pub model: Cow<'a, str>,
+    /// The event itself.
+    pub event: CacheEvent,
+}
+
+impl EventLine<'_> {
+    /// The record with owned labels, as [`parse_stream_line`] returns
+    /// it.
+    pub fn into_record(self) -> EventRecord {
+        EventRecord {
+            source: self.source.into_owned(),
+            model: self.model.into_owned(),
+            event: self.event,
+        }
+    }
+}
+
+/// Reads `line` as an [`EventRecord`] object with borrowed labels, or
+/// `None` when it is not one or carries a key the tree dispatch would
+/// try first. Whenever this returns a line, [`parse_stream_line_tree`]
+/// returns the same record once the labels are owned. As in the derived
+/// reader, the first occurrence of a key wins and unknown keys are
+/// skipped under the same grammar.
+pub fn read_event_line(line: &str) -> Option<EventLine<'_>> {
     let mut r = JsonReader::new(line);
     r.begin_object().ok()?;
     let (mut source, mut model, mut event) = (None, None, None);
@@ -139,14 +167,14 @@ fn read_event_line(line: &str) -> Option<EventRecord> {
         first = false;
         match &*key {
             "schema" | "duration_us" => return None,
-            "source" if source.is_none() => source = Some(String::read_json(&mut r).ok()?),
-            "model" if model.is_none() => model = Some(String::read_json(&mut r).ok()?),
+            "source" if source.is_none() => source = Some(r.read_str().ok()?),
+            "model" if model.is_none() => model = Some(r.read_str().ok()?),
             "event" if event.is_none() => event = Some(CacheEvent::read_json(&mut r).ok()?),
             _ => r.skip_value().ok()?,
         }
     }
     r.finish().ok()?;
-    Some(EventRecord {
+    Some(EventLine {
         source: source?,
         model: model?,
         event: event?,
@@ -239,7 +267,9 @@ mod tests {
         };
         let line = serde_json::to_string(&record).unwrap();
         // An event line is read directly, without the tree dispatch.
-        assert_eq!(read_event_line(&line).as_ref(), Some(&record));
+        let read = read_event_line(&line).expect("an event line");
+        assert!(matches!(read.source, Cow::Borrowed("word")), "{read:?}");
+        assert_eq!(read.into_record(), record);
         assert_eq!(parse_stream_line(&line).unwrap(), StreamLine::Event(record));
     }
 

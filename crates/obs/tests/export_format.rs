@@ -8,12 +8,15 @@
 //! equal the generic serializer's and parse back to the same record.
 //! Every parse is also checked against [`parse_stream_line_tree`], the
 //! value-tree dispatch the direct event reader must agree with, and a
-//! mutation test holds the two to the same answer on damaged lines.
+//! mutation test holds the two to the same answer on damaged lines. The
+//! borrowed reader, [`read_event_line`], must give the same record once
+//! its labels are owned, and fixed cases pin every unsigned field's
+//! number forms.
 
 use gencache_cache::{EvictionCause, TraceId};
 use gencache_obs::{
-    parse_stream_line, parse_stream_line_tree, CacheEvent, EventRecord, FrontendOp, JsonlSink,
-    Observer, Region, RunMeta, StreamHeader, StreamLine,
+    parse_stream_line, parse_stream_line_tree, read_event_line, CacheEvent, EventRecord,
+    FrontendOp, JsonlSink, Observer, Region, RunMeta, StreamHeader, StreamLine,
 };
 use gencache_program::Time;
 use proptest::prelude::*;
@@ -29,12 +32,152 @@ fn sink_text(source: &str, model: &str, events: &[CacheEvent]) -> String {
     String::from_utf8(sink.finish().expect("a Vec never fails to write")).expect("UTF-8 export")
 }
 
-/// Parses `line` and checks the result against the value-tree dispatch.
+/// Parses `line` and checks the result against the value-tree dispatch
+/// and the borrowed reader.
 #[track_caller]
 fn parse_checked(line: &str) -> Result<StreamLine, String> {
     let parsed = parse_stream_line(line);
     assert_eq!(parsed, parse_stream_line_tree(line), "{line}");
+    assert_borrowed_agrees(line, &parsed);
     parsed
+}
+
+/// Asserts that the borrowed reader gives `parsed` once its labels are
+/// owned, whenever it reads `line` at all: it declines only lines that
+/// are no event line, or that carry a key the dispatch tries first.
+#[track_caller]
+fn assert_borrowed_agrees(line: &str, parsed: &Result<StreamLine, String>) {
+    if let Some(read) = read_event_line(line) {
+        assert_eq!(&Ok(StreamLine::Event(read.into_record())), parsed, "{line}");
+    } else if let Ok(StreamLine::Event(_)) = parsed {
+        let dispatched = line.contains("\"schema\"") || line.contains("\"duration_us\"");
+        assert!(dispatched, "the borrowed reader declined {line}");
+    }
+}
+
+/// The number forms every unsigned field is tried with, and the value
+/// each one reads as, if it is an integer at all.
+const NUMBER_FORMS: [(&str, Option<u128>); 16] = [
+    ("0", Some(0)),
+    ("007", Some(7)),
+    ("255", Some(255)),
+    ("256", Some(256)),
+    ("4294967295", Some(4_294_967_295)),
+    ("4294967296", Some(4_294_967_296)),
+    ("0000000000000000007", Some(7)),
+    ("9999999999999999999", Some(9_999_999_999_999_999_999)),
+    ("00000000000000000007", Some(7)),
+    ("18446744073709551615", Some(18_446_744_073_709_551_615)),
+    ("18446744073709551616", Some(18_446_744_073_709_551_616)),
+    ("-0", Some(0)),
+    ("-1", None),
+    ("1.0", None),
+    ("1e3", None),
+    ("1-2", None),
+];
+
+#[test]
+fn every_unsigned_field_reads_each_number_form_as_the_tree_does() {
+    let time = Time::from_micros(3);
+    let trace = TraceId::new(5);
+    let events = [
+        CacheEvent::Insert {
+            region: Region::Nursery,
+            trace,
+            bytes: 1,
+            used: 2,
+            time,
+        },
+        CacheEvent::Hit {
+            region: Region::Unified,
+            trace,
+            reuse_us: 4,
+            time,
+        },
+        CacheEvent::Miss {
+            trace,
+            bytes: 1,
+            time,
+        },
+        CacheEvent::Evict {
+            region: Region::Probation,
+            trace,
+            bytes: 1,
+            cause: EvictionCause::Capacity,
+            age_us: 6,
+            idle_us: 7,
+            time,
+        },
+        CacheEvent::Promote {
+            from: Region::Probation,
+            to: Region::Persistent,
+            trace,
+            bytes: 1,
+            time,
+        },
+        CacheEvent::PromotedIn {
+            region: Region::Persistent,
+            trace,
+            bytes: 1,
+            used: 2,
+            time,
+        },
+        CacheEvent::Pin {
+            region: Region::Nursery,
+            trace,
+            time,
+        },
+        CacheEvent::Noop {
+            op: FrontendOp::Unpin,
+            trace,
+            time,
+        },
+        CacheEvent::PointerReset {
+            region: Region::Unified,
+            resets: 8,
+            time,
+        },
+        CacheEvent::PolicySwap {
+            epoch: 9,
+            from: 1,
+            to: 2,
+            time,
+        },
+    ];
+    let mut fields = 0;
+    for line in sink_text("w", "m", &events).lines() {
+        // Each `"key":digits` run is one unsigned field.
+        let mut at = 0;
+        while let Some(found) = line[at..].find("\":") {
+            let start = at + found + 2;
+            at = start;
+            let digits = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+            if digits == 0 {
+                continue;
+            }
+            fields += 1;
+            let key_start = line[..start - 2].rfind('"').expect("a key") + 1;
+            let max: u128 = match &line[key_start..start - 2] {
+                "bytes" | "resets" => u32::MAX.into(),
+                "from" | "to" => u8::MAX.into(),
+                _ => u64::MAX.into(),
+            };
+            for (form, value) in NUMBER_FORMS {
+                let damaged = format!("{}{form}{}", &line[..start], &line[start + digits..]);
+                let parsed = parse_checked(&damaged);
+                match value.filter(|&v| v <= max) {
+                    Some(v) => {
+                        let canonical = format!("{}{v}{}", &line[..start], &line[start + digits..]);
+                        assert_eq!(parsed, parse_checked(&canonical), "{damaged}");
+                        assert!(parsed.is_ok(), "{damaged}: {parsed:?}");
+                    }
+                    None => assert!(parsed.is_err(), "{damaged}: {parsed:?}"),
+                }
+            }
+        }
+    }
+    // Every unsigned field of the ten events above was found.
+    assert_eq!(fields, 32);
 }
 
 #[test]
@@ -429,6 +572,10 @@ proptest! {
                 let text: String = damaged.iter().collect();
                 let (direct, tree) = (parse_stream_line(&text), parse_stream_line_tree(&text));
                 prop_assert!(direct == tree, "{text}: {direct:?} vs {tree:?}");
+                if let Some(read) = read_event_line(&text) {
+                    let borrowed = Ok(StreamLine::Event(read.into_record()));
+                    prop_assert!(borrowed == tree, "{text}: {borrowed:?} vs {tree:?}");
+                }
             }
         }
     }

@@ -272,16 +272,10 @@ enum IngestItem {
     Abort(String),
 }
 
-/// A finished job's reply payload, handed back to the connection thread.
-struct ResultParts {
-    doc: Value,
-    table: String,
-    benches: u64,
-    specs: u64,
-    elapsed_us: u64,
-}
-
-type JobOutcome = Result<ResultParts, String>;
+/// A finished job's outcome, handed back to the connection thread: the
+/// encoded `result` line, which the worker builds so that the reply
+/// thread only writes bytes, or the error message.
+type JobOutcome = Result<String, String>;
 
 fn send_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
@@ -672,18 +666,11 @@ fn send_reply(
     admitted: Instant,
 ) -> io::Result<bool> {
     match reply_rx.recv() {
-        Some(Ok(parts)) => {
+        Some(Ok(line)) => {
             ServerStats::bump(&ctx.stats.jobs_completed);
             ctx.stats
                 .record_latency(admitted.elapsed().as_micros() as u64);
             let reply_started = Instant::now();
-            let line = encode_result(
-                parts.doc,
-                &parts.table,
-                parts.benches,
-                parts.specs,
-                parts.elapsed_us,
-            );
             let sent = send_line(writer, &line);
             if let Some(sp) = ctx.telemetry.span(trace_id, "reply", reply_started) {
                 let outcome = if sent.is_ok() {
@@ -916,14 +903,14 @@ fn run_job(
                     }
                 }
             }
-            let parts = ResultParts {
-                doc: sim_metrics_doc(&out),
-                table: render_sim_tables(&out),
-                benches: out.benches.len() as u64,
-                specs: out.labels.len() as u64,
-                elapsed_us: started.elapsed().as_micros() as u64,
-            };
-            let _ = reply_tx.send(Ok(parts));
+            let line = encode_result(
+                sim_metrics_doc(&out),
+                &render_sim_tables(&out),
+                out.benches.len() as u64,
+                out.labels.len() as u64,
+                started.elapsed().as_micros() as u64,
+            );
+            let _ = reply_tx.send(Ok(line));
         }
         Err(e) => {
             if cancel.load(Ordering::Relaxed) {

@@ -29,16 +29,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo doc --workspace -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "=== record-suite smoke: recording and export match the committed seed-0 digest"
+# record-suite pins the recorder and the export encode; ingest-suite
+# pins the decode path's output and cross-checks the served doc.
+echo "=== perf smokes: record-suite and ingest-suite match the committed seed-0 digests"
 mkdir -p target/tmp
-record_err="target/tmp/check-record-suite.err"
-record_last="$(cargo run --release --offline -q -p gencache-perf -- \
-  run --workload record-suite --seconds 1 2> "$record_err" | tail -n 1)" \
-  || { echo "record-suite run failed"; cat "$record_err"; exit 1; }
-case "$record_last" in
-  *'"correct":true'*) rm -f "$record_err" ;;
-  *) echo "record-suite run was not correct: $record_last"; cat "$record_err"; exit 1 ;;
-esac
+for workload in record-suite ingest-suite; do
+  perf_err="target/tmp/check-$workload.err"
+  perf_last="$(cargo run --release --offline -q -p gencache-perf -- \
+    run --workload "$workload" --seconds 1 2> "$perf_err" | tail -n 1)" \
+    || { echo "$workload run failed"; cat "$perf_err"; exit 1; }
+  case "$perf_last" in
+    *'"correct":true'*) rm -f "$perf_err" ;;
+    *) echo "$workload run was not correct: $perf_last"; cat "$perf_err"; exit 1 ;;
+  esac
+done
 
 echo "=== explain smoke: event export round-trips through serde"
 mkdir -p target/tmp
