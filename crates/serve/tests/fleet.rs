@@ -19,6 +19,9 @@ use gencache_bench::ingest::{
     StreamIngest,
 };
 use gencache_bench::{export_telemetry, record_all, value_to_json, HarnessOptions};
+use gencache_serve::proto::{
+    encode_end, encode_job, encode_stats_request, line_cap_error, parse_reply, parse_request,
+};
 use gencache_serve::{
     Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, ShardConfig, ShardRouter, Span,
 };
@@ -1090,5 +1093,101 @@ fn stats_metrics_and_watch_agree_across_a_fleet() {
             expected as f64,
             "router section {key} vs {family}"
         );
+    }
+}
+
+/// Sends `bytes` on a fresh connection, ends the write side, and returns
+/// the message of the error frame that answers them.
+fn error_reply(addr: &str, bytes: &[u8]) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    (&stream).write_all(bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    match parse_reply(reply.trim_end()) {
+        Ok(Reply::Error { message }) => message,
+        other => panic!("expected an error frame from {addr}, got {other:?}"),
+    }
+}
+
+/// A daemon and a router share one front end: the first-frame rules,
+/// the line cap and the upload framing give the same error text on
+/// both, only the cap counts a rejected line, and each node goes on
+/// answering.
+#[test]
+fn daemon_and_router_refuse_bad_frames_alike() {
+    let solo = TestServer::start();
+    let backend = TestServer::start();
+    // No health ping: the router's backend is not the daemon under test.
+    let router = TestRouter::start(vec![backend.addr.clone()], Duration::from_secs(600));
+    let job = encode_job(&JobSpec {
+        specs: vec!["unified".to_string()],
+        ..JobSpec::default()
+    });
+    let head: String = export().lines().take(3).map(|l| format!("{l}\n")).collect();
+    let upload = |tail: String| format!("{job}\n{head}{tail}").into_bytes();
+    let malformed = "{\"type\":\"stats\"";
+    let unknown = "{\"type\":\"reboot\"}";
+    let cases: Vec<(&str, Vec<u8>, String)> = vec![
+        (
+            "oversize first line",
+            "x".repeat(2 << 20).into_bytes(),
+            line_cap_error(),
+        ),
+        (
+            "non-control first line",
+            b"{\"schema\":\"gencache-events\"}\n".to_vec(),
+            "expected a control frame ({\"type\":...}) first".to_string(),
+        ),
+        (
+            "malformed frame",
+            format!("{malformed}\n").into_bytes(),
+            parse_request(malformed).unwrap_err(),
+        ),
+        (
+            "unknown type",
+            format!("{unknown}\n").into_bytes(),
+            parse_request(unknown).unwrap_err(),
+        ),
+        (
+            "end outside a job",
+            format!("{}\n", encode_end(0)).into_bytes(),
+            "end frame outside a job upload".to_string(),
+        ),
+        (
+            "control frame inside an upload",
+            upload(format!("{}\n", encode_stats_request())),
+            "unexpected control frame inside an export upload".to_string(),
+        ),
+        (
+            "end-count mismatch",
+            upload(format!("{}\n", encode_end(5))),
+            "upload truncated: client sent 5 export lines, received 3".to_string(),
+        ),
+        (
+            "closed mid-upload",
+            upload(String::new()),
+            "connection closed mid-upload".to_string(),
+        ),
+    ];
+    for (name, bytes, want) in &cases {
+        for addr in [&solo.addr, &router.addr] {
+            let rejected = || prom_sample(&metrics_body(addr), "gencache_lines_rejected_total");
+            let before = rejected();
+            assert_eq!(&error_reply(addr, bytes), want, "{name} at {addr}");
+            let capped = *name == "oversize first line";
+            assert_eq!(
+                rejected() - before,
+                f64::from(u8::from(capped)),
+                "{name} at {addr}: lines_rejected"
+            );
+            match Client::new(addr.as_str()).ping(0) {
+                Ok(Reply::Pong) => {}
+                other => panic!("{name} at {addr}: ping got {other:?}"),
+            }
+        }
     }
 }

@@ -5,16 +5,25 @@
 //! reads it. No input may panic, the same bytes must always give the
 //! same outcome, error text included, and the undamaged export must give
 //! each benchmark the trace `reconstruct_trace` rebuilds from records
-//! read through the value tree.
+//! read through the value tree. The same damaged uploads also go over
+//! the wire to a live daemon and to a router over two daemons.
 
-use std::sync::OnceLock;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use gencache_bench::ingest::StreamIngest;
 use gencache_bench::stream_events_to;
 use gencache_obs::{parse_stream_line_tree, reconstruct_trace, CacheEvent, SimTrace, StreamLine};
+use gencache_serve::{
+    Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, ShardConfig, ShardRouter,
+};
 use gencache_sim::record;
 use gencache_workloads::interactive_benchmark;
 use proptest::prelude::*;
+use proptest::{generate_case, TestRunnerRng};
 
 /// The export's lines as chars, so mutations keep them valid UTF-8:
 /// `word` and `solitaire`, shortened to keep the cases quick, each
@@ -190,6 +199,20 @@ fn apply(lines: &mut Vec<Vec<char>>, edit: &Edit) {
     }
 }
 
+/// The upload `edits` make of the export. A flip or splice can write a
+/// newline; the upload is read line by line, so the damaged text is
+/// split the same way.
+fn damaged(edits: &[Edit]) -> Vec<String> {
+    let mut lines = export().to_vec();
+    for e in edits {
+        apply(&mut lines, e);
+    }
+    text(&lines)
+        .iter()
+        .flat_map(|line| line.split('\n').map(str::to_string).collect::<Vec<_>>())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -197,17 +220,116 @@ proptest! {
     fn damaged_uploads_ingest_without_panic_and_deterministically(
         edits in proptest::collection::vec(edit(), 1..5),
     ) {
-        let mut lines = export().to_vec();
-        for e in &edits {
-            apply(&mut lines, e);
-        }
-        // A flip or splice can write a newline; the upload is read line
-        // by line, so the damaged text is split the same way.
-        let upload: Vec<String> = text(&lines)
-            .iter()
-            .flat_map(|line| line.split('\n').map(str::to_string).collect::<Vec<_>>())
-            .collect();
+        let upload = damaged(&edits);
         let first = ingest(&upload);
         prop_assert_eq!(&first, &ingest(&upload), "{:?}", edits);
+    }
+}
+
+/// Damaged uploads sent over the wire per node; each costs two jobs, so
+/// the count stays small.
+const LIVE_CASES: usize = 8;
+
+/// A node's accept loop on its own thread, stopped through its flag.
+struct Live {
+    addr: String,
+    flag: Arc<AtomicBool>,
+    handle: JoinHandle<io::Result<()>>,
+}
+
+impl Live {
+    fn daemon() -> Live {
+        let server = Server::bind(&ServerConfig {
+            workers: Some(2),
+            queue_depth: Some(16),
+            ..ServerConfig::default()
+        })
+        .expect("bind ephemeral port");
+        Live {
+            addr: server.local_addr().unwrap().to_string(),
+            flag: server.shutdown_flag(),
+            handle: std::thread::spawn(move || server.run()),
+        }
+    }
+
+    fn router(backends: &[Live]) -> Live {
+        let router = ShardRouter::bind(&ShardConfig {
+            backends: backends.iter().map(|b| b.addr.clone()).collect(),
+            // No health ping marks a slow debug-build shard down mid-run.
+            health_interval: Duration::from_secs(600),
+            retry: RetryPolicy::new(8, 250),
+            read_timeout: Duration::from_secs(60),
+            ..ShardConfig::default()
+        })
+        .expect("bind router");
+        Live {
+            addr: router.local_addr().unwrap().to_string(),
+            flag: router.shutdown_flag(),
+            handle: std::thread::spawn(move || router.run()),
+        }
+    }
+
+    /// What the node answers `upload` with: the doc and tables of a
+    /// result, or the error text.
+    fn reply(&self, upload: &[String]) -> Result<String, String> {
+        let body: String = upload.iter().map(|l| format!("{l}\n")).collect();
+        match Client::new(self.addr.as_str()).submit(body.as_bytes(), &JobSpec::default()) {
+            Ok(Reply::Result { doc, table, .. }) => Ok(format!("{doc}\n{table}")),
+            Ok(Reply::Error { message }) => Err(message),
+            other => panic!("{}: expected a result or an error, got {other:?}", self.addr),
+        }
+    }
+
+    fn stats(&self) -> String {
+        match Client::new(self.addr.as_str()).stats() {
+            Ok(Reply::Stats { doc }) => doc,
+            other => panic!("{}: stats got {other:?}", self.addr),
+        }
+    }
+
+    fn stop(self) {
+        self.flag.store(true, Ordering::SeqCst);
+        self.handle
+            .join()
+            .expect("node thread panicked")
+            .expect("accept loop failed");
+    }
+}
+
+#[test]
+fn damaged_uploads_are_answered_live_by_a_daemon_and_a_router() {
+    let solo = Live::daemon();
+    let backends = vec![Live::daemon(), Live::daemon()];
+    let router = Live::router(&backends);
+    let mut rng = TestRunnerRng::for_test("damaged_uploads_live");
+    let edits = proptest::collection::vec(edit(), 1..5);
+    for case in 0..LIVE_CASES {
+        let edits = generate_case(&edits, &mut rng);
+        let upload = damaged(&edits);
+        for node in [&solo, &router] {
+            let first = node.reply(&upload);
+            assert_eq!(
+                first,
+                node.reply(&upload),
+                "case {case} at {}: {edits:?}",
+                node.addr
+            );
+            match Client::new(node.addr.as_str()).ping(0) {
+                Ok(Reply::Pong) => {}
+                other => panic!("case {case} at {}: ping got {other:?}", node.addr),
+            }
+        }
+    }
+    for node in [&solo, &router].into_iter().chain(&backends) {
+        let stats = node.stats();
+        assert!(
+            stats.contains("\"jobs_panicked\":0,"),
+            "{}: {stats}",
+            node.addr
+        );
+    }
+    router.stop();
+    for node in backends.into_iter().chain([solo]) {
+        node.stop();
     }
 }
