@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod front;
 pub mod pool;
 pub mod proto;
 pub mod retry;

@@ -1,4 +1,6 @@
-//! The daemon: accept loop, per-connection protocol, and job execution.
+//! The daemon's answers to the shared front end ([`crate::front`]):
+//! pool admission, upload forwarding, the job worker, the recorder-backed
+//! `fetch`, its `watch` row and pool-routed `ping`.
 //!
 //! Memory discipline: a job upload flows socket → connection thread →
 //! bounded chunk channel → [`StreamIngest`]. The connection thread reads
@@ -18,11 +20,10 @@
 //! non-blocking submit, and a full queue is answered with a `busy` frame
 //! (HTTP 429 in spirit) instead of an ever-growing backlog.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gencache_bench::ingest::{
@@ -35,15 +36,17 @@ use gencache_sim::{RecorderOptions, StreamedRecording, DEFAULT_STREAM_DEPTH};
 use gencache_workloads::benchmark;
 use serde::Value;
 
+use crate::front::{
+    self, drain_discard, reply, send_line, Conn, Front, Node, UploadLine, UploadReader,
+    SHUTTING_DOWN,
+};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
-    encode_busy, encode_end, encode_error, encode_metrics, encode_pong, encode_result,
-    encode_stats, encode_trace, encode_watch, is_control_line, line_cap_error, parse_request,
-    read_line_capped, CappedLine, JobSpec, Request, WatchRow, MAX_LINE_BYTES,
+    encode_busy, encode_end, encode_error, encode_pong, encode_result, is_control_line, JobSpec,
+    WatchRow, MAX_LINE_BYTES,
 };
-use crate::signal;
 use crate::stats::{ServerStats, DAEMON};
-use crate::telemetry::{new_trace_id, LogLevel, Logger, Sample, Snapshot, Span, Telemetry};
+use crate::telemetry::{LogLevel, Metric, Sample, Snapshot, Telemetry};
 
 /// How a [`Server`] is sized and bounded.
 #[derive(Debug, Clone)]
@@ -96,19 +99,11 @@ impl Default for ServerConfig {
 /// Everything a connection thread needs, shared behind one `Arc`; the
 /// source every [`DAEMON`] metric reads.
 pub(crate) struct Ctx {
+    pub(crate) front: Front,
     pub(crate) pool: WorkerPool,
     pub(crate) stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
     channel_depth: usize,
-    read_timeout: Duration,
     default_deadline_ms: u64,
-    pub(crate) telemetry: Arc<Telemetry>,
-}
-
-impl Ctx {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
-    }
 }
 
 /// The simulation service daemon.
@@ -134,27 +129,21 @@ impl Server {
     ///
     /// Propagates the bind failure.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let workers = effective_jobs(config.workers);
-        let queue_depth = config.queue_depth.unwrap_or(workers * 2);
-        let node = listener
-            .local_addr()
-            .map(|a| format!("serve:{a}"))
-            .unwrap_or_else(|_| "serve".to_string());
-        let logger = Logger::open_capped(
-            "gencache-serve",
+        let (listener, front) = Front::bind::<Ctx>(
+            &config.addr,
+            config.read_timeout,
             config.log.as_deref(),
             config.log_level,
             config.log_max_bytes,
+            config.trace_capacity,
         )?;
+        let workers = effective_jobs(config.workers);
         let ctx = Ctx {
-            pool: WorkerPool::new(workers, queue_depth),
+            front,
+            pool: WorkerPool::new(workers, config.queue_depth.unwrap_or(workers * 2)),
             stats: Arc::new(ServerStats::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
             channel_depth: config.channel_depth.max(1),
-            read_timeout: config.read_timeout,
             default_deadline_ms: config.default_deadline_ms,
-            telemetry: Arc::new(Telemetry::new(&node, config.trace_capacity, logger)),
         };
         Ok(Server {
             listener,
@@ -174,7 +163,7 @@ impl Server {
     /// A flag that stops the accept loop when set — how in-process tests
     /// shut the server down without a signal.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.ctx.shutdown)
+        Arc::clone(&self.ctx.front.shutdown)
     }
 
     /// Serves until the shutdown flag or a SIGTERM/SIGINT arrives, then
@@ -185,62 +174,7 @@ impl Server {
     ///
     /// Propagates accept-loop failures other than `WouldBlock`.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut conns: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if self.ctx.draining() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conns.retain(|h| !h.is_finished());
-                    let ctx = Arc::clone(&self.ctx);
-                    let handle = std::thread::Builder::new()
-                        .name("gencache-conn".to_string())
-                        .spawn(move || {
-                            if let Err(e) = handle_connection(stream, &ctx) {
-                                // A vanished client is routine, not a
-                                // daemon failure.
-                                if e.kind() != io::ErrorKind::BrokenPipe
-                                    && e.kind() != io::ErrorKind::ConnectionReset
-                                {
-                                    ctx.telemetry.log().event(
-                                        LogLevel::Error,
-                                        "connection_error",
-                                        None,
-                                        &[("message", Value::Str(e.to_string()))],
-                                    );
-                                }
-                            }
-                        })
-                        .expect("spawn connection thread");
-                    conns.push(handle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.ctx.telemetry.log().event(
-            LogLevel::Info,
-            "drain_start",
-            None,
-            &[(
-                "in_flight",
-                Value::UInt(self.ctx.pool.active() + self.ctx.pool.queue_len() as u64),
-            )],
-        );
-        for handle in conns {
-            let _ = handle.join();
-        }
-        self.ctx.pool.shutdown();
-        self.ctx
-            .telemetry
-            .log()
-            .event(LogLevel::Info, "drain_finish", None, &[]);
-        Ok(())
+        front::run(self.listener, &self.ctx, || self.ctx.pool.shutdown())
     }
 }
 
@@ -265,8 +199,8 @@ enum IngestItem {
     /// Whole export lines, each ending in `\n` (line endings already
     /// stripped and replaced).
     Chunk(String),
-    /// The client's `end` frame: claimed line count for integrity.
-    End { lines: u64 },
+    /// The client's `end` frame, its line count already checked.
+    End,
     /// The upload failed (read error, bad frame); the worker must not
     /// treat what it has as a complete export.
     Abort(String),
@@ -277,290 +211,223 @@ enum IngestItem {
 /// thread only writes bytes, or the error message.
 type JobOutcome = Result<String, String>;
 
-fn send_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
+impl Node for Ctx {
+    const KIND: &'static str = "serve";
+    const COMPONENT: &'static str = "gencache-serve";
+    const METRICS: &'static [Metric<Ctx>] = &DAEMON;
 
-/// Reads and discards the rest of an upload after an early reply
-/// (`busy`/`error`), so closing the socket cannot RST the reply out of
-/// the client's receive buffer. Bounded: stops at EOF, any read error
-/// (including the read timeout), or a 64 MiB cap.
-pub(crate) fn drain_discard(reader: &mut impl Read) {
-    let mut buf = [0u8; 8192];
-    let mut total = 0u64;
-    while total < 64 * 1024 * 1024 {
-        match reader.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => total += n as u64,
-        }
+    fn front(&self) -> &Front {
+        &self.front
     }
-}
 
-fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
-    ServerStats::bump(&ctx.stats.connections);
-    stream.set_read_timeout(Some(ctx.read_timeout))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::with_capacity(CHUNK_BYTES, stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut first = Vec::new();
-    let line = match read_line_capped(&mut reader, &mut first)? {
-        CappedLine::Eof => return Ok(()), // connected and left — nothing to do
-        CappedLine::TooLong => {
-            ServerStats::bump(&ctx.stats.lines_rejected);
-            send_line(&mut writer, &encode_error(&line_cap_error()))?;
-            drain_discard(&mut reader);
-            return Ok(());
-        }
-        CappedLine::Line(line) => line.trim_end_matches(['\r', '\n']),
-    };
-    if !is_control_line(line) {
-        return send_line(
-            &mut writer,
-            &encode_error("expected a control frame ({\"type\":...}) first"),
-        );
-    }
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => return send_line(&mut writer, &encode_error(&e)),
-    };
-    match request {
-        Request::Stats => {
-            let fields = Snapshot::take(&DAEMON, ctx).doc_fields();
-            send_line(&mut writer, &encode_stats(Value::Object(fields)))
-        }
-        Request::Trace { trace_id } => {
-            let spans: Vec<Value> = ctx
-                .telemetry
-                .spans_for(&trace_id)
-                .iter()
-                .map(Span::to_value)
-                .collect();
-            send_line(&mut writer, &encode_trace(&trace_id, Value::Array(spans)))
-        }
-        Request::Metrics => send_line(
-            &mut writer,
-            &encode_metrics(&Snapshot::take(&DAEMON, ctx).to_prometheus()),
-        ),
-        // Watch runs right here on the connection thread — a slow or
-        // idle dashboard never occupies a worker slot.
-        Request::Watch { interval_ms, count } => handle_watch(ctx, &mut writer, interval_ms, count),
-        Request::End { .. } => {
-            send_line(&mut writer, &encode_error("end frame outside a job upload"))
-        }
-        // Fleet-only frames: a plain daemon is not a router.
-        Request::Shards | Request::Route { .. } => send_line(
-            &mut writer,
-            &encode_error("not a fleet router; ask a gencache-shard daemon"),
-        ),
-        Request::Ping { hold_ms } => handle_ping(ctx, &mut writer, hold_ms),
-        Request::Job(spec) => {
-            if ctx.draining() {
-                return send_line(
-                    &mut writer,
-                    &encode_error("shutting down; not accepting new jobs"),
-                );
+    /// A ping holds a worker slot for `hold_ms`, so it meets the pool's
+    /// admission exactly as a job does.
+    fn ping(&self, hold_ms: u64) -> String {
+        let (done_tx, mut done_rx) = bounded::<()>(1);
+        let job = Box::new(move || {
+            if hold_ms > 0 {
+                std::thread::sleep(Duration::from_millis(hold_ms));
             }
-            handle_job(ctx, &mut reader, &mut writer, spec)
-        }
-        Request::Fetch { bench, scale } => {
-            if ctx.draining() {
-                return send_line(
-                    &mut writer,
-                    &encode_error("shutting down; not accepting new jobs"),
-                );
+            let _ = done_tx.send(());
+        });
+        match self.pool.try_submit(job) {
+            Ok(()) => {
+                ServerStats::bump(&self.stats.jobs_accepted);
+                done_rx.recv();
+                ServerStats::bump(&self.stats.jobs_completed);
+                encode_pong()
             }
-            handle_fetch(ctx, &mut writer, &bench, scale)
+            Err((_, SubmitError::Full)) => {
+                ServerStats::bump(&self.stats.jobs_rejected);
+                encode_busy(self.pool.queue_len() as u64)
+            }
+            Err((_, SubmitError::Closed)) => encode_error(SHUTTING_DOWN),
         }
     }
-}
 
-/// Streams `watch` snapshots every `interval_ms` until `count` frames
-/// have been sent (0 = unbounded), the client hangs up, or the daemon
-/// starts draining — then closes the stream with an `end` frame. Runs
-/// on the connection thread; the sleep is chopped into short slices so
-/// a drain is noticed within ~100ms.
-fn handle_watch(
-    ctx: &Ctx,
-    writer: &mut impl Write,
-    interval_ms: u64,
-    count: u64,
-) -> io::Result<()> {
-    let interval = Duration::from_millis(interval_ms.clamp(50, 60_000));
-    let mut prev = (Snapshot::take(&DAEMON, ctx), Instant::now());
-    let mut sent = 0u64;
-    loop {
-        // One full interval elapses before each snapshot, so every
-        // frame's rates cover a real window.
-        let tick_end = Instant::now() + interval;
-        while Instant::now() < tick_end {
-            if ctx.draining() {
-                return send_line(writer, &encode_end(sent));
-            }
-            let left = tick_end.saturating_duration_since(Instant::now());
-            std::thread::sleep(left.min(Duration::from_millis(100)));
-        }
-        // The row's rates are counter differences between the previous
-        // snapshot and this one; gauges and the latency quantiles (of
-        // the cumulative job histogram) are read from this one.
-        let cur = Snapshot::take(&DAEMON, ctx);
-        let window = prev.1.elapsed();
-        let secs = window.as_secs_f64().max(1e-9);
-        let rate = |key| cur.int(key).saturating_sub(prev.0.int(key)) as f64 / secs;
-        let quantile = |q| match cur.get("latency_us") {
-            Some(Sample::Histogram(hist, _)) => hist.quantile(q),
-            _ => 0,
-        };
-        let row = WatchRow {
-            node: ctx.telemetry.node().to_string(),
-            uptime_ms: cur.int("uptime_ms"),
-            window_ms: window.as_millis() as u64,
-            jobs_per_sec: rate("jobs_completed"),
-            shed_per_sec: rate("jobs_rejected"),
-            in_flight: cur.int("in_flight"),
-            queue_depth: cur.int("queue_depth"),
-            p50_us: quantile(0.5),
-            p99_us: quantile(0.99),
-            jobs_total: cur.int("jobs_completed"),
-            window_miss_rate: match cur.get("window_miss_rate") {
-                Some(Sample::Ratio(rate)) => *rate,
-                _ => 0.0,
-            },
-            drift_events: cur.int("drift_events"),
-        };
-        prev = (cur, Instant::now());
-        // A failed write means the dashboard hung up; nothing to tear
-        // down — the stream owns no worker or channel.
-        send_line(writer, &encode_watch(ctx.telemetry.node(), sent, &[row]))?;
-        sent += 1;
-        if count > 0 && sent >= count {
-            return send_line(writer, &encode_end(sent));
-        }
-    }
-}
-
-fn handle_ping(ctx: &Ctx, writer: &mut impl Write, hold_ms: u64) -> io::Result<()> {
-    let (done_tx, mut done_rx) = bounded::<()>(1);
-    let job = Box::new(move || {
-        if hold_ms > 0 {
-            std::thread::sleep(Duration::from_millis(hold_ms));
-        }
-        let _ = done_tx.send(());
-    });
-    match ctx.pool.try_submit(job) {
-        Ok(()) => {
-            ServerStats::bump(&ctx.stats.jobs_accepted);
-            done_rx.recv();
-            ServerStats::bump(&ctx.stats.jobs_completed);
-            send_line(writer, &encode_pong())
-        }
-        Err((_, SubmitError::Full)) => {
-            ServerStats::bump(&ctx.stats.jobs_rejected);
-            send_line(writer, &encode_busy(ctx.pool.queue_len() as u64))
-        }
-        Err((_, SubmitError::Closed)) => send_line(
-            writer,
-            &encode_error("shutting down; not accepting new jobs"),
-        ),
-    }
-}
-
-fn handle_job(
-    ctx: &Ctx,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut (impl Write + Send),
-    mut spec: JobSpec,
-) -> io::Result<()> {
-    // Every job gets a trace id: the client normally stamps one; a bare
-    // frame gets a server-generated id so its spans are still findable.
-    let trace_id = match &spec.trace_id {
-        Some(id) => id.clone(),
-        None => {
-            let id = new_trace_id();
-            spec.trace_id = Some(id.clone());
-            id
-        }
-    };
-    let deadline_ms = spec.deadline_ms.unwrap_or(ctx.default_deadline_ms);
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    let (chunk_tx, chunk_rx) = bounded::<IngestItem>(CHUNKS_IN_FLIGHT);
-    // Spent chunk buffers come back for reuse. A new one is made only
-    // when none is spare, so at most CHUNKS_IN_FLIGHT + 2 exist at once
-    // and the worker's return never finds this channel full.
-    let (spent_tx, spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
-    let (reply_tx, reply_rx) = bounded::<JobOutcome>(1);
-    // The deadline clock starts at admission, not at worker pickup —
-    // time spent queued behind the bounded pool counts against the
-    // budget, so a deadline'd job cannot wait unboundedly.
-    let admitted = Instant::now();
-    let tel = Arc::clone(&ctx.telemetry);
-    let stats = Arc::clone(&ctx.stats);
-    let job_trace = trace_id.clone();
-    let job = Box::new(move || {
-        run_job(
-            &spec, chunk_rx, &spent_tx, &reply_tx, deadline, admitted, &tel, &stats, &job_trace,
-        );
-    });
-    match ctx.pool.try_submit(job) {
-        Err((_, SubmitError::Full)) => {
-            ServerStats::bump(&ctx.stats.jobs_rejected);
-            let depth = ctx.pool.queue_len() as u64;
-            if let Some(sp) = ctx.telemetry.span(&trace_id, "accept", admitted) {
-                sp.outcome("busy").end();
-            }
-            ctx.telemetry.log().event(
-                LogLevel::Warn,
-                "job_shed",
-                Some(&trace_id),
-                &[("queue_depth", Value::UInt(depth))],
+    fn job(&self, conn: &mut Conn, spec: JobSpec, trace_id: String) -> io::Result<()> {
+        let deadline_ms = spec.deadline_ms.unwrap_or(self.default_deadline_ms);
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+        let (chunk_tx, chunk_rx) = bounded::<IngestItem>(CHUNKS_IN_FLIGHT);
+        // Spent chunk buffers come back for reuse. A new one is made only
+        // when none is spare, so at most CHUNKS_IN_FLIGHT + 2 exist at once
+        // and the worker's return never finds this channel full.
+        let (spent_tx, spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
+        let (reply_tx, reply_rx) = bounded::<JobOutcome>(1);
+        // The deadline clock starts at admission, not at worker pickup —
+        // time spent queued behind the bounded pool counts against the
+        // budget, so a deadline'd job cannot wait unboundedly.
+        let admitted = Instant::now();
+        let tel = Arc::clone(&self.front.telemetry);
+        let stats = Arc::clone(&self.stats);
+        let job_trace = trace_id.clone();
+        let job = Box::new(move || {
+            run_job(
+                &spec, chunk_rx, &spent_tx, &reply_tx, deadline, admitted, &tel, &stats, &job_trace,
             );
-            send_line(writer, &encode_busy(depth))?;
-            drain_discard(reader);
-            return Ok(());
-        }
-        Err((_, SubmitError::Closed)) => {
-            if let Some(sp) = ctx.telemetry.span(&trace_id, "accept", admitted) {
-                sp.outcome("error: shutting down").end();
+        });
+        let tel = &self.front.telemetry;
+        match self.pool.try_submit(job) {
+            Err((_, SubmitError::Full)) => {
+                ServerStats::bump(&self.stats.jobs_rejected);
+                let depth = self.pool.queue_len() as u64;
+                if let Some(sp) = tel.span(&trace_id, "accept", admitted) {
+                    sp.outcome("busy").end();
+                }
+                tel.log().event(
+                    LogLevel::Warn,
+                    "job_shed",
+                    Some(&trace_id),
+                    &[("queue_depth", Value::UInt(depth))],
+                );
+                return conn.refuse(&encode_busy(depth));
             }
-            return send_line(
-                writer,
-                &encode_error("shutting down; not accepting new jobs"),
-            );
+            Err((_, SubmitError::Closed)) => {
+                if let Some(sp) = tel.span(&trace_id, "accept", admitted) {
+                    sp.outcome("error: shutting down").end();
+                }
+                return conn.send_error(SHUTTING_DOWN);
+            }
+            Ok(()) => {}
         }
-        Ok(()) => {}
-    }
-    ServerStats::bump(&ctx.stats.jobs_accepted);
-    if let Some(sp) = ctx.telemetry.span(&trace_id, "accept", admitted) {
-        sp.end();
-    }
-    ctx.telemetry.log().event(
-        LogLevel::Info,
-        "job_admitted",
-        Some(&trace_id),
-        &[
-            ("queue_depth", Value::UInt(ctx.pool.queue_len() as u64)),
-            ("deadline_ms", Value::UInt(deadline_ms)),
-        ],
-    );
+        ServerStats::bump(&self.stats.jobs_accepted);
+        if let Some(sp) = tel.span(&trace_id, "accept", admitted) {
+            sp.end();
+        }
+        tel.log().event(
+            LogLevel::Info,
+            "job_admitted",
+            Some(&trace_id),
+            &[
+                ("queue_depth", Value::UInt(self.pool.queue_len() as u64)),
+                ("deadline_ms", Value::UInt(deadline_ms)),
+            ],
+        );
 
-    // The reply goes out from its own thread the moment the worker
-    // settles the job, while this thread goes on reading the upload: a
-    // client that stalls right after a malformed line is answered at
-    // once, not when a read it never ends times out.
-    std::thread::scope(|scope| {
-        let replier = scope.spawn(|| send_reply(ctx, writer, reply_rx, &trace_id, admitted));
-        forward_upload(ctx, reader, chunk_tx, spent_rx, deadline, admitted);
-        let failed = replier
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        // The reply goes out from its own thread the moment the worker
+        // settles the job, while this thread goes on reading the upload: a
+        // client that stalls right after a malformed line is answered at
+        // once, not when a read it never ends times out.
+        let Conn { reader, writer } = conn;
+        std::thread::scope(|scope| {
+            let replier = scope.spawn(|| send_reply(self, writer, reply_rx, &trace_id, admitted));
+            forward_upload(self, reader, chunk_tx, spent_rx, deadline, admitted);
+            let failed = replier
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+            if failed {
+                // An error reply can precede the rest of the upload; read it
+                // off so closing cannot RST the reply away.
+                drain_discard(reader);
+            }
+            Ok(())
+        })
+    }
+
+    fn fetch(&self, conn: &mut Conn, bench: &str, scale: u64) -> io::Result<()> {
+        let (line_tx, mut line_rx) = bounded::<String>(self.channel_depth);
+        let bench_name = bench.to_string();
+        let depth = self.channel_depth;
+        let job = Box::new(move || {
+            let Some(profile) = benchmark(&bench_name) else {
+                let _ = line_tx.send(encode_error(&format!("unknown benchmark {bench_name:?}")));
+                return;
+            };
+            let profile = if scale > 1 {
+                profile.scaled_down(scale)
+            } else {
+                profile
+            };
+            let rec = match StreamedRecording::probe(&profile, RecorderOptions::default(), depth) {
+                Ok(r) => r,
+                Err(e) => {
+                    let _ = line_tx.send(encode_error(&format!("{bench_name}: {e:?}")));
+                    return;
+                }
+            };
+            let runs = vec![(profile, rec)];
+            match stream_events_to(ChannelWriter::new(line_tx.clone()), &runs) {
+                Ok((w, lines)) => {
+                    drop(w);
+                    let _ = line_tx.send(encode_end(lines));
+                }
+                Err(_) => {
+                    // Receiver vanished: the client hung up; nothing to do.
+                }
+            }
+        });
+        match self.pool.try_submit(job) {
+            Err((_, SubmitError::Full)) => {
+                ServerStats::bump(&self.stats.jobs_rejected);
+                return conn.send(&encode_busy(self.pool.queue_len() as u64));
+            }
+            Err((_, SubmitError::Closed)) => return conn.send_error(SHUTTING_DOWN),
+            Ok(()) => {}
+        }
+        ServerStats::bump(&self.stats.jobs_accepted);
+        let mut failed = false;
+        while let Some(line) = line_rx.recv() {
+            // Counters track export payload, not the trailing control frame.
+            if !is_control_line(&line) {
+                ServerStats::bump(&self.stats.lines_served);
+            }
+            if conn.send(&line).is_err() {
+                // Client hung up; dropping the receiver aborts the worker's
+                // next send.
+                failed = true;
+                break;
+            }
+        }
         if failed {
-            // An error reply can precede the rest of the upload; read it
-            // off so closing cannot RST the reply away.
-            drain_discard(reader);
+            ServerStats::bump(&self.stats.jobs_failed);
+        } else {
+            ServerStats::bump(&self.stats.jobs_completed);
         }
         Ok(())
-    })
+    }
+
+    /// One row per tick: counter rates over the tick, gauges and the
+    /// latency quantiles (of the cumulative job histogram) at its end.
+    fn watch(&self, conn: &mut Conn, interval_ms: u64, count: u64) -> io::Result<()> {
+        let mut prev = (Snapshot::take(&DAEMON, self), Instant::now());
+        let rows = move |_: Duration| {
+            let cur = Snapshot::take(&DAEMON, self);
+            let window = prev.1.elapsed();
+            let secs = window.as_secs_f64().max(1e-9);
+            let rate = |key| cur.int(key).saturating_sub(prev.0.int(key)) as f64 / secs;
+            let quantile = |q| match cur.get("latency_us") {
+                Some(Sample::Histogram(hist, _)) => hist.quantile(q),
+                _ => 0,
+            };
+            let row = WatchRow {
+                node: self.front.telemetry.node().to_string(),
+                uptime_ms: cur.int("uptime_ms"),
+                window_ms: window.as_millis() as u64,
+                jobs_per_sec: rate("jobs_completed"),
+                shed_per_sec: rate("jobs_rejected"),
+                in_flight: cur.int("in_flight"),
+                queue_depth: cur.int("queue_depth"),
+                p50_us: quantile(0.5),
+                p99_us: quantile(0.99),
+                jobs_total: cur.int("jobs_completed"),
+                window_miss_rate: match cur.get("window_miss_rate") {
+                    Some(Sample::Ratio(rate)) => *rate,
+                    _ => 0.0,
+                },
+                drift_events: cur.int("drift_events"),
+            };
+            prev = (cur, Instant::now());
+            Ok(vec![row])
+        };
+        conn.watch(&self.front, interval_ms, count, Duration::ZERO, rows)
+    }
+
+    fn drain_start(&self, _connections: usize) -> (&'static str, u64) {
+        (
+            "in_flight",
+            self.pool.active() + self.pool.queue_len() as u64,
+        )
+    }
 }
 
 /// Forwards the upload to the worker in chunks of whole lines until the
@@ -585,68 +452,51 @@ fn forward_upload(
     // it receives the closing item, without the client's next write.
     // A blocking read waits no longer than the deadline has left, so a
     // client that stalls is answered at the deadline, not at the read
-    // timeout.
-    let deadline_error = || IngestItem::Abort("deadline exceeded during ingest".to_string());
-    let mut read_timeout = ctx.read_timeout;
-    let mut buf = Vec::new();
+    // timeout; the worker answers any item it receives past the
+    // deadline with the deadline error.
+    let max_timeout = ctx.front.read_timeout;
+    let mut read_timeout = max_timeout;
+    let mut upload = UploadReader::default();
     let mut chunk = String::with_capacity(CHUNK_BYTES);
     let last = loop {
         if let Some(d) = deadline.filter(|_| reader.buffer().is_empty()) {
             let left = d.saturating_sub(admitted.elapsed());
             if left.is_zero() {
-                break Some(deadline_error());
+                break Some(IngestItem::Abort(
+                    "deadline exceeded during ingest".to_string(),
+                ));
             }
-            if left.min(ctx.read_timeout) != read_timeout {
-                read_timeout = left.min(ctx.read_timeout);
+            if left.min(max_timeout) != read_timeout {
+                read_timeout = left.min(max_timeout);
                 if let Err(e) = reader.get_ref().set_read_timeout(Some(read_timeout)) {
                     break Some(IngestItem::Abort(format!("upload read failed: {e}")));
                 }
             }
         }
-        let item = match read_line_capped(reader, &mut buf) {
-            Ok(CappedLine::Eof) => IngestItem::Abort("connection closed mid-upload".to_string()),
-            Ok(CappedLine::TooLong) => {
-                ServerStats::bump(&ctx.stats.lines_rejected);
-                IngestItem::Abort(line_cap_error())
-            }
-            Err(_) if deadline.is_some_and(|d| admitted.elapsed() >= d) => deadline_error(),
-            Err(e) => IngestItem::Abort(format!("upload read failed: {e}")),
-            Ok(CappedLine::Line(raw)) => {
-                ServerStats::add(&ctx.stats.bytes_ingested, raw.len() as u64);
-                let line = raw.trim_end_matches(['\r', '\n']);
-                if is_control_line(line) {
-                    match parse_request(line) {
-                        Ok(Request::End { lines }) => IngestItem::End { lines },
-                        Ok(_) => IngestItem::Abort(
-                            "unexpected control frame inside an export upload".to_string(),
-                        ),
-                        Err(e) => IngestItem::Abort(e),
-                    }
-                } else {
-                    // A failed send means the worker already gave up
-                    // (deadline, malformed stream); its reply is waiting.
-                    if chunk.len() + line.len() >= CHUNK_BYTES
-                        && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
-                    {
-                        break None;
-                    }
-                    chunk.push_str(line);
-                    chunk.push('\n');
-                    if reader.buffer().is_empty()
-                        && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
-                    {
-                        break None;
-                    }
-                    continue;
-                }
-            }
+        let (wire_bytes, line) = upload.next(reader, &ctx.front.lines_rejected);
+        ServerStats::add(&ctx.stats.bytes_ingested, wire_bytes);
+        let line = match line {
+            UploadLine::Export(line) => line,
+            UploadLine::End => break Some(IngestItem::End),
+            UploadLine::Failed(message) => break Some(IngestItem::Abort(message)),
         };
-        break Some(item);
+        // A failed send means the worker already gave up (deadline,
+        // malformed stream); its reply is waiting.
+        if chunk.len() + line.len() >= CHUNK_BYTES
+            && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
+        {
+            break None;
+        }
+        chunk.push_str(line);
+        chunk.push('\n');
+        if reader.buffer().is_empty() && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
+            break None;
+        }
     };
-    if read_timeout != ctx.read_timeout {
+    if read_timeout != max_timeout {
         // A socket that refuses the option is broken; the reply write
         // reports that.
-        let _ = reader.get_ref().set_read_timeout(Some(ctx.read_timeout));
+        let _ = reader.get_ref().set_read_timeout(Some(max_timeout));
     }
     if let Some(item) = last {
         if send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
@@ -665,44 +515,33 @@ fn send_reply(
     trace_id: &str,
     admitted: Instant,
 ) -> io::Result<bool> {
-    match reply_rx.recv() {
+    let tel = &ctx.front.telemetry;
+    let (line, failed) = match reply_rx.recv() {
         Some(Ok(line)) => {
             ServerStats::bump(&ctx.stats.jobs_completed);
             ctx.stats
                 .record_latency(admitted.elapsed().as_micros() as u64);
-            let reply_started = Instant::now();
-            let sent = send_line(writer, &line);
-            if let Some(sp) = ctx.telemetry.span(trace_id, "reply", reply_started) {
-                let outcome = if sent.is_ok() {
-                    "ok"
-                } else {
-                    "error: reply write failed"
-                };
-                sp.bytes(line.len() as u64 + 1).outcome(outcome).end();
-            }
-            sent.map(|()| false)
+            (line, false)
         }
         Some(Err(message)) => {
             ServerStats::bump(&ctx.stats.jobs_failed);
-            ctx.telemetry.log().event(
+            tel.log().event(
                 LogLevel::Warn,
                 "job_failed",
                 Some(trace_id),
                 &[("message", Value::Str(message.clone()))],
             );
-            let reply_started = Instant::now();
-            let line = encode_error(&message);
-            let sent = send_line(writer, &line);
-            if let Some(sp) = ctx.telemetry.span(trace_id, "reply", reply_started) {
-                sp.bytes(line.len() as u64 + 1).end();
-            }
-            sent.map(|()| true)
+            (encode_error(&message), true)
         }
         None => {
             ServerStats::bump(&ctx.stats.jobs_failed);
-            send_line(writer, &encode_error("job worker terminated unexpectedly")).map(|()| false)
+            let line = encode_error("job worker terminated unexpectedly");
+            return send_line(writer, &line).map(|()| false);
         }
-    }
+    };
+    // A failed job's span stays `ok`: the failed stage's own span carries
+    // the error.
+    reply(writer, tel, trace_id, Instant::now(), &line, None).map(|()| failed)
 }
 
 /// Hands the gathered lines to the worker as one chunk, then starts the
@@ -774,7 +613,6 @@ fn run_job(
     }
     let ingest_started = Instant::now();
     let mut ingest = StreamIngest::new();
-    let mut received = 0u64;
     let mut complete = false;
     while let Some(item) = chunk_rx.recv() {
         if deadline.is_some_and(|d| started.elapsed() >= d) {
@@ -788,7 +626,6 @@ fn run_job(
         match item {
             IngestItem::Chunk(mut chunk) => {
                 for line in chunk.split_terminator('\n') {
-                    received += 1;
                     if let Err(e) = ingest.push_line(line) {
                         return fail_stage("ingest", ingest_started, e);
                     }
@@ -800,16 +637,7 @@ fn run_job(
                     let _ = spent_tx.try_send(chunk);
                 }
             }
-            IngestItem::End { lines } => {
-                if lines != received {
-                    return fail_stage(
-                        "ingest",
-                        ingest_started,
-                        format!(
-                            "upload truncated: client sent {lines} export lines, received {received}"
-                        ),
-                    );
-                }
+            IngestItem::End => {
                 complete = true;
                 break;
             }
@@ -966,71 +794,4 @@ impl Write for ChannelWriter {
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
-}
-
-fn handle_fetch(ctx: &Ctx, writer: &mut impl Write, bench: &str, scale: u64) -> io::Result<()> {
-    let (line_tx, mut line_rx) = bounded::<String>(ctx.channel_depth);
-    let bench_name = bench.to_string();
-    let depth = ctx.channel_depth;
-    let job = Box::new(move || {
-        let Some(profile) = benchmark(&bench_name) else {
-            let _ = line_tx.send(encode_error(&format!("unknown benchmark {bench_name:?}")));
-            return;
-        };
-        let profile = if scale > 1 {
-            profile.scaled_down(scale)
-        } else {
-            profile
-        };
-        let rec = match StreamedRecording::probe(&profile, RecorderOptions::default(), depth) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = line_tx.send(encode_error(&format!("{bench_name}: {e:?}")));
-                return;
-            }
-        };
-        let runs = vec![(profile, rec)];
-        match stream_events_to(ChannelWriter::new(line_tx.clone()), &runs) {
-            Ok((w, lines)) => {
-                drop(w);
-                let _ = line_tx.send(encode_end(lines));
-            }
-            Err(_) => {
-                // Receiver vanished: the client hung up; nothing to do.
-            }
-        }
-    });
-    match ctx.pool.try_submit(job) {
-        Err((_, SubmitError::Full)) => {
-            ServerStats::bump(&ctx.stats.jobs_rejected);
-            return send_line(writer, &encode_busy(ctx.pool.queue_len() as u64));
-        }
-        Err((_, SubmitError::Closed)) => {
-            return send_line(
-                writer,
-                &encode_error("shutting down; not accepting new jobs"),
-            );
-        }
-        Ok(()) => {}
-    }
-    ServerStats::bump(&ctx.stats.jobs_accepted);
-    let mut failed = false;
-    while let Some(line) = line_rx.recv() {
-        // Counters track export payload, not the trailing control frame.
-        if !is_control_line(&line) {
-            ServerStats::bump(&ctx.stats.lines_served);
-        }
-        if send_line(writer, &line).is_err() {
-            // Client hung up; dropping the receiver aborts the worker's
-            // next send.
-            failed = true;
-            break;
-        }
-    }
-    if failed {
-        ServerStats::bump(&ctx.stats.jobs_failed);
-    } else {
-        ServerStats::bump(&ctx.stats.jobs_completed);
-    }
-    Ok(())
 }

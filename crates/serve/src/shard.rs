@@ -35,11 +35,10 @@
 //! mid-run shard loss invisible to the client.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Cursor, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, Cursor, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gencache_bench::ingest::{classify_line, merge_metrics_docs, merge_sim_tables, RouteClass};
@@ -47,18 +46,11 @@ use gencache_sim::par::par_map;
 use serde::Value;
 
 use crate::client::Client;
-use crate::proto::{
-    encode_end, encode_error, encode_metrics, encode_pong, encode_result, encode_route,
-    encode_shards, encode_stats, encode_trace, encode_watch, is_control_line, line_cap_error,
-    parse_request, read_line_capped, CappedLine, JobSpec, Reply, Request, WatchRow,
-};
+use crate::front::{self, reply, Conn, Front, Node, UploadLine, UploadReader};
+use crate::proto::{encode_end, encode_error, encode_result, JobSpec, Reply, WatchRow};
 use crate::retry::RetryPolicy;
-use crate::server::drain_discard;
-use crate::signal;
 use crate::stats::DAEMON;
-use crate::telemetry::{
-    new_trace_id, prom_label_escape, LogLevel, Logger, Metric, Read, Snapshot, Span, Telemetry,
-};
+use crate::telemetry::{prom_label_escape, LogLevel, Metric, Read, Snapshot};
 
 /// How a [`ShardRouter`] is sized and wired.
 #[derive(Debug, Clone)]
@@ -230,7 +222,6 @@ impl ShardTable {
 /// Router-side counters (shard counters live in the table).
 #[derive(Default)]
 struct RouterStats {
-    connections: AtomicU64,
     fleet_jobs: AtomicU64,
     fleet_jobs_completed: AtomicU64,
     fleet_jobs_failed: AtomicU64,
@@ -241,28 +232,19 @@ struct RouterStats {
     upload_buffer_peak_bytes: AtomicU64,
     busy_retries: AtomicU64,
     failovers: AtomicU64,
-    /// Lines the router refused for exceeding the line cap (a shard
-    /// never sees them).
-    lines_rejected: AtomicU64,
 }
 
 struct RouterCtx {
+    front: Front,
     table: ShardTable,
     retry: RetryPolicy,
-    read_timeout: Duration,
     health_interval: Duration,
-    shutdown: Arc<AtomicBool>,
     stats: RouterStats,
-    telemetry: Arc<Telemetry>,
 }
 
 impl RouterCtx {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
-    }
-
     fn shard_client(&self, shard: &Shard) -> Client {
-        Client::with_timeout(&shard.addr, self.read_timeout)
+        Client::with_timeout(&shard.addr, self.front.read_timeout)
     }
 }
 
@@ -295,24 +277,20 @@ impl ShardRouter {
                 "gencache-shard needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let node = listener
-            .local_addr()
-            .map_or_else(|_| "router".to_string(), |a| format!("router:{a}"));
-        let logger = Logger::open_capped(
-            "gencache-shard",
+        let (listener, front) = Front::bind::<RouterCtx>(
+            &config.addr,
+            config.read_timeout,
             config.log.as_deref(),
             config.log_level,
             config.log_max_bytes,
+            config.trace_capacity,
         )?;
         let ctx = RouterCtx {
+            front,
             table: ShardTable::new(&config.backends, config.replicas),
             retry: config.retry,
-            read_timeout: config.read_timeout,
             health_interval: config.health_interval,
-            shutdown: Arc::new(AtomicBool::new(false)),
             stats: RouterStats::default(),
-            telemetry: Arc::new(Telemetry::new(&node, config.trace_capacity, logger)),
         };
         Ok(ShardRouter {
             listener,
@@ -332,7 +310,7 @@ impl ShardRouter {
     /// A flag that stops the accept loop when set — how in-process tests
     /// shut the router down without a signal.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.ctx.shutdown)
+        Arc::clone(&self.ctx.front.shutdown)
     }
 
     /// Serves until the shutdown flag or a SIGTERM/SIGINT arrives, then
@@ -343,7 +321,6 @@ impl ShardRouter {
     ///
     /// Propagates accept-loop failures other than `WouldBlock`.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let health = {
             let ctx = Arc::clone(&self.ctx);
             std::thread::Builder::new()
@@ -351,57 +328,10 @@ impl ShardRouter {
                 .spawn(move || health_loop(&ctx))
                 .expect("spawn health thread")
         };
-        let mut conns: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if self.ctx.draining() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conns.retain(|h| !h.is_finished());
-                    let ctx = Arc::clone(&self.ctx);
-                    let handle = std::thread::Builder::new()
-                        .name("gencache-shard-conn".to_string())
-                        .spawn(move || {
-                            if let Err(e) = handle_connection(stream, &ctx) {
-                                if e.kind() != io::ErrorKind::BrokenPipe
-                                    && e.kind() != io::ErrorKind::ConnectionReset
-                                {
-                                    ctx.telemetry.log().event(
-                                        LogLevel::Error,
-                                        "connection_error",
-                                        None,
-                                        &[("message", Value::Str(e.to_string()))],
-                                    );
-                                }
-                            }
-                        })
-                        .expect("spawn connection thread");
-                    conns.push(handle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.ctx.telemetry.log().event(
-            LogLevel::Info,
-            "drain_start",
-            None,
-            &[("connections", Value::UInt(conns.len() as u64))],
-        );
-        for handle in conns {
-            let _ = handle.join();
-        }
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        let _ = health.join();
-        self.ctx
-            .telemetry
-            .log()
-            .event(LogLevel::Info, "drain_finish", None, &[]);
-        Ok(())
+        front::run(self.listener, &self.ctx, || {
+            self.ctx.front.shutdown.store(true, Ordering::SeqCst);
+            let _ = health.join();
+        })
     }
 }
 
@@ -417,13 +347,13 @@ fn health_loop(ctx: &RouterCtx) {
     loop {
         let slept = Instant::now();
         while slept.elapsed() < ctx.health_interval {
-            if ctx.draining() {
+            if ctx.front.draining() {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         for shard in &ctx.table.shards {
-            if ctx.draining() {
+            if ctx.front.draining() {
                 return;
             }
             let pinged = Instant::now();
@@ -440,7 +370,7 @@ fn health_loop(ctx: &RouterCtx) {
             }
             let was = shard.up.swap(alive, Ordering::Relaxed);
             if was != alive {
-                ctx.telemetry.log().event(
+                ctx.front.telemetry.log().event(
                     LogLevel::Warn,
                     if alive { "shard_up" } else { "shard_down" },
                     None,
@@ -451,142 +381,192 @@ fn health_loop(ctx: &RouterCtx) {
     }
 }
 
-fn send_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
+impl Node for RouterCtx {
+    const KIND: &'static str = "router";
+    const COMPONENT: &'static str = "gencache-shard";
+    const METRICS: &'static [Metric<RouterCtx>] = &ROUTER;
 
-fn handle_connection(stream: TcpStream, ctx: &RouterCtx) -> io::Result<()> {
-    AtomicU64::fetch_add(&ctx.stats.connections, 1, Ordering::Relaxed);
-    stream.set_read_timeout(Some(ctx.read_timeout))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut first = Vec::new();
-    let line = match read_line_capped(&mut reader, &mut first)? {
-        CappedLine::Eof => return Ok(()),
-        CappedLine::TooLong => {
-            AtomicU64::fetch_add(&ctx.stats.lines_rejected, 1, Ordering::Relaxed);
-            send_line(&mut writer, &encode_error(&line_cap_error()))?;
-            drain_discard(&mut reader);
-            return Ok(());
-        }
-        CappedLine::Line(line) => line.trim_end_matches(['\r', '\n']),
-    };
-    if !is_control_line(line) {
-        return send_line(
-            &mut writer,
-            &encode_error("expected a control frame ({\"type\":...}) first"),
-        );
+    fn front(&self) -> &Front {
+        &self.front
     }
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => return send_line(&mut writer, &encode_error(&e)),
-    };
-    match request {
-        Request::Stats => send_line(&mut writer, &encode_stats(fleet_doc(ctx))),
-        Request::Ping { .. } => send_line(&mut writer, &encode_pong()),
-        Request::Shards => send_line(&mut writer, &encode_shards(ctx.table.doc())),
-        Request::Trace { trace_id } => send_line(
-            &mut writer,
-            &encode_trace(&trace_id, fleet_trace(ctx, &trace_id)),
-        ),
-        Request::Metrics => send_line(
-            &mut writer,
-            &encode_metrics(&Snapshot::take(&ROUTER, ctx).to_prometheus()),
-        ),
-        Request::Route { bench } => match ctx.table.route(&bench, &[]) {
-            Some(s) => send_line(
-                &mut writer,
-                &encode_route(&bench, &ctx.table.shards[s].addr),
-            ),
-            None => send_line(&mut writer, &encode_error("no live shards")),
-        },
-        Request::End { .. } => {
-            send_line(&mut writer, &encode_error("end frame outside a job upload"))
-        }
-        Request::Job(spec) => {
-            if ctx.draining() {
-                return send_line(
-                    &mut writer,
-                    &encode_error("shutting down; not accepting new jobs"),
-                );
-            }
-            handle_job(ctx, &mut reader, &mut writer, spec)
-        }
-        Request::Fetch { bench, scale } => {
-            if ctx.draining() {
-                return send_line(
-                    &mut writer,
-                    &encode_error("shutting down; not accepting new jobs"),
-                );
-            }
-            handle_fetch(ctx, &mut writer, &bench, scale)
-        }
-        Request::Watch { interval_ms, count } => handle_watch(ctx, &mut writer, interval_ms, count),
-    }
-}
 
-/// Streams fleet-wide watch snapshots: each tick samples every live
-/// shard's service rates concurrently (one short `watch` round per
-/// shard) and stitches the rows into a single frame in shard-table
-/// order, so a dashboard sees the whole fleet per tick. Runs on the
-/// connection thread; a shard that fails its sample is marked down and
-/// dropped from subsequent ticks until the health loop revives it.
-fn handle_watch(
-    ctx: &RouterCtx,
-    writer: &mut impl Write,
-    interval_ms: u64,
-    count: u64,
-) -> io::Result<()> {
-    let interval = Duration::from_millis(interval_ms.clamp(50, 60_000));
-    // Each shard sample must finish inside the router→shard read
-    // timeout, so long client intervals sample briefly and sleep out
-    // the remainder.
-    let sample = interval
-        .min(ctx.read_timeout / 2)
-        .max(Duration::from_millis(50));
-    let mut sent = 0u64;
-    loop {
-        let started = Instant::now();
-        let live: Vec<&Shard> = ctx
+    /// The fleet `stats` doc: every live shard's `stats` doc parsed back
+    /// through [`DAEMON`] and merged by kind with the router's own metrics
+    /// (see [`Snapshot::fleet`]), then the `router` section and the shard
+    /// table.
+    fn stats(&self) -> Value {
+        let mut nodes = Vec::new();
+        for shard in self
             .table
             .shards
             .iter()
             .filter(|s| s.up.load(Ordering::Relaxed))
-            .collect();
-        if live.is_empty() {
-            return send_line(writer, &encode_error("no live shards"));
+        {
+            match self.shard_client(shard).stats() {
+                Ok(Reply::Stats { doc }) => {
+                    if let Ok(doc) = serde_json::value_from_str(&doc) {
+                        nodes.push(Snapshot::parse(&DAEMON, &doc));
+                    }
+                }
+                _ => shard.up.store(false, Ordering::Relaxed),
+            }
         }
-        let sampled = par_map(&live, live.len(), |shard| {
-            ctx.shard_client(shard)
-                .watch_once(sample.as_millis() as u64)
-        });
-        let mut rows: Vec<WatchRow> = Vec::new();
-        for (shard, result) in live.iter().zip(sampled) {
-            match result {
-                Ok(shard_rows) => rows.extend(shard_rows),
-                Err(_) => {
-                    shard.up.store(false, Ordering::Relaxed);
+        let own = Snapshot::take(&ROUTER, self);
+        let mut fields = Snapshot::fleet(&DAEMON, &nodes, &own).doc_fields();
+        fields.push(("router".to_string(), Value::Object(own.doc_fields())));
+        fields.push(("shards".to_string(), self.table.doc()));
+        Value::Object(fields)
+    }
+
+    /// Stitches the fleet-wide span tree for one trace: the router's own
+    /// spans first, then every live shard's (each span already carries its
+    /// `node`, so the client can tell the layers apart).
+    fn trace(&self, trace_id: &str) -> Value {
+        let mut spans = self.front.spans(trace_id);
+        for shard in &self.table.shards {
+            if !shard.up.load(Ordering::Relaxed) {
+                continue;
+            }
+            if let Ok(Reply::Trace { doc, .. }) = self.shard_client(shard).trace(trace_id) {
+                if let Ok(Value::Array(items)) = serde_json::value_from_str(&doc) {
+                    spans.extend(items);
                 }
             }
         }
-        while started.elapsed() < interval {
-            if ctx.draining() {
-                return send_line(writer, &encode_end(sent));
+        Value::Array(spans)
+    }
+
+    fn shards(&self) -> Result<Value, String> {
+        Ok(self.table.doc())
+    }
+
+    fn route(&self, bench: &str) -> Result<String, String> {
+        match self.table.route(bench, &[]) {
+            Some(s) => Ok(self.table.shards[s].addr.clone()),
+            None => Err("no live shards".to_string()),
+        }
+    }
+
+    fn job(&self, conn: &mut Conn, spec: JobSpec, trace_id: String) -> io::Result<()> {
+        let admitted = Instant::now();
+        let tel = &self.front.telemetry;
+        if let Some(span) = tel.span(&trace_id, "accept", admitted) {
+            span.end();
+        }
+        tel.log()
+            .event(LogLevel::Info, "job_admitted", Some(&trace_id), &[]);
+        let ingest_started = Instant::now();
+        let upload = match read_upload(&mut conn.reader, &self.front.lines_rejected) {
+            Ok(upload) => upload,
+            Err(message) => {
+                conn.refuse(&encode_error(&message))?;
+                if let Some(span) = tel.span(&trace_id, "ingest", ingest_started) {
+                    span.outcome("error: upload refused").end();
+                }
+                return Ok(());
             }
-            let left = interval - started.elapsed();
-            std::thread::sleep(left.min(Duration::from_millis(100)));
+        };
+        if let Some(span) = tel.span(&trace_id, "ingest", ingest_started) {
+            span.lines(upload.lines).bytes(upload.bytes).end();
         }
-        if ctx.draining() {
-            return send_line(writer, &encode_end(sent));
+        self.stats
+            .upload_buffer_peak_bytes
+            .fetch_max(upload.bytes, Ordering::Relaxed);
+        AtomicU64::fetch_add(&self.stats.fleet_jobs, 1, Ordering::Relaxed);
+        let outcome = run_fleet_job(self, &spec, &upload);
+        // The reply span covers encoding the result.
+        let reply_started = Instant::now();
+        let (line, failed) = match outcome {
+            Ok((doc, table, benches, specs)) => {
+                AtomicU64::fetch_add(&self.stats.fleet_jobs_completed, 1, Ordering::Relaxed);
+                let elapsed_us = admitted.elapsed().as_micros() as u64;
+                (encode_result(doc, &table, benches, specs, elapsed_us), None)
+            }
+            Err(message) => {
+                AtomicU64::fetch_add(&self.stats.fleet_jobs_failed, 1, Ordering::Relaxed);
+                tel.log().event(
+                    LogLevel::Warn,
+                    "fleet_job_failed",
+                    Some(&trace_id),
+                    &[("message", Value::Str(message.clone()))],
+                );
+                (encode_error(&message), Some(message))
+            }
+        };
+        let failed = failed.as_deref();
+        reply(
+            &mut conn.writer,
+            tel,
+            &trace_id,
+            reply_started,
+            &line,
+            failed,
+        )
+    }
+
+    /// Proxies a `fetch` to the benchmark's preferred shard, walking the
+    /// preference order while nothing has been forwarded yet. Once lines
+    /// have gone out, a failure turns into an `error` frame (the client's
+    /// `end`-count check rejects the truncated download anyway).
+    fn fetch(&self, conn: &mut Conn, bench: &str, scale: u64) -> io::Result<()> {
+        let mut last_error = "no live shards".to_string();
+        for s in self.table.preference(bench) {
+            let shard = &self.table.shards[s];
+            if !shard.up.load(Ordering::Relaxed) {
+                continue;
+            }
+            let mut counting = CountingWriter {
+                inner: &mut conn.writer,
+                lines: 0,
+            };
+            match self.shard_client(shard).fetch(bench, scale, &mut counting) {
+                Ok(lines) => {
+                    shard.jobs_routed.fetch_add(1, Ordering::Relaxed);
+                    return conn.send(&encode_end(lines));
+                }
+                Err(e) if counting.lines == 0 => {
+                    last_error = format!("shard {}: {e}", shard.addr);
+                }
+                Err(e) => return conn.send_error(&format!("download failed mid-stream: {e}")),
+            }
         }
-        send_line(writer, &encode_watch(ctx.telemetry.node(), sent, &rows))?;
-        sent += 1;
-        if count > 0 && sent >= count {
-            return send_line(writer, &encode_end(sent));
-        }
+        conn.send_error(&last_error)
+    }
+
+    /// Fleet-wide rows: each tick samples every live shard's service
+    /// rates concurrently (one short `watch` round per shard) and stitches
+    /// the rows in shard-table order, so a dashboard sees the whole fleet
+    /// per tick. A shard that fails its sample is marked down and dropped
+    /// from later ticks until the health loop revives it.
+    fn watch(&self, conn: &mut Conn, interval_ms: u64, count: u64) -> io::Result<()> {
+        // Each shard sample must finish inside the router→shard read
+        // timeout, so long client intervals sample briefly and wait out
+        // the rest of the tick first.
+        let lead = (self.front.read_timeout / 2).max(Duration::from_millis(50));
+        let rows = move |sample: Duration| {
+            let live: Vec<&Shard> = self
+                .table
+                .shards
+                .iter()
+                .filter(|s| s.up.load(Ordering::Relaxed))
+                .collect();
+            if live.is_empty() {
+                return Err("no live shards".to_string());
+            }
+            let sampled = par_map(&live, live.len(), |shard| {
+                self.shard_client(shard)
+                    .watch_once(sample.as_millis() as u64)
+            });
+            let mut rows: Vec<WatchRow> = Vec::new();
+            for (shard, result) in live.iter().zip(sampled) {
+                match result {
+                    Ok(shard_rows) => rows.extend(shard_rows),
+                    Err(_) => shard.up.store(false, Ordering::Relaxed),
+                }
+            }
+            Ok(rows)
+        };
+        conn.watch(&self.front, interval_ms, count, lead, rows)
     }
 }
 
@@ -603,24 +583,9 @@ struct Upload {
     bytes: u64,
 }
 
-/// Refuses an in-flight upload: send the error frame, discard the rest
-/// of the stream so the client's write side never jams, report "no
-/// upload" to the caller.
-fn refuse<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    message: &str,
-) -> io::Result<Option<Upload>> {
-    send_line(writer, &encode_error(message))?;
-    drain_discard(reader);
-    Ok(None)
-}
-
-fn read_upload(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    lines_rejected: &AtomicU64,
-) -> io::Result<Option<Upload>> {
+/// Reads a job upload into memory, grouped per benchmark; the error is
+/// the refusal's text.
+fn read_upload(reader: &mut impl BufRead, lines_rejected: &AtomicU64) -> Result<Upload, String> {
     let mut upload = Upload {
         prelude: Vec::new(),
         order: Vec::new(),
@@ -628,50 +593,21 @@ fn read_upload(
         lines: 0,
         bytes: 0,
     };
-    let mut received = 0u64;
-    let mut buf = Vec::new();
+    let mut lines = UploadReader::default();
     loop {
-        let line = match read_line_capped(reader, &mut buf) {
-            Ok(CappedLine::Eof) => return refuse(reader, writer, "connection closed mid-upload"),
-            Ok(CappedLine::TooLong) => {
-                lines_rejected.fetch_add(1, Ordering::Relaxed);
-                return refuse(reader, writer, &line_cap_error());
+        let line = match lines.next(reader, lines_rejected).1 {
+            UploadLine::Export(line) => line,
+            UploadLine::End => {
+                upload.lines = lines.lines;
+                return Ok(upload);
             }
-            Err(e) => return refuse(reader, writer, &format!("upload read failed: {e}")),
-            Ok(CappedLine::Line(line)) => line.trim_end_matches(['\r', '\n']),
+            UploadLine::Failed(message) => return Err(message),
         };
-        if is_control_line(line) {
-            match parse_request(line) {
-                Ok(Request::End { lines }) => {
-                    if lines != received {
-                        return refuse(
-                            reader,
-                            writer,
-                            &format!(
-                                "upload truncated: client sent {lines} export lines, \
-                                 received {received}"
-                            ),
-                        );
-                    }
-                    upload.lines = received;
-                    return Ok(Some(upload));
-                }
-                Ok(_) => {
-                    return refuse(
-                        reader,
-                        writer,
-                        "unexpected control frame inside an export upload",
-                    )
-                }
-                Err(e) => return refuse(reader, writer, &e),
-            }
-        }
-        received += 1;
         upload.bytes += line.len() as u64 + 1;
-        match classify_line(line) {
-            Ok(RouteClass::Blank) => {}
-            Ok(RouteClass::Header) => upload.prelude.push(line.to_string()),
-            Ok(RouteClass::Stream(bench)) => {
+        match classify_line(line)? {
+            RouteClass::Blank => {}
+            RouteClass::Header => upload.prelude.push(line.to_string()),
+            RouteClass::Stream(bench) => {
                 if !upload.groups.contains_key(&bench) {
                     upload.order.push(bench.clone());
                 }
@@ -681,7 +617,6 @@ fn read_upload(
                     .or_default()
                     .push(line.to_string());
             }
-            Err(e) => return refuse(reader, writer, &e),
         }
     }
 }
@@ -820,7 +755,7 @@ fn run_fleet_job(
                     Err(SubError::Dead(why)) => format!("error: {why}"),
                     Err(SubError::Terminal(message)) => format!("error: {message}"),
                 };
-                if let Some(span) = ctx.telemetry.span(id, &stage, dispatch_started) {
+                if let Some(span) = ctx.front.telemetry.span(id, &stage, dispatch_started) {
                     span.outcome(&outcome).end();
                 }
             }
@@ -830,7 +765,7 @@ fn run_fleet_job(
             match result {
                 Ok(reply) => replies.push(reply),
                 Err(SubError::Dead(why)) => {
-                    ctx.telemetry.log().event(
+                    ctx.front.telemetry.log().event(
                         LogLevel::Warn,
                         "shard_reroute",
                         spec.trace_id.as_deref(),
@@ -844,7 +779,7 @@ fn run_fleet_job(
                         .up
                         .swap(false, Ordering::Relaxed);
                     if was {
-                        ctx.telemetry.log().event(
+                        ctx.front.telemetry.log().event(
                             LogLevel::Warn,
                             "shard_down",
                             None,
@@ -881,94 +816,12 @@ fn run_fleet_job(
     let tables: Vec<String> = replies.iter().map(|r| r.table.clone()).collect();
     let table = merge_sim_tables(&selected, &tables)?;
     if let Some(id) = spec.trace_id.as_deref() {
-        if let Some(span) = ctx.telemetry.span(id, "merge", merge_started) {
+        if let Some(span) = ctx.front.telemetry.span(id, "merge", merge_started) {
             span.end();
         }
     }
     let specs = replies.first().map_or(0, |r| r.specs);
     Ok((doc, table, selected.len() as u64, specs))
-}
-
-fn handle_job(
-    ctx: &RouterCtx,
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    mut spec: JobSpec,
-) -> io::Result<()> {
-    let admitted = Instant::now();
-    // Stamp a trace id before dispatch so every shard sub-job carries
-    // the same one (encode_job forwards it).
-    let trace_id = match &spec.trace_id {
-        Some(id) => id.clone(),
-        None => {
-            let id = new_trace_id();
-            spec.trace_id = Some(id.clone());
-            id
-        }
-    };
-    if let Some(span) = ctx.telemetry.span(&trace_id, "accept", admitted) {
-        span.end();
-    }
-    ctx.telemetry
-        .log()
-        .event(LogLevel::Info, "job_admitted", Some(&trace_id), &[]);
-    let ingest_started = Instant::now();
-    let Some(upload) = read_upload(reader, writer, &ctx.stats.lines_rejected)? else {
-        // Already refused with an error frame.
-        if let Some(span) = ctx.telemetry.span(&trace_id, "ingest", ingest_started) {
-            span.outcome("error: upload refused").end();
-        }
-        return Ok(());
-    };
-    if let Some(span) = ctx.telemetry.span(&trace_id, "ingest", ingest_started) {
-        span.lines(upload.lines).bytes(upload.bytes).end();
-    }
-    ctx.stats
-        .upload_buffer_peak_bytes
-        .fetch_max(upload.bytes, Ordering::Relaxed);
-    AtomicU64::fetch_add(&ctx.stats.fleet_jobs, 1, Ordering::Relaxed);
-    match run_fleet_job(ctx, &spec, &upload) {
-        Ok((doc, table, benches, specs)) => {
-            AtomicU64::fetch_add(&ctx.stats.fleet_jobs_completed, 1, Ordering::Relaxed);
-            let reply_started = Instant::now();
-            let line = encode_result(
-                doc,
-                &table,
-                benches,
-                specs,
-                admitted.elapsed().as_micros() as u64,
-            );
-            let sent = send_line(writer, &line);
-            if let Some(span) = ctx.telemetry.span(&trace_id, "reply", reply_started) {
-                span.bytes(line.len() as u64 + 1)
-                    .outcome(if sent.is_ok() {
-                        "ok"
-                    } else {
-                        "error: reply write failed"
-                    })
-                    .end();
-            }
-            sent
-        }
-        Err(message) => {
-            AtomicU64::fetch_add(&ctx.stats.fleet_jobs_failed, 1, Ordering::Relaxed);
-            ctx.telemetry.log().event(
-                LogLevel::Warn,
-                "fleet_job_failed",
-                Some(&trace_id),
-                &[("message", Value::Str(message.clone()))],
-            );
-            let reply_started = Instant::now();
-            let line = encode_error(&message);
-            let sent = send_line(writer, &line);
-            if let Some(span) = ctx.telemetry.span(&trace_id, "reply", reply_started) {
-                span.bytes(line.len() as u64 + 1)
-                    .outcome(&format!("error: {message}"))
-                    .end();
-            }
-            sent
-        }
-    }
 }
 
 /// Counts lines forwarded to the client so a fetch proxy can append a
@@ -988,68 +841,6 @@ impl<W: Write> Write for CountingWriter<W> {
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
-}
-
-/// Proxies a `fetch` to the benchmark's preferred shard, walking the
-/// preference order while nothing has been forwarded yet. Once lines
-/// have gone out, a failure turns into an `error` frame (the client's
-/// `end`-count check rejects the truncated download anyway).
-fn handle_fetch(
-    ctx: &RouterCtx,
-    writer: &mut impl Write,
-    bench: &str,
-    scale: u64,
-) -> io::Result<()> {
-    let mut last_error = "no live shards".to_string();
-    for s in ctx.table.preference(bench) {
-        let shard = &ctx.table.shards[s];
-        if !shard.up.load(Ordering::Relaxed) {
-            continue;
-        }
-        let mut counting = CountingWriter {
-            inner: &mut *writer,
-            lines: 0,
-        };
-        match ctx.shard_client(shard).fetch(bench, scale, &mut counting) {
-            Ok(lines) => {
-                shard.jobs_routed.fetch_add(1, Ordering::Relaxed);
-                return send_line(writer, &encode_end(lines));
-            }
-            Err(e) if counting.lines == 0 => {
-                last_error = format!("shard {}: {e}", shard.addr);
-            }
-            Err(e) => {
-                return send_line(
-                    writer,
-                    &encode_error(&format!("download failed mid-stream: {e}")),
-                );
-            }
-        }
-    }
-    send_line(writer, &encode_error(&last_error))
-}
-
-/// Stitches the fleet-wide span tree for one trace: the router's own
-/// spans first, then every live shard's (each span already carries its
-/// `node`, so the client can tell the layers apart).
-fn fleet_trace(ctx: &RouterCtx, trace_id: &str) -> Value {
-    let mut spans: Vec<Value> = ctx
-        .telemetry
-        .spans_for(trace_id)
-        .iter()
-        .map(Span::to_value)
-        .collect();
-    for shard in &ctx.table.shards {
-        if !shard.up.load(Ordering::Relaxed) {
-            continue;
-        }
-        if let Ok(Reply::Trace { doc, .. }) = ctx.shard_client(shard).trace(trace_id) {
-            if let Ok(Value::Array(items)) = serde_json::value_from_str(&doc) {
-                spans.extend(items);
-            }
-        }
-    }
-    Value::Array(spans)
 }
 
 fn load(counter: &AtomicU64) -> u64 {
@@ -1076,7 +867,7 @@ fn shard_rows(ctx: &RouterCtx, value: fn(&Shard) -> u64) -> Vec<(String, u64)> {
 /// Every metric the router publishes. The keyed ones form the fleet
 /// `stats` doc's `router` section, in this order. The two families a
 /// daemon also publishes — uptime and refused lines — reach the fleet
-/// doc through the merge in [`fleet_doc`] instead. Shard-side job
+/// doc through the merge in the router's `stats` answer instead. Shard-side job
 /// metrics stay on the shards (scrape them directly or through the
 /// summed `stats` frame); the router's Prometheus body is routing
 /// health.
@@ -1085,13 +876,13 @@ static ROUTER: [Metric<RouterCtx>; 15] = [
         key: "",
         name: "gencache_uptime_ms",
         help: "Milliseconds since the router started.",
-        read: Read::NodeGauge(|c| c.telemetry.uptime_ms()),
+        read: Read::NodeGauge(|c| c.front.telemetry.uptime_ms()),
     },
     Metric {
         key: "connections",
         name: "gencache_router_connections_total",
         help: "Connections accepted by the router.",
-        read: Read::Counter(|c| load(&c.stats.connections)),
+        read: Read::Counter(|c| load(&c.front.connections)),
     },
     Metric {
         key: "fleet_jobs",
@@ -1151,7 +942,7 @@ static ROUTER: [Metric<RouterCtx>; 15] = [
         key: "",
         name: "gencache_lines_rejected_total",
         help: "Lines the router refused for exceeding the line cap.",
-        read: Read::Counter(|c| load(&c.stats.lines_rejected)),
+        read: Read::Counter(|c| load(&c.front.lines_rejected)),
     },
     Metric {
         key: "",
@@ -1172,34 +963,6 @@ static ROUTER: [Metric<RouterCtx>; 15] = [
         read: Read::Rows(|c| shard_rows(c, |s| load(&s.jobs_routed))),
     },
 ];
-
-/// The fleet `stats` doc: every live shard's `stats` doc parsed back
-/// through [`DAEMON`] and merged by kind with the router's own metrics
-/// (see [`Snapshot::fleet`]), then the `router` section and the shard
-/// table.
-fn fleet_doc(ctx: &RouterCtx) -> Value {
-    let mut nodes = Vec::new();
-    for shard in ctx
-        .table
-        .shards
-        .iter()
-        .filter(|s| s.up.load(Ordering::Relaxed))
-    {
-        match ctx.shard_client(shard).stats() {
-            Ok(Reply::Stats { doc }) => {
-                if let Ok(doc) = serde_json::value_from_str(&doc) {
-                    nodes.push(Snapshot::parse(&DAEMON, &doc));
-                }
-            }
-            _ => shard.up.store(false, Ordering::Relaxed),
-        }
-    }
-    let own = Snapshot::take(&ROUTER, ctx);
-    let mut fields = Snapshot::fleet(&DAEMON, &nodes, &own).doc_fields();
-    fields.push(("router".to_string(), Value::Object(own.doc_fields())));
-    fields.push(("shards".to_string(), ctx.table.doc()));
-    Value::Object(fields)
-}
 
 #[cfg(test)]
 mod tests {

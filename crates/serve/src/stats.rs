@@ -17,8 +17,6 @@ use crate::telemetry::{Metric, Read};
 /// mutex touched once per completed job.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
     /// Jobs admitted to the queue (simulation jobs, pings, fetches).
     pub jobs_accepted: AtomicU64,
     /// Jobs that finished successfully.
@@ -32,9 +30,6 @@ pub struct ServerStats {
     pub bytes_ingested: AtomicU64,
     /// Export lines streamed back by `fetch` downloads.
     pub lines_served: AtomicU64,
-    /// Lines refused for exceeding
-    /// [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES).
-    pub lines_rejected: AtomicU64,
     /// Final-window miss rate of the most recent windowed job, stored
     /// as `f64::to_bits` so the gauge stays a lock-free atomic.
     pub window_miss_rate_bits: AtomicU64,
@@ -123,7 +118,7 @@ pub(crate) static DAEMON: [Metric<Ctx>; 16] = [
         key: "connections",
         name: "gencache_connections_total",
         help: "Connections accepted.",
-        read: Read::Counter(|c| load(&c.stats.connections)),
+        read: Read::Counter(|c| load(&c.front.connections)),
     },
     Metric {
         key: "jobs_accepted",
@@ -171,13 +166,13 @@ pub(crate) static DAEMON: [Metric<Ctx>; 16] = [
         key: "lines_rejected",
         name: "gencache_lines_rejected_total",
         help: "Lines refused for exceeding the line cap.",
-        read: Read::Counter(|c| load(&c.stats.lines_rejected)),
+        read: Read::Counter(|c| load(&c.front.lines_rejected)),
     },
     Metric {
         key: "uptime_ms",
         name: "gencache_uptime_ms",
         help: "Milliseconds since the daemon started.",
-        read: Read::NodeGauge(|c| c.telemetry.uptime_ms()),
+        read: Read::NodeGauge(|c| c.front.telemetry.uptime_ms()),
     },
     Metric {
         key: "window_miss_rate",
@@ -214,7 +209,7 @@ mod tests {
         })
         .expect("bind ephemeral port");
         let stats = &server.ctx.stats;
-        ServerStats::bump(&stats.connections);
+        ServerStats::bump(&server.ctx.front.connections);
         ServerStats::bump(&stats.jobs_accepted);
         ServerStats::add(&stats.bytes_ingested, 1234);
         stats.record_latency(900);

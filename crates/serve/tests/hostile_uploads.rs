@@ -276,7 +276,10 @@ impl Live {
         match Client::new(self.addr.as_str()).submit(body.as_bytes(), &JobSpec::default()) {
             Ok(Reply::Result { doc, table, .. }) => Ok(format!("{doc}\n{table}")),
             Ok(Reply::Error { message }) => Err(message),
-            other => panic!("{}: expected a result or an error, got {other:?}", self.addr),
+            other => panic!(
+                "{}: expected a result or an error, got {other:?}",
+                self.addr
+            ),
         }
     }
 
