@@ -35,7 +35,7 @@ use std::process::ExitCode;
 use gencache_bench::export_specs;
 use gencache_bench::ingest::open_lines;
 use gencache_obs::{
-    cost, overhead_ratio, parse_stream_line, reconstruct_trace, CacheEvent, CostLedger,
+    cost, overhead_ratio, parse_stream_line, phase_of, reconstruct_trace, CacheEvent, CostLedger,
     CostObserver, NextUseIndex, Observer, PhaseRegret, RegretCell, RegretObserver, StreamLine,
     Window, WindowObserver, WindowReport,
 };
@@ -218,14 +218,6 @@ impl PhaseSide {
             100.0 * self.misses as f64 / accesses as f64
         }
     }
-}
-
-fn phase_of(time_us: u64, duration_us: u64, phases: u32) -> usize {
-    if duration_us == 0 {
-        return 0;
-    }
-    let p = u64::from(phases);
-    (time_us.saturating_mul(p) / duration_us).min(p - 1) as usize
 }
 
 /// Aggregates one side into per-phase counters and a cost attribution.

@@ -30,9 +30,10 @@ use gencache_bench::ingest::open_lines;
 use gencache_bench::{export_specs, export_telemetry, sample_interval, HarnessOptions};
 use gencache_core::{SwitchKind, SwitchReport};
 use gencache_obs::{
-    oracle_replay, parse_stream_line, reconstruct_trace, CacheEvent, CostObserver, EventBuffer,
-    Log2Histogram, MetricsObserver, MetricsReport, NextUseIndex, Observer, OracleResult, Region,
-    RegretObserver, SamplingObserver, SamplingParams, StreamLine, WindowObserver, WindowReport,
+    oracle_replay, parse_stream_line, phase_of, reconstruct_trace, CacheEvent, CostObserver,
+    EventBuffer, Log2Histogram, MetricsObserver, MetricsReport, NextUseIndex, Observer,
+    OracleResult, Region, RegretObserver, SamplingObserver, SamplingParams, StreamLine,
+    WindowObserver, WindowReport,
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
 use gencache_sim::{parse_spec, record, replay_observed, replay_spec, ReplayResult, SimSpec};
@@ -202,21 +203,13 @@ fn parse_events(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The phase index (0-based) an event time falls into.
-fn phase_of(time_us: u64, duration_us: u64, phases: u64) -> usize {
-    if duration_us == 0 {
-        return 0;
-    }
-    ((time_us.saturating_mul(phases) / duration_us).min(phases - 1)) as usize
-}
-
 fn render_phase_table(
     profile: &WorkloadProfile,
     duration_us: u64,
     events: &[CacheEvent],
     regions: &[Region],
 ) {
-    let phases = u64::from(profile.phases.max(1));
+    let phases = profile.phases.max(1);
     let mut observers: Vec<MetricsObserver> = (0..phases).map(|_| MetricsObserver::new()).collect();
     for event in events {
         let p = phase_of(event.time().as_micros(), duration_us, phases);

@@ -329,6 +329,18 @@ impl CostReport {
     }
 }
 
+/// The phase (0-based) an event at `time_us` falls into when a run of
+/// `duration_us` microseconds is cut into `phases` equal time slices.
+/// Times at or past the end land in the last phase; a zero duration, or
+/// a single phase, puts everything in phase 0.
+pub fn phase_of(time_us: u64, duration_us: u64, phases: u32) -> usize {
+    if duration_us == 0 || phases <= 1 {
+        return 0;
+    }
+    let p = u64::from(phases);
+    (time_us.saturating_mul(p) / duration_us).min(p - 1) as usize
+}
+
 /// An [`Observer`] that prices every [`CacheEvent`] through the Table 2
 /// formulas and attributes the charges to phases, regions and eviction
 /// causes.
@@ -373,15 +385,6 @@ impl CostObserver {
         }
     }
 
-    /// The phase index (0-based) an event time falls into.
-    fn phase_of(&self, time_us: u64) -> usize {
-        if self.duration_us == 0 {
-            return 0;
-        }
-        let p = u64::from(self.phases);
-        (time_us.saturating_mul(p) / self.duration_us).min(p - 1) as usize
-    }
-
     /// The attribution accumulated so far.
     pub fn report(&self) -> CostReport {
         self.report.clone()
@@ -397,7 +400,7 @@ impl Observer for CostObserver {
     fn on_event(&mut self, event: &CacheEvent) {
         match *event {
             CacheEvent::Miss { bytes, time, .. } => {
-                let p = self.phase_of(time.as_micros());
+                let p = phase_of(time.as_micros(), self.duration_us, self.phases);
                 self.report.total.charge_miss(bytes);
                 self.report.phases[p].ledger.charge_miss(bytes);
             }
@@ -408,7 +411,7 @@ impl Observer for CostObserver {
                 time,
                 ..
             } => {
-                let p = self.phase_of(time.as_micros());
+                let p = phase_of(time.as_micros(), self.duration_us, self.phases);
                 self.report.total.charge_eviction(bytes);
                 self.report.phases[p].ledger.charge_eviction(bytes);
                 self.report.regions[region.index()].charge_eviction(bytes, cause);
@@ -417,7 +420,7 @@ impl Observer for CostObserver {
             CacheEvent::Promote {
                 to, bytes, time, ..
             } => {
-                let p = self.phase_of(time.as_micros());
+                let p = phase_of(time.as_micros(), self.duration_us, self.phases);
                 self.report.total.charge_promotion(bytes);
                 self.report.phases[p].ledger.charge_promotion(bytes);
                 self.report.regions[to.index()]
@@ -442,6 +445,20 @@ impl Observer for CostObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_of_cuts_the_run_into_equal_slices() {
+        assert_eq!(phase_of(70, 0, 4), 0, "a zero duration is one phase");
+        assert_eq!(phase_of(99, 100, 1), 0, "one phase holds everything");
+        assert_eq!(phase_of(99, 100, 0), 0, "no phases count as one");
+        assert_eq!(phase_of(100, 100, 4), 3, "the end lands in the last phase");
+        assert_eq!(phase_of(u64::MAX, 100, 4), 3, "so does any later time");
+        let slices: Vec<usize> = [0, 24, 25, 49, 50, 74, 75, 99]
+            .iter()
+            .map(|&t| phase_of(t, 100, 4))
+            .collect();
+        assert_eq!(slices, [0, 0, 1, 1, 2, 2, 3, 3]);
+    }
     use gencache_cache::TraceId;
     use gencache_program::Time;
 

@@ -58,7 +58,8 @@ mod simstream;
 mod window;
 
 pub use cost::{
-    overhead_ratio, CauseCost, CostLedger, CostObserver, CostReport, PhaseCost, RegionCost,
+    overhead_ratio, phase_of, CauseCost, CostLedger, CostObserver, CostReport, PhaseCost,
+    RegionCost,
 };
 pub use event::{CacheEvent, FrontendOp, Region};
 pub use hist::Log2Histogram;

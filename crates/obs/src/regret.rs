@@ -35,7 +35,7 @@ use std::collections::{BinaryHeap, HashMap};
 use gencache_cache::{EvictionCause, TraceId, TraceMap};
 use serde::{Deserialize, Serialize};
 
-use crate::cost::miss_service;
+use crate::cost::{miss_service, phase_of};
 use crate::event::{CacheEvent, Region};
 use crate::observer::Observer;
 use crate::oracle::NextUseIndex;
@@ -411,14 +411,6 @@ impl<'a> RegretObserver<'a> {
         }
     }
 
-    fn phase_of(&self, time_us: u64) -> usize {
-        if self.duration_us == 0 {
-            return 0;
-        }
-        let p = u64::from(self.phases);
-        (time_us.saturating_mul(p) / self.duration_us).min(p - 1) as usize
-    }
-
     /// The next execution position of the execution at position `exec`,
     /// tolerating streams longer than the index (alignment slack counts
     /// as "never again").
@@ -507,7 +499,7 @@ impl<'a> RegretObserver<'a> {
                 None => (trace, evicted_next, 0),
             }
         };
-        let p = self.phase_of(time_us);
+        let p = phase_of(time_us, self.duration_us, self.phases);
         let r = region.index().min(3);
         let slot = cause_slot(cause);
         self.total.score(regret);
