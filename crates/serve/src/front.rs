@@ -81,7 +81,7 @@ impl Front {
 
     /// Sleeps until `until` in slices of at most 100 ms, so a drain is
     /// noticed promptly. Returns `false` as soon as the node drains.
-    fn wait_until(&self, until: Instant) -> bool {
+    pub(crate) fn wait_until(&self, until: Instant) -> bool {
         loop {
             if self.draining() {
                 return false;

@@ -14,16 +14,17 @@
 //!
 //! Properties the implementation commits to:
 //!
-//! * **Bounded-memory ingestion.** Export lines flow socket → bounded
-//!   channel → incremental
-//!   [`StreamIngest`](gencache_bench::ingest::StreamIngest), which
-//!   holds the channel's in-flight lines, each benchmark's reference
-//!   request trace (one op per frontend request) and one size entry per
-//!   distinct trace id of the stream being ingested. Memory is
-//!   independent of how many model streams and cache-side event lines
-//!   the export carries. A slow worker closes the TCP receive window —
-//!   backpressure reaches the client as flow control, not as daemon
-//!   RSS.
+//! * **Bounded-memory ingestion.** The connection thread reads capped
+//!   lines and hands whole export lines to the worker in chunks of up
+//!   to [`CHUNK_BYTES`]; at most [`CHUNKS_IN_FLIGHT`] wait, so a job's
+//!   in-flight upload is bounded in bytes by [`MAX_INGEST_BYTES`]. The
+//!   incremental [`StreamIngest`](gencache_bench::ingest::StreamIngest)
+//!   keeps each benchmark's reference request trace (one op per
+//!   frontend request) and one size entry per distinct trace id of the
+//!   stream being ingested. Memory is independent of how many model
+//!   streams and cache-side event lines the export carries. A slow
+//!   worker closes the TCP receive window — backpressure reaches the
+//!   client as flow control, not as daemon RSS.
 //! * **Byte-identical results.** A job runs through the same shared
 //!   runner and document builder as offline `simulate`, so the metrics
 //!   document in the reply is byte-for-byte what
@@ -43,6 +44,13 @@
 //! concurrently, and merges the shard documents back into the exact
 //! bytes a single node would have produced — capacity scales linearly
 //! while every answer stays verifiable with `cmp`.
+//!
+//! Both daemons read their connections through one front end (the
+//! private `front` module): the accept loop and drain, the first frame
+//! and the refusals both give, the upload line reader, job replies with
+//! their `reply` span, trace-id stamping and the `watch` ticker. The
+//! daemon (`server`) and the router ([`shard`]) supply only their own
+//! answers, so a client meets the same input rules on either.
 //!
 //! The wire protocol is line-delimited JSON, specified in
 //! `docs/PROTOCOL.md`.

@@ -49,7 +49,7 @@ use crate::client::Client;
 use crate::front::{self, reply, Conn, Front, Node, UploadLine, UploadReader};
 use crate::proto::{encode_end, encode_error, encode_result, JobSpec, Reply, WatchRow};
 use crate::retry::RetryPolicy;
-use crate::stats::DAEMON;
+use crate::stats::{load, DAEMON};
 use crate::telemetry::{prom_label_escape, LogLevel, Metric, Read, Snapshot};
 
 /// How a [`ShardRouter`] is sized and wired.
@@ -179,6 +179,11 @@ impl ShardTable {
             }
         }
         order
+    }
+
+    /// The shards currently marked up, in table order.
+    fn live(&self) -> impl Iterator<Item = &Shard> {
+        self.shards.iter().filter(|s| s.up.load(Ordering::Relaxed))
     }
 
     /// The first live, non-excluded shard in `key`'s preference order.
@@ -344,14 +349,7 @@ fn health_loop(ctx: &RouterCtx) {
     // (which marks dead shards down by itself) and makes startup order
     // matter; sleeping first keeps "who discovered the death" —
     // dispatch within an interval, this loop after — deterministic.
-    loop {
-        let slept = Instant::now();
-        while slept.elapsed() < ctx.health_interval {
-            if ctx.front.draining() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    while ctx.front.wait_until(Instant::now() + ctx.health_interval) {
         for shard in &ctx.table.shards {
             if ctx.front.draining() {
                 return;
@@ -396,12 +394,7 @@ impl Node for RouterCtx {
     /// table.
     fn stats(&self) -> Value {
         let mut nodes = Vec::new();
-        for shard in self
-            .table
-            .shards
-            .iter()
-            .filter(|s| s.up.load(Ordering::Relaxed))
-        {
+        for shard in self.table.live() {
             match self.shard_client(shard).stats() {
                 Ok(Reply::Stats { doc }) => {
                     if let Ok(doc) = serde_json::value_from_str(&doc) {
@@ -423,10 +416,7 @@ impl Node for RouterCtx {
     /// `node`, so the client can tell the layers apart).
     fn trace(&self, trace_id: &str) -> Value {
         let mut spans = self.front.spans(trace_id);
-        for shard in &self.table.shards {
-            if !shard.up.load(Ordering::Relaxed) {
-                continue;
-            }
+        for shard in self.table.live() {
             if let Ok(Reply::Trace { doc, .. }) = self.shard_client(shard).trace(trace_id) {
                 if let Ok(Value::Array(items)) = serde_json::value_from_str(&doc) {
                     spans.extend(items);
@@ -544,12 +534,7 @@ impl Node for RouterCtx {
         // the rest of the tick first.
         let lead = (self.front.read_timeout / 2).max(Duration::from_millis(50));
         let rows = move |sample: Duration| {
-            let live: Vec<&Shard> = self
-                .table
-                .shards
-                .iter()
-                .filter(|s| s.up.load(Ordering::Relaxed))
-                .collect();
+            let live: Vec<&Shard> = self.table.live().collect();
             if live.is_empty() {
                 return Err("no live shards".to_string());
             }
@@ -843,16 +828,8 @@ impl<W: Write> Write for CountingWriter<W> {
     }
 }
 
-fn load(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed)
-}
-
 fn shards_up(ctx: &RouterCtx) -> u64 {
-    ctx.table
-        .shards
-        .iter()
-        .filter(|s| s.up.load(Ordering::Relaxed))
-        .count() as u64
+    ctx.table.live().count() as u64
 }
 
 /// One labelled row per shard, for the per-shard gauge families.

@@ -88,7 +88,8 @@ impl ServerStats {
     }
 }
 
-fn load(counter: &AtomicU64) -> u64 {
+/// A counter's current value.
+pub(crate) fn load(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 

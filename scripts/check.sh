@@ -30,10 +30,12 @@ echo "=== cargo doc --workspace -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # record-suite pins the recorder and the export encode; ingest-suite
-# pins the decode path's output and cross-checks the served doc.
-echo "=== perf smokes: record-suite and ingest-suite match the committed seed-0 digests"
+# pins the decode path's output and cross-checks the served doc;
+# serve-closed compares the served, offline and traced docs of a live
+# daemon byte for byte.
+echo "=== perf smokes: record-suite, ingest-suite and serve-closed match the committed seed-0 digests"
 mkdir -p target/tmp
-for workload in record-suite ingest-suite; do
+for workload in record-suite ingest-suite serve-closed; do
   perf_err="target/tmp/check-$workload.err"
   perf_last="$(cargo run --release --offline -q -p gencache-perf -- \
     run --workload "$workload" --seconds 1 2> "$perf_err" | tail -n 1)" \
