@@ -51,7 +51,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
 use std::process::ExitCode;
 
-use gencache_serve::telemetry::{new_trace_id, render_spans};
+use gencache_serve::telemetry::render_spans;
 use gencache_serve::{Client, JobSpec, Reply, RetryPolicy, Span};
 use serde::Value;
 
@@ -175,8 +175,8 @@ fn run_submit(it: impl Iterator<Item = String>) -> ExitCode {
     let client = Client::new(&args.addr);
     let attempts = args.retry.attempts();
     let mut spec = args.spec.clone();
-    if args.verbose && spec.trace_id.is_none() {
-        spec.trace_id = Some(new_trace_id());
+    if args.verbose {
+        spec.stamp_trace_id();
     }
     let submitted = if args.verbose {
         submit_with_retry_spans(&client, open, &spec, &args.retry)

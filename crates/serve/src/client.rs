@@ -14,7 +14,7 @@ use crate::proto::{
 use crate::retry::RetryPolicy;
 use crate::server::CHUNK_BYTES;
 use crate::signal;
-use crate::telemetry::{new_trace_id, Logger, Span, Telemetry};
+use crate::telemetry::{Logger, Span, Telemetry};
 
 /// A handle on one daemon address. Each call opens its own connection —
 /// the protocol is one request–reply conversation per connection.
@@ -116,14 +116,7 @@ impl Client {
         spec: &JobSpec,
     ) -> io::Result<(Reply, Vec<Span>)> {
         let mut spec = spec.clone();
-        let trace_id = match &spec.trace_id {
-            Some(id) => id.clone(),
-            None => {
-                let id = new_trace_id();
-                spec.trace_id = Some(id.clone());
-                id
-            }
-        };
+        let trace_id = spec.stamp_trace_id();
         let tel = Telemetry::new("client", 16, Logger::disabled());
         let job_started = Instant::now();
         let stream = self.connect()?;

@@ -22,7 +22,7 @@ use crate::proto::{
 };
 use crate::server::CHUNK_BYTES;
 use crate::signal;
-use crate::telemetry::{new_trace_id, LogLevel, Logger, Metric, Snapshot, Span, Telemetry};
+use crate::telemetry::{LogLevel, Logger, Metric, Snapshot, Span, Telemetry};
 
 /// The refusal of a job or download once the node is draining.
 pub(crate) const SHUTTING_DOWN: &str = "shutting down; not accepting new jobs";
@@ -436,7 +436,7 @@ fn connection<N: Node>(stream: TcpStream, node: &N) -> io::Result<()> {
             // Every job gets a trace id: the client normally stamps one;
             // a bare frame gets one here, so its spans are still findable
             // and a router forwards it to every shard sub-job.
-            let trace_id = spec.trace_id.get_or_insert_with(new_trace_id).clone();
+            let trace_id = spec.stamp_trace_id();
             node.job(&mut conn, spec, trace_id)
         }
         Request::Fetch { bench, scale } => node.fetch(&mut conn, &bench, scale),

@@ -12,6 +12,8 @@ use std::io::{self, BufRead, Read};
 
 use serde::{Deserialize, Serialize, Value};
 
+use crate::telemetry::new_trace_id;
+
 /// The longest line, newline included, a daemon reads from a client:
 /// far above any export line or control frame, and a bound on what one
 /// line can make a connection hold in memory. A longer line is answered
@@ -104,6 +106,14 @@ pub struct JobSpec {
     /// sub-job, and generated server-side as a last resort — so every
     /// span of one job carries the same id.
     pub trace_id: Option<String>,
+}
+
+impl JobSpec {
+    /// The job's trace id, stamping a fresh one into the spec first when
+    /// it has none.
+    pub fn stamp_trace_id(&mut self) -> String {
+        self.trace_id.get_or_insert_with(new_trace_id).clone()
+    }
 }
 
 /// One client request, decoded from a control frame.
