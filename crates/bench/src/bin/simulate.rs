@@ -453,7 +453,7 @@ fn main() -> ExitCode {
     let rows = baseline_rows(&out);
 
     if let Some(path) = &opts.metrics_out {
-        if let Err(e) = write_metrics_doc(path, sim_metrics_doc(&out)) {
+        if let Err(e) = write_metrics_doc(path, &sim_metrics_doc(&out)) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -42,7 +42,7 @@ use gencache_sim::{
 };
 use serde::Value;
 
-use crate::{export_specs, metrics_doc, sample_interval};
+use crate::{export_specs, metrics_doc, sample_interval, MetricsDoc};
 
 /// Opens `path` for line reading, with `-` meaning stdin — so exports
 /// can be piped (`gencache-client fetch … | simulate --events -`)
@@ -603,8 +603,9 @@ pub fn run_sim_job(
 
 /// Assembles the job's metrics document — the same
 /// [`metrics_doc`] the live export and the offline simulator use, so
-/// every consumer's document is byte-comparable.
-pub fn sim_metrics_doc(out: &SimJobOutput) -> Value {
+/// every consumer's document is byte-comparable. The document borrows
+/// the job's reports and is written straight from them.
+pub fn sim_metrics_doc(out: &SimJobOutput) -> MetricsDoc<'_> {
     let benchmarks = out
         .benches
         .iter()
@@ -716,23 +717,45 @@ fn doc_field<'a>(doc: &'a Value, key: &str) -> Option<&'a Value> {
         .map(|(_, v)| v)
 }
 
-/// Merges per-shard metrics documents back into the single document the
-/// whole job would have produced on one node.
+/// Per-shard metrics documents merged back into the whole job's
+/// reports, benchmarks in upload order; [`MergedDocs::doc`] is the
+/// document the whole job would have produced on one node.
+#[derive(Debug)]
+pub struct MergedDocs {
+    labels: Vec<String>,
+    benchmarks: Vec<(String, Vec<SpecReports>)>,
+}
+
+impl MergedDocs {
+    /// The merged document, through the same [`metrics_doc`] single-node
+    /// `simulate` uses.
+    pub fn doc(&self) -> MetricsDoc<'_> {
+        metrics_doc(
+            &self.labels,
+            self.benchmarks
+                .iter()
+                .map(|(name, reports)| (name.as_str(), reports)),
+        )
+    }
+}
+
+/// Merges per-shard metrics documents back into the reports the whole
+/// job would have produced on one node.
 ///
 /// Every `(benchmark, label)` section is deserialized into its typed
-/// report and the document is reassembled with [`metrics_doc`] with the
-/// benchmarks in `order` (the upload's first-appearance order) — the
-/// exact assembly single-node `simulate` performs. The vendored JSON
-/// layer round-trips every number exactly (shortest-roundtrip floats,
-/// native integers), so the merged document is **byte-identical** to
-/// the single-node one.
+/// report, with the benchmarks in `order` (the upload's
+/// first-appearance order), for [`MergedDocs::doc`] to reassemble
+/// exactly as single-node `simulate` does. The vendored JSON layer
+/// round-trips every number exactly (shortest-roundtrip floats, native
+/// integers), so the merged document is **byte-identical** to the
+/// single-node one.
 ///
 /// # Errors
 ///
 /// Returns a description when a document has the wrong schema, the
 /// shards disagree on spec labels, a benchmark is missing, duplicated,
 /// or unknown to `order`, or a section fails to deserialize.
-pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, String> {
+pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<MergedDocs, String> {
     let mut labels: Option<Vec<String>> = None;
     let mut sections: BTreeMap<String, Vec<SpecReports>> = BTreeMap::new();
     for doc in docs {
@@ -800,15 +823,12 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
         let reports = sections
             .remove(name)
             .ok_or_else(|| format!("no shard produced benchmark {name:?}"))?;
-        benchmarks.push((name.as_str(), reports));
+        benchmarks.push((name.clone(), reports));
     }
     if let Some(extra) = sections.keys().next() {
         return Err(format!("shard docs contain unexpected benchmark {extra:?}"));
     }
-    Ok(metrics_doc(
-        &labels,
-        benchmarks.iter().map(|(name, reports)| (*name, reports)),
-    ))
+    Ok(MergedDocs { labels, benchmarks })
 }
 
 /// Merges per-shard result tables (the human-readable rendering) back
@@ -859,6 +879,7 @@ pub fn merge_sim_tables(order: &[String], tables: &[String]) -> Result<String, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
     use std::sync::atomic::AtomicUsize;
 
     fn suite_export(benches: usize, tag: &str) -> String {
@@ -993,10 +1014,10 @@ mod tests {
         let second = inputs.split_off(1);
         let out_a = run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, None).unwrap();
         let out_b = run_sim_job(&second, &specs, SimJobOptions::default(), 1, None).unwrap();
-        let docs = [sim_metrics_doc(&out_b), sim_metrics_doc(&out_a)];
+        let docs = [&out_b, &out_a].map(|out| sim_metrics_doc(out).to_value());
         let merged = merge_metrics_docs(&order, &docs).unwrap();
         assert_eq!(
-            crate::value_to_json(&merged),
+            crate::value_to_json(&merged.doc()),
             whole_doc,
             "fleet-merged doc is not byte-identical"
         );
@@ -1005,6 +1026,66 @@ mod tests {
         // A missing benchmark is an error, not a silent gap.
         let err = merge_metrics_docs(&order, &docs[..1]).unwrap_err();
         assert!(err.contains("no shard produced"), "unexpected error: {err}");
+    }
+
+    /// The direct writer and the tree give the same bytes: every spec
+    /// class, every optional section, an empty job and a suite merge
+    /// over two benchmarks.
+    #[test]
+    fn metrics_doc_writer_matches_its_tree() {
+        fn same(doc: &MetricsDoc<'_>) -> String {
+            let direct = crate::value_to_json(doc);
+            assert_eq!(direct, crate::value_to_json(&doc.to_value()));
+            direct
+        }
+        let empty: [(&str, Vec<&SpecReports>); 0] = [];
+        assert_eq!(
+            same(&metrics_doc(&[], empty)),
+            "{\"schema\":\"gencache-metrics\",\"version\":2,\"suite\":{},\"benchmarks\":[]}"
+        );
+        let text = suite_export(2, "writer");
+        let mut ingest = StreamIngest::new();
+        for line in text.lines() {
+            ingest.push_line(line).unwrap();
+        }
+        let inputs = ingest.into_inputs(None, None, None).unwrap();
+        let mut labels: Vec<String> = gencache_sim::LocalPolicy::ALL
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        labels.extend(["unified", "45-10-45@hit1", "adaptive"].map(String::from));
+        let specs = resolve_sim_specs(&labels, false).unwrap();
+        let options = SimJobOptions {
+            oracle: true,
+            windows: true,
+            window_width: Some(32),
+            regret_top: Some(8),
+        };
+        let mut out = run_sim_job(&inputs, &specs, options, 1, None).unwrap();
+        // The live `--sample` export's section, on every cell.
+        let sampling =
+            crate::HarnessOptions::parse(["--sample", "8"].map(String::from)).sampling_params();
+        for (bench, input) in out.benches.iter_mut().zip(&inputs) {
+            for (sim, &spec) in bench.sims.iter_mut().zip(&specs) {
+                let sections = CellSections {
+                    sample_every: sample_interval(&input.log),
+                    phases: input.phases,
+                    sampling,
+                    regret: None,
+                    window_width: None,
+                };
+                let cell = simulate_cell(&input.log, spec, input.capacity, &sections);
+                sim.reports.sampled = cell.reports.sampled;
+            }
+        }
+        assert_eq!(out.benches.len(), 2);
+        let doc = same(&sim_metrics_doc(&out));
+        for section in ["sampled", "regret", "windows", "switches"] {
+            assert!(
+                doc.contains(&format!("\"{section}\":{{")),
+                "doc has no {section} section"
+            );
+        }
     }
 
     #[test]
@@ -1065,7 +1146,7 @@ mod tests {
             switches: Some(SwitchReport::default()),
             ..SpecReports::new(MetricsReport::new(), CostReport::new(1))
         };
-        let doc = metrics_doc(&["unified".to_string()], [("a", [&reports])]);
+        let doc = metrics_doc(&["unified".to_string()], [("a", [&reports])]).to_value();
         let edited = |edit: &dyn Fn(&mut Value)| {
             let mut d = doc.clone();
             edit(&mut d);

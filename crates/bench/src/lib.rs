@@ -54,7 +54,7 @@ use gencache_sim::{
     StreamedRecording, DEFAULT_STREAM_DEPTH,
 };
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
-use serde::Value;
+use serde::{Entries, Serialize, Value};
 
 pub mod ingest;
 
@@ -428,6 +428,59 @@ pub fn stream_events_to<W: Write, R: Recording>(
     Ok((writer, lines))
 }
 
+/// The `--metrics-out` document, borrowed from per-benchmark report
+/// rows: one entry per benchmark, each carrying one [`SpecReports`] per
+/// label, after a suite section holding every label's merge. Its
+/// [`Serialize::write_json`] writes the document straight to text;
+/// [`Serialize::to_value`] builds the same document as a tree.
+#[derive(Debug)]
+pub struct MetricsDoc<'a> {
+    labels: &'a [String],
+    suite: Vec<SpecReports>,
+    benchmarks: Vec<(&'a str, Vec<&'a SpecReports>)>,
+}
+
+impl MetricsDoc<'_> {
+    /// Calls `f` with the document's entries: `schema`, `version`,
+    /// `suite` (label → merged reports) and `benchmarks` (each entry
+    /// `benchmark` then label → reports).
+    fn with_entries<T>(&self, f: impl FnOnce(&Entries<'_>) -> T) -> T {
+        fn section<'r>(
+            (label, reports): (&'r str, &'r SpecReports),
+        ) -> (&'r str, &'r dyn Serialize) {
+            (label, reports)
+        }
+        let version = u64::from(METRICS_VERSION);
+        let labels = self.labels.iter().map(String::as_str);
+        let suite = Entries(labels.clone().zip(&self.suite).map(section).collect());
+        let benchmarks: Vec<Entries<'_>> = self
+            .benchmarks
+            .iter()
+            .map(|(name, reports)| {
+                let mut entries: Vec<(&str, &dyn Serialize)> = vec![("benchmark", name)];
+                entries.extend(labels.clone().zip(reports.iter().copied()).map(section));
+                Entries(entries)
+            })
+            .collect();
+        f(&Entries(vec![
+            ("schema", &METRICS_SCHEMA),
+            ("version", &version),
+            ("suite", &suite),
+            ("benchmarks", &benchmarks),
+        ]))
+    }
+}
+
+impl Serialize for MetricsDoc<'_> {
+    fn to_value(&self) -> Value {
+        self.with_entries(|entries| entries.to_value())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.with_entries(|entries| entries.write_json(out));
+    }
+}
+
 /// Assembles the `--metrics-out` document from per-benchmark report
 /// rows: one entry per benchmark, each carrying one [`SpecReports`] per
 /// label in `labels` order.
@@ -437,51 +490,45 @@ pub fn stream_events_to<W: Write, R: Recording>(
 /// of a recorded stream under its original configuration is comparable
 /// to the live document byte-for-byte. Suite-level merges fold rows in
 /// input order, keeping the document identical for every job count.
+/// The merges happen here; the rows are borrowed, never copied.
 pub fn metrics_doc<'a, R>(
-    labels: &[String],
+    labels: &'a [String],
     benchmarks: impl IntoIterator<Item = (&'a str, R)>,
-) -> Value
+) -> MetricsDoc<'a>
 where
     R: IntoIterator<Item = &'a SpecReports>,
 {
     let mut suite: Vec<SpecReports> = labels.iter().map(|_| SpecReports::suite()).collect();
-    let mut bench_values = Vec::new();
-    for (name, reports) in benchmarks {
-        let mut pairs = vec![("benchmark".to_string(), Value::Str(name.to_string()))];
-        for ((label, reports), merged) in labels.iter().zip(reports).zip(suite.iter_mut()) {
-            merged.merge(reports);
-            pairs.push((label.clone(), reports.to_value()));
-        }
-        bench_values.push(Value::Object(pairs));
-    }
-    let suite_pairs = labels
-        .iter()
-        .zip(&suite)
-        .map(|(label, merged)| (label.clone(), merged.to_value()))
+    let benchmarks = benchmarks
+        .into_iter()
+        .map(|(name, reports)| {
+            let reports: Vec<&SpecReports> = reports.into_iter().take(labels.len()).collect();
+            for (merged, reports) in suite.iter_mut().zip(&reports) {
+                merged.merge(reports);
+            }
+            (name, reports)
+        })
         .collect();
-    Value::Object(vec![
-        ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
-        (
-            "version".to_string(),
-            Value::UInt(u64::from(METRICS_VERSION)),
-        ),
-        ("suite".to_string(), Value::Object(suite_pairs)),
-        ("benchmarks".to_string(), Value::Array(bench_values)),
-    ])
+    MetricsDoc {
+        labels,
+        suite,
+        benchmarks,
+    }
 }
 
-/// Serializes an assembled [`Value`] tree to JSON text — the one
-/// rendering every consumer shares, so documents that must compare
-/// byte-for-byte (live export, offline simulator, serve daemon) all go
-/// through it. The borrowed tree is written directly, never copied.
-pub fn value_to_json(doc: &Value) -> String {
-    serde_json::to_string(doc).expect("value trees always serialize")
+/// Serializes a document to compact JSON text — the one rendering every
+/// consumer shares, so documents that must compare byte-for-byte (live
+/// export, offline simulator, serve daemon, fleet router) all go through
+/// it. A [`MetricsDoc`] is written straight from its reports; a
+/// [`Value`] tree renders to the same bytes.
+pub fn value_to_json<T: Serialize + ?Sized>(doc: &T) -> String {
+    serde_json::to_string(doc).expect("documents always serialize")
 }
 
-/// Serializes an assembled metrics document to `path` (single JSON
-/// document, trailing newline).
-pub fn write_metrics_doc(path: &str, doc: Value) -> io::Result<()> {
-    let json = value_to_json(&doc);
+/// Serializes a metrics document to `path` (single JSON document,
+/// trailing newline).
+pub fn write_metrics_doc(path: &str, doc: &impl Serialize) -> io::Result<()> {
+    let json = value_to_json(doc);
     let mut file = File::create(path)?;
     file.write_all(json.as_bytes())?;
     file.write_all(b"\n")
@@ -521,7 +568,7 @@ fn write_metrics<R: Recording + Sync>(
         .iter()
         .zip(&per_bench)
         .map(|((profile, _), reports)| (profile.name.as_str(), reports));
-    write_metrics_doc(path, metrics_doc(&labels, benchmarks))
+    write_metrics_doc(path, &metrics_doc(&labels, benchmarks))
 }
 
 /// One suite's borrowed slice of profile-keyed rows.

@@ -304,9 +304,10 @@ pub(crate) fn drain_discard(reader: &mut impl Read) {
 }
 
 /// Writes a job's reply `line` and records its `reply` span, begun at
-/// `started`, with the bytes written. The span's outcome is
-/// `error: {message}` for a failed job given its `message`; otherwise it
-/// says whether the write went through.
+/// `started`, with the bytes written. One rule on every node: the
+/// span's outcome is the reply's, `error: {message}` for a failed job
+/// given its `message` (the text of its `error` reply), else `ok`, or
+/// `error: reply write failed` when the write did not go through.
 pub(crate) fn reply(
     writer: &mut impl Write,
     tel: &Telemetry,

@@ -10,7 +10,7 @@
 
 use std::io::{self, BufRead, Read};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Entries, JsonReader, Serialize, Value};
 
 use crate::telemetry::new_trace_id;
 
@@ -411,21 +411,29 @@ fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn render(value: &Value) -> String {
+fn render(value: &(impl Serialize + ?Sized)) -> String {
     gencache_bench::value_to_json(value)
 }
 
-/// Encodes a `result` reply frame. `doc` is embedded as a JSON subtree,
-/// so the client re-serializes it through the same deterministic
-/// renderer and recovers the exact `simulate --metrics-out` bytes.
-pub fn encode_result(doc: Value, table: &str, benches: u64, specs: u64, elapsed_us: u64) -> String {
-    render(&obj(vec![
-        ("type", Value::Str("result".to_string())),
-        ("benches", Value::UInt(benches)),
-        ("specs", Value::UInt(specs)),
-        ("elapsed_us", Value::UInt(elapsed_us)),
-        ("table", Value::Str(table.to_string())),
-        ("doc", doc),
+/// Encodes a `result` reply frame. The reply's own fields come first,
+/// then `"doc":` and the document's bytes, written once, straight from
+/// `doc` (a [`MetricsDoc`](gencache_bench::MetricsDoc) is never a tree),
+/// as the last field. [`parse_reply`] hands those bytes back verbatim, so
+/// the client recovers the exact `simulate --metrics-out` text.
+pub fn encode_result(
+    doc: impl Serialize,
+    table: &str,
+    benches: u64,
+    specs: u64,
+    elapsed_us: u64,
+) -> String {
+    render(&Entries(vec![
+        ("type", &"result"),
+        ("benches", &benches),
+        ("specs", &specs),
+        ("elapsed_us", &elapsed_us),
+        ("table", &table),
+        ("doc", &doc),
     ]))
 }
 
@@ -613,24 +621,64 @@ pub fn encode_fetch(bench: &str, scale: u64) -> String {
     ]))
 }
 
-/// Decodes one reply frame (client side).
+/// Decodes one reply frame (client side). A `result` reply's `doc` is
+/// returned as the exact bytes it arrived as, never re-rendered.
 ///
 /// # Errors
 ///
 /// Returns a description of malformed JSON or an unknown reply type.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
+    if let Some((pairs, doc)) = scan_reply(line) {
+        return reply_from(&pairs, doc.map(str::to_string));
+    }
+    // Whatever the scan refuses takes the tree path, the source of
+    // every error text.
     let value = serde_json::value_from_str(line).map_err(|e| format!("malformed reply: {e}"))?;
     let pairs = value
         .as_object()
         .ok_or_else(|| "reply must be a JSON object".to_string())?;
+    reply_from(pairs, field(pairs, "doc").map(render))
+}
+
+/// A reply's top-level fields other than `doc`, and the text of its
+/// first `doc` field.
+type ScannedReply<'a> = (Vec<(String, Value)>, Option<&'a str>);
+
+/// Reads a reply's top-level object: every field but `doc` as a tree,
+/// and the first `doc` field's value as the slice of `line` it spans.
+/// `None` on any scan error. The reader accepts exactly the text the
+/// tree parse accepts, so a frame it reads yields the same fields.
+fn scan_reply(line: &str) -> Option<ScannedReply<'_>> {
+    let mut reader = JsonReader::new(line);
+    reader.begin_object().ok()?;
+    let mut pairs = Vec::new();
+    let mut doc = None;
+    let mut first = true;
+    while let Some(key) = reader.next_key(first).ok()? {
+        first = false;
+        if key == "doc" {
+            // Past any whitespace, so the slice starts at the value.
+            reader.peek();
+            let start = reader.position();
+            reader.skip_value().ok()?;
+            doc.get_or_insert(&line[start..reader.position()]);
+        } else {
+            pairs.push((key.into_owned(), reader.parse_value().ok()?));
+        }
+    }
+    reader.finish().ok()?;
+    Some((pairs, doc))
+}
+
+/// Builds a reply from its top-level fields; `doc` is a `result`
+/// reply's document text.
+fn reply_from(pairs: &[(String, Value)], doc: Option<String>) -> Result<Reply, String> {
     let ty = field(pairs, "type")
         .and_then(as_str)
         .ok_or_else(|| "reply needs a string \"type\" field".to_string())?;
     match ty {
         "result" => Ok(Reply::Result {
-            doc: field(pairs, "doc")
-                .map(render)
-                .ok_or_else(|| "result reply needs a \"doc\" field".to_string())?,
+            doc: doc.ok_or_else(|| "result reply needs a \"doc\" field".to_string())?,
             table: opt_str(pairs, "table")?.unwrap_or_default(),
             benches: opt_u64(pairs, "benches")?.unwrap_or(0),
             specs: opt_u64(pairs, "specs")?.unwrap_or(0),
@@ -923,6 +971,81 @@ mod tests {
                 assert_eq!((benches, specs, elapsed_us), (1, 2, 3));
             }
             other => panic!("expected result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn foreign_result_doc_is_returned_verbatim() {
+        // Whitespace and number spellings inside the doc are kept as
+        // sent; only the first `doc` field counts.
+        let line = "{ \"type\" : \"result\", \"doc\" : {\"a\": 1e2} , \"doc\":0 }";
+        match parse_reply(line).unwrap() {
+            Reply::Result { doc, table, .. } => {
+                assert_eq!(doc, "{\"a\": 1e2}");
+                assert_eq!(table, "");
+            }
+            other => panic!("expected result, got {other:?}"),
+        }
+        // What the scan refuses gets the tree path's error text.
+        for (line, want) in [
+            ("[1]", "reply must be a JSON object"),
+            (
+                "{\"type\":\"result\"}",
+                "result reply needs a \"doc\" field",
+            ),
+        ] {
+            assert_eq!(parse_reply(line).unwrap_err(), want);
+        }
+        let err = parse_reply("{\"type\":\"result\",\"doc\":{\"a\":}}").unwrap_err();
+        assert!(err.starts_with("malformed reply: "), "{err}");
+    }
+
+    /// A document grown from `seeds`: each seed picks a node and its
+    /// contents, and a container takes its children from the seeds that
+    /// follow, at most `depth` levels further down.
+    fn doc_from(seeds: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+        const TEXT: [&str; 6] = ["", "k", "q\"uo\\te/", "a\nb\tc\u{1}", "wörd 🦀", "doc"];
+        let Some(seed) = seeds.next() else {
+            return Value::Null;
+        };
+        let text = TEXT[(seed >> 8) as usize % TEXT.len()];
+        let width = (seed >> 3) % 4;
+        match seed % if depth == 0 { 6 } else { 8 } {
+            0 => Value::Null,
+            1 => Value::Bool(seed & 8 != 0),
+            2 => Value::UInt(seed >> 3),
+            3 => Value::Int(-1 - (seed >> 4) as i64),
+            4 => Value::Float(f64::from_bits(seed)),
+            5 => Value::Str(text.to_string()),
+            6 => Value::Array((0..width).map(|_| doc_from(seeds, depth - 1)).collect()),
+            _ => Value::Object(
+                (0..width)
+                    .map(|i| (format!("{text}{i}"), doc_from(seeds, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The client gets back exactly the bytes the writer produced
+        /// for the doc, whatever the doc holds.
+        #[test]
+        fn result_doc_arrives_as_the_writer_wrote_it(
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..48),
+            table_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let doc = doc_from(&mut seeds.into_iter(), 4);
+            let table = format!("{:?}", doc_from(&mut std::iter::once(table_seed), 0));
+            let line = encode_result(&doc, &table, 1, 2, 3);
+            match parse_reply(&line) {
+                Ok(Reply::Result { doc: text, table: back, .. }) => {
+                    proptest::prop_assert_eq!(text, gencache_bench::value_to_json(&doc));
+                    proptest::prop_assert_eq!(back, table);
+                }
+                other => proptest::prop_assert!(false, "got {:?}", other),
+            }
         }
     }
 }

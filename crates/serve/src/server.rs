@@ -521,7 +521,7 @@ fn send_reply(
             ServerStats::bump(&ctx.stats.jobs_completed);
             ctx.stats
                 .record_latency(admitted.elapsed().as_micros() as u64);
-            (line, false)
+            (line, None)
         }
         Some(Err(message)) => {
             ServerStats::bump(&ctx.stats.jobs_failed);
@@ -531,7 +531,7 @@ fn send_reply(
                 Some(trace_id),
                 &[("message", Value::Str(message.clone()))],
             );
-            (encode_error(&message), true)
+            (encode_error(&message), Some(message))
         }
         None => {
             ServerStats::bump(&ctx.stats.jobs_failed);
@@ -539,9 +539,8 @@ fn send_reply(
             return send_line(writer, &line).map(|()| false);
         }
     };
-    // A failed job's span stays `ok`: the failed stage's own span carries
-    // the error.
-    reply(writer, tel, trace_id, Instant::now(), &line, None).map(|()| failed)
+    let failed = failed.as_deref();
+    reply(writer, tel, trace_id, Instant::now(), &line, failed).map(|()| failed.is_some())
 }
 
 /// Hands the gathered lines to the worker as one chunk, then starts the
@@ -731,6 +730,9 @@ fn run_job(
                     }
                 }
             }
+            // The doc is written once, straight from the reports into
+            // the reply line.
+            let assemble_started = Instant::now();
             let line = encode_result(
                 sim_metrics_doc(&out),
                 &render_sim_tables(&out),
@@ -738,6 +740,9 @@ fn run_job(
                 out.labels.len() as u64,
                 started.elapsed().as_micros() as u64,
             );
+            if let Some(sp) = tel.span(trace_id, "assemble", assemble_started) {
+                sp.bytes(line.len() as u64).end();
+            }
             let _ = reply_tx.send(Ok(line));
         }
         Err(e) => {

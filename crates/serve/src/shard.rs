@@ -14,10 +14,11 @@
 //!   healthy and moves minimally when a shard goes down.
 //! * **Byte-identical merge.** A `job` upload is split per benchmark
 //!   into per-shard sub-jobs (dispatched concurrently through
-//!   [`par_map`]); the per-shard metrics documents are deserialized
-//!   into typed reports and reassembled with the same
-//!   input-index-deterministic merge offline `simulate` uses
-//!   ([`merge_metrics_docs`]), so the fleet reply is byte-for-byte what
+//!   [`par_map`]); each shard's metrics document, the verbatim bytes
+//!   of its reply, is parsed once into typed reports
+//!   ([`merge_metrics_docs`]) and written through the same metrics
+//!   document writer, with the same input-index-deterministic merge,
+//!   offline `simulate` uses, so the fleet reply is byte-for-byte what
 //!   a single node would have produced.
 //! * **Health + retry.** A background thread pings every shard each
 //!   `health_interval`, marking shards down and back up. Dispatch
@@ -41,7 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gencache_bench::ingest::{classify_line, merge_metrics_docs, merge_sim_tables, RouteClass};
+use gencache_bench::ingest::{
+    classify_line, merge_metrics_docs, merge_sim_tables, MergedDocs, RouteClass,
+};
 use gencache_sim::par::par_map;
 use serde::Value;
 
@@ -470,7 +473,10 @@ impl Node for RouterCtx {
             Ok((doc, table, benches, specs)) => {
                 AtomicU64::fetch_add(&self.stats.fleet_jobs_completed, 1, Ordering::Relaxed);
                 let elapsed_us = admitted.elapsed().as_micros() as u64;
-                (encode_result(doc, &table, benches, specs, elapsed_us), None)
+                (
+                    encode_result(doc.doc(), &table, benches, specs, elapsed_us),
+                    None,
+                )
             }
             Err(message) => {
                 AtomicU64::fetch_add(&self.stats.fleet_jobs_failed, 1, Ordering::Relaxed);
@@ -694,7 +700,7 @@ fn run_fleet_job(
     ctx: &RouterCtx,
     spec: &JobSpec,
     upload: &Upload,
-) -> Result<(Value, String, u64, u64), String> {
+) -> Result<(MergedDocs, String, u64, u64), String> {
     let selected: Vec<String> = match &spec.bench {
         Some(want) => {
             if upload.groups.contains_key(want) {

@@ -1190,4 +1190,34 @@ fn daemon_and_router_refuse_bad_frames_alike() {
             }
         }
     }
+    // A failed job's `reply` span reads `error: {message}` on both
+    // nodes, the message being the text of its `error` reply.
+    for (addr, node, trace_id) in [
+        (&solo.addr, "serve:", "0badc0de00000001"),
+        (&router.addr, "router:", "0badc0de00000002"),
+    ] {
+        let spec = JobSpec {
+            specs: vec!["no-such-spec".to_string()],
+            trace_id: Some(trace_id.to_string()),
+            ..JobSpec::default()
+        };
+        let client = Client::new(addr.as_str());
+        let message = match client.submit(export().as_bytes(), &spec) {
+            Ok(Reply::Error { message }) => message,
+            other => panic!("bad spec at {addr}: got {other:?}"),
+        };
+        // The node records the span just after writing the reply.
+        let reply_span = (0..100)
+            .find_map(|_| {
+                let span = trace_spans(&client, trace_id)
+                    .into_iter()
+                    .find(|s| s.stage == "reply" && s.node.starts_with(node));
+                if span.is_none() {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                span
+            })
+            .unwrap_or_else(|| panic!("no {node} reply span at {addr}"));
+        assert_eq!(reply_span.outcome, format!("error: {message}"), "{addr}");
+    }
 }

@@ -688,7 +688,7 @@ fn happy_job_records_every_stage_and_metrics_expose_it() {
     // Every stage of the pipeline left a span under the stamped id.
     let spans = trace_spans(&server.client(), trace_id);
     assert!(spans.iter().all(|s| s.trace_id == trace_id));
-    for stage in ["accept", "queue", "ingest", "reply"] {
+    for stage in ["accept", "queue", "ingest", "assemble", "reply"] {
         assert!(
             spans.iter().any(|s| s.stage == stage && s.outcome == "ok"),
             "missing ok {stage} span: {spans:?}"
@@ -706,6 +706,9 @@ fn happy_job_records_every_stage_and_metrics_expose_it() {
     );
     let reply = spans.iter().find(|s| s.stage == "reply").unwrap();
     assert!(reply.bytes.unwrap_or(0) > 0, "reply span counts bytes");
+    // The assemble span counts the reply line it wrote, the newline aside.
+    let assemble = spans.iter().find(|s| s.stage == "assemble").unwrap();
+    assert_eq!(assemble.bytes.map(|b| b + 1), reply.bytes);
 
     // The metrics frame is well-formed Prometheus text exposition:
     // every line is a comment header or `name[{labels}] value`.

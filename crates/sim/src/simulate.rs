@@ -31,7 +31,7 @@ use gencache_obs::{
     TraceOp, WindowObserver, WindowReport,
 };
 use gencache_program::{Addr, Time};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Entries, Serialize, Value};
 
 use crate::log::{AccessLog, LogRecord};
 use crate::recording::Recording;
@@ -493,29 +493,36 @@ impl SpecReports {
         merge_opt(&mut self.switches, &other.switches, SwitchReport::merge);
     }
 
-    /// The document section: `metrics`, `costs`, then whichever of
-    /// `sampled`, `regret`, `windows`, `switches` are present, in that
-    /// order.
-    pub fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("metrics".to_string(), self.metrics.to_value()),
-            ("costs".to_string(), self.costs.to_value()),
+    /// The document section's entries: `metrics`, `costs`, then
+    /// whichever of `sampled`, `regret`, `windows`, `switches` are
+    /// present, in that order.
+    fn entries(&self) -> Entries<'_> {
+        let mut entries: Vec<(&str, &dyn Serialize)> =
+            vec![("metrics", &self.metrics), ("costs", &self.costs)];
+        let optional: [(&str, Option<&dyn Serialize>); 4] = [
+            (
+                "sampled",
+                self.sampled.as_ref().map(|s| s as &dyn Serialize),
+            ),
+            ("regret", self.regret.as_ref().map(|s| s as &dyn Serialize)),
+            (
+                "windows",
+                self.windows.as_ref().map(|s| s as &dyn Serialize),
+            ),
+            (
+                "switches",
+                self.switches.as_ref().map(|s| s as &dyn Serialize),
+            ),
         ];
-        let optional = [
-            ("sampled", self.sampled.as_ref().map(Serialize::to_value)),
-            ("regret", self.regret.as_ref().map(Serialize::to_value)),
-            ("windows", self.windows.as_ref().map(Serialize::to_value)),
-            ("switches", self.switches.as_ref().map(Serialize::to_value)),
-        ];
-        for (key, value) in optional {
-            if let Some(value) = value {
-                pairs.push((key.to_string(), value));
-            }
-        }
-        Value::Object(pairs)
+        entries.extend(
+            optional
+                .into_iter()
+                .filter_map(|(key, section)| Some((key, section?))),
+        );
+        Entries(entries)
     }
 
-    /// Parses a section written by [`SpecReports::to_value`].
+    /// Parses a section written by [`SpecReports`]' [`Serialize`] impl.
     ///
     /// # Errors
     ///
@@ -544,6 +551,20 @@ impl SpecReports {
             windows: parse(value, "windows")?,
             switches: parse(value, "switches")?,
         })
+    }
+}
+
+/// The document section under a spec's label: the writer emits
+/// `metrics` and `costs`, then `sampled`, `regret`, `windows` and
+/// `switches` when present, straight to text; the tree has the same
+/// entries.
+impl Serialize for SpecReports {
+    fn to_value(&self) -> Value {
+        self.entries().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.entries().write_json(out);
     }
 }
 

@@ -32,10 +32,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # record-suite pins the recorder and the export encode; ingest-suite
 # pins the decode path's output and cross-checks the served doc;
 # serve-closed compares the served, offline and traced docs of a live
-# daemon byte for byte.
-echo "=== perf smokes: record-suite, ingest-suite and serve-closed match the committed seed-0 digests"
+# daemon byte for byte; replay-grid is the one workload whose doc
+# carries the regret, windows and switches sections.
+echo "=== perf smokes: record-suite, ingest-suite, serve-closed and replay-grid match the committed seed-0 digests"
 mkdir -p target/tmp
-for workload in record-suite ingest-suite serve-closed; do
+for workload in record-suite ingest-suite serve-closed replay-grid; do
   perf_err="target/tmp/check-$workload.err"
   perf_last="$(cargo run --release --offline -q -p gencache-perf -- \
     run --workload "$workload" --seconds 1 2> "$perf_err" | tail -n 1)" \
