@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 use gencache_obs::{
     oracle_replay, parse_stream_line, parse_stream_line_tree, read_event_line, CacheEvent,
@@ -511,21 +511,21 @@ impl SimJobOptions {
 /// interval). Adaptive cells attach their controller's switch report,
 /// read from the same replay.
 ///
-/// `cancel` is polled between cells: once set (deadline expiry,
-/// shutdown), remaining cells are skipped and the job returns an error
-/// instead of a partial result.
+/// `deadline` is checked between cells: once it has passed, remaining
+/// cells are skipped and the job returns an error instead of a partial
+/// result.
 ///
 /// # Errors
 ///
-/// Returns `"job canceled"`-style text when `cancel` fired.
+/// Returns `"job canceled"`-style text when the deadline passed.
 pub fn run_sim_job(
     inputs: &[SimJobInput],
     specs: &[SimSpec],
     options: SimJobOptions,
     jobs: usize,
-    cancel: Option<&AtomicBool>,
+    deadline: Option<Instant>,
 ) -> Result<SimJobOutput, String> {
-    let canceled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    let canceled = || deadline.is_some_and(|d| Instant::now() >= d);
     let cells: Vec<(usize, SimSpec)> = inputs
         .iter()
         .enumerate()
@@ -542,7 +542,7 @@ pub fn run_sim_job(
         if canceled() {
             return None;
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let input = &inputs[i];
         let every = sample_interval(&input.log);
         let sections = CellSections {
@@ -560,7 +560,7 @@ pub fn run_sim_job(
         Some((sim, started.elapsed().as_micros() as u64))
     });
     if canceled() || simulated.iter().any(Option::is_none) {
-        return Err("job canceled before completion (deadline or shutdown)".to_string());
+        return Err("job canceled: deadline passed before completion".to_string());
     }
     let (simulated, cell_us): (Vec<SimulatedSpec>, Vec<u64>) =
         simulated.into_iter().flatten().unzip();
@@ -573,7 +573,7 @@ pub fn run_sim_job(
             }
         });
         if results.iter().any(Option::is_none) {
-            return Err("job canceled before completion (deadline or shutdown)".to_string());
+            return Err("job canceled: deadline passed before completion".to_string());
         }
         results
     } else {
@@ -880,7 +880,7 @@ pub fn merge_sim_tables(order: &[String], tables: &[String]) -> Result<String, S
 mod tests {
     use super::*;
     use serde::Serialize;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn suite_export(benches: usize, tag: &str) -> String {
         let mut opts = crate::HarnessOptions {
@@ -1237,9 +1237,25 @@ mod tests {
         }
         let inputs = ingest.into_inputs(None, None, None).unwrap();
         let specs = resolve_sim_specs(&[], false).unwrap();
-        let cancel = AtomicBool::new(true);
-        let err =
-            run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, Some(&cancel)).unwrap_err();
+        let passed = Some(Instant::now());
+        let err = run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, passed).unwrap_err();
         assert!(err.contains("canceled"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn distant_deadline_leaves_the_doc_byte_identical() {
+        let text = tiny_export();
+        let mut ingest = StreamIngest::new();
+        for line in text.lines() {
+            ingest.push_line(line).unwrap();
+        }
+        let inputs = ingest.into_inputs(None, None, None).unwrap();
+        let specs = resolve_sim_specs(&[], true).unwrap();
+        let doc = |deadline| {
+            let out = run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, deadline).unwrap();
+            crate::value_to_json(&sim_metrics_doc(&out))
+        };
+        let distant = Instant::now() + std::time::Duration::from_secs(3600);
+        assert_eq!(doc(Some(distant)), doc(None));
     }
 }

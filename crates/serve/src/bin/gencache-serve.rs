@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gencache-serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!                [--depth LINES] [--read-timeout-ms N] [--deadline-ms N]
+//!                [--read-timeout-ms N] [--deadline-ms N]
 //!                [--log FILE|-|none] [--log-level LEVEL]
 //!                [--log-max-bytes N] [--trace-capacity N]
 //! ```
@@ -18,9 +18,10 @@
 //! rotated once to `FILE.1` (replacing any previous `FILE.1`) and
 //! logging continues in a fresh file; the default (0) never rotates.
 //! `--trace-capacity 0` turns span recording off entirely.
-//! `--depth LINES` bounds a `fetch` download's channel and the streamed
-//! recorder behind it; job uploads are bounded in bytes instead (6 MiB
-//! of chunks in flight per job, `gencache_serve::MAX_INGEST_BYTES`).
+//! Job uploads are bounded in bytes (6 MiB of chunks in flight per job,
+//! `gencache_serve::MAX_INGEST_BYTES`); a `fetch` download's channel
+//! and the streamed recorder behind it hold at most
+//! `gencache_sim::DEFAULT_STREAM_DEPTH` lines.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -29,7 +30,7 @@ use std::time::Duration;
 use gencache_serve::{signal, LogLevel, Server, ServerConfig};
 
 const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / \
-     --depth LINES (fetch download channel) / --read-timeout-ms N / --deadline-ms N / \
+     --read-timeout-ms N / --deadline-ms N / \
      --log FILE|-|none / --log-level debug|info|warn|error / --log-max-bytes N / --trace-capacity N";
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
@@ -52,12 +53,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
                 let n: usize = v.parse().expect("--queue must be a positive integer");
                 assert!(n > 0, "--queue must be positive");
                 config.queue_depth = Some(n);
-            }
-            "--depth" => {
-                let v = it.next().expect("--depth needs a value");
-                let n: usize = v.parse().expect("--depth must be a positive integer");
-                assert!(n > 0, "--depth must be positive");
-                config.channel_depth = n;
             }
             "--read-timeout-ms" => {
                 let v = it.next().expect("--read-timeout-ms needs a value");

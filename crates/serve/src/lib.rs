@@ -7,10 +7,9 @@
 //! the wire and replays them against hypothetical cache configurations,
 //! plus a CLI (`gencache-client`) that drives it.
 //!
-//! Pure `std`: `TcpListener` + threads + the bounded channel from
-//! `gencache_sim::stream` — no async runtime, no signal crate (the
-//! container has no registry access, so external dependencies are not
-//! an option).
+//! Pure `std`: `TcpListener` + threads + `std::sync::mpsc` bounded
+//! channels — no async runtime, no signal crate (the container has no
+//! registry access, so external dependencies are not an option).
 //!
 //! Properties the implementation commits to:
 //!

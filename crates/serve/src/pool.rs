@@ -1,12 +1,13 @@
-//! A fixed-size worker pool over the bounded channel from
-//! `gencache_sim::stream`.
+//! A fixed-size worker pool over a `std::sync::mpsc::sync_channel`.
 //!
 //! Admission is non-blocking: [`WorkerPool::try_submit`] either enqueues
 //! the job or hands it straight back when the queue is full, which the
 //! daemon turns into a `busy` reply — load is shed at the door instead
 //! of building an unbounded backlog. Workers share the single receiver
 //! behind a mutex; a worker blocked in `recv` holds the lock only until
-//! a job arrives, so dequeueing serializes but execution does not.
+//! a job arrives, so dequeueing serializes but execution does not. The
+//! channel does not report its length, so the pool counts queued jobs
+//! itself ([`WorkerPool::queue_len`]).
 //!
 //! Jobs run under `catch_unwind`: a panicking job is counted (see
 //! [`WorkerPool::panics`]) but never takes its worker thread with it, so
@@ -14,10 +15,9 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use gencache_sim::stream::{bounded, Receiver, Sender, TrySendError};
 
 /// A unit of work for the pool.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -35,11 +35,20 @@ pub enum SubmitError {
 /// the worker handles sit behind mutexes so a pool shared through an
 /// `Arc` can still shut down by `&self`.
 pub struct WorkerPool {
-    tx: Mutex<Option<Sender<Job>>>,
+    tx: Mutex<Option<SyncSender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
-    panics: Arc<AtomicU64>,
-    active: Arc<AtomicU64>,
+    counts: Arc<Counts>,
+}
+
+/// The gauges the pool keeps beside its channel.
+#[derive(Default)]
+struct Counts {
+    /// Raised before a send and lowered when it is refused or a worker
+    /// dequeues the job, so it never underflows.
+    queued: AtomicU64,
+    active: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -56,18 +65,16 @@ impl WorkerPool {
     /// jobs (both clamped to at least 1).
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = bounded::<Job>(queue_depth.max(1));
+        let (tx, rx) = sync_channel::<Job>(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let panics = Arc::new(AtomicU64::new(0));
-        let active = Arc::new(AtomicU64::new(0));
+        let counts = Arc::new(Counts::default());
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let panics = Arc::clone(&panics);
-                let active = Arc::clone(&active);
+                let counts = Arc::clone(&counts);
                 std::thread::Builder::new()
                     .name(format!("gencache-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &panics, &active))
+                    .spawn(move || worker_loop(&rx, &counts))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -75,8 +82,7 @@ impl WorkerPool {
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(handles),
             worker_count: workers,
-            panics,
-            active,
+            counts,
         }
     }
 
@@ -88,22 +94,18 @@ impl WorkerPool {
     /// Jobs that panicked while running. The worker survives each one;
     /// the counter is the observable trace a panic leaves behind.
     pub fn panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
+        self.counts.panics.load(Ordering::Relaxed)
     }
 
     /// Jobs currently executing on a worker thread — the in-flight
     /// gauge the `stats` and `metrics` frames expose.
     pub fn active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
+        self.counts.active.load(Ordering::Relaxed)
     }
 
     /// Jobs currently queued (not yet picked up by a worker).
-    pub fn queue_len(&self) -> usize {
-        self.tx
-            .lock()
-            .expect("job sender poisoned")
-            .as_ref()
-            .map_or(0, Sender::len)
+    pub fn queue_len(&self) -> u64 {
+        self.counts.queued.load(Ordering::Relaxed)
     }
 
     /// Enqueues `job` without blocking.
@@ -117,11 +119,14 @@ impl WorkerPool {
         let Some(tx) = tx.as_ref() else {
             return Err((job, SubmitError::Closed));
         };
-        match tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job)) => Err((job, SubmitError::Full)),
-            Err(TrySendError::Disconnected(job)) => Err((job, SubmitError::Closed)),
-        }
+        self.counts.queued.fetch_add(1, Ordering::Relaxed);
+        tx.try_send(job).map_err(|refused| {
+            self.counts.queued.fetch_sub(1, Ordering::Relaxed);
+            match refused {
+                TrySendError::Full(job) => (job, SubmitError::Full),
+                TrySendError::Disconnected(job) => (job, SubmitError::Closed),
+            }
+        })
     }
 
     /// Stops accepting work, drains the queue, and joins every worker —
@@ -146,25 +151,23 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<Job>>, panics: &AtomicU64, active: &AtomicU64) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, counts: &Counts) {
     loop {
-        let job = {
-            let mut rx = rx.lock().expect("job queue poisoned");
-            rx.recv()
-        };
-        match job {
-            // AssertUnwindSafe: the job is FnOnce and consumed here; any
-            // state it shares across the boundary (channels, atomics)
-            // already tolerates a sender vanishing mid-protocol.
-            Some(job) => {
-                active.fetch_add(1, Ordering::Relaxed);
-                if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                }
-                active.fetch_sub(1, Ordering::Relaxed);
-            }
-            None => return,
+        // A statement of its own, so the guard is released as soon as a
+        // job arrives; in a `while let` it would live through the job.
+        let job = rx.lock().expect("job queue poisoned").recv();
+        let Ok(job) = job else { return };
+        // Raised before lowering `queued`, so `active + queued` never
+        // dips while a job changes hands.
+        counts.active.fetch_add(1, Ordering::Relaxed);
+        counts.queued.fetch_sub(1, Ordering::Relaxed);
+        // AssertUnwindSafe: the job is FnOnce and consumed here; any
+        // state it shares across the boundary (channels, atomics)
+        // already tolerates a sender vanishing mid-protocol.
+        if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+            counts.panics.fetch_add(1, Ordering::Relaxed);
         }
+        counts.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -212,10 +215,36 @@ mod tests {
         started_rx.recv().unwrap();
         // ...fill the queue...
         assert!(pool.try_submit(Box::new(|| {})).is_ok());
+        assert_eq!(pool.queue_len(), 1);
         // ...and the next submission is shed immediately.
         let err = pool.try_submit(Box::new(|| {})).unwrap_err().1;
         assert_eq!(err, SubmitError::Full);
+        assert_eq!(pool.queue_len(), 1, "a shed job leaves the count as it was");
         hold_tx.send(()).unwrap();
+        pool.shutdown();
+        assert_eq!(pool.queue_len(), 0, "every dequeued job was counted out");
+    }
+
+    #[test]
+    fn a_running_job_does_not_hold_the_queue() {
+        let pool = WorkerPool::new(2, 2);
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (hold_tx, hold_rx) = mpsc::channel::<()>();
+        let first = started_tx.clone();
+        assert!(pool
+            .try_submit(Box::new(move || {
+                first.send(()).unwrap();
+                let _ = hold_rx.recv();
+            }))
+            .is_ok());
+        started_rx.recv().unwrap();
+        assert!(pool
+            .try_submit(Box::new(move || started_tx.send(()).unwrap()))
+            .is_ok());
+        // The second worker picks this up while the first job still runs.
+        let second = started_rx.recv_timeout(std::time::Duration::from_secs(10));
+        hold_tx.send(()).unwrap();
+        assert!(second.is_ok(), "the second job waited for the first");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! pool admission, upload forwarding, the job worker, the recorder-backed
 //! `fetch`, its `watch` row and pool-routed `ping`.
 //!
-//! Memory discipline: a job upload flows socket → connection thread →
-//! bounded chunk channel → [`StreamIngest`]. The connection thread reads
+//! Every queue here is a `std::sync::mpsc::sync_channel`. Memory
+//! discipline: a job upload flows socket → connection thread → bounded
+//! chunk channel → [`StreamIngest`]. The connection thread reads
 //! one protocol line at a time (at most
 //! [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES)) and gathers whole
 //! lines into chunks of up to [`CHUNK_BYTES`]; at most
@@ -22,7 +23,8 @@
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,14 +33,12 @@ use gencache_bench::ingest::{
 };
 use gencache_bench::stream_events_to;
 use gencache_sim::par::effective_jobs;
-use gencache_sim::stream::{bounded, Receiver, Sender};
 use gencache_sim::{RecorderOptions, StreamedRecording, DEFAULT_STREAM_DEPTH};
 use gencache_workloads::benchmark;
 use serde::Value;
 
 use crate::front::{
-    self, drain_discard, reply, send_line, Conn, Front, Node, UploadLine, UploadReader,
-    SHUTTING_DOWN,
+    self, drain_discard, reply, Conn, Front, Node, UploadLine, UploadReader, SHUTTING_DOWN,
 };
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
@@ -58,10 +58,6 @@ pub struct ServerConfig {
     pub workers: Option<usize>,
     /// Pending-job queue depth; `None` means twice the worker count.
     pub queue_depth: Option<usize>,
-    /// Depth, in lines, of a `fetch` download's channel and of the
-    /// streamed recorder behind it. Job uploads do not use it: they are
-    /// bounded in bytes by [`MAX_INGEST_BYTES`].
-    pub channel_depth: usize,
     /// Per-connection socket read timeout.
     pub read_timeout: Duration,
     /// Default per-job wall-clock budget in milliseconds (0 = none);
@@ -85,7 +81,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: None,
             queue_depth: None,
-            channel_depth: DEFAULT_STREAM_DEPTH,
             read_timeout: Duration::from_secs(10),
             default_deadline_ms: 0,
             log: None,
@@ -102,7 +97,6 @@ pub(crate) struct Ctx {
     pub(crate) front: Front,
     pub(crate) pool: WorkerPool,
     pub(crate) stats: Arc<ServerStats>,
-    channel_depth: usize,
     default_deadline_ms: u64,
 }
 
@@ -117,7 +111,6 @@ impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("pool", &self.pool)
-            .field("channel_depth", &self.channel_depth)
             .finish_non_exhaustive()
     }
 }
@@ -142,7 +135,6 @@ impl Server {
             front,
             pool: WorkerPool::new(workers, config.queue_depth.unwrap_or(workers * 2)),
             stats: Arc::new(ServerStats::new()),
-            channel_depth: config.channel_depth.max(1),
             default_deadline_ms: config.default_deadline_ms,
         };
         Ok(Server {
@@ -223,7 +215,7 @@ impl Node for Ctx {
     /// A ping holds a worker slot for `hold_ms`, so it meets the pool's
     /// admission exactly as a job does.
     fn ping(&self, hold_ms: u64) -> String {
-        let (done_tx, mut done_rx) = bounded::<()>(1);
+        let (done_tx, done_rx) = sync_channel::<()>(1);
         let job = Box::new(move || {
             if hold_ms > 0 {
                 std::thread::sleep(Duration::from_millis(hold_ms));
@@ -233,13 +225,13 @@ impl Node for Ctx {
         match self.pool.try_submit(job) {
             Ok(()) => {
                 ServerStats::bump(&self.stats.jobs_accepted);
-                done_rx.recv();
+                let _ = done_rx.recv();
                 ServerStats::bump(&self.stats.jobs_completed);
                 encode_pong()
             }
             Err((_, SubmitError::Full)) => {
                 ServerStats::bump(&self.stats.jobs_rejected);
-                encode_busy(self.pool.queue_len() as u64)
+                encode_busy(self.pool.queue_len())
             }
             Err((_, SubmitError::Closed)) => encode_error(SHUTTING_DOWN),
         }
@@ -247,17 +239,17 @@ impl Node for Ctx {
 
     fn job(&self, conn: &mut Conn, spec: JobSpec, trace_id: String) -> io::Result<()> {
         let deadline_ms = spec.deadline_ms.unwrap_or(self.default_deadline_ms);
-        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-        let (chunk_tx, chunk_rx) = bounded::<IngestItem>(CHUNKS_IN_FLIGHT);
+        let (chunk_tx, chunk_rx) = sync_channel::<IngestItem>(CHUNKS_IN_FLIGHT);
         // Spent chunk buffers come back for reuse. A new one is made only
         // when none is spare, so at most CHUNKS_IN_FLIGHT + 2 exist at once
         // and the worker's return never finds this channel full.
-        let (spent_tx, spent_rx) = bounded::<String>(CHUNKS_IN_FLIGHT + 2);
-        let (reply_tx, reply_rx) = bounded::<JobOutcome>(1);
+        let (spent_tx, spent_rx) = sync_channel::<String>(CHUNKS_IN_FLIGHT + 2);
+        let (reply_tx, reply_rx) = sync_channel::<JobOutcome>(1);
         // The deadline clock starts at admission, not at worker pickup —
         // time spent queued behind the bounded pool counts against the
         // budget, so a deadline'd job cannot wait unboundedly.
         let admitted = Instant::now();
+        let deadline = (deadline_ms > 0).then(|| admitted + Duration::from_millis(deadline_ms));
         let tel = Arc::clone(&self.front.telemetry);
         let stats = Arc::clone(&self.stats);
         let job_trace = trace_id.clone();
@@ -270,7 +262,7 @@ impl Node for Ctx {
         match self.pool.try_submit(job) {
             Err((_, SubmitError::Full)) => {
                 ServerStats::bump(&self.stats.jobs_rejected);
-                let depth = self.pool.queue_len() as u64;
+                let depth = self.pool.queue_len();
                 if let Some(sp) = tel.span(&trace_id, "accept", admitted) {
                     sp.outcome("busy").end();
                 }
@@ -299,7 +291,7 @@ impl Node for Ctx {
             "job_admitted",
             Some(&trace_id),
             &[
-                ("queue_depth", Value::UInt(self.pool.queue_len() as u64)),
+                ("queue_depth", Value::UInt(self.pool.queue_len())),
                 ("deadline_ms", Value::UInt(deadline_ms)),
             ],
         );
@@ -311,7 +303,7 @@ impl Node for Ctx {
         let Conn { reader, writer } = conn;
         std::thread::scope(|scope| {
             let replier = scope.spawn(|| send_reply(self, writer, reply_rx, &trace_id, admitted));
-            forward_upload(self, reader, chunk_tx, spent_rx, deadline, admitted);
+            forward_upload(self, reader, chunk_tx, spent_rx, deadline);
             let failed = replier
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
@@ -325,9 +317,8 @@ impl Node for Ctx {
     }
 
     fn fetch(&self, conn: &mut Conn, bench: &str, scale: u64) -> io::Result<()> {
-        let (line_tx, mut line_rx) = bounded::<String>(self.channel_depth);
+        let (line_tx, line_rx) = sync_channel::<String>(DEFAULT_STREAM_DEPTH);
         let bench_name = bench.to_string();
-        let depth = self.channel_depth;
         let job = Box::new(move || {
             let Some(profile) = benchmark(&bench_name) else {
                 let _ = line_tx.send(encode_error(&format!("unknown benchmark {bench_name:?}")));
@@ -338,7 +329,11 @@ impl Node for Ctx {
             } else {
                 profile
             };
-            let rec = match StreamedRecording::probe(&profile, RecorderOptions::default(), depth) {
+            let rec = match StreamedRecording::probe(
+                &profile,
+                RecorderOptions::default(),
+                DEFAULT_STREAM_DEPTH,
+            ) {
                 Ok(r) => r,
                 Err(e) => {
                     let _ = line_tx.send(encode_error(&format!("{bench_name}: {e:?}")));
@@ -359,14 +354,14 @@ impl Node for Ctx {
         match self.pool.try_submit(job) {
             Err((_, SubmitError::Full)) => {
                 ServerStats::bump(&self.stats.jobs_rejected);
-                return conn.send(&encode_busy(self.pool.queue_len() as u64));
+                return conn.send(&encode_busy(self.pool.queue_len()));
             }
             Err((_, SubmitError::Closed)) => return conn.send_error(SHUTTING_DOWN),
             Ok(()) => {}
         }
         ServerStats::bump(&self.stats.jobs_accepted);
         let mut failed = false;
-        while let Some(line) = line_rx.recv() {
+        while let Ok(line) = line_rx.recv() {
             // Counters track export payload, not the trailing control frame.
             if !is_control_line(&line) {
                 ServerStats::bump(&self.stats.lines_served);
@@ -423,10 +418,7 @@ impl Node for Ctx {
     }
 
     fn drain_start(&self, _connections: usize) -> (&'static str, u64) {
-        (
-            "in_flight",
-            self.pool.active() + self.pool.queue_len() as u64,
-        )
+        ("in_flight", self.pool.active() + self.pool.queue_len())
     }
 }
 
@@ -436,10 +428,9 @@ impl Node for Ctx {
 fn forward_upload(
     ctx: &Ctx,
     reader: &mut BufReader<TcpStream>,
-    chunk_tx: Sender<IngestItem>,
-    mut spent_rx: Receiver<String>,
-    deadline: Option<Duration>,
-    admitted: Instant,
+    chunk_tx: SyncSender<IngestItem>,
+    spent_rx: Receiver<String>,
+    deadline: Option<Instant>,
 ) {
     // Forward the upload in chunks of whole lines; the bounded send
     // blocks when the worker falls behind, which is exactly the
@@ -460,7 +451,7 @@ fn forward_upload(
     let mut chunk = String::with_capacity(CHUNK_BYTES);
     let last = loop {
         if let Some(d) = deadline.filter(|_| reader.buffer().is_empty()) {
-            let left = d.saturating_sub(admitted.elapsed());
+            let left = d.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break Some(IngestItem::Abort(
                     "deadline exceeded during ingest".to_string(),
@@ -482,14 +473,13 @@ fn forward_upload(
         };
         // A failed send means the worker already gave up (deadline,
         // malformed stream); its reply is waiting.
-        if chunk.len() + line.len() >= CHUNK_BYTES
-            && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk)
+        if chunk.len() + line.len() >= CHUNK_BYTES && !send_chunk(&chunk_tx, &spent_rx, &mut chunk)
         {
             break None;
         }
         chunk.push_str(line);
         chunk.push('\n');
-        if reader.buffer().is_empty() && !send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
+        if reader.buffer().is_empty() && !send_chunk(&chunk_tx, &spent_rx, &mut chunk) {
             break None;
         }
     };
@@ -499,7 +489,7 @@ fn forward_upload(
         let _ = reader.get_ref().set_read_timeout(Some(max_timeout));
     }
     if let Some(item) = last {
-        if send_chunk(&chunk_tx, &mut spent_rx, &mut chunk) {
+        if send_chunk(&chunk_tx, &spent_rx, &mut chunk) {
             let _ = chunk_tx.send(item);
         }
     }
@@ -511,19 +501,22 @@ fn forward_upload(
 fn send_reply(
     ctx: &Ctx,
     writer: &mut impl Write,
-    mut reply_rx: Receiver<JobOutcome>,
+    reply_rx: Receiver<JobOutcome>,
     trace_id: &str,
     admitted: Instant,
 ) -> io::Result<bool> {
     let tel = &ctx.front.telemetry;
-    let (line, failed) = match reply_rx.recv() {
-        Some(Ok(line)) => {
+    let outcome = reply_rx
+        .recv()
+        .unwrap_or_else(|_| Err("job worker terminated unexpectedly".to_string()));
+    let (line, failed) = match outcome {
+        Ok(line) => {
             ServerStats::bump(&ctx.stats.jobs_completed);
             ctx.stats
                 .record_latency(admitted.elapsed().as_micros() as u64);
             (line, None)
         }
-        Some(Err(message)) => {
+        Err(message) => {
             ServerStats::bump(&ctx.stats.jobs_failed);
             tel.log().event(
                 LogLevel::Warn,
@@ -533,11 +526,6 @@ fn send_reply(
             );
             (encode_error(&message), Some(message))
         }
-        None => {
-            ServerStats::bump(&ctx.stats.jobs_failed);
-            let line = encode_error("job worker terminated unexpectedly");
-            return send_line(writer, &line).map(|()| false);
-        }
     };
     let failed = failed.as_deref();
     reply(writer, tel, trace_id, Instant::now(), &line, failed).map(|()| failed.is_some())
@@ -546,7 +534,7 @@ fn send_reply(
 /// Hands the gathered lines to the worker as one chunk, then starts the
 /// next in a spent buffer if one has come back. Returns `false` when the
 /// worker has hung up.
-fn send_chunk(tx: &Sender<IngestItem>, spent: &mut Receiver<String>, chunk: &mut String) -> bool {
+fn send_chunk(tx: &SyncSender<IngestItem>, spent: &Receiver<String>, chunk: &mut String) -> bool {
     if chunk.is_empty() {
         return true;
     }
@@ -555,7 +543,7 @@ fn send_chunk(tx: &Sender<IngestItem>, spent: &mut Receiver<String>, chunk: &mut
     }
     *chunk = spent
         .try_recv()
-        .unwrap_or_else(|| String::with_capacity(CHUNK_BYTES));
+        .unwrap_or_else(|_| String::with_capacity(CHUNK_BYTES));
     true
 }
 
@@ -565,17 +553,21 @@ fn send_chunk(tx: &Sender<IngestItem>, spent: &mut Receiver<String>, chunk: &mut
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     spec: &JobSpec,
-    mut chunk_rx: Receiver<IngestItem>,
-    spent_tx: &Sender<String>,
-    reply_tx: &Sender<JobOutcome>,
-    deadline: Option<Duration>,
+    chunk_rx: Receiver<IngestItem>,
+    spent_tx: &SyncSender<String>,
+    reply_tx: &SyncSender<JobOutcome>,
+    deadline: Option<Instant>,
     admitted: Instant,
     tel: &Telemetry,
     stats: &ServerStats,
     trace_id: &str,
 ) {
-    let started = admitted;
     let picked_up = Instant::now();
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    let deadline_error = || {
+        let budget = deadline.map_or(Duration::ZERO, |d| d.duration_since(admitted));
+        format!("deadline of {}ms exceeded", budget.as_millis())
+    };
     let fail = |message: String| {
         let _ = reply_tx.send(Err(message));
     };
@@ -596,16 +588,9 @@ fn run_job(
         );
     };
     // Dead on dequeue: the queue wait alone consumed the budget.
-    if deadline.is_some_and(|d| started.elapsed() >= d) {
+    if expired() {
         log_deadline("queue");
-        return fail_stage(
-            "queue",
-            admitted,
-            format!(
-                "deadline of {}ms exceeded",
-                deadline.unwrap_or_default().as_millis()
-            ),
-        );
+        return fail_stage("queue", admitted, deadline_error());
     }
     if let Some(sp) = tel.span(trace_id, "queue", admitted) {
         sp.dur(picked_up.saturating_duration_since(admitted)).end();
@@ -613,8 +598,8 @@ fn run_job(
     let ingest_started = Instant::now();
     let mut ingest = StreamIngest::new();
     let mut complete = false;
-    while let Some(item) = chunk_rx.recv() {
-        if deadline.is_some_and(|d| started.elapsed() >= d) {
+    while let Ok(item) = chunk_rx.recv() {
+        if expired() {
             log_deadline("ingest");
             return fail_stage(
                 "ingest",
@@ -666,37 +651,17 @@ fn run_job(
         Err(e) => return fail(e),
     };
 
-    // Replay with a watchdog flipping the cancel flag at the deadline;
-    // the runner polls it between (benchmark, spec) cells.
+    // Within one job the pool's width is the concurrency budget, so the
+    // replay itself runs single-threaded; the runner checks the deadline
+    // between (benchmark, spec) cells.
     let replay_started = Instant::now();
-    let cancel = AtomicBool::new(false);
-    let done = AtomicBool::new(false);
-    let (cancel, done) = (&cancel, &done);
-    let outcome = std::thread::scope(|scope| {
-        if let Some(d) = deadline {
-            scope.spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if started.elapsed() >= d {
-                        cancel.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-        }
-        // Within one job the pool's width is the concurrency budget, so
-        // the replay itself runs single-threaded.
-        let options = SimJobOptions {
-            oracle: spec.oracle,
-            windows: spec.windows,
-            window_width: spec.window_width,
-            regret_top: spec.regret_top.map(|t| t as usize),
-        };
-        let outcome = run_sim_job(&inputs, &specs, options, 1, Some(cancel));
-        done.store(true, Ordering::Relaxed);
-        outcome
-    });
-    match outcome {
+    let options = SimJobOptions {
+        oracle: spec.oracle,
+        windows: spec.windows,
+        window_width: spec.window_width,
+        regret_top: spec.regret_top.map(|t| t as usize),
+    };
+    match run_sim_job(&inputs, &specs, options, 1, deadline) {
         Ok(out) => {
             // Feed the windowed-telemetry gauges: the job's final
             // window's miss rate and its total drift annotations.
@@ -738,7 +703,7 @@ fn run_job(
                 &render_sim_tables(&out),
                 out.benches.len() as u64,
                 out.labels.len() as u64,
-                started.elapsed().as_micros() as u64,
+                admitted.elapsed().as_micros() as u64,
             );
             if let Some(sp) = tel.span(trace_id, "assemble", assemble_started) {
                 sp.bytes(line.len() as u64).end();
@@ -746,16 +711,9 @@ fn run_job(
             let _ = reply_tx.send(Ok(line));
         }
         Err(e) => {
-            if cancel.load(Ordering::Relaxed) {
+            if expired() {
                 log_deadline("replay");
-                fail_stage(
-                    "replay",
-                    replay_started,
-                    format!(
-                        "deadline of {}ms exceeded",
-                        deadline.unwrap_or_default().as_millis()
-                    ),
-                );
+                fail_stage("replay", replay_started, deadline_error());
             } else {
                 fail_stage("replay", replay_started, e);
             }
@@ -763,15 +721,15 @@ fn run_job(
     }
 }
 
-/// Adapts the bounded channel into an `io::Write` so the streamed
+/// Adapts a bounded channel into an `io::Write` so the streamed
 /// export writer can feed a socket-bound download line by line.
 struct ChannelWriter {
-    tx: Sender<String>,
+    tx: SyncSender<String>,
     buf: Vec<u8>,
 }
 
 impl ChannelWriter {
-    fn new(tx: Sender<String>) -> Self {
+    fn new(tx: SyncSender<String>) -> Self {
         ChannelWriter {
             tx,
             buf: Vec::new(),
@@ -798,5 +756,39 @@ impl Write for ChannelWriter {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+
+    #[test]
+    fn worker_hanging_up_is_answered_like_any_failed_job() {
+        let config = ServerConfig {
+            workers: Some(1),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(&config).unwrap();
+        let (reply_tx, reply_rx) = sync_channel::<JobOutcome>(1);
+        drop(reply_tx);
+        let mut wire = Vec::new();
+        let failed =
+            send_reply(&server.ctx, &mut wire, reply_rx, "hangup", Instant::now()).unwrap();
+        assert!(failed, "an error reply drains the rest of the upload");
+        let message = "job worker terminated unexpectedly";
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            format!("{}\n", encode_error(message))
+        );
+        let spans = server.ctx.front.telemetry.spans_for("hangup");
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.stage == "reply" && s.outcome == format!("error: {message}")),
+            "reply span must carry the error: {spans:?}"
+        );
+        assert_eq!(server.ctx.stats.jobs_failed.load(Ordering::Relaxed), 1);
     }
 }

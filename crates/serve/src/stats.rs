@@ -107,7 +107,7 @@ pub(crate) static DAEMON: [Metric<Ctx>; 16] = [
         key: "queue_depth",
         name: "gencache_queue_depth",
         help: "Jobs queued, not yet running.",
-        read: Read::Gauge(|c| c.pool.queue_len() as u64),
+        read: Read::Gauge(|c| c.pool.queue_len()),
     },
     Metric {
         key: "in_flight",

@@ -57,7 +57,6 @@ mod recording;
 mod replay;
 pub mod report;
 mod simulate;
-pub mod stream;
 mod streamed;
 mod sweep;
 mod threads;

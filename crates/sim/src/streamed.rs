@@ -9,8 +9,8 @@
 //! discarding every record and keeping only the [`RecordFacts`] — enough
 //! to size the paper's standard capacity (`peak/2`) and build the
 //! [`RunSummary`]. Each pass of [`Recording::for_each_record`] then
-//! re-records on a producer thread and pushes records through a
-//! [`stream::bounded`] channel to the consumer, where the shared
+//! re-records on a producer thread and pushes records through a bounded
+//! `std::sync::mpsc::sync_channel` to the consumer, where the shared
 //! [`Recording::drive`] loop feeds the cache models incrementally. Peak
 //! memory is O(channel depth + model state), never O(stream length), at
 //! the cost of one extra recording pass per replay — the explicit trade
@@ -18,13 +18,14 @@
 //! of models, so the Figure 9 four-model comparison still costs a single
 //! producer pass.
 
+use std::sync::mpsc::sync_channel;
+
 use gencache_program::Time;
 use gencache_workloads::{PlanError, WorkloadProfile};
 
 use crate::log::LogRecord;
 use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSummary};
 use crate::recording::Recording;
-use crate::stream;
 
 /// Default bounded-channel depth for streamed replays: deep enough to
 /// decouple producer and consumer scheduling hiccups, small enough that
@@ -102,7 +103,7 @@ impl Recording for StreamedRecording {
     /// on this thread as it leaves the bounded channel. Determinism makes
     /// every pass byte-identical to the probed one.
     fn for_each_record(&self, mut visit: impl FnMut(&LogRecord)) {
-        let (tx, mut rx) = stream::bounded::<LogRecord>(self.depth);
+        let (tx, rx) = sync_channel::<LogRecord>(self.depth);
         let profile = &self.profile;
         let options = self.options;
         std::thread::scope(|s| {
@@ -118,7 +119,7 @@ impl Recording for StreamedRecording {
                 })
                 .expect("profile planned successfully during probe");
             });
-            while let Some(record) = rx.recv() {
+            while let Ok(record) = rx.recv() {
                 visit(&record);
             }
             producer.join().expect("recorder thread panicked");

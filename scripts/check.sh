@@ -56,6 +56,7 @@ baseline="target/tmp/check-baseline.json"
 regret_metrics="target/tmp/check-metrics-regret.json"
 win_metrics="target/tmp/check-metrics-windows.json"
 serve_metrics="target/tmp/check-metrics-serve.json"
+fetch_events="target/tmp/check-fetch-events.jsonl"
 serve_log="target/tmp/check-serve.log"
 serve_events_log="target/tmp/check-serve-events.jsonl"
 bad_events="target/tmp/check-bad-events.jsonl"
@@ -86,7 +87,7 @@ cleanup() {
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
-    "$serve_metrics" "$serve_log" "$serve_events_log" \
+    "$serve_metrics" "$fetch_events" "$serve_log" "$serve_events_log" \
     "$bad_events" "$huge_events" "$bad_err" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
     "$shard1_log" "$shard2_log" "$router_log"
@@ -225,6 +226,11 @@ grep -q '"event":"job_admitted"' "$serve_events_log" \
 ./target/release/gencache-client watch --addr "$addr" --count 1 --plain \
   | grep -q "snapshot #0: 1 node(s)" \
   || { echo "watch returned no snapshot frame"; exit 1; }
+# A daemon-side recording streamed back is the live explain export.
+./target/release/gencache-client fetch --addr "$addr" --bench word --scale 64 \
+  --out "$fetch_events" 2> /dev/null
+cmp "$events" "$fetch_events" \
+  || { echo "fetched export differs from the explain export"; exit 1; }
 
 echo "=== bad upload smoke: broken and oversize lines get an error reply"
 # The first event line cut off mid-JSON.
