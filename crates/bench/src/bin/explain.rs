@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::process::ExitCode;
 
+use gencache_bench::cli::{self, ensure, parse, unknown, value, ArgError};
 use gencache_bench::ingest::open_lines;
 use gencache_bench::{export_specs, export_telemetry, sample_interval, HarnessOptions};
 use gencache_core::{SwitchKind, SwitchReport};
@@ -59,7 +60,13 @@ struct OracleContext {
     result: OracleResult,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> ExplainOptions {
+const USAGE: &str = "usage:
+  explain [--bench NAME] [--scale N] [--jobs N] [--top N] [--oracle] [--windows]
+          [--window-width N] [--regret-top N] [--spec LABEL]...
+          [--events-out FILE.jsonl] [--metrics-out FILE.json] [--sample N] [--sample-seed S]
+  explain --parse-events FILE.jsonl|-";
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ExplainOptions, ArgError> {
     let mut opts = ExplainOptions {
         bench: "word".to_string(),
         top: 10,
@@ -78,71 +85,63 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ExplainOptions {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--bench" => {
-                opts.bench = it.next().expect("--bench needs a benchmark name");
+                opts.bench = value(&mut it, "--bench needs a benchmark name")?;
             }
             "--top" => {
-                let v = it.next().expect("--top needs a value");
-                opts.top = v.parse().expect("--top must be a non-negative integer");
+                let v = value(&mut it, "--top needs a value")?;
+                opts.top = parse(&v, "--top must be a non-negative integer")?;
             }
             "--parse-events" => {
-                opts.parse_events = Some(it.next().expect("--parse-events needs a file path"));
+                opts.parse_events = Some(value(&mut it, "--parse-events needs a file path")?);
             }
             "--oracle" => opts.oracle = true,
             "--windows" => opts.windows = true,
             "--window-width" => {
-                let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v
-                    .parse()
-                    .expect("--window-width must be a positive integer");
-                assert!(width > 0, "--window-width must be positive");
+                let v = value(&mut it, "--window-width needs an access count")?;
+                let width: u64 = parse(&v, "--window-width must be a positive integer")?;
+                ensure(width > 0, "--window-width must be positive")?;
                 opts.window_width = Some(width);
             }
             "--regret-top" => {
-                let v = it.next().expect("--regret-top needs a count");
-                let top: usize = v.parse().expect("--regret-top must be a positive integer");
-                assert!(top > 0, "--regret-top must be positive");
+                let v = value(&mut it, "--regret-top needs a count")?;
+                let top: usize = parse(&v, "--regret-top must be a positive integer")?;
+                ensure(top > 0, "--regret-top must be positive")?;
                 opts.regret_top = Some(top);
             }
             "--spec" => {
-                opts.specs.push(it.next().expect("--spec needs a label"));
+                opts.specs.push(value(&mut it, "--spec needs a label")?);
             }
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                opts.harness.scale = v.parse().expect("--scale must be a positive integer");
-                assert!(opts.harness.scale > 0, "--scale must be positive");
+                let v = value(&mut it, "--scale needs a value")?;
+                opts.harness.scale = parse(&v, "--scale must be a positive integer")?;
+                ensure(opts.harness.scale > 0, "--scale must be positive")?;
             }
             "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                let jobs: usize = v.parse().expect("--jobs must be a positive integer");
-                assert!(jobs > 0, "--jobs must be positive");
+                let v = value(&mut it, "--jobs needs a value")?;
+                let jobs: usize = parse(&v, "--jobs must be a positive integer")?;
+                ensure(jobs > 0, "--jobs must be positive")?;
                 opts.harness.jobs = Some(jobs);
             }
             "--events-out" => {
-                opts.harness.events_out = Some(it.next().expect("--events-out needs a file path"));
+                opts.harness.events_out = Some(value(&mut it, "--events-out needs a file path")?);
             }
             "--metrics-out" => {
-                opts.harness.metrics_out =
-                    Some(it.next().expect("--metrics-out needs a file path"));
+                opts.harness.metrics_out = Some(value(&mut it, "--metrics-out needs a file path")?);
             }
             "--sample" => {
-                let v = it.next().expect("--sample needs a value");
-                let n: u64 = v.parse().expect("--sample must be a positive integer");
-                assert!(n > 0, "--sample must be positive");
+                let v = value(&mut it, "--sample needs a value")?;
+                let n: u64 = parse(&v, "--sample must be a positive integer")?;
+                ensure(n > 0, "--sample must be positive")?;
                 opts.harness.sample = Some(n);
             }
             "--sample-seed" => {
-                let v = it.next().expect("--sample-seed needs a value");
-                opts.harness.sample_seed = v.parse().expect("--sample-seed must be an integer");
+                let v = value(&mut it, "--sample-seed needs a value")?;
+                opts.harness.sample_seed = parse(&v, "--sample-seed must be an integer")?;
             }
-            other => panic!(
-                "unknown argument {other:?}; use --bench NAME / --scale N / --jobs N / \
-                 --top N / --oracle / --windows / --window-width N / --regret-top N / \
-                 --spec LABEL / --events-out FILE / --metrics-out FILE / \
-                 --sample N / --sample-seed S / --parse-events FILE"
-            ),
+            other => return Err(unknown(other)),
         }
     }
-    opts
+    Ok(opts)
 }
 
 /// Validation mode: parse a `--events-out` JSONL file back into its
@@ -807,21 +806,27 @@ fn explain_model(
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args(std::env::args().skip(1));
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit("explain", USAGE, e),
+    };
     if let Some(path) = &opts.parse_events {
         return parse_events(path);
     }
 
-    let extra_specs: Vec<(String, SimSpec)> = opts
+    let extra_specs: Result<Vec<(String, SimSpec)>, String> = opts
         .specs
         .iter()
-        .map(|label| {
-            let spec = parse_spec(label).unwrap_or_else(|e| panic!("{e}"));
-            (label.clone(), spec)
-        })
+        .map(|label| Ok((label.clone(), parse_spec(label)?)))
         .collect();
-    let mut profile =
-        benchmark(&opts.bench).unwrap_or_else(|| panic!("unknown benchmark {:?}", opts.bench));
+    let extra_specs = match extra_specs {
+        Ok(specs) => specs,
+        Err(e) => return cli::exit("explain", USAGE, ArgError::Usage(e)),
+    };
+    let Some(mut profile) = benchmark(&opts.bench) else {
+        let e = format!("unknown benchmark {:?}", opts.bench);
+        return cli::exit("explain", USAGE, ArgError::Usage(e));
+    };
     if opts.harness.scale > 1 {
         profile = profile.scaled_down(opts.harness.scale);
     }

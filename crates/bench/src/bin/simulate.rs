@@ -38,6 +38,7 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use gencache_bench::cli::{self, ensure, parse, unknown, value, ArgError};
 use gencache_bench::ingest::{
     open_lines, render_sim_tables, resolve_sim_specs, run_sim_job, sim_metrics_doc, SimJobOptions,
     SimJobOutput, StreamIngest,
@@ -48,10 +49,11 @@ use gencache_sim::par::effective_jobs;
 use gencache_sim::SimulatedSpec;
 use serde::{Deserialize, Serialize};
 
-const USAGE: &str = "use --events FILE / --spec LABEL / --grid / --oracle / --windows / \
-     --window-width N / --regret-top N / --capacity BYTES / --jobs N / --bench NAME / \
-     --model LABEL / --metrics-out FILE / --baseline-out FILE / --watch FILE / \
-     --tolerance FRAC";
+const USAGE: &str = "usage:
+  simulate --events FILE.jsonl|- [--spec LABEL]... [--grid] [--oracle] [--windows]
+           [--window-width N] [--regret-top N] [--capacity BYTES] [--jobs N]
+           [--bench NAME] [--model LABEL] [--metrics-out FILE.json]
+           [--baseline-out FILE.json] [--watch BASELINE.json] [--tolerance FRAC]";
 
 struct SimOptions {
     events: String,
@@ -71,7 +73,7 @@ struct SimOptions {
     tolerance: f64,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<SimOptions, ArgError> {
     let mut opts = SimOptions {
         events: String::new(),
         specs: Vec::new(),
@@ -92,59 +94,54 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--events" => opts.events = it.next().expect("--events needs a file path"),
-            "--spec" => opts.specs.push(it.next().expect("--spec needs a label")),
+            "--events" => opts.events = value(&mut it, "--events needs a file path")?,
+            "--spec" => opts.specs.push(value(&mut it, "--spec needs a label")?),
             "--grid" => opts.grid = true,
             "--oracle" => opts.oracle = true,
             "--windows" => opts.windows = true,
             "--window-width" => {
-                let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v
-                    .parse()
-                    .expect("--window-width must be a positive integer");
-                assert!(width > 0, "--window-width must be positive");
+                let v = value(&mut it, "--window-width needs an access count")?;
+                let width: u64 = parse(&v, "--window-width must be a positive integer")?;
+                ensure(width > 0, "--window-width must be positive")?;
                 opts.window_width = Some(width);
             }
             "--regret-top" => {
-                let v = it.next().expect("--regret-top needs a count");
-                let top: usize = v.parse().expect("--regret-top must be a positive integer");
-                assert!(top > 0, "--regret-top must be positive");
+                let v = value(&mut it, "--regret-top needs a count")?;
+                let top: usize = parse(&v, "--regret-top must be a positive integer")?;
+                ensure(top > 0, "--regret-top must be positive")?;
                 opts.regret_top = Some(top);
             }
             "--capacity" => {
-                let v = it.next().expect("--capacity needs a byte count");
-                let bytes: u64 = v.parse().expect("--capacity must be a positive integer");
-                assert!(bytes > 0, "--capacity must be positive");
+                let v = value(&mut it, "--capacity needs a byte count")?;
+                let bytes: u64 = parse(&v, "--capacity must be a positive integer")?;
+                ensure(bytes > 0, "--capacity must be positive")?;
                 opts.capacity = Some(bytes);
             }
             "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                let jobs: usize = v.parse().expect("--jobs must be a positive integer");
-                assert!(jobs > 0, "--jobs must be positive");
+                let v = value(&mut it, "--jobs needs a value")?;
+                let jobs: usize = parse(&v, "--jobs must be a positive integer")?;
+                ensure(jobs > 0, "--jobs must be positive")?;
                 opts.jobs = Some(jobs);
             }
-            "--bench" => opts.bench = Some(it.next().expect("--bench needs a benchmark name")),
-            "--model" => opts.model = Some(it.next().expect("--model needs a model label")),
+            "--bench" => opts.bench = Some(value(&mut it, "--bench needs a benchmark name")?),
+            "--model" => opts.model = Some(value(&mut it, "--model needs a model label")?),
             "--metrics-out" => {
-                opts.metrics_out = Some(it.next().expect("--metrics-out needs a file path"));
+                opts.metrics_out = Some(value(&mut it, "--metrics-out needs a file path")?);
             }
             "--baseline-out" => {
-                opts.baseline_out = Some(it.next().expect("--baseline-out needs a file path"));
+                opts.baseline_out = Some(value(&mut it, "--baseline-out needs a file path")?);
             }
-            "--watch" => opts.watch = Some(it.next().expect("--watch needs a baseline file")),
+            "--watch" => opts.watch = Some(value(&mut it, "--watch needs a baseline file")?),
             "--tolerance" => {
-                let v = it.next().expect("--tolerance needs a fraction");
-                opts.tolerance = v.parse().expect("--tolerance must be a number");
-                assert!(opts.tolerance >= 0.0, "--tolerance must be non-negative");
+                let v = value(&mut it, "--tolerance needs a fraction")?;
+                opts.tolerance = parse(&v, "--tolerance must be a number")?;
+                ensure(opts.tolerance >= 0.0, "--tolerance must be non-negative")?;
             }
-            other => panic!("unknown argument {other:?}; {USAGE}"),
+            other => return Err(unknown(other)),
         }
     }
-    assert!(
-        !opts.events.is_empty(),
-        "--events FILE is required; {USAGE}"
-    );
-    opts
+    ensure(!opts.events.is_empty(), "--events FILE is required")?;
+    Ok(opts)
 }
 
 /// Streams the export (file or stdin) through the shared ingest, line
@@ -398,7 +395,10 @@ fn watch(path: &str, rows: &[BaselineRow], tolerance: f64) -> Result<usize, Stri
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args(std::env::args().skip(1));
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit("simulate", USAGE, e),
+    };
     let ingest = match ingest_export(&opts.events) {
         Ok(i) => i,
         Err(e) => {

@@ -30,9 +30,9 @@ use std::io::{self, BufRead, BufReader};
 use std::time::Instant;
 
 use gencache_obs::{
-    oracle_replay, parse_stream_line, parse_stream_line_tree, read_event_line, CacheEvent,
-    NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine, TraceRebuilder, METRICS_SCHEMA,
-    METRICS_VERSION, TOP_REGRET,
+    oracle_replay, parse_stream_line, parse_stream_line_tree, read_event_line, read_prefixed_event,
+    write_event_line_prefix, CacheEvent, NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine,
+    TraceRebuilder, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
 };
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
@@ -108,6 +108,9 @@ pub struct StreamIngest {
     /// O(1) cursor verification cannot process — caught with a clear
     /// error instead of a confusing op-by-op divergence report.
     active: Option<ActiveStream>,
+    /// The active stream's event-line prefix, rewritten in place at each
+    /// stream start (empty while no stream is active).
+    prefix: String,
     /// The active stream's event → request inversion. Streams never
     /// resume, so one rebuilder serves them all, reset at each new
     /// stream.
@@ -149,6 +152,13 @@ impl StreamIngest {
     /// Consumes one export line. Blank lines are counted as bytes but
     /// otherwise ignored.
     ///
+    /// A line that starts with the active stream's prefix and holds just
+    /// one event after it is read by [`read_prefixed_event`] and goes to
+    /// that stream with no label compare; on compact exports that is
+    /// nearly every line. Any other line is dispatched as
+    /// [`parse_stream_line`] does, with an event line's labels borrowed.
+    /// Both paths give the same outcome and the same error texts.
+    ///
     /// # Errors
     ///
     /// Returns a description of the malformed line, an invalid header,
@@ -160,8 +170,9 @@ impl StreamIngest {
             return Ok(());
         }
         self.lines += 1;
-        // The line is dispatched as `parse_stream_line` does, but an
-        // event line's labels stay borrowed.
+        if let Some(event) = read_prefixed_event(line, &self.prefix) {
+            return self.push_active(&event);
+        }
         if let Some(e) = read_event_line(line) {
             return self.push_event(&e.source, &e.model, &e.event);
         }
@@ -194,7 +205,13 @@ impl StreamIngest {
         if !is_active {
             self.start_stream(source, model)?;
         }
+        self.push_active(event)
+    }
+
+    /// Consumes one event of the active stream.
+    fn push_active(&mut self, event: &CacheEvent) -> Result<(), String> {
         let active = self.active.as_mut().expect("a stream is active");
+        let (source, model) = (&active.source, &active.model);
         let op = self
             .rebuilder
             .push(event)
@@ -251,6 +268,8 @@ impl StreamIngest {
             bench: index,
             role,
         });
+        self.prefix.clear();
+        write_event_line_prefix(source, model, &mut self.prefix);
         self.rebuilder = TraceRebuilder::new();
         Ok(())
     }

@@ -56,6 +56,7 @@ use gencache_sim::{
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 use serde::{Entries, Serialize, Value};
 
+pub mod cli;
 pub mod ingest;
 
 /// Command-line options shared by every figure binary.

@@ -76,8 +76,9 @@ pub use sample::{
     SamplingObserver, SamplingParams, SamplingSummary,
 };
 pub use schema::{
-    parse_stream_line, parse_stream_line_tree, read_event_line, EventLine, RunMeta, StreamHeader,
-    StreamLine, EVENTS_SCHEMA, EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
+    parse_stream_line, parse_stream_line_tree, read_event_line, read_prefixed_event,
+    write_event_line_prefix, EventLine, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA,
+    EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
 };
 pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};
 pub use window::{

@@ -6,6 +6,7 @@ use std::io::{self, Write};
 use serde::{Deserialize, Serialize};
 
 use crate::event::CacheEvent;
+use crate::schema::write_event_line_prefix;
 
 /// Receives the typed event stream from an instrumented cache model.
 ///
@@ -121,9 +122,10 @@ pub struct EventRecord {
 /// line on the underlying writer, byte-identical to
 /// `serde_json::to_string(&record)` plus a newline.
 ///
-/// The labels are rendered once, into a line prefix, and each event is
-/// written into one reused line buffer, so an event costs no
-/// allocation.
+/// The labels are rendered once, into the stream's line prefix
+/// ([`write_event_line_prefix`](crate::write_event_line_prefix), which
+/// the reader matches lines against), and each event is written into
+/// one reused line buffer, so an event costs no allocation.
 ///
 /// An observer cannot return an error, so the sink keeps the first
 /// write error, writes nothing after it, and returns it from
@@ -141,11 +143,9 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink labelling every line with `source` and `model`.
     pub fn new(writer: W, source: impl Into<String>, model: impl Into<String>) -> Self {
-        let mut prefix = String::from("{\"source\":");
-        source.into().write_json(&mut prefix);
-        prefix.push_str(",\"model\":");
-        model.into().write_json(&mut prefix);
-        prefix.push_str(",\"event\":");
+        let (source, model): (String, String) = (source.into(), model.into());
+        let mut prefix = String::new();
+        write_event_line_prefix(&source, &model, &mut prefix);
         JsonlSink {
             writer,
             line: String::with_capacity(prefix.len() + 128),

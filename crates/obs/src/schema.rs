@@ -181,6 +181,40 @@ pub fn read_event_line(line: &str) -> Option<EventLine<'_>> {
     })
 }
 
+/// Appends `{"source":…,"model":…,"event":` to `out`: the text every
+/// event line of the `(source, model)` stream starts with, labels
+/// escaped as any string is written. [`JsonlSink`](crate::JsonlSink)
+/// writes each line from it, and a reader that knows the stream a line
+/// should belong to matches the line against it with
+/// [`read_prefixed_event`].
+pub fn write_event_line_prefix(source: &str, model: &str, out: &mut String) {
+    out.push_str("{\"source\":");
+    source.write_json(out);
+    out.push_str(",\"model\":");
+    model.write_json(out);
+    out.push_str(",\"event\":");
+}
+
+/// Reads the event of `line` when the line is `prefix`, one event, the
+/// closing `}` and at most trailing whitespace; `prefix` is a stream's
+/// [`write_event_line_prefix`] text. Anything else, an empty `prefix`
+/// or more keys after the event included, gives `None`, and the caller
+/// goes on with [`read_event_line`]. Whenever this returns an event,
+/// [`read_event_line`] returns the same event with that stream's labels:
+/// the event is read by the same reader, inside the line's one open
+/// object, and the line must end as that function's loop requires.
+pub fn read_prefixed_event(line: &str, prefix: &str) -> Option<CacheEvent> {
+    if prefix.is_empty() || !line.starts_with(prefix) {
+        return None;
+    }
+    let mut r = JsonReader::inside_object(line, prefix.len());
+    let event = CacheEvent::read_json(&mut r).ok()?;
+    match r.next_key(false) {
+        Ok(None) => r.finish().ok().map(|()| event),
+        _ => None,
+    }
+}
+
 /// Parses one JSONL line through a value tree, dispatched on its keys:
 /// an object with `schema` is tried as a [`StreamHeader`], one with
 /// `duration_us` as a [`RunMeta`], and anything else becomes an

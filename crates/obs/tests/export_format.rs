@@ -11,12 +11,15 @@
 //! mutation test holds the two to the same answer on damaged lines. The
 //! borrowed reader, [`read_event_line`], must give the same record once
 //! its labels are owned, and fixed cases pin every unsigned field's
-//! number forms.
+//! number forms. The prefix reader, [`read_prefixed_event`], must give
+//! the dispatch's event whenever it reads a line under a stream's
+//! prefix; named cases pin where it declines.
 
 use gencache_cache::{EvictionCause, TraceId};
 use gencache_obs::{
-    parse_stream_line, parse_stream_line_tree, read_event_line, CacheEvent, EventRecord,
-    FrontendOp, JsonlSink, Observer, Region, RunMeta, StreamHeader, StreamLine,
+    parse_stream_line, parse_stream_line_tree, read_event_line, read_prefixed_event,
+    write_event_line_prefix, CacheEvent, EventRecord, FrontendOp, JsonlSink, Observer, Region,
+    RunMeta, StreamHeader, StreamLine,
 };
 use gencache_program::Time;
 use proptest::prelude::*;
@@ -53,6 +56,31 @@ fn assert_borrowed_agrees(line: &str, parsed: &Result<StreamLine, String>) {
         let dispatched = line.contains("\"schema\"") || line.contains("\"duration_us\"");
         assert!(dispatched, "the borrowed reader declined {line}");
     }
+}
+
+/// The prefix every event line of the `(source, model)` stream starts
+/// with.
+fn prefix(source: &str, model: &str) -> String {
+    let mut prefix = String::new();
+    write_event_line_prefix(source, model, &mut prefix);
+    prefix
+}
+
+/// Reads `line` under the `(source, model)` stream's prefix and, when
+/// the prefix reader accepts it, checks the dispatch reads the same
+/// event with those labels. Returns whether it was accepted.
+#[track_caller]
+fn prefixed_checked(line: &str, source: &str, model: &str) -> bool {
+    let Some(event) = read_prefixed_event(line, &prefix(source, model)) else {
+        return false;
+    };
+    let record = EventRecord {
+        source: source.to_string(),
+        model: model.to_string(),
+        event,
+    };
+    assert_eq!(parse_checked(line), Ok(StreamLine::Event(record)), "{line}");
+    true
 }
 
 /// The number forms every unsigned field is tried with, and the value
@@ -297,6 +325,7 @@ fn every_event_variant_writes_its_golden_line() {
             event,
         };
         assert_eq!(parse_checked(line), Ok(StreamLine::Event(record)));
+        assert!(prefixed_checked(line, "word", "45-10-45@hit1"), "{line}");
     }
 
     // Labels are escaped like any JSON string.
@@ -315,6 +344,145 @@ fn every_event_variant_writes_its_golden_line() {
         parse_checked(text.trim_end_matches('\n')),
         Ok(StreamLine::Event(record))
     );
+    let line = text.trim_end_matches('\n');
+    assert!(prefixed_checked(line, "a\"b\\c\n\u{1}", "é→世🦀"));
+}
+
+#[test]
+fn prefix_reader_declines_what_it_does_not_fully_read() {
+    let hit = CacheEvent::Hit {
+        region: Region::Unified,
+        trace: TraceId::new(42),
+        reuse_us: 0,
+        time: Time::from_micros(7),
+    };
+    let event = r#"{"Hit":{"region":"Unified","trace":42,"reuse_us":0,"time":7}}"#;
+    let (source, model) = ("word", "unified");
+    let line = format!("{}{event}}}", prefix(source, model));
+    let record = |source: &str, model: &str| EventRecord {
+        source: source.into(),
+        model: model.into(),
+        event: hit,
+    };
+    assert!(prefixed_checked(&line, source, model));
+
+    // Trailing whitespace, and whitespace before the closing brace, are
+    // read as the dispatch reads them.
+    for spaced in [
+        format!("{line} "),
+        format!("{line}\t\r"),
+        line.replace("}}}", "}} }"),
+    ] {
+        assert!(prefixed_checked(&spaced, source, model), "{spaced}");
+    }
+
+    // A key after the event goes to the dispatch: a repeated label (the
+    // first occurrence wins), and the keys it tries first.
+    let open = &line[..line.len() - 1];
+    let cases = [
+        (
+            format!(r#"{open},"source":"other"}}"#),
+            Ok(StreamLine::Event(record(source, model))),
+        ),
+        (
+            format!(r#"{open},"model":"45-10-45@hit1","source":"x"}}"#),
+            Ok(StreamLine::Event(record(source, model))),
+        ),
+        (
+            format!(r#"{open},"schema":"gencache-events","version":2}}"#),
+            Ok(StreamLine::Header(StreamHeader::current())),
+        ),
+        (
+            format!(r#"{open},"duration_us":5,"peak_trace_bytes":6,"phases":1}}"#),
+            Ok(StreamLine::Meta(RunMeta {
+                source: source.into(),
+                model: model.into(),
+                duration_us: 5,
+                peak_trace_bytes: 6,
+                phases: 1,
+            })),
+        ),
+        (
+            format!(r#"{open},"duration_us":5}}"#),
+            Ok(StreamLine::Event(record(source, model))),
+        ),
+        (
+            format!(r#"{open},"extra":[1]}}"#),
+            Ok(StreamLine::Event(record(source, model))),
+        ),
+        (format!("{line}}}"), Err(())),
+        (format!("{line},"), Err(())),
+        (format!("{open},}}"), Err(())),
+        (open.to_string(), Err(())),
+    ];
+    for (text, want) in cases {
+        assert_eq!(
+            read_prefixed_event(&text, &prefix(source, model)),
+            None,
+            "{text}"
+        );
+        let parsed = parse_checked(&text);
+        match want {
+            Ok(want) => assert_eq!(parsed, Ok(want), "{text}"),
+            Err(()) => assert!(parsed.is_err(), "{text}: {parsed:?}"),
+        }
+    }
+
+    // Escaped and multi-byte labels match only as the writer escapes
+    // them; the same labels written another way go to the dispatch.
+    let (odd_source, odd_model) = ("tr\"a\\ce\u{1}", "é→世🦀");
+    let odd = format!("{}{event}}}", prefix(odd_source, odd_model));
+    assert!(prefixed_checked(&odd, odd_source, odd_model));
+    let rewritten = format!(r#"{{"source":"w\u006frd","model":"unified","event":{event}}}"#);
+    assert_eq!(
+        read_prefixed_event(&rewritten, &prefix(source, model)),
+        None
+    );
+    assert_eq!(
+        parse_checked(&rewritten),
+        Ok(StreamLine::Event(record(source, model)))
+    );
+
+    // A stream change whose new prefix differs from the old one only
+    // after the source: the old prefix declines every line of the new
+    // stream, as it does a model that extends the old label.
+    for other in ["unified2", "unifie", "45-10-45@hit1"] {
+        let next = format!("{}{event}}}", prefix(source, other));
+        assert_eq!(read_prefixed_event(&next, &prefix(source, model)), None);
+        assert!(prefixed_checked(&next, source, other));
+    }
+    // An empty prefix is no stream's and matches nothing.
+    assert_eq!(read_prefixed_event(event, ""), None);
+    assert_eq!(read_prefixed_event(&line, ""), None);
+}
+
+#[test]
+fn prefix_reader_keeps_the_line_depth_bound() {
+    // An unknown key inside the event, holding arrays nested so that the
+    // event reaches exactly `MAX_DEPTH` containers (line depth one more):
+    // refused by both readers, as by the dispatch. One array less is
+    // read by all three.
+    let (source, model) = ("word", "unified");
+    for (arrays, accepted) in [(serde::MAX_DEPTH - 2, false), (serde::MAX_DEPTH - 3, true)] {
+        let nested = format!("{}{}", "[".repeat(arrays), "]".repeat(arrays));
+        let event = format!(
+            r#"{{"Hit":{{"region":"Unified","trace":42,"reuse_us":0,"time":7,"deep":{nested}}}}}"#
+        );
+        let line = format!("{}{event}}}", prefix(source, model));
+        assert_eq!(
+            prefixed_checked(&line, source, model),
+            accepted,
+            "{arrays} arrays"
+        );
+        assert_eq!(
+            read_event_line(&line).is_some(),
+            accepted,
+            "{arrays} arrays"
+        );
+        assert_eq!(parse_checked(&line).is_ok(), accepted, "{arrays} arrays");
+        // The event alone, read from its own start, fits either way.
+        assert!(serde_json::from_str::<CacheEvent>(&event).is_ok());
+    }
 }
 
 /// Label characters: plain ASCII, every class the writer escapes, and
@@ -468,8 +636,9 @@ proptest! {
             let record = EventRecord { source: source.clone(), model: model.clone(), event };
             let line = lines.next().expect("one line per event");
             prop_assert_eq!(line, serde_json::to_string(&record).unwrap() + "\n");
-            let parsed = parse_checked(line.trim_end_matches('\n'));
-            prop_assert_eq!(parsed, Ok(StreamLine::Event(record)));
+            let line = line.trim_end_matches('\n');
+            prop_assert_eq!(parse_checked(line), Ok(StreamLine::Event(record)));
+            prop_assert!(prefixed_checked(line, &source, &model), "{}", line);
         }
         prop_assert_eq!(lines.next(), None);
     }
@@ -563,6 +732,7 @@ proptest! {
         mutations in proptest::collection::vec(mutation(), 1..4),
     ) {
         let lines = export_lines(&source, &model, &events);
+        let stream_prefix = prefix(&source, &model);
         for (line, donor) in picks {
             let line = &lines[line % lines.len()];
             let donor = &lines[donor % lines.len()];
@@ -575,6 +745,13 @@ proptest! {
                 if let Some(read) = read_event_line(&text) {
                     let borrowed = Ok(StreamLine::Event(read.into_record()));
                     prop_assert!(borrowed == tree, "{text}: {borrowed:?} vs {tree:?}");
+                }
+                // The undamaged line's stream prefix: every line here is
+                // of the one `(source, model)` stream.
+                if let Some(event) = read_prefixed_event(&text, &stream_prefix) {
+                    let record = EventRecord { source: source.clone(), model: model.clone(), event };
+                    let prefixed = Ok(StreamLine::Event(record));
+                    prop_assert!(prefixed == tree, "{text}: {prefixed:?} vs {tree:?}");
                 }
             }
         }

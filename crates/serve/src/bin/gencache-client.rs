@@ -51,12 +51,24 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
 use std::process::ExitCode;
 
+use gencache_bench::cli::{self, ensure, parse, unknown, value, ArgError};
 use gencache_serve::telemetry::render_spans;
 use gencache_serve::{Client, JobSpec, Reply, RetryPolicy, Span};
 use serde::Value;
 
-const USAGE: &str = "subcommands: submit / stats / ping / fetch / shards / route / trace / \
-     metrics / watch (see module docs)";
+const USAGE: &str = "usage:
+  gencache-client submit --addr HOST:PORT --events FILE|- [--spec LABEL]...
+                  [--grid] [--oracle] [--windows] [--window-width N] [--regret-top N]
+                  [--capacity BYTES] [--bench NAME] [--model LABEL] [--deadline-ms N]
+                  [--metrics-out FILE] [--no-table] [--retries N] [--retry-ms N] [--verbose]
+  gencache-client stats   --addr HOST:PORT
+  gencache-client ping    --addr HOST:PORT [--hold-ms N]
+  gencache-client fetch   --addr HOST:PORT --bench NAME [--scale N] [--out FILE|-]
+  gencache-client shards  --addr HOST:PORT
+  gencache-client route   --addr HOST:PORT --bench NAME
+  gencache-client trace   TRACE_ID --addr HOST:PORT
+  gencache-client metrics --addr HOST:PORT
+  gencache-client watch   --addr HOST:PORT [--interval-ms N] [--count N] [--plain]";
 
 fn open_input(path: &str) -> io::Result<Box<dyn BufRead>> {
     if path == "-" {
@@ -84,7 +96,7 @@ struct SubmitArgs {
     verbose: bool,
 }
 
-fn parse_submit(mut it: impl Iterator<Item = String>) -> SubmitArgs {
+fn parse_submit(mut it: impl Iterator<Item = String>) -> Result<SubmitArgs, ArgError> {
     let mut args = SubmitArgs {
         addr: String::new(),
         events: String::new(),
@@ -96,71 +108,68 @@ fn parse_submit(mut it: impl Iterator<Item = String>) -> SubmitArgs {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => args.addr = it.next().expect("--addr needs HOST:PORT"),
-            "--events" => args.events = it.next().expect("--events needs a file path or -"),
+            "--addr" => args.addr = value(&mut it, "--addr needs HOST:PORT")?,
+            "--events" => args.events = value(&mut it, "--events needs a file path or -")?,
             "--spec" => args
                 .spec
                 .specs
-                .push(it.next().expect("--spec needs a label")),
+                .push(value(&mut it, "--spec needs a label")?),
             "--grid" => args.spec.grid = true,
             "--oracle" => args.spec.oracle = true,
             "--windows" => args.spec.windows = true,
             "--window-width" => {
-                let v = it.next().expect("--window-width needs an access count");
-                let width: u64 = v
-                    .parse()
-                    .expect("--window-width must be a positive integer");
-                assert!(width > 0, "--window-width must be positive");
+                let v = value(&mut it, "--window-width needs an access count")?;
+                let width: u64 = parse(&v, "--window-width must be a positive integer")?;
+                ensure(width > 0, "--window-width must be positive")?;
                 args.spec.window_width = Some(width);
             }
             "--regret-top" => {
-                let v = it.next().expect("--regret-top needs a count");
-                let top: u64 = v.parse().expect("--regret-top must be a positive integer");
-                assert!(top > 0, "--regret-top must be positive");
+                let v = value(&mut it, "--regret-top needs a count")?;
+                let top: u64 = parse(&v, "--regret-top must be a positive integer")?;
+                ensure(top > 0, "--regret-top must be positive")?;
                 args.spec.regret_top = Some(top);
             }
             "--capacity" => {
-                let v = it.next().expect("--capacity needs a byte count");
-                args.spec.capacity =
-                    Some(v.parse().expect("--capacity must be a positive integer"));
+                let v = value(&mut it, "--capacity needs a byte count")?;
+                args.spec.capacity = Some(parse(&v, "--capacity must be a positive integer")?);
             }
-            "--bench" => args.spec.bench = Some(it.next().expect("--bench needs a name")),
-            "--model" => args.spec.model = Some(it.next().expect("--model needs a label")),
+            "--bench" => args.spec.bench = Some(value(&mut it, "--bench needs a name")?),
+            "--model" => args.spec.model = Some(value(&mut it, "--model needs a label")?),
             "--deadline-ms" => {
-                let v = it.next().expect("--deadline-ms needs a value");
-                args.spec.deadline_ms = Some(v.parse().expect("--deadline-ms must be an integer"));
+                let v = value(&mut it, "--deadline-ms needs a value")?;
+                args.spec.deadline_ms = Some(parse(&v, "--deadline-ms must be an integer")?);
             }
             "--metrics-out" => {
-                args.metrics_out = Some(it.next().expect("--metrics-out needs a file path"));
+                args.metrics_out = Some(value(&mut it, "--metrics-out needs a file path")?);
             }
             "--no-table" => args.table = false,
             "--retries" => {
-                let v = it.next().expect("--retries needs a count");
-                args.retry.retries = v.parse().expect("--retries must be an integer");
+                let v = value(&mut it, "--retries needs a count")?;
+                args.retry.retries = parse(&v, "--retries must be an integer")?;
             }
             "--retry-ms" => {
-                let v = it.next().expect("--retry-ms needs a value");
-                let ms: u64 = v.parse().expect("--retry-ms must be an integer");
+                let v = value(&mut it, "--retry-ms needs a value")?;
+                let ms: u64 = parse(&v, "--retry-ms must be an integer")?;
                 args.retry.base = std::time::Duration::from_millis(ms);
             }
             "--verbose" => args.verbose = true,
-            other => panic!("unknown submit argument {other:?}"),
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!args.addr.is_empty(), "submit needs --addr HOST:PORT");
-    assert!(!args.events.is_empty(), "submit needs --events FILE|-");
-    args
+    ensure(!args.addr.is_empty(), "submit needs --addr HOST:PORT")?;
+    ensure(!args.events.is_empty(), "submit needs --events FILE|-")?;
+    Ok(args)
 }
 
-fn run_submit(it: impl Iterator<Item = String>) -> ExitCode {
-    let args = parse_submit(it);
+fn run_submit(it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
+    let args = parse_submit(it)?;
     // Retries re-send the whole upload: a file is reopened per attempt,
     // but stdin cannot be rewound, so it is buffered once up front.
     let stdin_body = if args.events == "-" {
         let mut body = String::new();
         if let Err(e) = io::stdin().read_to_string(&mut body) {
             eprintln!("cannot read stdin: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         Some(body)
     } else {
@@ -185,7 +194,7 @@ fn run_submit(it: impl Iterator<Item = String>) -> ExitCode {
             .submit_with_retry(open, &spec, &args.retry)
             .map(|reply| (reply, Vec::new()))
     };
-    match submitted {
+    Ok(match submitted {
         Ok((
             Reply::Result {
                 doc,
@@ -210,7 +219,7 @@ fn run_submit(it: impl Iterator<Item = String>) -> ExitCode {
                 });
                 if let Err(e) = written {
                     eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 eprintln!("wrote metrics to {path}");
             }
@@ -240,7 +249,7 @@ fn run_submit(it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("submit failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// [`Client::submit_with_retry`] with client-side span recording — the
@@ -291,16 +300,16 @@ fn print_trace_summary(client: &Client, trace_id: &str, client_spans: &[Span]) {
     }
 }
 
-fn run_stats(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_stats(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
-            other => panic!("unknown stats argument {other:?}"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "stats needs --addr HOST:PORT");
-    match Client::new(&addr).stats() {
+    ensure(!addr.is_empty(), "stats needs --addr HOST:PORT")?;
+    Ok(match Client::new(&addr).stats() {
         Ok(Reply::Stats { doc }) => {
             println!("{doc}");
             ExitCode::SUCCESS
@@ -313,24 +322,24 @@ fn run_stats(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("stats failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_ping(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_ping(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     let mut hold_ms = 0u64;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
             "--hold-ms" => {
-                let v = it.next().expect("--hold-ms needs a value");
-                hold_ms = v.parse().expect("--hold-ms must be an integer");
+                let v = value(&mut it, "--hold-ms needs a value")?;
+                hold_ms = parse(&v, "--hold-ms must be an integer")?;
             }
-            other => panic!("unknown ping argument {other:?}"),
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "ping needs --addr HOST:PORT");
-    match Client::new(&addr).ping(hold_ms) {
+    ensure(!addr.is_empty(), "ping needs --addr HOST:PORT")?;
+    Ok(match Client::new(&addr).ping(hold_ms) {
         Ok(Reply::Pong) => {
             println!("pong");
             ExitCode::SUCCESS
@@ -347,37 +356,37 @@ fn run_ping(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("ping failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_fetch(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_fetch(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     let mut bench = String::new();
     let mut scale = 1u64;
     let mut out_path = "-".to_string();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
-            "--bench" => bench = it.next().expect("--bench needs a name"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
+            "--bench" => bench = value(&mut it, "--bench needs a name")?,
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                scale = v.parse().expect("--scale must be a positive integer");
-                assert!(scale > 0, "--scale must be positive");
+                let v = value(&mut it, "--scale needs a value")?;
+                scale = parse(&v, "--scale must be a positive integer")?;
+                ensure(scale > 0, "--scale must be positive")?;
             }
-            "--out" => out_path = it.next().expect("--out needs a file path or -"),
-            other => panic!("unknown fetch argument {other:?}"),
+            "--out" => out_path = value(&mut it, "--out needs a file path or -")?,
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "fetch needs --addr HOST:PORT");
-    assert!(!bench.is_empty(), "fetch needs --bench NAME");
+    ensure(!addr.is_empty(), "fetch needs --addr HOST:PORT")?;
+    ensure(!bench.is_empty(), "fetch needs --bench NAME")?;
     let out = match open_output(&out_path) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("cannot open {out_path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    match Client::new(&addr).fetch(&bench, scale, out) {
+    Ok(match Client::new(&addr).fetch(&bench, scale, out) {
         Ok(lines) => {
             eprintln!("fetched {lines} export lines for {bench}");
             ExitCode::SUCCESS
@@ -386,19 +395,19 @@ fn run_fetch(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("fetch failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_shards(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_shards(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
-            other => panic!("unknown shards argument {other:?}"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "shards needs --addr HOST:PORT");
-    match Client::new(&addr).shards() {
+    ensure(!addr.is_empty(), "shards needs --addr HOST:PORT")?;
+    Ok(match Client::new(&addr).shards() {
         Ok(Reply::Shards { doc }) => {
             println!("{doc}");
             ExitCode::SUCCESS
@@ -415,22 +424,22 @@ fn run_shards(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("shards failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_route(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_route(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     let mut bench = String::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
-            "--bench" => bench = it.next().expect("--bench needs a name"),
-            other => panic!("unknown route argument {other:?}"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
+            "--bench" => bench = value(&mut it, "--bench needs a name")?,
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "route needs --addr HOST:PORT");
-    assert!(!bench.is_empty(), "route needs --bench NAME");
-    match Client::new(&addr).route(&bench) {
+    ensure(!addr.is_empty(), "route needs --addr HOST:PORT")?;
+    ensure(!bench.is_empty(), "route needs --bench NAME")?;
+    Ok(match Client::new(&addr).route(&bench) {
         Ok(Reply::Route { bench, addr }) => {
             println!("{bench} -> {addr}");
             ExitCode::SUCCESS
@@ -447,24 +456,24 @@ fn run_route(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("route failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_trace(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_trace(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     let mut trace_id = String::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
             other if !other.starts_with("--") && trace_id.is_empty() => {
                 trace_id = other.to_string();
             }
-            other => panic!("unknown trace argument {other:?}"),
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "trace needs --addr HOST:PORT");
-    assert!(!trace_id.is_empty(), "trace needs a TRACE_ID");
-    match fetch_spans(&Client::new(&addr), &trace_id) {
+    ensure(!addr.is_empty(), "trace needs --addr HOST:PORT")?;
+    ensure(!trace_id.is_empty(), "trace needs a TRACE_ID")?;
+    Ok(match fetch_spans(&Client::new(&addr), &trace_id) {
         Ok(spans) if spans.is_empty() => {
             eprintln!("no spans retained for trace {trace_id}");
             ExitCode::from(3)
@@ -477,19 +486,19 @@ fn run_trace(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("trace failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn run_metrics(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_metrics(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
-            other => panic!("unknown metrics argument {other:?}"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "metrics needs --addr HOST:PORT");
-    match Client::new(&addr).metrics() {
+    ensure(!addr.is_empty(), "metrics needs --addr HOST:PORT")?;
+    Ok(match Client::new(&addr).metrics() {
         Ok(Reply::Metrics { body }) => {
             print!("{body}");
             ExitCode::SUCCESS
@@ -506,7 +515,7 @@ fn run_metrics(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("metrics failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// One dashboard frame: a fixed-width table of every row in the
@@ -550,28 +559,28 @@ fn render_watch_frame(node: &str, seq: u64, rows: &[gencache_serve::WatchRow]) -
     out
 }
 
-fn run_watch(mut it: impl Iterator<Item = String>) -> ExitCode {
+fn run_watch(mut it: impl Iterator<Item = String>) -> Result<ExitCode, ArgError> {
     let mut addr = String::new();
     let mut interval_ms = 1000u64;
     let mut count = 0u64;
     let mut plain = false;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs HOST:PORT"),
+            "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?,
             "--interval-ms" => {
-                let v = it.next().expect("--interval-ms needs a value");
-                interval_ms = v.parse().expect("--interval-ms must be an integer");
-                assert!(interval_ms > 0, "--interval-ms must be positive");
+                let v = value(&mut it, "--interval-ms needs a value")?;
+                interval_ms = parse(&v, "--interval-ms must be an integer")?;
+                ensure(interval_ms > 0, "--interval-ms must be positive")?;
             }
             "--count" => {
-                let v = it.next().expect("--count needs a value");
-                count = v.parse().expect("--count must be an integer");
+                let v = value(&mut it, "--count needs a value")?;
+                count = parse(&v, "--count must be an integer")?;
             }
             "--plain" => plain = true,
-            other => panic!("unknown watch argument {other:?}"),
+            other => return Err(unknown(other)),
         }
     }
-    assert!(!addr.is_empty(), "watch needs --addr HOST:PORT");
+    ensure(!addr.is_empty(), "watch needs --addr HOST:PORT")?;
     gencache_serve::signal::install_handlers();
     // The read timeout outlives several intervals, so a timeout means a
     // dead server, not a slow tick; Ctrl-C interrupts the read directly.
@@ -598,7 +607,7 @@ fn run_watch(mut it: impl Iterator<Item = String>) -> ExitCode {
         println!("\x1b[0m");
         io::stdout().flush().ok();
     }
-    match result {
+    Ok(match result {
         Ok(received) => {
             eprintln!("watch ended after {received} snapshot(s)");
             ExitCode::SUCCESS
@@ -607,12 +616,12 @@ fn run_watch(mut it: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("watch failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 fn main() -> ExitCode {
     let mut it = std::env::args().skip(1);
-    match it.next().as_deref() {
+    let run = match it.next().as_deref() {
         Some("submit") => run_submit(it),
         Some("stats") => run_stats(it),
         Some("ping") => run_ping(it),
@@ -622,7 +631,9 @@ fn main() -> ExitCode {
         Some("trace") => run_trace(it),
         Some("metrics") => run_metrics(it),
         Some("watch") => run_watch(it),
-        Some(other) => panic!("unknown subcommand {other:?}; {USAGE}"),
-        None => panic!("{USAGE}"),
-    }
+        Some("--help" | "-h") => Err(ArgError::Help),
+        Some(other) => Err(ArgError::Usage(format!("unknown subcommand {other:?}"))),
+        None => Err(ArgError::Usage("missing subcommand".to_string())),
+    };
+    run.unwrap_or_else(|e| cli::exit("gencache-client", USAGE, e))
 }

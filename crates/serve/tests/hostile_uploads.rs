@@ -1,12 +1,15 @@
 //! Damaged whole uploads into offline ingest. A real export of two
 //! benchmarks, each with two model streams, has lines flipped,
-//! truncated, duplicated and spliced with another line, and whole lines
-//! dropped, duplicated and swapped, before `StreamIngest::push_line`
-//! reads it. No input may panic, the same bytes must always give the
-//! same outcome, error text included, and the undamaged export must give
-//! each benchmark the trace `reconstruct_trace` rebuilds from records
-//! read through the value tree. The same damaged uploads also go over
-//! the wire to a live daemon and to a router over two daemons.
+//! truncated, duplicated and spliced with another line (anywhere, or
+//! only after an event line's stream prefix), and whole lines dropped,
+//! duplicated and swapped, before `StreamIngest::push_line` reads it.
+//! No input may panic, the same bytes must always give the same
+//! outcome, error text included, and the upload must be accepted or
+//! refused, with the same traces, as it is when no line can take the
+//! prefix path. The undamaged export must give each benchmark the trace
+//! `reconstruct_trace` rebuilds from records read through the value
+//! tree. The same damaged uploads also go over the wire to a live
+//! daemon and to a router over two daemons.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -160,6 +163,9 @@ enum Edit {
     /// Damage a line, splicing from the donor line where the mutation
     /// does.
     Damage(usize, usize, Mutation),
+    /// Damage an event line only after its `"event":` key, so that it
+    /// still starts with its stream's prefix; other lines are left.
+    DamageEvent(usize, usize, Mutation),
     /// Remove a line.
     Drop(usize),
     /// Repeat a line right after itself.
@@ -172,6 +178,8 @@ fn edit() -> impl Strategy<Value = Edit> {
     prop_oneof![
         3 => (any::<usize>(), any::<usize>(), mutation())
             .prop_map(|(at, donor, m)| Edit::Damage(at, donor, m)),
+        3 => (any::<usize>(), any::<usize>(), mutation())
+            .prop_map(|(at, donor, m)| Edit::DamageEvent(at, donor, m)),
         1 => any::<usize>().prop_map(Edit::Drop),
         1 => any::<usize>().prop_map(Edit::Repeat),
         1 => (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Edit::Swap(a, b)),
@@ -187,6 +195,16 @@ fn apply(lines: &mut Vec<Vec<char>>, edit: &Edit) {
         Edit::Damage(at, donor, m) => {
             let damaged = mutate(&lines[at % n], &lines[donor % n], m);
             lines[at % n] = damaged;
+        }
+        Edit::DamageEvent(at, donor, m) => {
+            let line = &lines[at % n];
+            let text: String = line.iter().collect();
+            if let Some(key) = text.find("\"event\":") {
+                let keep = text[..key + "\"event\":".len()].chars().count();
+                let mut damaged = line[..keep].to_vec();
+                damaged.extend(mutate(&line[keep..], &lines[donor % n], m));
+                lines[at % n] = damaged;
+            }
         }
         Edit::Drop(at) => {
             lines.remove(at % n);
@@ -223,6 +241,11 @@ proptest! {
         let upload = damaged(&edits);
         let first = ingest(&upload);
         prop_assert_eq!(&first, &ingest(&upload), "{:?}", edits);
+        // A leading space keeps every line's meaning but no line starts
+        // with a stream prefix; error texts then name other bytes.
+        let spaced: Vec<String> = upload.iter().map(|line| format!(" {line}")).collect();
+        let reference = ingest(&spaced);
+        prop_assert_eq!(first.as_ref().ok(), reference.as_ref().ok(), "{:?}", edits);
     }
 }
 

@@ -52,6 +52,8 @@ mkdir -p target/tmp
 events="target/tmp/check-events.jsonl"
 live_metrics="target/tmp/check-metrics-live.json"
 sim_metrics="target/tmp/check-metrics-sim.json"
+spaced_events="target/tmp/check-spaced-events.jsonl"
+spaced_metrics="target/tmp/check-metrics-spaced.json"
 baseline="target/tmp/check-baseline.json"
 regret_metrics="target/tmp/check-metrics-regret.json"
 win_metrics="target/tmp/check-metrics-windows.json"
@@ -84,7 +86,8 @@ cleanup() {
   for pid in "$serve_pid" "$shard1_pid" "$shard2_pid" "$router_pid"; do
     [ -n "$pid" ] && kill "$pid" 2>/dev/null
   done
-  rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
+  rm -f "$events" "$live_metrics" "$sim_metrics" "$spaced_events" "$spaced_metrics" \
+    "$baseline" "$regret_metrics" \
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
     "$serve_metrics" "$fetch_events" "$serve_log" "$serve_events_log" \
@@ -135,6 +138,15 @@ cmp "$live_metrics" "$sim_metrics" \
   || { echo "simulated metrics doc differs from the live export"; exit 1; }
 ./target/release/simulate --events "$events" --watch "$baseline" > /dev/null \
   || { echo "simulate --watch failed against a fresh baseline"; exit 1; }
+
+echo "=== fallback smoke: a re-spaced export reads through the general path to the same doc"
+# Spaces after every ',' and ':' between keys leave no line with its
+# stream's compact prefix and no key as the writer's literal.
+sed -e 's/,"/, "/g' -e 's/":/": /g' "$events" > "$spaced_events"
+./target/release/simulate --events "$spaced_events" \
+  --metrics-out "$spaced_metrics" > /dev/null
+cmp "$sim_metrics" "$spaced_metrics" \
+  || { echo "re-spaced export gives a different metrics doc"; exit 1; }
 
 echo "=== windows smoke: drift-annotated window series rides the metrics doc"
 ./target/release/simulate --events "$events" --windows \
