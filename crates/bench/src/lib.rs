@@ -420,7 +420,7 @@ pub fn stream_events_to<W: Write, R: Recording>(
                 serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
             writeln!(writer, "{meta}")?;
             lines += 1;
-            let sink = JsonlSink::new(writer, profile.name.clone(), label);
+            let sink = JsonlSink::new(writer, &profile.name, label);
             let (_, sink) = replay_observed(rec, spec, sink);
             lines += sink.lines();
             writer = sink.finish()?;

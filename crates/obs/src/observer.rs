@@ -123,9 +123,9 @@ pub struct EventRecord {
 /// `serde_json::to_string(&record)` plus a newline.
 ///
 /// The labels are rendered once, into the stream's line prefix
-/// ([`write_event_line_prefix`](crate::write_event_line_prefix), which
-/// the reader matches lines against), and each event is written into
-/// one reused line buffer, so an event costs no allocation.
+/// ([`write_event_line_prefix`], which the reader matches lines
+/// against), and each event is written into one reused line buffer, so
+/// an event costs no allocation.
 ///
 /// An observer cannot return an error, so the sink keeps the first
 /// write error, writes nothing after it, and returns it from
@@ -142,10 +142,9 @@ pub struct JsonlSink<W: Write> {
 
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink labelling every line with `source` and `model`.
-    pub fn new(writer: W, source: impl Into<String>, model: impl Into<String>) -> Self {
-        let (source, model): (String, String) = (source.into(), model.into());
+    pub fn new(writer: W, source: impl AsRef<str>, model: impl AsRef<str>) -> Self {
         let mut prefix = String::new();
-        write_event_line_prefix(&source, &model, &mut prefix);
+        write_event_line_prefix(source.as_ref(), model.as_ref(), &mut prefix);
         JsonlSink {
             writer,
             line: String::with_capacity(prefix.len() + 128),

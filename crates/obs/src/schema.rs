@@ -14,6 +14,12 @@
 //! instead of misparsing silently. Version 1 files (plain event lines,
 //! no header) still parse — every line is an event — so old exports
 //! remain readable by consumers that choose to warn instead of reject.
+//!
+//! Every event line of one stream starts with the same text,
+//! [`write_event_line_prefix`]. A consumer that tracks the current
+//! stream can read such a line with [`read_prefixed_event`], which reads
+//! just the event and declines anything else, and send the rest to
+//! [`read_event_line`] or [`parse_stream_line`].
 
 use std::borrow::Cow;
 
