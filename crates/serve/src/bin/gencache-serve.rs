@@ -27,13 +27,15 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use gencache_bench::cli::{self, ensure, parse, unknown, value, ArgError};
 use gencache_serve::{signal, LogLevel, Server, ServerConfig};
 
-const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / \
-     --read-timeout-ms N / --deadline-ms N / \
-     --log FILE|-|none / --log-level debug|info|warn|error / --log-max-bytes N / --trace-capacity N";
+const USAGE: &str = "usage:
+  gencache-serve [--addr HOST:PORT] [--workers N] [--queue N] [--read-timeout-ms N]
+                 [--deadline-ms N] [--log FILE|-|none] [--log-level debug|info|warn|error]
+                 [--log-max-bytes N] [--trace-capacity N]";
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, ArgError> {
     let mut config = ServerConfig {
         log: Some("-".to_string()),
         ..ServerConfig::default()
@@ -41,52 +43,56 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> ServerConfig {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => config.addr = it.next().expect("--addr needs HOST:PORT"),
+            "--addr" => config.addr = value(&mut it, "--addr needs HOST:PORT")?,
             "--workers" => {
-                let v = it.next().expect("--workers needs a value");
-                let n: usize = v.parse().expect("--workers must be a positive integer");
-                assert!(n > 0, "--workers must be positive");
+                let v = value(&mut it, "--workers needs a value")?;
+                let n: usize = parse(&v, "--workers must be a positive integer")?;
+                ensure(n > 0, "--workers must be positive")?;
                 config.workers = Some(n);
             }
             "--queue" => {
-                let v = it.next().expect("--queue needs a value");
-                let n: usize = v.parse().expect("--queue must be a positive integer");
-                assert!(n > 0, "--queue must be positive");
+                let v = value(&mut it, "--queue needs a value")?;
+                let n: usize = parse(&v, "--queue must be a positive integer")?;
+                ensure(n > 0, "--queue must be positive")?;
                 config.queue_depth = Some(n);
             }
             "--read-timeout-ms" => {
-                let v = it.next().expect("--read-timeout-ms needs a value");
-                let n: u64 = v.parse().expect("--read-timeout-ms must be an integer");
-                assert!(n > 0, "--read-timeout-ms must be positive");
+                let v = value(&mut it, "--read-timeout-ms needs a value")?;
+                let n: u64 = parse(&v, "--read-timeout-ms must be an integer")?;
+                ensure(n > 0, "--read-timeout-ms must be positive")?;
                 config.read_timeout = Duration::from_millis(n);
             }
             "--deadline-ms" => {
-                let v = it.next().expect("--deadline-ms needs a value");
-                config.default_deadline_ms = v.parse().expect("--deadline-ms must be an integer");
+                let v = value(&mut it, "--deadline-ms needs a value")?;
+                config.default_deadline_ms = parse(&v, "--deadline-ms must be an integer")?;
             }
-            "--log" => config.log = Some(it.next().expect("--log needs FILE, -, or none")),
+            "--log" => config.log = Some(value(&mut it, "--log needs FILE, -, or none")?),
             "--log-level" => {
-                let v = it.next().expect("--log-level needs a level");
-                config.log_level =
-                    LogLevel::parse(&v).expect("--log-level must be debug|info|warn|error");
+                let v = value(&mut it, "--log-level needs a level")?;
+                config.log_level = LogLevel::parse(&v).ok_or_else(|| {
+                    ArgError::Usage("--log-level must be debug|info|warn|error".to_string())
+                })?;
             }
             "--log-max-bytes" => {
-                let v = it.next().expect("--log-max-bytes needs a value");
-                let n: u64 = v.parse().expect("--log-max-bytes must be an integer");
+                let v = value(&mut it, "--log-max-bytes needs a value")?;
+                let n: u64 = parse(&v, "--log-max-bytes must be an integer")?;
                 config.log_max_bytes = (n > 0).then_some(n);
             }
             "--trace-capacity" => {
-                let v = it.next().expect("--trace-capacity needs a value");
-                config.trace_capacity = v.parse().expect("--trace-capacity must be an integer");
+                let v = value(&mut it, "--trace-capacity needs a value")?;
+                config.trace_capacity = parse(&v, "--trace-capacity must be an integer")?;
             }
-            other => panic!("unknown argument {other:?}; {USAGE}"),
+            other => return Err(unknown(other)),
         }
     }
-    config
+    Ok(config)
 }
 
 fn main() -> ExitCode {
-    let config = parse_args(std::env::args().skip(1));
+    let config = match parse_args(std::env::args().skip(1)) {
+        Ok(config) => config,
+        Err(e) => return cli::exit("gencache-serve", USAGE, e),
+    };
     signal::install_handlers();
     let server = match Server::bind(&config) {
         Ok(s) => s,
