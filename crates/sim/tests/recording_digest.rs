@@ -9,7 +9,7 @@
 //! commit and says why.
 
 use gencache_frontend::FrontendStats;
-use gencache_sim::record;
+use gencache_sim::{record_with, RecorderOptions};
 use gencache_workloads::{benchmark, Suite, WorkloadProfile};
 use serde::Serialize;
 
@@ -28,10 +28,16 @@ fn fnv1a_json(mut state: u64, value: &impl Serialize) -> u64 {
     state
 }
 
-/// Records `profile` and checks the digest of every log record, then
-/// the frontend stats, then the summary. Returns the frontend stats.
+/// Records `profile` with default options and checks its digest.
 fn check(profile: &WorkloadProfile, want: u64) -> FrontendStats {
-    let run = record(profile).expect("profile plans");
+    check_with(profile, RecorderOptions::default(), want)
+}
+
+/// Records `profile` under `options` and checks the digest of every log
+/// record, then the frontend stats, then the summary. Returns the
+/// frontend stats.
+fn check_with(profile: &WorkloadProfile, options: RecorderOptions, want: u64) -> FrontendStats {
+    let run = record_with(profile, options).expect("profile plans");
     assert!(
         run.frontend.traces_created > 0,
         "{}: no traces",
@@ -72,21 +78,39 @@ fn adversarial_recording_is_pinned() {
     check(&named("phaseflip"), 0xcc07_2750_9781_42a1);
 }
 
-/// Three guest threads over a DLL-heavy image: one engine per thread,
-/// per-thread id namespaces and module unloads that invalidate traces.
-#[test]
-fn threaded_dll_churn_recording_is_pinned() {
-    let profile = WorkloadProfile::builder("churn3", Suite::Interactive)
+/// Three guest threads over a DLL-heavy image.
+fn churn3() -> WorkloadProfile {
+    WorkloadProfile::builder("churn3", Suite::Interactive)
         .duration_secs(20.0)
         .footprint_kb(512)
         .phases(6)
         .dlls(8, 0.75)
         .threads(3)
         .seed(11)
-        .build();
-    let stats = check(&profile, 0x61e3_039e_09b9_390c);
+        .build()
+}
+
+/// One engine per thread, per-thread id namespaces and module unloads
+/// that invalidate traces.
+#[test]
+fn threaded_dll_churn_recording_is_pinned() {
+    let stats = check(&churn3(), 0x61e3_039e_09b9_390c);
     assert!(
         stats.traces_invalidated > 0,
         "the churn profile must unload modules holding traces"
     );
+}
+
+/// A pin on one access in five, held for three records: windows expire
+/// between almost every pair of plan events, so the digest pins where
+/// each `Unpin` lands among the records around it, not just how many
+/// there are.
+#[test]
+fn pin_expiry_interleaving_is_pinned() {
+    let options = RecorderOptions {
+        exception_rate: 0.2,
+        pin_window: 3,
+    };
+    check_with(&named("word"), options, 0xcc01_0494_b437_15b4);
+    check_with(&churn3(), options, 0x19c3_68ff_b08a_1b03);
 }
