@@ -232,8 +232,50 @@ impl Engine {
     /// Processes one workload event, reporting frontend events to `sink`.
     pub fn on_event(&mut self, ev: TimedEvent, sink: &mut impl FnMut(FrontendEvent)) {
         match ev.event {
-            WorkloadEvent::Exec { addr } => self.on_exec(addr, ev.time, sink),
+            WorkloadEvent::Exec { addr } => {
+                self.on_blocks(std::slice::from_ref(&addr), 0, |_| ev.time, &mut |_, fe| {
+                    sink(fe)
+                });
+            }
             WorkloadEvent::Unload { module } => self.on_unload(module, ev.time, sink),
+        }
+    }
+
+    /// Executes `addrs` in order as exec events `first`, `first + 1`, …,
+    /// block `k` at `clock(k)`, reporting each frontend event to `sink`
+    /// with the `k` of the block that caused it. The same as one
+    /// [`on_event`](Engine::on_event) per block; a stretch that only
+    /// follows the body of a live trace is stepped over at once.
+    pub fn on_blocks(
+        &mut self,
+        addrs: &[Addr],
+        first: u64,
+        clock: impl Fn(u64) -> Time,
+        sink: &mut impl FnMut(u64, FrontendEvent),
+    ) {
+        let mut i = 0;
+        while i < addrs.len() {
+            if let (Some((tid, pos)), None) = (self.in_trace, &self.generating) {
+                let body = self.traces[tid.as_u64() as usize]
+                    .as_ref()
+                    .expect("in_trace names a live trace")
+                    .body();
+                let common = body[pos..]
+                    .iter()
+                    .zip(&addrs[i..])
+                    .take_while(|(b, a)| b == a)
+                    .count();
+                if common > 0 {
+                    let next = pos + common;
+                    self.in_trace = (next < body.len()).then_some((tid, next));
+                    self.stats.exec_events += common as u64;
+                    i += common;
+                    continue;
+                }
+            }
+            let k = first + i as u64;
+            self.on_exec(addrs[i], clock(k), &mut |fe| sink(k, fe));
+            i += 1;
         }
     }
 
@@ -250,21 +292,11 @@ impl Engine {
             return;
         }
 
-        // --- Execution inside an existing trace. ------------------------
-        if let Some((tid, pos)) = self.in_trace {
-            let body = self.trace(tid).expect("in_trace names a live trace").body();
-            if pos < body.len() && body[pos] == addr {
-                let next = pos + 1;
-                self.in_trace = if next < body.len() {
-                    Some((tid, next))
-                } else {
-                    None
-                };
-                return;
-            }
-            // Divergence: a trace exit. The divergent block becomes a
-            // trace-head candidate (Section 4.1, rule (b)).
-            self.in_trace = None;
+        // --- Divergence from a trace body. ------------------------------
+        // (`on_blocks` steps over blocks that follow the body.) A trace
+        // exit: the divergent block becomes a trace-head candidate
+        // (Section 4.1, rule (b)).
+        if self.in_trace.take().is_some() {
             self.stats.trace_exits += 1;
             self.slots.entry(addr).or_default().counter.get_or_insert(0);
         }

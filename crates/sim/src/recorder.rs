@@ -1,10 +1,14 @@
 //! Recording a benchmark: run the workload through the DBT frontend with
 //! an unbounded trace cache and capture the verbose access log.
 
+use std::collections::VecDeque;
+
 use gencache_cache::TraceId;
 use gencache_core::{LifetimeHistogram, LifetimeTracker};
 use gencache_frontend::{Engine, FrontendEvent, FrontendStats};
-use gencache_workloads::{ExecutionPlan, PlanError, WorkloadProfile};
+use gencache_workloads::{
+    ExecutionPlan, PlanError, Run, TimedEvent, WorkloadEvent, WorkloadProfile,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -163,95 +167,60 @@ pub fn record_stream_with(
     // One frontend per guest thread — DynamoRIO's caches are
     // thread-private, so each thread independently discovers trace heads
     // and builds its own (possibly duplicated) traces for shared code.
-    // Trace ids are namespaced per thread so the merged log stays unique.
     let threads = profile.threads.max(1);
     let mut engines: Vec<Engine> = (0..threads)
         .map(|_| Engine::new(plan.image().clone()))
         .collect();
-    let remap = |thread: u32, id: TraceId| -> TraceId {
-        TraceId::new((u64::from(thread) << 48) | id.as_u64())
+    let mut log = LogWriter {
+        emit,
+        options,
+        rng: StdRng::seed_from_u64(profile.seed ^ 0x9e37_79b9_7f4a_7c15),
+        lifetimes: LifetimeTracker::new(),
+        pinned: VecDeque::new(),
+        emitted: 0,
+        accesses: 0,
+        trace_sizes: Vec::new(),
     };
-    let mut lifetimes = LifetimeTracker::new();
-    let mut rng = StdRng::seed_from_u64(profile.seed ^ 0x9e37_79b9_7f4a_7c15);
-    // (trace, emitted-record index at which to unpin)
-    let mut pinned: Vec<(TraceId, usize)> = Vec::new();
-    // Peak of summed live trace bytes across engines.
+    // Peak of summed live trace bytes across engines. Live bytes only
+    // fall at unloads, so the peak after each run is the peak overall.
     let mut peak_trace_bytes = 0u64;
-    // Streaming replacements for the materialized log's derived views:
-    // a record counter standing in for `records.len()` and the created
-    // sizes feeding the median (O(traces created), not O(records)).
-    let mut emitted: usize = 0;
-    let mut accesses: u64 = 0;
-    let mut trace_sizes: Vec<u32> = Vec::new();
 
-    for ev in plan.stream() {
-        let thread = ev.thread.min(threads - 1);
-        // Module unloads affect every thread's caches.
-        let targets: &mut [Engine] =
-            if matches!(ev.event, gencache_workloads::WorkloadEvent::Unload { .. }) {
-                &mut engines[..]
-            } else {
-                std::slice::from_mut(&mut engines[thread as usize])
-            };
-        let broadcast = targets.len() > 1;
-        for (offset, engine) in targets.iter_mut().enumerate() {
-            // Under an unload broadcast the slice spans all engines in
-            // thread order; otherwise it holds only the event's thread.
-            let t = if broadcast { offset as u32 } else { thread };
-            engine.on_event(ev, &mut |fe| match fe {
-                FrontendEvent::TraceCreated { trace } => {
-                    let id = remap(t, trace.id());
-                    lifetimes.record(id, trace.created());
-                    let mut rec = trace.record();
-                    rec.id = id;
-                    trace_sizes.push(rec.size_bytes);
-                    accesses += 1;
-                    emitted += 1;
-                    emit(LogRecord::Create {
-                        record: rec,
-                        time: trace.created(),
-                    });
+    let mut stream = plan.stream();
+    while let Some(run) = stream.next_run() {
+        match run {
+            // Module unloads affect every thread's caches.
+            Run::Unload { time, module } => {
+                let ev = TimedEvent::new(time, WorkloadEvent::Unload { module });
+                for (t, engine) in engines.iter_mut().enumerate() {
+                    engine.on_event(ev, &mut |fe| log.frontend_event(t as u32, fe));
                 }
-                FrontendEvent::TraceAccess { id, time } => {
-                    let id = remap(t, id);
-                    lifetimes.record(id, time);
-                    accesses += 1;
-                    emitted += 1;
-                    emit(LogRecord::Access { id, time });
-                    if options.exception_rate > 0.0 && rng.gen_bool(options.exception_rate) {
-                        emitted += 1;
-                        emit(LogRecord::Pin { id });
-                        pinned.push((id, emitted + options.pin_window as usize));
+            }
+            Run::Blocks {
+                thread,
+                first,
+                addrs,
+            } => {
+                let t = thread.min(threads - 1);
+                // Pin windows expire after each block's records, as if
+                // the check ran after every block.
+                let mut block = first;
+                let clock = |k| plan.exec_time(k);
+                engines[t as usize].on_blocks(addrs, first, clock, &mut |k, fe| {
+                    if k != block {
+                        log.expire_pins();
+                        block = k;
                     }
-                }
-                FrontendEvent::TracesInvalidated { ids, time } => {
-                    for id in ids {
-                        emitted += 1;
-                        emit(LogRecord::Invalidate {
-                            id: remap(t, id),
-                            time,
-                        });
-                    }
-                }
-            });
+                    log.frontend_event(t, fe);
+                });
+            }
         }
         let live: u64 = engines.iter().map(|e| e.stats().live_trace_bytes).sum();
         peak_trace_bytes = peak_trace_bytes.max(live);
-        // Expire pin windows.
-        while let Some(&(id, deadline)) = pinned.first() {
-            if emitted >= deadline {
-                emitted += 1;
-                emit(LogRecord::Unpin { id });
-                pinned.remove(0);
-            } else {
-                break;
-            }
-        }
+        log.expire_pins();
     }
     // Unpin anything still pinned at exit.
-    for (id, _) in pinned {
-        emitted += 1;
-        emit(LogRecord::Unpin { id });
+    for (id, _) in std::mem::take(&mut log.pinned) {
+        log.push(LogRecord::Unpin { id });
     }
 
     // Aggregate frontend stats across threads.
@@ -281,6 +250,7 @@ pub fn record_stream_with(
 
     let duration = plan.duration();
     // Same median as `AccessLog::median_trace_bytes` on the full log.
+    let mut trace_sizes = log.trace_sizes;
     let median_trace_bytes = if trace_sizes.is_empty() {
         0
     } else {
@@ -291,11 +261,86 @@ pub fn record_stream_with(
     Ok(RecordFacts {
         frontend: stats,
         duration,
-        records: emitted as u64,
-        accesses,
-        lifetimes: lifetimes.histogram(duration),
+        records: log.emitted as u64,
+        accesses: log.accesses,
+        lifetimes: log.lifetimes.histogram(duration),
         median_trace_bytes,
     })
+}
+
+/// The log side of a recording: turns frontend events into
+/// [`LogRecord`]s and keeps the streaming replacements for the
+/// materialized log's derived views — a record counter standing in for
+/// `records.len()` and the created sizes feeding the median
+/// (O(traces created), not O(records)).
+struct LogWriter<'e> {
+    emit: &'e mut dyn FnMut(LogRecord),
+    options: RecorderOptions,
+    rng: StdRng,
+    lifetimes: LifetimeTracker,
+    /// (trace, emitted-record index at which to unpin)
+    pinned: VecDeque<(TraceId, usize)>,
+    emitted: usize,
+    accesses: u64,
+    trace_sizes: Vec<u32>,
+}
+
+impl LogWriter<'_> {
+    fn push(&mut self, record: LogRecord) {
+        self.emitted += 1;
+        (self.emit)(record);
+    }
+
+    /// Logs one event of thread `t`'s frontend. Trace ids are namespaced
+    /// per thread so the merged log stays unique.
+    fn frontend_event(&mut self, t: u32, fe: FrontendEvent) {
+        let remap = |id: TraceId| TraceId::new((u64::from(t) << 48) | id.as_u64());
+        match fe {
+            FrontendEvent::TraceCreated { trace } => {
+                let id = remap(trace.id());
+                self.lifetimes.record(id, trace.created());
+                let mut rec = trace.record();
+                rec.id = id;
+                self.trace_sizes.push(rec.size_bytes);
+                self.accesses += 1;
+                self.push(LogRecord::Create {
+                    record: rec,
+                    time: trace.created(),
+                });
+            }
+            FrontendEvent::TraceAccess { id, time } => {
+                let id = remap(id);
+                self.lifetimes.record(id, time);
+                self.accesses += 1;
+                self.push(LogRecord::Access { id, time });
+                let rate = self.options.exception_rate;
+                if rate > 0.0 && self.rng.gen_bool(rate) {
+                    self.push(LogRecord::Pin { id });
+                    let deadline = self.emitted + self.options.pin_window as usize;
+                    self.pinned.push_back((id, deadline));
+                }
+            }
+            FrontendEvent::TracesInvalidated { ids, time } => {
+                for id in ids {
+                    self.push(LogRecord::Invalidate {
+                        id: remap(id),
+                        time,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Unpins every trace whose pin window has run out.
+    fn expire_pins(&mut self) {
+        while let Some(&(id, deadline)) = self.pinned.front() {
+            if self.emitted < deadline {
+                break;
+            }
+            self.pinned.pop_front();
+            self.push(LogRecord::Unpin { id });
+        }
+    }
 }
 
 /// Records `profile` with explicit options, materializing the full

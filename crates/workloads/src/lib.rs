@@ -46,7 +46,7 @@ pub use interactive::{interactive, interactive_benchmark};
 pub use plan::{ExecutionPlan, PlanError, PlanStep, PlannedRegion, Role};
 pub use profile::{RegimeShift, Suite, WorkloadProfile, WorkloadProfileBuilder};
 pub use spec::{spec2000, spec_benchmark};
-pub use stream::EventStream;
+pub use stream::{EventStream, Run};
 
 /// Every benchmark profile in the evaluation: 26 SPEC2000 followed by the
 /// 12 interactive applications.

@@ -153,6 +153,7 @@ pub struct ExecutionPlan {
     regions: Vec<PlannedRegion>,
     steps: Vec<PlanStep>,
     total_exec_events: u64,
+    duration: Time,
 }
 
 impl ExecutionPlan {
@@ -502,6 +503,7 @@ impl ExecutionPlan {
             regions,
             steps,
             total_exec_events,
+            duration: Time::from_secs_f64(profile.duration_secs),
         })
     }
 
@@ -532,7 +534,15 @@ impl ExecutionPlan {
 
     /// Total run duration on the simulated clock.
     pub fn duration(&self) -> Time {
-        Time::from_secs_f64(self.profile.duration_secs)
+        self.duration
+    }
+
+    /// The program time of exec event `k`: `duration * k / n` over the
+    /// plan's `n` exec events, so the clock advances uniformly with
+    /// executed code.
+    pub fn exec_time(&self, k: u64) -> Time {
+        let total = self.total_exec_events.max(1);
+        Time::from_micros(self.duration.as_micros() * k / total)
     }
 
     /// Streams the dynamic events of this run.

@@ -1,20 +1,45 @@
 //! Streaming execution of an [`ExecutionPlan`].
 //!
-//! The stream walks the plan's steps and emits one [`TimedEvent`] per
-//! executed basic block (plus unload events), never materializing the
-//! whole run in memory — full-scale benchmarks produce tens of millions
-//! of events.
+//! The stream walks the plan's steps and hands out one [`Run`] per loop
+//! iteration, region exit or unload, never materializing the whole run in
+//! memory — full-scale benchmarks produce tens of millions of block
+//! executions. As an iterator it yields the same runs one
+//! [`TimedEvent`] per executed block.
 
-use gencache_program::Time;
+use gencache_program::{Addr, ModuleId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::events::{TimedEvent, WorkloadEvent};
 use crate::plan::{ExecutionPlan, PlanStep};
 
-/// An iterator over the dynamic events of one planned run.
+/// One stretch of the stream that a consumer can take whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Run<'a> {
+    /// Consecutive block executions on one guest thread: the rest of one
+    /// iteration path, or a region's exit block. Block `i` is exec event
+    /// `first + i`, at [`ExecutionPlan::exec_time`]`(first + i)`.
+    Blocks {
+        /// The guest thread executing the blocks.
+        thread: u32,
+        /// Exec-event index of `addrs[0]`.
+        first: u64,
+        /// Start addresses of the executed blocks, in order.
+        addrs: &'a [Addr],
+    },
+    /// The program unmapped `module` at `time`.
+    Unload {
+        /// When the unmap happened.
+        time: Time,
+        /// The unmapped module.
+        module: ModuleId,
+    },
+}
+
+/// A walk over the dynamic events of one planned run, by [`Run`]
+/// ([`EventStream::next_run`]) or by event (the [`Iterator`]).
 ///
-/// Timestamps are assigned by position: event `k` of `n` occurs at
+/// Timestamps are assigned by position: exec event `k` of `n` occurs at
 /// `duration * k / n`, so the simulated clock advances uniformly with
 /// executed code.
 #[derive(Debug)]
@@ -22,8 +47,11 @@ pub struct EventStream<'a> {
     plan: &'a ExecutionPlan,
     step_idx: usize,
     state: Option<RunState>,
+    /// Exec events handed out in runs so far.
     emitted: u64,
-    duration_micros: u64,
+    /// Thread and blocks of the last run that the iterator has not yet
+    /// yielded.
+    rest: (u32, &'a [Addr]),
 }
 
 #[derive(Debug)]
@@ -31,7 +59,6 @@ struct RunState {
     region: usize,
     iterations_left: u32,
     variant: usize,
-    pos: usize,
     exit_pending: bool,
     thread: u32,
     rng: StdRng,
@@ -44,41 +71,80 @@ impl<'a> EventStream<'a> {
             step_idx: 0,
             state: None,
             emitted: 0,
-            duration_micros: plan.duration().as_micros(),
+            rest: (0, &[]),
         }
     }
 
-    fn now(&self) -> Time {
-        let total = self.plan.total_exec_events().max(1);
-        Time::from_micros(self.duration_micros * self.emitted / total)
-    }
-
-    fn begin_step(&mut self, step: PlanStep) -> Option<TimedEvent> {
-        match step {
-            PlanStep::Run {
-                region,
-                iterations,
-                variant_seed,
+    /// The next run, or `None` at the end of the plan. Blocks the
+    /// iterator has not yet yielded from the last run come first.
+    pub fn next_run(&mut self) -> Option<Run<'a>> {
+        let plan = self.plan;
+        let (thread, rest) = std::mem::take(&mut self.rest);
+        if !rest.is_empty() {
+            let first = self.emitted - rest.len() as u64;
+            return Some(Run::Blocks {
                 thread,
-            } => {
-                let mut rng = StdRng::seed_from_u64(variant_seed);
-                let paths = self.plan.regions()[region].region.path_count();
-                let variant = rng.gen_range(0..paths);
-                self.state = Some(RunState {
-                    region,
-                    iterations_left: iterations,
-                    variant,
-                    pos: 0,
-                    exit_pending: false,
+                first,
+                addrs: rest,
+            });
+        }
+        loop {
+            if let Some(state) = &mut self.state {
+                let region = &plan.regions()[state.region].region;
+                let thread = state.thread;
+                let addrs = if state.exit_pending {
+                    self.state = None;
+                    std::slice::from_ref(&region.exit_block)
+                } else {
+                    let path = region.path(state.variant);
+                    state.iterations_left -= 1;
+                    if state.iterations_left == 0 {
+                        state.exit_pending = true;
+                    } else {
+                        state.variant = state.rng.gen_range(0..region.path_count());
+                    }
+                    path
+                };
+                if addrs.is_empty() {
+                    continue;
+                }
+                let first = self.emitted;
+                self.emitted += addrs.len() as u64;
+                return Some(Run::Blocks {
                     thread,
-                    rng,
+                    first,
+                    addrs,
                 });
-                None
             }
-            PlanStep::Unload { module } => Some(TimedEvent::new(
-                self.now(),
-                WorkloadEvent::Unload { module },
-            )),
+            // No active run: advance to the next step.
+            let step = *plan.steps().get(self.step_idx)?;
+            self.step_idx += 1;
+            match step {
+                PlanStep::Run {
+                    region,
+                    iterations,
+                    variant_seed,
+                    thread,
+                } => {
+                    let mut rng = StdRng::seed_from_u64(variant_seed);
+                    let paths = plan.regions()[region].region.path_count();
+                    let variant = rng.gen_range(0..paths);
+                    self.state = Some(RunState {
+                        region,
+                        iterations_left: iterations,
+                        variant,
+                        exit_pending: false,
+                        thread,
+                        rng,
+                    });
+                }
+                PlanStep::Unload { module } => {
+                    return Some(Run::Unload {
+                        time: plan.exec_time(self.emitted),
+                        module,
+                    });
+                }
+            }
         }
     }
 }
@@ -87,49 +153,23 @@ impl Iterator for EventStream<'_> {
     type Item = TimedEvent;
 
     fn next(&mut self) -> Option<TimedEvent> {
-        loop {
-            let now = self.now();
-            if let Some(state) = &mut self.state {
-                let region = &self.plan.regions()[state.region].region;
-                if state.exit_pending {
-                    state.exit_pending = false;
-                    let ev = TimedEvent::with_thread(
-                        now,
-                        state.thread,
-                        WorkloadEvent::Exec {
-                            addr: region.exit_block,
-                        },
-                    );
-                    self.emitted += 1;
-                    self.state = None;
-                    return Some(ev);
+        if self.rest.1.is_empty() {
+            match self.next_run()? {
+                Run::Blocks { thread, addrs, .. } => self.rest = (thread, addrs),
+                Run::Unload { time, module } => {
+                    return Some(TimedEvent::new(time, WorkloadEvent::Unload { module }));
                 }
-                let path = region.path(state.variant);
-                if state.pos < path.len() {
-                    let addr = path[state.pos];
-                    state.pos += 1;
-                    let ev =
-                        TimedEvent::with_thread(now, state.thread, WorkloadEvent::Exec { addr });
-                    self.emitted += 1;
-                    return Some(ev);
-                }
-                // Iteration finished.
-                state.iterations_left -= 1;
-                if state.iterations_left == 0 {
-                    state.exit_pending = true;
-                } else {
-                    state.pos = 0;
-                    state.variant = state.rng.gen_range(0..region.path_count());
-                }
-                continue;
-            }
-            // No active run: advance to the next step.
-            let step = *self.plan.steps().get(self.step_idx)?;
-            self.step_idx += 1;
-            if let Some(ev) = self.begin_step(step) {
-                return Some(ev);
             }
         }
+        let (thread, rest) = self.rest;
+        let (&addr, tail) = rest.split_first()?;
+        self.rest.1 = tail;
+        let k = self.emitted - rest.len() as u64;
+        Some(TimedEvent::with_thread(
+            self.plan.exec_time(k),
+            thread,
+            WorkloadEvent::Exec { addr },
+        ))
     }
 }
 

@@ -3,7 +3,9 @@
 //! deterministic event sequence.
 
 use gencache_program::Time;
-use gencache_workloads::{ExecutionPlan, PlanStep, Suite, WorkloadEvent, WorkloadProfile};
+use gencache_workloads::{
+    benchmark, ExecutionPlan, PlanStep, Run, Suite, TimedEvent, WorkloadEvent, WorkloadProfile,
+};
 use proptest::prelude::*;
 
 fn profile_strategy() -> impl Strategy<Value = WorkloadProfile> {
@@ -38,8 +40,114 @@ fn profile_strategy() -> impl Strategy<Value = WorkloadProfile> {
         )
 }
 
+/// The plan's runs flattened to one event per block, checking that
+/// each run's `first` counts the exec events before it.
+fn flattened_runs(plan: &ExecutionPlan) -> Vec<TimedEvent> {
+    let mut stream = plan.stream();
+    let mut events = Vec::new();
+    let mut execs = 0u64;
+    while let Some(run) = stream.next_run() {
+        match run {
+            Run::Blocks {
+                thread,
+                first,
+                addrs,
+            } => {
+                assert!(!addrs.is_empty(), "a run holds at least one block");
+                assert_eq!(first, execs, "run starts after {execs} exec events");
+                for (k, &addr) in (first..).zip(addrs) {
+                    let exec = WorkloadEvent::Exec { addr };
+                    events.push(TimedEvent::with_thread(plan.exec_time(k), thread, exec));
+                }
+                execs += addrs.len() as u64;
+            }
+            Run::Unload { time, module } => {
+                events.push(TimedEvent::new(time, WorkloadEvent::Unload { module }));
+            }
+        }
+    }
+    assert_eq!(execs, plan.total_exec_events());
+    events
+}
+
+/// Runs flatten to exactly the event stream for a profile from each
+/// family, a threaded profile and a DLL-churn profile.
+#[test]
+fn flattened_runs_are_the_event_stream() {
+    let mut profiles: Vec<WorkloadProfile> = ["gzip", "word", "phaseflip"]
+        .iter()
+        .map(|name| benchmark(name).expect("built-in profile").scaled_down(64))
+        .collect();
+    profiles.push(
+        WorkloadProfile::builder("threaded", Suite::Interactive)
+            .footprint_kb(96)
+            .phases(4)
+            .threads(3)
+            .seed(5)
+            .build(),
+    );
+    profiles.push(
+        WorkloadProfile::builder("churn", Suite::Interactive)
+            .footprint_kb(128)
+            .phases(6)
+            .dlls(8, 0.75)
+            .seed(11)
+            .build(),
+    );
+    for profile in &profiles {
+        let plan = ExecutionPlan::from_profile(profile).expect("plans");
+        assert_eq!(
+            flattened_runs(&plan),
+            plan.events(),
+            "{}: runs and events differ",
+            profile.name
+        );
+    }
+}
+
+/// `next_run` after some `next` calls hands out the rest of the current
+/// run, so the two walks can be mixed.
+#[test]
+fn next_run_resumes_after_next() {
+    let plan = ExecutionPlan::from_profile(&benchmark("gzip").unwrap().scaled_down(64)).unwrap();
+    let mut mixed = Vec::new();
+    let mut stream = plan.stream();
+    for step in 0usize.. {
+        if step % 3 == 0 {
+            let Some(ev) = stream.next() else { break };
+            mixed.push(ev);
+            continue;
+        }
+        match stream.next_run() {
+            Some(Run::Blocks {
+                thread,
+                first,
+                addrs,
+            }) => {
+                for (k, &addr) in (first..).zip(addrs) {
+                    let exec = WorkloadEvent::Exec { addr };
+                    mixed.push(TimedEvent::with_thread(plan.exec_time(k), thread, exec));
+                }
+            }
+            Some(Run::Unload { time, module }) => {
+                mixed.push(TimedEvent::new(time, WorkloadEvent::Unload { module }));
+            }
+            None => break,
+        }
+    }
+    assert_eq!(mixed, plan.events());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn runs_flatten_to_the_stream(profile in profile_strategy(), threads in 1u32..4) {
+        let mut profile = profile;
+        profile.threads = threads;
+        let plan = ExecutionPlan::from_profile(&profile).expect("plans");
+        prop_assert_eq!(flattened_runs(&plan), plan.events());
+    }
 
     #[test]
     fn any_valid_profile_plans(profile in profile_strategy()) {
