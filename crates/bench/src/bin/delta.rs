@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::process::ExitCode;
 
+use gencache_bench::cli::{self, ensure, parse, value, ArgError};
 use gencache_bench::export_specs;
 use gencache_bench::ingest::open_lines;
 use gencache_obs::{
@@ -52,7 +53,12 @@ struct DeltaOptions {
     windows: bool,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> DeltaOptions {
+const USAGE: &str = "usage:
+  delta LEFT.jsonl [RIGHT.jsonl] [--left-model M] [--right-model M] [--bench NAME]
+        [--phases N] [--regret] [--windows]
+  (`-` reads one of the two exports from stdin)";
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<DeltaOptions, ArgError> {
     let mut opts = DeltaOptions {
         left: String::new(),
         right: None,
@@ -68,25 +74,28 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> DeltaOptions {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--left-model" => {
-                opts.left_model = Some(it.next().expect("--left-model needs a model label"));
+                opts.left_model = Some(value(&mut it, "--left-model needs a model label")?);
             }
             "--right-model" => {
-                opts.right_model = Some(it.next().expect("--right-model needs a model label"));
+                opts.right_model = Some(value(&mut it, "--right-model needs a model label")?);
             }
             "--bench" => {
-                opts.bench = Some(it.next().expect("--bench needs a benchmark name"));
+                opts.bench = Some(value(&mut it, "--bench needs a benchmark name")?);
             }
             "--phases" => {
-                let v = it.next().expect("--phases needs a value");
-                opts.phases = v.parse().expect("--phases must be a positive integer");
-                assert!(opts.phases > 0, "--phases must be positive");
+                let v = value(&mut it, "--phases needs a value")?;
+                opts.phases = parse(&v, "--phases must be a positive integer")?;
+                ensure(opts.phases > 0, "--phases must be positive")?;
             }
             "--regret" => opts.regret = true,
             "--windows" => opts.windows = true,
-            flag if flag.starts_with("--") => panic!(
-                "unknown argument {flag:?}; use LEFT.jsonl [RIGHT.jsonl] / --left-model M / \
-                 --right-model M / --bench NAME / --phases N / --regret / --windows"
-            ),
+            "--help" | "-h" => return Err(ArgError::Help),
+            flag if flag.starts_with("--") => {
+                return Err(ArgError::Usage(format!(
+                    "unknown argument {flag:?}; use LEFT.jsonl [RIGHT.jsonl] / --left-model M / \
+                     --right-model M / --bench NAME / --phases N / --regret / --windows"
+                )))
+            }
             file => files.push(file.to_string()),
         }
     }
@@ -96,9 +105,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> DeltaOptions {
             opts.right = Some(files.remove(1));
             opts.left = files.remove(0);
         }
-        n => panic!("expected 1 or 2 JSONL files, got {n}"),
+        n => {
+            return Err(ArgError::Usage(format!(
+                "expected 1 or 2 JSONL files, got {n}"
+            )))
+        }
     }
-    opts
+    Ok(opts)
 }
 
 /// Event streams keyed by `(benchmark, model)` in deterministic order.
@@ -482,7 +495,10 @@ fn render_pair(pair: &Pair<'_>, opts: &DeltaOptions) -> (CostLedger, CostLedger)
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args(std::env::args().skip(1));
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit("delta", USAGE, e),
+    };
     let left = match load_streams(&opts.left) {
         Ok(s) => s,
         Err(e) => {

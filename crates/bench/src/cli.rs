@@ -75,6 +75,14 @@ pub fn exit(name: &str, usage: &str, err: ArgError) -> ExitCode {
     }
 }
 
+/// [`exit`] for a tool whose `main` returns `()`: reports `err` the same
+/// way and ends the process with the same status.
+pub fn exit_now(name: &str, usage: &str, err: ArgError) -> ! {
+    let status = if err == ArgError::Help { 0 } else { 2 };
+    exit(name, usage, err);
+    std::process::exit(status)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

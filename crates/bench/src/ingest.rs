@@ -1082,8 +1082,9 @@ mod tests {
         };
         let mut out = run_sim_job(&inputs, &specs, options, 1, None).unwrap();
         // The live `--sample` export's section, on every cell.
-        let sampling =
-            crate::HarnessOptions::parse(["--sample", "8"].map(String::from)).sampling_params();
+        let sampling = crate::HarnessOptions::parse(["--sample", "8"].map(String::from))
+            .unwrap()
+            .sampling_params();
         for (bench, input) in out.benches.iter_mut().zip(&inputs) {
             for (sim, &spec) in bench.sims.iter_mut().zip(&specs) {
                 let sections = CellSections {

@@ -59,6 +59,8 @@ use serde::{Entries, Serialize, Value};
 pub mod cli;
 pub mod ingest;
 
+use cli::ArgError;
+
 /// Command-line options shared by every figure binary.
 ///
 /// Scaling caveat: `--scale` shrinks footprints for smoke runs, but the
@@ -108,11 +110,11 @@ impl HarnessOptions {
     /// `--progress`, `--sample N`, `--sample-seed S`, `--stream` and
     /// `--stream-depth N` from `args`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments; these binaries
-    /// are terminal tools, so failing loudly is the right interface.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// [`ArgError::Help`] for `--help`; [`ArgError::Usage`] naming the
+    /// malformed argument.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
         let mut opts = HarnessOptions {
             scale: 1,
             ..HarnessOptions::default()
@@ -121,70 +123,91 @@ impl HarnessOptions {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    opts.scale = v.parse().expect("--scale must be a positive integer");
-                    assert!(opts.scale > 0, "--scale must be positive");
+                    let v = cli::value(&mut it, "--scale needs a value")?;
+                    opts.scale = cli::parse(&v, "--scale must be a positive integer")?;
+                    cli::ensure(opts.scale > 0, "--scale must be positive")?;
                 }
                 "--suite" => {
-                    let v = it.next().expect("--suite needs a value");
+                    let v = cli::value(&mut it, "--suite needs a value")?;
                     opts.suite = Some(match v.as_str() {
                         "spec" | "spec2000" => Suite::Spec2000,
                         "interactive" | "windows" => Suite::Interactive,
                         "adversarial" => Suite::Adversarial,
                         other => {
-                            panic!("unknown suite {other:?}; use spec|interactive|adversarial")
+                            return Err(ArgError::Usage(format!(
+                                "unknown suite {other:?}; use spec|interactive|adversarial"
+                            )))
                         }
                     });
                 }
                 "--jobs" => {
-                    let v = it.next().expect("--jobs needs a value");
-                    let jobs = v.parse().expect("--jobs must be a positive integer");
-                    assert!(jobs > 0, "--jobs must be positive");
+                    let v = cli::value(&mut it, "--jobs needs a value")?;
+                    let jobs = cli::parse(&v, "--jobs must be a positive integer")?;
+                    cli::ensure(jobs > 0, "--jobs must be positive")?;
                     opts.jobs = Some(jobs);
                 }
                 "--events-out" => {
-                    opts.events_out = Some(it.next().expect("--events-out needs a file path"));
+                    opts.events_out = Some(cli::value(&mut it, "--events-out needs a file path")?);
                 }
                 "--metrics-out" => {
-                    opts.metrics_out = Some(it.next().expect("--metrics-out needs a file path"));
+                    opts.metrics_out =
+                        Some(cli::value(&mut it, "--metrics-out needs a file path")?);
                 }
                 "--progress" => {
                     opts.progress = true;
                 }
                 "--sample" => {
-                    let v = it.next().expect("--sample needs a value");
-                    let n: u64 = v.parse().expect("--sample must be a positive integer");
-                    assert!(n > 0, "--sample must be positive");
+                    let v = cli::value(&mut it, "--sample needs a value")?;
+                    let n = cli::parse(&v, "--sample must be a positive integer")?;
+                    cli::ensure(n > 0, "--sample must be positive")?;
                     opts.sample = Some(n);
                 }
                 "--sample-seed" => {
-                    let v = it.next().expect("--sample-seed needs a value");
-                    opts.sample_seed = v.parse().expect("--sample-seed must be an integer");
+                    let v = cli::value(&mut it, "--sample-seed needs a value")?;
+                    opts.sample_seed = cli::parse(&v, "--sample-seed must be an integer")?;
                 }
                 "--stream" => {
                     opts.stream = true;
                 }
                 "--stream-depth" => {
-                    let v = it.next().expect("--stream-depth needs a value");
-                    let depth: usize = v
-                        .parse()
-                        .expect("--stream-depth must be a positive integer");
-                    assert!(depth > 0, "--stream-depth must be positive");
+                    let v = cli::value(&mut it, "--stream-depth needs a value")?;
+                    let depth = cli::parse(&v, "--stream-depth must be a positive integer")?;
+                    cli::ensure(depth > 0, "--stream-depth must be positive")?;
                     opts.stream_depth = Some(depth);
                 }
-                other => panic!(
-                    "unknown argument {other:?}; use --scale N / --suite S / --jobs N / \
-                     --events-out FILE / --metrics-out FILE / --progress / --sample N / \
-                     --sample-seed S / --stream / --stream-depth N"
-                ),
+                "--help" | "-h" => return Err(ArgError::Help),
+                other => {
+                    return Err(ArgError::Usage(format!(
+                        "unknown argument {other:?}; use --scale N / --suite S / --jobs N / \
+                         --events-out FILE / --metrics-out FILE / --progress / --sample N / \
+                         --sample-seed S / --stream / --stream-depth N"
+                    )))
+                }
             }
         }
-        opts
+        Ok(opts)
     }
 
-    /// Parses the current process arguments (skipping `argv[0]`).
+    /// Parses the current process arguments (skipping `argv[0]`). On
+    /// `--help` prints the usage to stdout and exits 0; on a bad
+    /// command line prints the message and the usage to stderr and
+    /// exits 2.
     pub fn from_env() -> Self {
-        HarnessOptions::parse(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let name = args
+            .next()
+            .as_deref()
+            .and_then(|argv0| std::path::Path::new(argv0).file_name()?.to_str())
+            .unwrap_or("gencache-bench")
+            .to_string();
+        HarnessOptions::parse(args).unwrap_or_else(|err| {
+            let usage = format!(
+                "usage:\n  {name} [--scale N] [--suite spec|interactive|adversarial] [--jobs N]\n    \
+                 [--events-out FILE] [--metrics-out FILE] [--progress]\n    \
+                 [--sample N] [--sample-seed S] [--stream] [--stream-depth N]"
+            );
+            cli::exit_now(&name, &usage, err)
+        })
     }
 
     /// The resolved worker-thread count: `--jobs`, else `GENCACHE_JOBS`,
@@ -599,57 +622,81 @@ mod tests {
 
     #[test]
     fn parse_defaults() {
-        let o = HarnessOptions::parse(args(&[]));
+        let o = HarnessOptions::parse(args(&[])).unwrap();
         assert_eq!(o.scale, 1);
         assert_eq!(o.suite, None);
     }
 
     #[test]
     fn parse_scale_and_suite() {
-        let o = HarnessOptions::parse(args(&["--scale", "8", "--suite", "spec"]));
+        let o = HarnessOptions::parse(args(&["--scale", "8", "--suite", "spec"])).unwrap();
         assert_eq!(o.scale, 8);
         assert_eq!(o.suite, Some(Suite::Spec2000));
-        let o = HarnessOptions::parse(args(&["--suite", "interactive"]));
+        let o = HarnessOptions::parse(args(&["--suite", "interactive"])).unwrap();
         assert_eq!(o.suite, Some(Suite::Interactive));
     }
 
     #[test]
     fn parse_jobs() {
-        let o = HarnessOptions::parse(args(&[]));
+        let o = HarnessOptions::parse(args(&[])).unwrap();
         assert_eq!(o.jobs, None);
         assert!(o.effective_jobs() >= 1);
-        let o = HarnessOptions::parse(args(&["--jobs", "4"]));
+        let o = HarnessOptions::parse(args(&["--jobs", "4"])).unwrap();
         assert_eq!(o.jobs, Some(4));
         assert_eq!(o.effective_jobs(), 4);
     }
 
     #[test]
     fn parse_sample_flags() {
-        let o = HarnessOptions::parse(args(&["--sample", "8", "--sample-seed", "42"]));
+        let o = HarnessOptions::parse(args(&["--sample", "8", "--sample-seed", "42"])).unwrap();
         assert_eq!(o.sample, Some(8));
         assert_eq!(o.sample_seed, 42);
         let p = o.sampling_params().unwrap();
         assert_eq!(p.stride, 8);
         assert_eq!(p.churn_every, 8);
         assert_eq!(p.seed, 42);
-        assert!(HarnessOptions::parse(args(&[])).sampling_params().is_none());
+        let o = HarnessOptions::parse(args(&[])).unwrap();
+        assert!(o.sampling_params().is_none());
     }
 
     #[test]
     #[should_panic(expected = "--jobs must be positive")]
     fn parse_rejects_zero_jobs() {
-        let _ = HarnessOptions::parse(args(&["--jobs", "0"]));
+        HarnessOptions::parse(args(&["--jobs", "0"])).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "unknown argument")]
     fn parse_rejects_garbage() {
-        let _ = HarnessOptions::parse(args(&["--bogus"]));
+        HarnessOptions::parse(args(&["--bogus"])).unwrap();
+    }
+
+    #[test]
+    fn parse_errors_are_values() {
+        let err = |a: &[&str]| HarnessOptions::parse(args(a)).unwrap_err();
+        assert_eq!(err(&["--help"]), ArgError::Help);
+        assert_eq!(err(&["-h"]), ArgError::Help);
+        assert_eq!(
+            err(&["--scale"]),
+            ArgError::Usage("--scale needs a value".into())
+        );
+        assert_eq!(
+            err(&["--scale", "x"]),
+            ArgError::Usage("--scale must be a positive integer, not \"x\"".into())
+        );
+        assert_eq!(
+            err(&["--suite", "nope"]),
+            ArgError::Usage("unknown suite \"nope\"; use spec|interactive|adversarial".into())
+        );
+        assert_eq!(
+            err(&["--stream-depth", "0"]),
+            ArgError::Usage("--stream-depth must be positive".into())
+        );
     }
 
     #[test]
     fn profiles_filter_by_suite() {
-        let o = HarnessOptions::parse(args(&["--suite", "spec", "--scale", "64"]));
+        let o = HarnessOptions::parse(args(&["--suite", "spec", "--scale", "64"])).unwrap();
         let ps = o.profiles();
         assert_eq!(ps.len(), 26);
         assert!(ps.iter().all(|p| p.suite == Suite::Spec2000));

@@ -1,7 +1,8 @@
-//! Usage errors of the `explain` and `simulate` command lines: `--help`
-//! prints the usage to stdout and exits 0; an unknown argument, a
-//! missing or bad value, or a missing required flag prints the message
-//! and the usage to stderr and exits 2. None of them panics.
+//! Usage errors of the `explain`, `simulate`, `delta` and figure-binary
+//! command lines: `--help` prints the usage to stdout and exits 0; an
+//! unknown argument, a missing or bad value, or a missing required flag
+//! prints the message and the usage to stderr and exits 2. None of them
+//! panics.
 
 use std::process::Command;
 
@@ -77,6 +78,43 @@ fn simulate_usage_errors_exit_2_and_help_exits_0() {
     for (args, message) in cases {
         let stderr = usage(exe, args, 2);
         assert!(stderr.starts_with("simulate: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn figure_binary_usage_errors_exit_2_and_help_exits_0() {
+    let exe = env!("CARGO_BIN_EXE_fig9_miss_rates");
+    usage(exe, &["--help"], 0);
+    let cases: [(&[&str], &str); 4] = [
+        (&["--bogus"], "unknown argument \"--bogus\"; use --scale N"),
+        (&["--scale"], "--scale needs a value"),
+        (&["--jobs", "0"], "--jobs must be positive"),
+        (&["--suite", "nope"], "unknown suite \"nope\""),
+    ];
+    for (args, message) in cases {
+        let stderr = usage(exe, args, 2);
+        assert!(
+            stderr.starts_with("fig9_miss_rates: "),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn delta_usage_errors_exit_2_and_help_exits_0() {
+    let exe = env!("CARGO_BIN_EXE_delta");
+    usage(exe, &["--help"], 0);
+    let cases: [(&[&str], &str); 4] = [
+        (&["--bogus"], "unknown argument \"--bogus\"; use LEFT.jsonl"),
+        (&[], "expected 1 or 2 JSONL files, got 0"),
+        (&["x.jsonl", "--phases", "0"], "--phases must be positive"),
+        (&["x.jsonl", "--bench"], "--bench needs a benchmark name"),
+    ];
+    for (args, message) in cases {
+        let stderr = usage(exe, args, 2);
+        assert!(stderr.starts_with("delta: "), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }
