@@ -72,6 +72,8 @@ export_events="target/tmp/check-export-events.jsonl"
 export_metrics="target/tmp/check-export-metrics.json"
 stream_events="target/tmp/check-stream-events.jsonl"
 stream_metrics="target/tmp/check-stream-metrics.json"
+fig1_out="target/tmp/check-fig1.txt"
+dup_out="target/tmp/check-thread-duplication.txt"
 fleet_events="target/tmp/check-fleet-events.jsonl"
 fleet_second="target/tmp/check-fleet-second.jsonl"
 fleet_sim="target/tmp/check-metrics-fleet-sim.json"
@@ -90,6 +92,7 @@ cleanup() {
     "$baseline" "$regret_metrics" \
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
+    "$fig1_out" "$dup_out" \
     "$serve_metrics" "$fetch_events" "$serve_log" "$serve_events_log" \
     "$bad_events" "$huge_events" "$bad_err" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
@@ -122,6 +125,16 @@ cmp "$export_events" "$stream_events" \
   || { echo "streamed event export differs from the materialized one"; exit 1; }
 cmp "$export_metrics" "$stream_metrics" \
   || { echo "streamed metrics doc differs from the materialized one"; exit 1; }
+
+echo "=== full-scale recording smoke: fig1 and thread_duplication reproduce their committed results"
+# Both print only facts of full-scale recordings: the peak cache size of
+# all 38 benchmarks, and trace counts and bytes at 1, 2 and 4 threads.
+./target/release/fig1_max_cache_size --jobs 1 > "$fig1_out" 2> /dev/null
+cmp results/fig1_max_cache_size.txt "$fig1_out" \
+  || { echo "fig1_max_cache_size differs from results/fig1_max_cache_size.txt"; exit 1; }
+./target/release/thread_duplication --jobs 1 > "$dup_out" 2> /dev/null
+cmp results/thread_duplication.txt "$dup_out" \
+  || { echo "thread_duplication differs from results/thread_duplication.txt"; exit 1; }
 
 echo "=== delta smoke: stream diff reports a non-empty phase table"
 delta_out="$(./target/release/delta "$events" --phases 6)"
