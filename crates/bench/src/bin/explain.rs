@@ -31,13 +31,12 @@ use gencache_bench::ingest::open_lines;
 use gencache_bench::{export_specs, export_telemetry, sample_interval, HarnessOptions};
 use gencache_core::{SwitchKind, SwitchReport};
 use gencache_obs::{
-    oracle_replay, parse_stream_line, phase_of, reconstruct_trace, CacheEvent, CostObserver,
-    EventBuffer, Log2Histogram, MetricsObserver, MetricsReport, NextUseIndex, Observer,
-    OracleResult, Region, RegretObserver, SamplingObserver, SamplingParams, StreamLine,
-    WindowObserver, WindowReport,
+    oracle_replay, parse_stream_line, phase_of, CacheEvent, CostObserver, EventBuffer,
+    Log2Histogram, MetricsObserver, MetricsReport, NextUseIndex, Observer, OracleResult, Region,
+    RegretObserver, SamplingObserver, SamplingParams, StreamLine, WindowObserver, WindowReport,
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
-use gencache_sim::{parse_spec, record, replay_observed, replay_spec, ReplayResult, SimSpec};
+use gencache_sim::{parse_spec, record, replay_spec, ReplayResult, SimSpec};
 use gencache_workloads::{benchmark, WorkloadProfile};
 
 struct ExplainOptions {
@@ -846,15 +845,12 @@ fn main() -> ExitCode {
         profile.phases,
     );
 
-    // The clairvoyant side is model-independent: every instrumented
-    // replay of this log reconstructs the identical frontend trace, so
-    // one next-use index and one Belady floor serve all models.
-    let oracle = opts.oracle.then(|| {
-        let (_, buffer) = replay_observed(&run.log, SimSpec::Unified, EventBuffer::new());
-        let trace = reconstruct_trace(&buffer.events).expect("instrumented streams invert");
-        let index = NextUseIndex::build(&trace);
-        let result = oracle_replay(&trace, capacity);
-        OracleContext { index, result }
+    // The clairvoyant side is model-independent: it reads the recorded
+    // requests, so one next-use index and one Belady floor serve all
+    // models.
+    let oracle = opts.oracle.then(|| OracleContext {
+        index: NextUseIndex::build(&run.log.records),
+        result: oracle_replay(&run.log.records, capacity),
     });
 
     let ctx = RunContext {

@@ -7,7 +7,7 @@
 use gencache_bench::HarnessOptions;
 use gencache_frontend::Engine;
 use gencache_sim::report::{fmt_bytes, TextTable};
-use gencache_workloads::{benchmark, ExecutionPlan};
+use gencache_workloads::{benchmark, ExecutionPlan, Run, TimedEvent, WorkloadEvent};
 
 fn main() {
     let opts = HarnessOptions::from_env();
@@ -27,8 +27,17 @@ fn main() {
     for threshold in [10u32, 25, 50, 75, 100, 200] {
         eprintln!("running threshold {threshold} ...");
         let mut engine = Engine::with_threshold(plan.image().clone(), threshold);
-        for ev in plan.stream() {
-            engine.on_event(ev, &mut |_| {});
+        let mut stream = plan.stream();
+        while let Some(run) = stream.next_run() {
+            match run {
+                Run::Blocks { first, addrs, .. } => {
+                    engine.on_blocks(addrs, first, |k| plan.exec_time(k), &mut |_, _| {})
+                }
+                Run::Unload { time, module } => {
+                    let ev = TimedEvent::new(time, WorkloadEvent::Unload { module });
+                    engine.on_event(ev, &mut |_| {});
+                }
+            }
         }
         let s = engine.stats();
         table.row([

@@ -6,8 +6,8 @@
 //! over TCP through a bounded channel), and tests. [`StreamIngest`]
 //! consumes an export **one line at a time** and keeps only
 //!
-//! * the first-seen model stream's reconstructed frontend trace per
-//!   benchmark (the reference, one op per frontend request),
+//! * the first-seen model stream's reconstructed request stream per
+//!   benchmark (the reference, one [`LogRecord`] per frontend request),
 //! * an O(1) verification cursor per additional model stream, and
 //! * one size entry per distinct trace id of the stream being ingested,
 //!
@@ -24,21 +24,24 @@
 //! metrics documents through [`metrics_doc`], so a served reply is
 //! byte-identical to `simulate --metrics-out` on the same export.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
 use std::time::Instant;
 
+use gencache_cache::LogRecord;
 use gencache_obs::{
     oracle_replay, parse_stream_line, parse_stream_line_tree, read_event_line, read_prefixed_event,
-    write_event_line_prefix, CacheEvent, NextUseIndex, OracleResult, RunMeta, SimTrace, StreamLine,
+    write_event_line_prefix, CacheEvent, NextUseIndex, OracleResult, RunMeta, StreamLine,
     TraceRebuilder, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
 };
+use gencache_program::Time;
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
 use gencache_sim::{
-    parse_spec, policy_grid, proportion_grid, simulate_cell, standard_capacity, trace_to_log,
-    AccessLog, CellSections, SimSpec, SimulatedSpec, SpecReports,
+    parse_spec, policy_grid, proportion_grid, simulate_cell, standard_capacity, AccessLog,
+    CellSections, SimSpec, SimulatedSpec, SpecReports,
 };
 use serde::Value;
 
@@ -75,7 +78,7 @@ struct BenchIngest {
     name: String,
     models: Vec<String>,
     meta: BTreeMap<String, RunMeta>,
-    reference: SimTrace,
+    reference: Vec<LogRecord>,
     /// The role of every stream that has delivered events. The active
     /// stream's role lives in [`ActiveStream`] and is written back here
     /// when the stream ends.
@@ -219,7 +222,7 @@ impl StreamIngest {
         let Some(op) = op else {
             return Ok(());
         };
-        let reference = &mut self.benches[active.bench].reference.ops;
+        let reference = &mut self.benches[active.bench].reference;
         match &mut active.role {
             ModelRole::Builder => reference.push(op),
             ModelRole::Checker { cursor } => {
@@ -346,11 +349,11 @@ impl StreamIngest {
             };
             for (m, role) in &b.states {
                 if let ModelRole::Checker { cursor } = *role {
-                    if cursor != b.reference.ops.len() {
+                    if cursor != b.reference.len() {
                         return Err(format!(
                             "{name}: streams reconstruct different frontend traces \
                              ({} vs {} ops for {m:?}) — the export mixes runs",
-                            b.reference.ops.len(),
+                            b.reference.len(),
                             cursor
                         ));
                     }
@@ -372,14 +375,11 @@ impl StreamIngest {
             let duration_us = meta.map_or_else(
                 || {
                     b.reference
-                        .ops
                         .iter()
-                        .filter_map(|op| match *op {
-                            gencache_obs::TraceOp::Create { time, .. }
-                            | gencache_obs::TraceOp::Access { time, .. }
-                            | gencache_obs::TraceOp::Invalidate { time, .. } => {
-                                Some(time.as_micros())
-                            }
+                        .filter_map(|r| match *r {
+                            LogRecord::Create { time, .. }
+                            | LogRecord::Access { time, .. }
+                            | LogRecord::Invalidate { time, .. } => Some(time.as_micros()),
                             _ => None,
                         })
                         .max()
@@ -389,11 +389,15 @@ impl StreamIngest {
             );
             let cap = capacity.unwrap_or_else(|| standard_capacity(peak));
             let phases = meta.map_or(1, |m| m.phases.max(1));
-            let trace = b.reference;
-            let log = trace_to_log(&trace, name.clone(), duration_us, peak);
+            let log = AccessLog {
+                benchmark: name.clone(),
+                records: b.reference,
+                duration: Time::from_micros(duration_us),
+                peak_trace_bytes: peak,
+            };
             inputs.push(SimJobInput {
                 name,
-                trace,
+                trace: log.records.clone(),
                 log,
                 capacity: cap,
                 phases,
@@ -403,15 +407,17 @@ impl StreamIngest {
     }
 }
 
-/// One benchmark ready to simulate: its recovered frontend trace plus
-/// the replay parameters the events alone cannot supply.
+/// One benchmark ready to simulate: its recovered request stream as a
+/// replayable log, plus the replay parameters the events alone cannot
+/// supply.
 #[derive(Debug)]
 pub struct SimJobInput {
     /// Benchmark name (the export's `source`).
     pub name: String,
-    /// The recovered frontend request trace.
-    pub trace: SimTrace,
-    /// The trace re-synthesized as a replayable access log.
+    /// A copy of `log.records`, kept only because `crates/perf` reads
+    /// this field; every job reads `log`.
+    pub trace: Vec<LogRecord>,
+    /// The recovered request stream, replayable into any model.
     pub log: AccessLog,
     /// Cache budget in bytes.
     pub capacity: u64,
@@ -555,7 +561,11 @@ pub fn run_sim_job(
     // trace. Built once per input, shared by all of that input's cells.
     let indexes: Vec<Option<NextUseIndex>> = inputs
         .iter()
-        .map(|input| options.oracle.then(|| NextUseIndex::build(&input.trace)))
+        .map(|input| {
+            options
+                .oracle
+                .then(|| NextUseIndex::build(&input.log.records))
+        })
         .collect();
     let simulated: Vec<Option<(SimulatedSpec, u64)>> = par_map(&cells, jobs, |&(i, spec)| {
         if canceled() {
@@ -588,7 +598,7 @@ pub fn run_sim_job(
             if canceled() {
                 None
             } else {
-                Some(oracle_replay(&input.trace, input.capacity))
+                Some(oracle_replay(&input.log.records, input.capacity))
             }
         });
         if results.iter().any(Option::is_none) {
@@ -606,7 +616,7 @@ pub fn run_sim_job(
         .zip(oracles)
         .map(|(((input, sims), cells), oracle)| BenchSim {
             name: input.name.clone(),
-            ops: input.trace.ops.len() as u64,
+            ops: input.log.records.len() as u64,
             capacity: input.capacity,
             phases: input.phases,
             sims: sims.to_vec(),
@@ -692,25 +702,26 @@ pub fn render_sim_tables(out: &SimJobOutput) -> String {
 /// How a fleet router classifies one upload line for per-benchmark
 /// routing (see `gencache-shard`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteClass {
+pub enum RouteClass<'a> {
     /// Blank — counted but never forwarded.
     Blank,
     /// The export's schema header — broadcast to every sub-upload.
     Header,
     /// A stream line belonging to the named benchmark (`source`).
-    Stream(String),
+    Stream(Cow<'a, str>),
 }
 
 /// Classifies an export line for routing. Fast path: export records
 /// serialize `source` as their *first* key, so a prefix scan recovers
-/// the routing key without JSON parsing; headers and anything unusual
-/// fall back to the full parser so diagnostics match single-node ingest.
+/// the routing key without JSON parsing, borrowed from the line;
+/// headers and anything unusual (an escaped `source` included) fall
+/// back to the full parser so diagnostics match single-node ingest.
 ///
 /// # Errors
 ///
 /// Returns the same description single-node ingest would give for a
 /// malformed line.
-pub fn classify_line(line: &str) -> Result<RouteClass, String> {
+pub fn classify_line(line: &str) -> Result<RouteClass<'_>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(RouteClass::Blank);
@@ -718,14 +729,14 @@ pub fn classify_line(line: &str) -> Result<RouteClass, String> {
     if let Some(rest) = trimmed.strip_prefix("{\"source\":\"") {
         if let Some(end) = rest.find('"') {
             if !rest[..end].contains('\\') {
-                return Ok(RouteClass::Stream(rest[..end].to_string()));
+                return Ok(RouteClass::Stream(Cow::Borrowed(&rest[..end])));
             }
         }
     }
     match parse_stream_line(trimmed)? {
         StreamLine::Header(_) => Ok(RouteClass::Header),
-        StreamLine::Meta(meta) => Ok(RouteClass::Stream(meta.source)),
-        StreamLine::Event(record) => Ok(RouteClass::Stream(record.source)),
+        StreamLine::Meta(meta) => Ok(RouteClass::Stream(Cow::Owned(meta.source))),
+        StreamLine::Event(record) => Ok(RouteClass::Stream(Cow::Owned(record.source))),
     }
 }
 
@@ -941,8 +952,8 @@ mod tests {
         assert!(ingest.bytes() >= text.len() as u64);
         let inputs = ingest.into_inputs(None, None, None).unwrap();
         assert_eq!(inputs.len(), 1);
-        assert!(inputs[0].trace.access_count() > 0);
-        assert_eq!(inputs[0].log.access_count(), inputs[0].trace.access_count());
+        assert!(inputs[0].log.access_count() > 0);
+        assert_eq!(inputs[0].trace, inputs[0].log.records);
     }
 
     #[test]
@@ -998,18 +1009,36 @@ mod tests {
     fn classify_line_routes_by_source() {
         let text = tiny_export();
         let mut saw_header = false;
-        let mut saw_stream = false;
+        let mut stream_line = None;
         for line in text.lines() {
             match classify_line(line).unwrap() {
                 RouteClass::Header => saw_header = true,
                 RouteClass::Stream(name) => {
-                    assert!(!name.is_empty());
-                    saw_stream = true;
+                    // Compact export lines take the fast path.
+                    assert!(matches!(name, Cow::Borrowed(n) if !n.is_empty()));
+                    stream_line.get_or_insert((line, name.into_owned()));
                 }
                 RouteClass::Blank => {}
             }
         }
-        assert!(saw_header && saw_stream);
+        assert!(saw_header);
+        let (line, name) = stream_line.expect("a stream line");
+        // An escaped quote in `source` ends the prefix scan early, so
+        // the line must go through the parser to the unescaped name.
+        let escaped = line.replacen(
+            &format!("{{\"source\":\"{name}\""),
+            &format!("{{\"source\":\"say \\\"{name}\\\"\""),
+            1,
+        );
+        assert_ne!(escaped, line);
+        assert_eq!(
+            classify_line(&escaped).unwrap(),
+            RouteClass::Stream(Cow::Owned(format!("say \"{name}\"")))
+        );
+        assert!(matches!(
+            classify_line(&escaped).unwrap(),
+            RouteClass::Stream(Cow::Owned(_))
+        ));
         assert_eq!(classify_line("   ").unwrap(), RouteClass::Blank);
         assert!(classify_line("{not json").is_err());
     }

@@ -47,6 +47,7 @@
 mod arena;
 mod cache;
 mod clock;
+mod cursor;
 mod flush;
 mod lru;
 mod preemptive;
@@ -58,11 +59,12 @@ mod unbounded;
 
 pub use cache::{CodeCache, FragmentationReport, InsertError, InsertReport};
 pub use clock::ClockCache;
+pub use cursor::{ReplayCursor, ReplayStep};
 pub use flush::FlushCache;
 pub use lru::LruCache;
 pub use preemptive::{PhaseDetector, PreemptiveFlushCache};
 pub use pseudo_circular::PseudoCircularCache;
-pub use record::{EntryInfo, Evicted, EvictionCause, TraceId, TraceRecord};
+pub use record::{EntryInfo, Evicted, EvictionCause, LogRecord, TraceId, TraceRecord};
 pub use stats::CacheStats;
 pub use tracemap::{TraceKey, TraceMap, TraceSet};
 pub use unbounded::UnboundedCache;

@@ -65,6 +65,49 @@ impl TraceRecord {
     }
 }
 
+/// One frontend request: an entry of the recorder's verbose log, and the
+/// same request recovered from an exported event stream.
+///
+/// A log recorded from a live run carries each trace's real head address;
+/// a stream recovered from an export synthesizes it from the trace id,
+/// because code addresses never influence cache management.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum LogRecord {
+    /// A trace was generated for the first time (and begins executing).
+    Create {
+        /// The new trace's identity, size, and head address.
+        record: TraceRecord,
+        /// Generation time.
+        time: Time,
+    },
+    /// Execution entered an existing trace at its head.
+    Access {
+        /// The accessed trace.
+        id: TraceId,
+        /// Access time.
+        time: Time,
+    },
+    /// The program unmapped memory: this trace is stale and must be
+    /// deleted from any cache holding it.
+    Invalidate {
+        /// The stale trace.
+        id: TraceId,
+        /// Unmap time.
+        time: Time,
+    },
+    /// The trace became temporarily undeletable (e.g. an exception is
+    /// being handled inside it, Section 4.2).
+    Pin {
+        /// The pinned trace.
+        id: TraceId,
+    },
+    /// The trace is deletable again.
+    Unpin {
+        /// The unpinned trace.
+        id: TraceId,
+    },
+}
+
 /// A live cache entry: the stored trace plus management metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EntryInfo {

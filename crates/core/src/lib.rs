@@ -18,7 +18,9 @@
 //! * [`GenerationalModel`] — the three-cache hierarchy with the promotion
 //!   algorithm of Figure 8 (and the counter-free promote-on-hit variant);
 //! * [`UnifiedModel`] — the single pseudo-circular baseline;
-//! * [`CacheModel`] — the common trait the replay harness drives;
+//! * [`CacheModel`] — the common trait the replay harness drives, and
+//!   [`apply_step`], which hands it one request of a log resolved by a
+//!   [`ReplayCursor`](gencache_cache::ReplayCursor);
 //! * the Table 2 instruction-overhead [`cost`] model;
 //! * [`LifetimeTracker`] — Equation 2 lifetime measurement and the
 //!   Figure 6 histogram.
@@ -63,7 +65,6 @@ pub mod cost;
 mod lifetime;
 mod manager;
 mod model;
-mod replay;
 mod unified;
 
 pub use adaptive::{
@@ -74,6 +75,5 @@ pub use config::{GenerationalConfig, PromotionPolicy, Proportions};
 pub use cost::{overhead_ratio, CostLedger};
 pub use lifetime::{LifetimeHistogram, LifetimeTracker};
 pub use manager::GenerationalModel;
-pub use model::{AccessOutcome, CacheModel, Generation, ModelMetrics};
-pub use replay::replay_trace;
+pub use model::{apply_step, AccessOutcome, CacheModel, Generation, ModelMetrics};
 pub use unified::UnifiedModel;

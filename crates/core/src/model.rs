@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use gencache_cache::{TraceId, TraceRecord};
+use gencache_cache::{ReplayStep, TraceId, TraceRecord};
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
@@ -139,6 +139,24 @@ pub trait CacheModel: fmt::Debug {
 
     /// Total capacity across all constituent caches.
     fn capacity_bytes(&self) -> u64;
+}
+
+/// Applies one frontend request, resolved by a
+/// [`ReplayCursor`](gencache_cache::ReplayCursor), to `model`. A step
+/// may drive any number of models; they all observe the identical
+/// request.
+pub fn apply_step(model: &mut dyn CacheModel, step: ReplayStep) {
+    match step {
+        ReplayStep::Access(record, time) => {
+            model.on_access(record, time);
+        }
+        ReplayStep::Unmap(id, time) => {
+            model.on_unmap(id, time);
+        }
+        ReplayStep::Pin(id, pinned, now) => {
+            model.on_pin(id, pinned, now);
+        }
+    }
 }
 
 #[cfg(test)]

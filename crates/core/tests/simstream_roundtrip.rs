@@ -2,21 +2,21 @@
 //! exact record of the frontend requests that drove it.
 //!
 //! For any op sequence, driving an instrumented model, recovering the
-//! frontend trace from its events ([`reconstruct_trace`]) and replaying
-//! that trace into a fresh identical model ([`replay_trace`]) must
+//! request stream from its events ([`reconstruct_trace`]) and replaying
+//! it into a fresh identical model through a [`ReplayCursor`] must
 //! reproduce the original run bitwise: same [`ModelMetrics`], same cost
 //! ledger, same per-cache [`CacheStats`]. This is the property the
 //! offline what-if simulator stands on — it holds for all six local
 //! replacement policies and the generational hierarchy, and it holds
-//! even though the recovered trace re-synthesizes head addresses
+//! even though the recovered stream re-synthesizes head addresses
 //! (cache management never looks at them).
 
 use gencache_cache::{
-    ClockCache, CodeCache, FlushCache, LruCache, PhaseDetector, PreemptiveFlushCache,
-    PseudoCircularCache, TraceId, TraceRecord, UnboundedCache,
+    ClockCache, CodeCache, FlushCache, LogRecord, LruCache, PhaseDetector, PreemptiveFlushCache,
+    PseudoCircularCache, ReplayCursor, TraceId, TraceRecord, UnboundedCache,
 };
 use gencache_core::{
-    replay_trace, CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy, Proportions,
+    apply_step, CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy, Proportions,
     UnifiedModel,
 };
 use gencache_obs::{reconstruct_trace, EventBuffer};
@@ -58,6 +58,14 @@ fn run_ops(model: &mut dyn CacheModel, ops: &[Op]) {
                 model.on_pin(TraceId::new(id), pinned, now);
             }
         }
+    }
+}
+
+/// Replays a recovered request stream into `model`, in order.
+fn replay(records: &[LogRecord], model: &mut dyn CacheModel) {
+    let mut cursor = ReplayCursor::new();
+    for record in records {
+        apply_step(model, cursor.step(record));
     }
 }
 
@@ -106,7 +114,7 @@ proptest! {
             let trace = reconstruct_trace(&events).expect("stream inverts");
             let (name, cache) = local_cache(which, capacity);
             let mut replayed = UnifiedModel::with_cache(name, cache);
-            replay_trace(&trace, &mut replayed);
+            replay(&trace, &mut replayed);
 
             prop_assert_eq!(replayed.metrics(), &recorded_metrics, "{} metrics", name);
             prop_assert_eq!(replayed.ledger(), &recorded_ledger, "{} ledger", name);
@@ -141,7 +149,7 @@ proptest! {
 
         let trace = reconstruct_trace(&events).expect("stream inverts");
         let mut replayed = GenerationalModel::new(config);
-        replay_trace(&trace, &mut replayed);
+        replay(&trace, &mut replayed);
 
         prop_assert_eq!(replayed.metrics(), &recorded_metrics);
         prop_assert_eq!(replayed.ledger(), &recorded_ledger);

@@ -80,7 +80,7 @@ pub use schema::{
     write_event_line_prefix, EventLine, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA,
     EVENTS_VERSION, METRICS_SCHEMA, METRICS_VERSION,
 };
-pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};
+pub use simstream::{reconstruct_trace, TraceRebuilder};
 pub use window::{
     detect_drift, DriftAnnotation, DriftKind, Window, WindowObserver, WindowReport,
     CHURN_BURST_FACTOR, CHURN_MIN_REMISSES, DEFAULT_WINDOW_CAP, EWMA_ALPHA, PH_DELTA, PH_LAMBDA,

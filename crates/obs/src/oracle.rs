@@ -1,5 +1,6 @@
 //! An offline Belady-style oracle: furthest-next-use eviction over a
-//! recovered frontend trace.
+//! frontend request stream — a recorded log or one recovered from an
+//! export, both lists of [`LogRecord`]s.
 //!
 //! Belady's MIN is optimal for uniform block sizes; with variable-size
 //! traces the greedy "evict the resident trace whose next use is
@@ -14,24 +15,19 @@
 //! smaller: a pinned trace is never evicted, and an oversized or
 //! pin-blocked insertion executes unlinked (a miss with no residency),
 //! exactly like [`InsertError`](gencache_cache::InsertError) fallout in
-//! the live path.
+//! the live path. It reads the stream the way the models do, through a
+//! [`ReplayCursor`], and takes its next uses from a [`NextUseIndex`].
 
 use std::collections::BTreeSet;
 
-use gencache_cache::{EvictionCause, TraceId, TraceMap};
-use gencache_program::Time;
+use gencache_cache::{EvictionCause, LogRecord, ReplayCursor, ReplayStep, TraceId, TraceMap};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{CacheEvent, FrontendOp, Region};
-use crate::simstream::{SimTrace, TraceOp};
 
-/// Position in the op list used for "never used again": later than any
-/// real index, ties broken by trace id for determinism.
-const NEVER: usize = usize::MAX;
-
-/// Clairvoyant next-use distances over a [`SimTrace`], indexed by
+/// Clairvoyant next-use distances over a request stream, indexed by
 /// *execution position* — the count of executions (creates + accesses)
-/// preceding an op, ignoring unmaps and pin toggles.
+/// preceding a request, ignoring unmaps and pin toggles.
 ///
 /// Execution positions are the bridge between the frontend trace and
 /// any model's event stream: instrumented replays emit exactly one
@@ -43,7 +39,7 @@ const NEVER: usize = usize::MAX;
 /// normalized to [`total`](NextUseIndex::total) so distances stay
 /// finite and ties break on trace id, exactly like the oracle's own
 /// eviction order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NextUseIndex {
     /// `next[j]` = execution position of the next execution of the same
     /// trace as execution `j`, or `total` if there is none.
@@ -51,13 +47,13 @@ pub struct NextUseIndex {
 }
 
 impl NextUseIndex {
-    /// Builds the index with one backwards O(n) pass over the trace.
-    pub fn build(trace: &SimTrace) -> Self {
-        let ids: Vec<TraceId> = trace
-            .ops
+    /// Builds the index with one backwards O(n) pass over the stream.
+    pub fn build(records: &[LogRecord]) -> Self {
+        let ids: Vec<TraceId> = records
             .iter()
-            .filter_map(|op| match *op {
-                TraceOp::Create { id, .. } | TraceOp::Access { id, .. } => Some(id),
+            .filter_map(|r| match *r {
+                LogRecord::Create { record, .. } => Some(record.id),
+                LogRecord::Access { id, .. } => Some(id),
                 _ => None,
             })
             .collect();
@@ -126,11 +122,11 @@ struct Resident {
     pinned: bool,
 }
 
-/// Replays `trace` through a clairvoyant cache of `capacity` bytes,
+/// Replays `records` through a clairvoyant cache of `capacity` bytes,
 /// evicting the resident trace with the furthest next use whenever an
 /// insertion needs space.
-pub fn oracle_replay(trace: &SimTrace, capacity: u64) -> OracleResult {
-    replay_core(trace, capacity, |_| {})
+pub fn oracle_replay(records: &[LogRecord], capacity: u64) -> OracleResult {
+    replay_core(records, capacity, |_| {})
 }
 
 /// [`oracle_replay`], but also materializes the oracle's decision
@@ -139,53 +135,46 @@ pub fn oracle_replay(trace: &SimTrace, capacity: u64) -> OracleResult {
 /// `Hit`/`Miss` per execution, capacity evictions for the
 /// furthest-next-use victims, unmap deletions, pin toggles.
 ///
-/// The stream inverts back to the frontend trace through
+/// The stream inverts back to the request stream through
 /// [`reconstruct_trace`](crate::reconstruct_trace) and, walked by the
 /// regret scorer, carries zero Belady regret by construction — every
 /// capacity victim *is* the furthest-next-use resident. Both properties
 /// are tested.
-pub fn oracle_replay_events(trace: &SimTrace, capacity: u64) -> (OracleResult, Vec<CacheEvent>) {
+pub fn oracle_replay_events(
+    records: &[LogRecord],
+    capacity: u64,
+) -> (OracleResult, Vec<CacheEvent>) {
     let mut events = Vec::new();
-    let result = replay_core(trace, capacity, |e| events.push(e));
+    let result = replay_core(records, capacity, |e| events.push(e));
     (result, events)
 }
 
 /// The oracle replay loop, parameterized over an event sink so the
 /// plain summary replay pays nothing for emission.
-fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)) -> OracleResult {
-    // Pass 1: for every op index, the index of the *next* execution of
-    // the same trace (NEVER if none). Built backwards in O(n).
-    let n = trace.ops.len();
-    let mut next_use = vec![NEVER; n];
-    let mut last_seen: TraceMap<TraceId, usize> = TraceMap::new();
-    for i in (0..n).rev() {
-        if let TraceOp::Create { id, .. } | TraceOp::Access { id, .. } = trace.ops[i] {
-            next_use[i] = last_seen.insert(id, i).unwrap_or(NEVER);
-        }
-    }
-
+fn replay_core(
+    records: &[LogRecord],
+    capacity: u64,
+    mut emit: impl FnMut(CacheEvent),
+) -> OracleResult {
+    let index = NextUseIndex::build(records);
+    // Sizes and the clock of untimed pin toggles come from the cursor,
+    // exactly as the live replay path resolves them.
+    let mut cursor = ReplayCursor::new();
+    let mut exec = 0;
     let mut result = OracleResult::default();
-    let mut sizes: TraceMap<TraceId, u32> = TraceMap::new();
     let mut resident: TraceMap<TraceId, Resident> = TraceMap::new();
-    // Eviction order: furthest next use first. Pinned entries stay in
+    // Eviction order: furthest next use first; "never" is the index's
+    // total, so those ties break on trace id. Pinned entries stay in
     // the map but are skipped here (removed from the set while pinned).
     let mut by_distance: BTreeSet<(usize, TraceId)> = BTreeSet::new();
     let mut used: u64 = 0;
-    // Pin toggles carry no timestamp; clock them with the preceding
-    // timed op, exactly as the live replay path does.
-    let mut clock = Time::ZERO;
 
-    for (i, op) in trace.ops.iter().enumerate() {
-        match *op {
-            TraceOp::Create { id, time, .. } | TraceOp::Access { id, time } => {
-                clock = time;
-                let bytes = match trace.ops[i] {
-                    TraceOp::Create { bytes, .. } => {
-                        sizes.insert(id, bytes);
-                        bytes
-                    }
-                    _ => *sizes.get(id).expect("access precedes create"),
-                };
+    for record in records {
+        match cursor.step(record) {
+            ReplayStep::Access(rec, time) => {
+                let (id, bytes) = (rec.id, rec.size_bytes);
+                let next_use = index.next_after(exec);
+                exec += 1;
                 result.accesses += 1;
                 if let Some(entry) = resident.get_mut(id) {
                     result.hits += 1;
@@ -198,9 +187,9 @@ fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)
                     // Re-key the entry under its new next use.
                     if !entry.pinned {
                         by_distance.remove(&(entry.next_use, id));
-                        by_distance.insert((next_use[i], id));
+                        by_distance.insert((next_use, id));
                     }
-                    entry.next_use = next_use[i];
+                    entry.next_use = next_use;
                     continue;
                 }
                 result.misses += 1;
@@ -254,12 +243,12 @@ fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)
                 resident.insert(
                     id,
                     Resident {
-                        next_use: next_use[i],
+                        next_use,
                         bytes,
                         pinned: false,
                     },
                 );
-                by_distance.insert((next_use[i], id));
+                by_distance.insert((next_use, id));
                 emit(CacheEvent::Insert {
                     region: Region::Unified,
                     trace: id,
@@ -268,8 +257,7 @@ fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)
                     time,
                 });
             }
-            TraceOp::Invalidate { id, time } => {
-                clock = time;
+            ReplayStep::Unmap(id, time) => {
                 if let Some(entry) = resident.remove(id) {
                     result.unmap_deletions += 1;
                     used -= u64::from(entry.bytes);
@@ -293,42 +281,37 @@ fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)
                     });
                 }
             }
-            TraceOp::Pin { id } => {
-                if let Some(entry) = resident.get_mut(id) {
-                    if !entry.pinned {
+            ReplayStep::Pin(id, pinned, time) => {
+                let entry = resident.get_mut(id).filter(|e| e.pinned != pinned);
+                emit(match (entry, pinned) {
+                    (Some(entry), true) => {
                         entry.pinned = true;
                         by_distance.remove(&(entry.next_use, id));
-                        emit(CacheEvent::Pin {
+                        CacheEvent::Pin {
                             region: Region::Unified,
                             trace: id,
-                            time: clock,
-                        });
-                        continue;
+                            time,
+                        }
                     }
-                }
-                emit(CacheEvent::Noop {
-                    op: FrontendOp::Pin,
-                    trace: id,
-                    time: clock,
-                });
-            }
-            TraceOp::Unpin { id } => {
-                if let Some(entry) = resident.get_mut(id) {
-                    if entry.pinned {
+                    (Some(entry), false) => {
                         entry.pinned = false;
                         by_distance.insert((entry.next_use, id));
-                        emit(CacheEvent::Unpin {
+                        CacheEvent::Unpin {
                             region: Region::Unified,
                             trace: id,
-                            time: clock,
-                        });
-                        continue;
+                            time,
+                        }
                     }
-                }
-                emit(CacheEvent::Noop {
-                    op: FrontendOp::Unpin,
-                    trace: id,
-                    time: clock,
+                    (None, true) => CacheEvent::Noop {
+                        op: FrontendOp::Pin,
+                        trace: id,
+                        time,
+                    },
+                    (None, false) => CacheEvent::Noop {
+                        op: FrontendOp::Unpin,
+                        trace: id,
+                        time,
+                    },
                 });
             }
         }
@@ -339,18 +322,18 @@ fn replay_core(trace: &SimTrace, capacity: u64, mut emit: impl FnMut(CacheEvent)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gencache_program::Time;
+    use gencache_cache::TraceRecord;
+    use gencache_program::{Addr, Time};
 
-    fn create(id: u64, bytes: u32, t: u64) -> TraceOp {
-        TraceOp::Create {
-            id: TraceId::new(id),
-            bytes,
+    fn create(id: u64, bytes: u32, t: u64) -> LogRecord {
+        LogRecord::Create {
+            record: TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)),
             time: Time::from_micros(t),
         }
     }
 
-    fn access(id: u64, t: u64) -> TraceOp {
-        TraceOp::Access {
+    fn access(id: u64, t: u64) -> LogRecord {
+        LogRecord::Access {
             id: TraceId::new(id),
             time: Time::from_micros(t),
         }
@@ -360,15 +343,13 @@ mod tests {
     fn keeps_the_sooner_reused_trace() {
         // Cache fits two of the three traces. Trace 3 arrives while 1 is
         // about to be reused and 2 never is: the oracle evicts 2.
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                create(3, 100, 2), // evicts 2 (furthest next use: never)
-                access(1, 3),      // hit — 1 was kept
-                access(3, 4),      // hit
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            create(3, 100, 2), // evicts 2 (furthest next use: never)
+            access(1, 3),      // hit — 1 was kept
+            access(3, 4),      // hit
+        ];
         let r = oracle_replay(&trace, 200);
         assert_eq!(r.accesses, 5);
         assert_eq!(r.misses, 3); // the three creations only
@@ -387,26 +368,24 @@ mod tests {
                 t += 1;
             }
         }
-        let r = oracle_replay(&SimTrace { ops }, 200);
+        let r = oracle_replay(&ops, 200);
         assert!(r.hits >= 5, "oracle must hit once per cycle, got {r:?}");
     }
 
     #[test]
     fn pinned_traces_survive_pressure() {
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 150, 0),
-                TraceOp::Pin {
-                    id: TraceId::new(1),
-                },
-                create(2, 100, 1), // does not fit; 1 is pinned → unlinked
-                access(1, 2),      // still a hit
-                TraceOp::Unpin {
-                    id: TraceId::new(1),
-                },
-                create(3, 100, 3), // now 1 can be evicted
-            ],
-        };
+        let trace = vec![
+            create(1, 150, 0),
+            LogRecord::Pin {
+                id: TraceId::new(1),
+            },
+            create(2, 100, 1), // does not fit; 1 is pinned → unlinked
+            access(1, 2),      // still a hit
+            LogRecord::Unpin {
+                id: TraceId::new(1),
+            },
+            create(3, 100, 3), // now 1 can be evicted
+        ];
         let r = oracle_replay(&trace, 200);
         assert_eq!(r.uncachable, 1);
         assert_eq!(r.hits, 1);
@@ -414,17 +393,15 @@ mod tests {
 
     #[test]
     fn unmap_frees_space() {
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 200, 0),
-                TraceOp::Invalidate {
-                    id: TraceId::new(1),
-                    time: Time::from_micros(1),
-                },
-                create(2, 200, 2),
-                access(2, 3),
-            ],
-        };
+        let trace = vec![
+            create(1, 200, 0),
+            LogRecord::Invalidate {
+                id: TraceId::new(1),
+                time: Time::from_micros(1),
+            },
+            create(2, 200, 2),
+            access(2, 3),
+        ];
         let r = oracle_replay(&trace, 200);
         assert_eq!(r.unmap_deletions, 1);
         assert_eq!(r.hits, 1);
@@ -433,9 +410,7 @@ mod tests {
 
     #[test]
     fn oversized_trace_is_uncachable() {
-        let trace = SimTrace {
-            ops: vec![create(1, 300, 0), access(1, 1)],
-        };
+        let trace = vec![create(1, 300, 0), access(1, 1)];
         let r = oracle_replay(&trace, 200);
         assert_eq!(r.uncachable, 2);
         assert_eq!(r.hits, 0);
@@ -444,19 +419,17 @@ mod tests {
     #[test]
     fn next_use_index_distances() {
         // Executions: t1 t2 t1 t2 t1 (the invalidate is not an execution).
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                access(1, 2),
-                TraceOp::Invalidate {
-                    id: TraceId::new(3),
-                    time: Time::from_micros(3),
-                },
-                access(2, 4),
-                access(1, 5),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            access(1, 2),
+            LogRecord::Invalidate {
+                id: TraceId::new(3),
+                time: Time::from_micros(3),
+            },
+            access(2, 4),
+            access(1, 5),
+        ];
         let idx = NextUseIndex::build(&trace);
         assert_eq!(idx.total(), 5);
         assert_eq!(idx.next_after(0), 2);
@@ -478,13 +451,12 @@ mod tests {
                 t += 1;
             }
         }
-        ops.push(TraceOp::Invalidate {
+        ops.push(LogRecord::Invalidate {
             id: TraceId::new(0),
             time: Time::from_micros(t),
         });
-        let trace = SimTrace { ops };
-        let plain = oracle_replay(&trace, 200);
-        let (emitted, events) = oracle_replay_events(&trace, 200);
+        let plain = oracle_replay(&ops, 200);
+        let (emitted, events) = oracle_replay_events(&ops, 200);
         assert_eq!(emitted, plain, "emission must not change decisions");
         let hits = events
             .iter()
@@ -504,28 +476,26 @@ mod tests {
         // as the live models: reconstruct_trace recovers the frontend
         // requests exactly (sizes are distinct per id so re-creations
         // cannot be confused with accesses).
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 150, 0),
-                TraceOp::Pin {
-                    id: TraceId::new(1),
-                },
-                create(2, 100, 1), // blocked by the pin: unlinked, a Miss
-                access(1, 2),
-                TraceOp::Unpin {
-                    id: TraceId::new(1),
-                },
-                create(3, 100, 3),
-                TraceOp::Invalidate {
-                    id: TraceId::new(3),
-                    time: Time::from_micros(4),
-                },
-                TraceOp::Invalidate {
-                    id: TraceId::new(9), // never resident: a Noop
-                    time: Time::from_micros(5),
-                },
-            ],
-        };
+        let trace = vec![
+            create(1, 150, 0),
+            LogRecord::Pin {
+                id: TraceId::new(1),
+            },
+            create(2, 100, 1), // blocked by the pin: unlinked, a Miss
+            access(1, 2),
+            LogRecord::Unpin {
+                id: TraceId::new(1),
+            },
+            create(3, 100, 3),
+            LogRecord::Invalidate {
+                id: TraceId::new(3),
+                time: Time::from_micros(4),
+            },
+            LogRecord::Invalidate {
+                id: TraceId::new(9), // never resident: a Noop
+                time: Time::from_micros(5),
+            },
+        ];
         let (_, events) = oracle_replay_events(&trace, 200);
         let recovered = crate::simstream::reconstruct_trace(&events).expect("invertible");
         assert_eq!(recovered, trace);

@@ -639,19 +639,18 @@ impl Observer for RegretObserver<'_> {
 mod tests {
     use super::*;
     use crate::oracle::oracle_replay_events;
-    use crate::simstream::{SimTrace, TraceOp};
-    use gencache_program::Time;
+    use gencache_cache::{LogRecord, TraceRecord};
+    use gencache_program::{Addr, Time};
 
-    fn create(id: u64, bytes: u32, t: u64) -> TraceOp {
-        TraceOp::Create {
-            id: TraceId::new(id),
-            bytes,
+    fn create(id: u64, bytes: u32, t: u64) -> LogRecord {
+        LogRecord::Create {
+            record: TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)),
             time: Time::from_micros(t),
         }
     }
 
-    fn access(id: u64, t: u64) -> TraceOp {
-        TraceOp::Access {
+    fn access(id: u64, t: u64) -> LogRecord {
+        LogRecord::Access {
             id: TraceId::new(id),
             time: Time::from_micros(t),
         }
@@ -687,7 +686,7 @@ mod tests {
         }
     }
 
-    fn walk(trace: &SimTrace, events: &[CacheEvent]) -> RegretReport {
+    fn walk(trace: &[LogRecord], events: &[CacheEvent]) -> RegretReport {
         let index = NextUseIndex::build(trace);
         let mut obs = RegretObserver::new(&index);
         for e in events {
@@ -701,14 +700,12 @@ mod tests {
         // Trace 1 runs again 1 execution after the eviction point; trace
         // 2 runs again 2 executions after. Evicting 1 instead of 2 is a
         // regret of exactly 1 execution, realized as one re-miss.
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                access(1, 2),
-                access(2, 3),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            access(1, 2),
+            access(2, 3),
+        ];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),
@@ -743,14 +740,12 @@ mod tests {
 
     #[test]
     fn evicting_the_furthest_resident_is_regret_free() {
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                access(1, 2),
-                access(2, 3),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            access(1, 2),
+            access(2, 3),
+        ];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),
@@ -770,9 +765,7 @@ mod tests {
     fn forced_causes_score_zero_but_remisses_still_land() {
         // Unmapping the sooner-reused trace is not a decision: zero
         // regret, but the re-miss is still charged to the unmap cell.
-        let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 1), create(1, 80, 2)],
-        };
+        let trace = vec![create(1, 100, 0), create(2, 100, 1), create(1, 80, 2)];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),
@@ -794,16 +787,14 @@ mod tests {
     fn pinned_residents_are_not_belady_victims() {
         // Trace 2 is pinned, so the only alternative to evicting trace 1
         // is trace 3; regret compares against 3, not 2.
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                create(3, 100, 2),
-                access(1, 3),
-                access(3, 4),
-                access(2, 5),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            create(3, 100, 2),
+            access(1, 3),
+            access(3, 4),
+            access(2, 5),
+        ];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),
@@ -831,18 +822,16 @@ mod tests {
     fn oracle_decision_stream_has_zero_regret() {
         // The walker scores the oracle's own capacity decisions at
         // exactly zero — the property the proptest generalizes.
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                create(3, 100, 2),
-                access(1, 3),
-                access(3, 4),
-                access(2, 5),
-                create(4, 120, 6),
-                access(1, 7),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            create(3, 100, 2),
+            access(1, 3),
+            access(3, 4),
+            access(2, 5),
+            create(4, 120, 6),
+            access(1, 7),
+        ];
         let (_, events) = oracle_replay_events(&trace, 250);
         let report = walk(&trace, &events);
         assert!(report.total.evictions > 0, "scenario must actually evict");
@@ -852,14 +841,12 @@ mod tests {
 
     #[test]
     fn merge_combines_cells_and_contributors() {
-        let trace = SimTrace {
-            ops: vec![
-                create(1, 100, 0),
-                create(2, 100, 1),
-                access(1, 2),
-                access(2, 3),
-            ],
-        };
+        let trace = vec![
+            create(1, 100, 0),
+            create(2, 100, 1),
+            access(1, 2),
+            access(2, 3),
+        ];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),
@@ -881,9 +868,7 @@ mod tests {
 
     #[test]
     fn phase_bucketing_matches_cost_observer_convention() {
-        let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 90), access(1, 95)],
-        };
+        let trace = vec![create(1, 100, 0), create(2, 100, 90), access(1, 95)];
         let index = NextUseIndex::build(&trace);
         let mut obs = RegretObserver::with_phases(&index, 2, 100);
         for e in [
@@ -906,9 +891,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_value() {
-        let trace = SimTrace {
-            ops: vec![create(1, 100, 0), create(2, 100, 1), access(1, 2)],
-        };
+        let trace = vec![create(1, 100, 0), create(2, 100, 1), access(1, 2)];
         let events = vec![
             miss(1, 100, 0),
             insert(1, 100, 0),

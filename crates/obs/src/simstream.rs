@@ -1,4 +1,4 @@
-//! Rebuilding the *frontend trace* from an event stream.
+//! Rebuilding the *frontend request stream* from an event stream.
 //!
 //! [`reconstruct_stats`](crate::reconstruct_stats) replays a stream
 //! forward into the counters the cache kept — proof the stream fully
@@ -6,8 +6,14 @@
 //! it recovers what the frontend *asked for*. The paper's methodology
 //! (Section 6) rests on the frontend request stream — creations,
 //! re-executions, unmaps, pin windows — being independent of cache
-//! management, so the trace recovered from one export can drive a model
+//! management, so the stream recovered from one export can drive a model
 //! with any capacity, layout or policy: the offline what-if simulator.
+//!
+//! The recovered requests are the recorder's own [`LogRecord`]s, so a
+//! recovered stream and a recorded log replay through the same cursor.
+//! Code addresses are not in an export and never influence cache
+//! management, so each [`Create`](LogRecord::Create) carries a head
+//! address synthesized from its trace id.
 //!
 //! The inversion is exact because instrumented models emit exactly one
 //! identifying event per frontend request: every access starts with a
@@ -19,81 +25,10 @@
 //! Everything else in the stream (insertions, capacity evictions,
 //! promotions, pointer resets) is a cache-side *effect* and is skipped.
 
-use gencache_cache::{EvictionCause, TraceId, TraceMap};
-use gencache_program::Time;
-use serde::{Deserialize, Serialize};
+use gencache_cache::{EvictionCause, LogRecord, TraceId, TraceMap, TraceRecord};
+use gencache_program::Addr;
 
 use crate::event::{CacheEvent, FrontendOp};
-
-/// One frontend request recovered from an event stream.
-///
-/// Mirrors the shape of the recorder's access-log records, minus the
-/// code addresses (which never influence cache management and are
-/// re-synthesized deterministically by the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceOp {
-    /// A trace was generated (its first execution) with this body size.
-    Create {
-        /// The new trace.
-        id: TraceId,
-        /// Body size in bytes.
-        bytes: u32,
-        /// When the generating execution happened.
-        time: Time,
-    },
-    /// A subsequent execution of an already-generated trace.
-    Access {
-        /// The executed trace.
-        id: TraceId,
-        /// When the execution happened.
-        time: Time,
-    },
-    /// The trace's source memory was unmapped.
-    Invalidate {
-        /// The unmapped trace.
-        id: TraceId,
-        /// When the unmap happened.
-        time: Time,
-    },
-    /// The trace became undeletable. Pin requests carry no timestamp in
-    /// the recorder's log, so none is recovered here; replay clocks them
-    /// with the preceding timed op, exactly as the live path does.
-    Pin {
-        /// The pinned trace.
-        id: TraceId,
-    },
-    /// The trace became deletable again.
-    Unpin {
-        /// The unpinned trace.
-        id: TraceId,
-    },
-}
-
-/// A frontend request trace recovered from one exported event stream,
-/// ready to drive any hypothetical cache configuration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimTrace {
-    /// Recovered requests, in stream order.
-    pub ops: Vec<TraceOp>,
-}
-
-impl SimTrace {
-    /// Number of executions (creates + accesses) in the trace.
-    pub fn access_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Create { .. } | TraceOp::Access { .. }))
-            .count() as u64
-    }
-
-    /// Number of distinct trace creations.
-    pub fn create_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Create { .. }))
-            .count() as u64
-    }
-}
 
 /// Incremental event → frontend-request inversion.
 ///
@@ -119,8 +54,8 @@ impl TraceRebuilder {
     ///
     /// The first [`Miss`](CacheEvent::Miss) of a trace id (or a later
     /// miss presenting a *different* body size, i.e. the source was
-    /// regenerated differently) becomes a [`TraceOp::Create`]; every
-    /// other hit or miss becomes a [`TraceOp::Access`]. Whether a given
+    /// regenerated differently) becomes a [`LogRecord::Create`]; every
+    /// other hit or miss becomes a [`LogRecord::Access`]. Whether a given
     /// re-execution hit or missed is a property of the recorded
     /// configuration and deliberately discarded — the simulator
     /// re-derives it under the hypothetical one. Cache-side effects
@@ -132,16 +67,15 @@ impl TraceRebuilder {
     /// Errors if the stream opens a trace's history with a hit
     /// (impossible for a model that starts empty — the stream is
     /// truncated or mixes models).
-    pub fn push(&mut self, event: &CacheEvent) -> Result<Option<TraceOp>, String> {
+    pub fn push(&mut self, event: &CacheEvent) -> Result<Option<LogRecord>, String> {
         Ok(Some(match *event {
             CacheEvent::Miss { trace, bytes, time } => {
                 if self.sizes.get(trace) == Some(&bytes) {
-                    TraceOp::Access { id: trace, time }
+                    LogRecord::Access { id: trace, time }
                 } else {
                     self.sizes.insert(trace, bytes);
-                    TraceOp::Create {
-                        id: trace,
-                        bytes,
+                    LogRecord::Create {
+                        record: TraceRecord::new(trace, bytes, Addr::new(trace.as_u64())),
                         time,
                     }
                 }
@@ -153,21 +87,21 @@ impl TraceRebuilder {
                          truncated or mixes models"
                     ));
                 }
-                TraceOp::Access { id: trace, time }
+                LogRecord::Access { id: trace, time }
             }
             CacheEvent::Evict {
                 trace,
                 cause: EvictionCause::Unmapped,
                 time,
                 ..
-            } => TraceOp::Invalidate { id: trace, time },
+            } => LogRecord::Invalidate { id: trace, time },
             CacheEvent::Noop { op, trace, time } => match op {
-                FrontendOp::Unmap => TraceOp::Invalidate { id: trace, time },
-                FrontendOp::Pin => TraceOp::Pin { id: trace },
-                FrontendOp::Unpin => TraceOp::Unpin { id: trace },
+                FrontendOp::Unmap => LogRecord::Invalidate { id: trace, time },
+                FrontendOp::Pin => LogRecord::Pin { id: trace },
+                FrontendOp::Unpin => LogRecord::Unpin { id: trace },
             },
-            CacheEvent::Pin { trace, .. } => TraceOp::Pin { id: trace },
-            CacheEvent::Unpin { trace, .. } => TraceOp::Unpin { id: trace },
+            CacheEvent::Pin { trace, .. } => LogRecord::Pin { id: trace },
+            CacheEvent::Unpin { trace, .. } => LogRecord::Unpin { id: trace },
             // Cache-side effects: insertions, capacity/flush/discard
             // evictions, promotions and pointer resets all depend on the
             // recorded layout and are re-derived by the simulator.
@@ -181,29 +115,37 @@ impl TraceRebuilder {
     }
 }
 
-/// Recovers the frontend request trace from one model's event stream: a
-/// [`TraceRebuilder`] loop that materializes the ops.
+/// Recovers the frontend request stream from one model's event stream: a
+/// [`TraceRebuilder`] loop that materializes the requests.
 ///
 /// # Errors
 ///
 /// Errors if the stream opens a trace's history with a hit (impossible
 /// for a model that starts empty — the stream is truncated or mixes
 /// models).
-pub fn reconstruct_trace(events: &[CacheEvent]) -> Result<SimTrace, String> {
+pub fn reconstruct_trace(events: &[CacheEvent]) -> Result<Vec<LogRecord>, String> {
     let mut rebuilder = TraceRebuilder::new();
-    let mut ops = Vec::new();
+    let mut records = Vec::new();
     for event in events {
-        if let Some(op) = rebuilder.push(event)? {
-            ops.push(op);
+        if let Some(record) = rebuilder.push(event)? {
+            records.push(record);
         }
     }
-    Ok(SimTrace { ops })
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Region;
+    use gencache_program::Time;
+
+    fn create(id: u64, bytes: u32, t: u64) -> LogRecord {
+        LogRecord::Create {
+            record: TraceRecord::new(TraceId::new(id), bytes, Addr::new(id)),
+            time: Time::from_micros(t),
+        }
+    }
 
     fn miss(id: u64, bytes: u32, t: u64) -> CacheEvent {
         CacheEvent::Miss {
@@ -234,30 +176,20 @@ mod tests {
         ];
         let trace = reconstruct_trace(&events).unwrap();
         assert_eq!(
-            trace.ops,
+            trace,
             vec![
-                TraceOp::Create {
-                    id: TraceId::new(1),
-                    bytes: 100,
-                    time: Time::ZERO,
-                },
-                TraceOp::Access {
+                create(1, 100, 0),
+                LogRecord::Access {
                     id: TraceId::new(1),
                     time: Time::from_micros(1),
                 },
-                TraceOp::Create {
-                    id: TraceId::new(2),
-                    bytes: 50,
-                    time: Time::from_micros(2),
-                },
-                TraceOp::Access {
+                create(2, 50, 2),
+                LogRecord::Access {
                     id: TraceId::new(1),
                     time: Time::from_micros(3),
                 },
             ]
         );
-        assert_eq!(trace.access_count(), 4);
-        assert_eq!(trace.create_count(), 2);
     }
 
     #[test]
@@ -281,13 +213,13 @@ mod tests {
         ];
         let trace = reconstruct_trace(&events).unwrap();
         assert_eq!(
-            &trace.ops[1..],
+            &trace[1..],
             &[
-                TraceOp::Invalidate {
+                LogRecord::Invalidate {
                     id: TraceId::new(1),
                     time: Time::from_micros(5),
                 },
-                TraceOp::Invalidate {
+                LogRecord::Invalidate {
                     id: TraceId::new(2),
                     time: Time::from_micros(6),
                 },
@@ -310,7 +242,7 @@ mod tests {
             },
         ];
         let trace = reconstruct_trace(&events).unwrap();
-        assert_eq!(trace.ops.len(), 1);
+        assert_eq!(trace.len(), 1);
     }
 
     #[test]
@@ -335,12 +267,12 @@ mod tests {
         ];
         let trace = reconstruct_trace(&events).unwrap();
         assert_eq!(
-            &trace.ops[1..],
+            &trace[1..],
             &[
-                TraceOp::Pin {
+                LogRecord::Pin {
                     id: TraceId::new(1)
                 },
-                TraceOp::Unpin {
+                LogRecord::Unpin {
                     id: TraceId::new(2)
                 },
             ]

@@ -13,12 +13,11 @@
 
 use std::collections::HashSet;
 
-use gencache_cache::TraceId;
+use gencache_cache::{LogRecord, TraceId, TraceRecord};
 use gencache_obs::{
-    oracle_replay_events, reconstruct_trace, NextUseIndex, Observer, RegretObserver, SimTrace,
-    TraceOp,
+    oracle_replay_events, reconstruct_trace, NextUseIndex, Observer, RegretObserver,
 };
-use gencache_program::Time;
+use gencache_program::{Addr, Time};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -36,11 +35,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Lowers raw ops into a well-formed [`SimTrace`]: the first execution
+/// Lowers raw ops into a well-formed request stream: the first execution
 /// of a live id is a `Create`, unmaps kill the id (a later execution
 /// re-creates it), pin toggles only touch live ids.
-fn build_trace(ops: &[Op]) -> SimTrace {
-    let mut trace = SimTrace::default();
+fn build_trace(ops: &[Op]) -> Vec<LogRecord> {
+    let mut trace = Vec::new();
     let mut live: HashSet<u64> = HashSet::new();
     let mut pinned: HashSet<u64> = HashSet::new();
     for (step, op) in ops.iter().enumerate() {
@@ -49,19 +48,18 @@ fn build_trace(ops: &[Op]) -> SimTrace {
             Op::Execute { id, size } => {
                 let tid = TraceId::new(id);
                 if live.insert(id) {
-                    trace.ops.push(TraceOp::Create {
-                        id: tid,
-                        bytes: size,
+                    trace.push(LogRecord::Create {
+                        record: TraceRecord::new(tid, size, Addr::new(id)),
                         time,
                     });
                 } else {
-                    trace.ops.push(TraceOp::Access { id: tid, time });
+                    trace.push(LogRecord::Access { id: tid, time });
                 }
             }
             Op::Unmap { id } => {
                 if live.remove(&id) {
                     pinned.remove(&id);
-                    trace.ops.push(TraceOp::Invalidate {
+                    trace.push(LogRecord::Invalidate {
                         id: TraceId::new(id),
                         time,
                     });
@@ -71,10 +69,10 @@ fn build_trace(ops: &[Op]) -> SimTrace {
                 if live.contains(&id) {
                     let tid = TraceId::new(id);
                     if pinned.insert(id) {
-                        trace.ops.push(TraceOp::Pin { id: tid });
+                        trace.push(LogRecord::Pin { id: tid });
                     } else {
                         pinned.remove(&id);
-                        trace.ops.push(TraceOp::Unpin { id: tid });
+                        trace.push(LogRecord::Unpin { id: tid });
                     }
                 }
             }

@@ -598,16 +598,16 @@ fn read_upload(reader: &mut impl BufRead, lines_rejected: &AtomicU64) -> Result<
         match classify_line(line)? {
             RouteClass::Blank => {}
             RouteClass::Header => upload.prelude.push(line.to_string()),
-            RouteClass::Stream(bench) => {
-                if !upload.groups.contains_key(&bench) {
-                    upload.order.push(bench.clone());
+            RouteClass::Stream(bench) => match upload.groups.get_mut(bench.as_ref()) {
+                Some(group) => group.push(line.to_string()),
+                // The key is allocated once per benchmark, not per line.
+                None => {
+                    upload.order.push(bench.to_string());
+                    upload
+                        .groups
+                        .insert(bench.into_owned(), vec![line.to_string()]);
                 }
-                upload
-                    .groups
-                    .entry(bench)
-                    .or_default()
-                    .push(line.to_string());
-            }
+            },
         }
     }
 }

@@ -322,8 +322,8 @@ fn export_benches() -> Vec<String> {
     let mut names = Vec::new();
     for line in export().lines() {
         if let RouteClass::Stream(name) = classify_line(line).unwrap() {
-            if !names.contains(&name) {
-                names.push(name);
+            if !names.iter().any(|n| *n == name) {
+                names.push(name.into_owned());
             }
         }
     }

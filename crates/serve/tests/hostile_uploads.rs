@@ -19,11 +19,11 @@ use std::time::Duration;
 
 use gencache_bench::ingest::StreamIngest;
 use gencache_bench::stream_events_to;
-use gencache_obs::{parse_stream_line_tree, reconstruct_trace, CacheEvent, SimTrace, StreamLine};
+use gencache_obs::{parse_stream_line_tree, reconstruct_trace, CacheEvent, StreamLine};
 use gencache_serve::{
     Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, ShardConfig, ShardRouter,
 };
-use gencache_sim::record;
+use gencache_sim::{record, LogRecord};
 use gencache_workloads::interactive_benchmark;
 use proptest::prelude::*;
 use proptest::{generate_case, TestRunnerRng};
@@ -60,13 +60,16 @@ fn text(lines: &[Vec<char>]) -> Vec<String> {
 
 /// What offline ingest makes of `lines`: each benchmark's trace, or the
 /// first error.
-fn ingest(lines: &[String]) -> Result<Vec<(String, SimTrace)>, String> {
+fn ingest(lines: &[String]) -> Result<Vec<(String, Vec<LogRecord>)>, String> {
     let mut ingest = StreamIngest::new();
     for line in lines {
         ingest.push_line(line)?;
     }
     let inputs = ingest.into_inputs(None, None, None)?;
-    Ok(inputs.into_iter().map(|i| (i.name, i.trace)).collect())
+    Ok(inputs
+        .into_iter()
+        .map(|i| (i.name, i.log.records))
+        .collect())
 }
 
 #[test]
@@ -92,12 +95,12 @@ fn undamaged_export_gives_the_tree_readers_traces() {
         }
     }
     assert_eq!(metas, 4, "two benchmarks with two model streams each");
-    let want: Vec<(String, SimTrace)> = streams
+    let want: Vec<(String, Vec<LogRecord>)> = streams
         .into_iter()
         .map(|(source, _, events)| (source, reconstruct_trace(&events).expect("a whole stream")))
         .collect();
     assert_eq!(want.len(), 2);
-    assert!(want.iter().all(|(_, trace)| !trace.ops.is_empty()));
+    assert!(want.iter().all(|(_, trace)| !trace.is_empty()));
     assert_eq!(ingest(&lines), Ok(want));
 }
 

@@ -16,12 +16,12 @@
 
 use std::collections::HashMap;
 
-use gencache_cache::TraceId;
+use gencache_cache::{LogRecord, ReplayCursor, TraceId};
+use gencache_core::apply_step;
 use serde::{Deserialize, Serialize};
 
-use crate::log::{AccessLog, LogRecord};
+use crate::log::AccessLog;
 use crate::recording::Recording;
-use crate::replay::ReplayCursor;
 
 /// A Fenwick (binary indexed) tree over byte weights.
 #[derive(Debug)]
@@ -218,7 +218,7 @@ pub fn occupancy_series<R: Recording>(
     let mut cursor = ReplayCursor::new();
     let mut replayed = 0;
     rec.for_each_record(|record| {
-        cursor.step(record).drive(model);
+        apply_step(model, cursor.step(record));
         replayed += 1;
         if replayed % stride == 0 && series.len() < samples {
             series.push(model.resident_bytes());

@@ -62,20 +62,19 @@ mod sweep;
 mod threads;
 
 pub use analysis::{occupancy_series, reuse_profile, ReuseProfile};
+pub use gencache_cache::{LogRecord, ReplayCursor, ReplayStep};
 pub use linking::{replay_with_linking, LinkReport, LinkableModel};
-pub use log::{AccessLog, LogRecord};
+pub use log::AccessLog;
 pub use progress::{ProgressMeter, PROGRESS_BATCH};
 pub use recorder::{
     record, record_stream_with, record_with, RecordFacts, RecordedRun, RecorderOptions, RunSummary,
 };
 pub use recording::{standard_capacity, Metered, Recording};
-pub use replay::{
-    compare, compare_figure9, replay_into, Comparison, ReplayCursor, ReplayResult, ReplayStep,
-};
+pub use replay::{compare, compare_figure9, replay_into, Comparison, ReplayResult};
 pub use simulate::{
     parse_spec, replay_observed, replay_sim_observed, replay_spec, simulate_cell, simulate_costs,
-    simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows, trace_to_log,
-    CellSections, LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
+    simulate_metrics, simulate_regret_top, simulate_switches, simulate_windows, CellSections,
+    LocalPolicy, SimSpec, SimulatedSpec, SpecReports,
 };
 pub use streamed::{StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};

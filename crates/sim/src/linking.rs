@@ -15,13 +15,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gencache_cache::TraceId;
-use gencache_core::{CacheModel, GenerationalModel, UnifiedModel};
+use gencache_cache::{LogRecord, ReplayCursor, ReplayStep, TraceId};
+use gencache_core::{apply_step, CacheModel, GenerationalModel, UnifiedModel};
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
-use crate::log::{AccessLog, LogRecord};
-use crate::replay::{ReplayCursor, ReplayStep};
+use crate::log::AccessLog;
 
 /// Outcome counters of a linking-aware replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,7 +154,7 @@ pub fn replay_with_linking(log: &AccessLog, model: &mut dyn LinkableModel) -> Li
                     prev = None;
                 }
             }
-            (step @ ReplayStep::Pin(..), _) => step.drive(model),
+            (step @ ReplayStep::Pin(..), _) => apply_step(model, step),
         }
     }
 

@@ -2,53 +2,19 @@
 //!
 //! "DynamoRIO executed our benchmarks using an unbounded code cache, and
 //! we used the verbose log of cache accesses to drive our cache
-//! simulator" (Section 6). [`AccessLog`] is that log: an ordered record of
-//! trace creations, trace-cache accesses, unmap invalidations, and
-//! undeletable-trace windows, replayable into any [`CacheModel`].
+//! simulator" (Section 6). [`AccessLog`] is that log: an ordered list of
+//! [`LogRecord`]s (trace creations, trace-cache accesses, unmap
+//! invalidations, and undeletable-trace windows) plus the run facts that
+//! size a simulation, replayable into any [`CacheModel`]. The records
+//! are the one frontend request type: a stream recovered from an
+//! exported event stream is a `Vec<LogRecord>` too, so a log rebuilt
+//! from an export is this same struct.
 //!
 //! [`CacheModel`]: gencache_core::CacheModel
 
-use gencache_cache::{TraceId, TraceRecord};
+use gencache_cache::LogRecord;
 use gencache_program::Time;
 use serde::{Deserialize, Serialize};
-
-/// One entry of the verbose log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LogRecord {
-    /// A trace was generated for the first time (and begins executing).
-    Create {
-        /// The new trace's identity, size, and head address.
-        record: TraceRecord,
-        /// Generation time.
-        time: Time,
-    },
-    /// Execution entered an existing trace at its head.
-    Access {
-        /// The accessed trace.
-        id: TraceId,
-        /// Access time.
-        time: Time,
-    },
-    /// The program unmapped memory: this trace is stale and must be
-    /// deleted from any cache holding it.
-    Invalidate {
-        /// The stale trace.
-        id: TraceId,
-        /// Unmap time.
-        time: Time,
-    },
-    /// The trace became temporarily undeletable (e.g. an exception is
-    /// being handled inside it, Section 4.2).
-    Pin {
-        /// The pinned trace.
-        id: TraceId,
-    },
-    /// The trace is deletable again.
-    Unpin {
-        /// The unpinned trace.
-        id: TraceId,
-    },
-}
 
 /// A complete recorded run, ready for replay.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -166,6 +132,7 @@ impl AccessLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gencache_cache::{TraceId, TraceRecord};
     use gencache_program::Addr;
 
     fn sample() -> AccessLog {

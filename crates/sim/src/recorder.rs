@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use gencache_cache::TraceId;
+use gencache_cache::{LogRecord, TraceId};
 use gencache_core::{LifetimeHistogram, LifetimeTracker};
 use gencache_frontend::{Engine, FrontendEvent, FrontendStats};
 use gencache_workloads::{
@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::log::{AccessLog, LogRecord};
+use crate::log::AccessLog;
 
 /// Per-benchmark characterization numbers, feeding Figures 1–4 and 6.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -3,13 +3,13 @@
 //! [`StreamedRecording`](crate::StreamedRecording). Every replay driver,
 //! comparison and export is written once, generic over [`Recording`].
 
-use gencache_core::CacheModel;
+use gencache_cache::{LogRecord, ReplayCursor};
+use gencache_core::{apply_step, CacheModel};
 use gencache_program::Time;
 
-use crate::log::{AccessLog, LogRecord};
+use crate::log::AccessLog;
 use crate::progress::{ProgressMeter, PROGRESS_BATCH};
 use crate::recorder::{RecordedRun, RunSummary};
-use crate::replay::ReplayCursor;
 
 /// The paper's standard bounded-cache budget: half the unbounded peak
 /// (`maxCache`), at least one byte. The one place the rule is written.
@@ -64,7 +64,7 @@ pub trait Recording {
         self.for_each_record(|record| {
             let step = cursor.step(record);
             for model in models.iter_mut() {
-                step.drive(*model);
+                apply_step(*model, step);
             }
         });
     }

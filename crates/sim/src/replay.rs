@@ -1,103 +1,13 @@
 //! Replaying a [`Recording`] into bounded cache models, and the standard
 //! unified-vs-generational comparison of Section 6.
 
-use gencache_cache::{TraceId, TraceMap, TraceRecord};
 use gencache_core::{
     overhead_ratio, CacheModel, CostLedger, GenerationalConfig, GenerationalModel, ModelMetrics,
     UnifiedModel,
 };
-use gencache_program::Time;
 use serde::{Deserialize, Serialize};
 
-use crate::log::LogRecord;
 use crate::recording::Recording;
-
-/// Per-stream replay state: the trace catalog (sizes and head addresses
-/// resolved from creation records) and the standing clock for untimed
-/// pin records.
-///
-/// One cursor [`step`](ReplayCursor::step)s through a record stream
-/// exactly once, and the resolved [`ReplayStep`] can then
-/// [`drive`](ReplayStep::drive) *any number of models* — this is what
-/// lets [`Recording::drive`] feed one pass of either source, a
-/// materialized log or a bounded-channel stream, into the whole Figure 9
-/// model set.
-#[derive(Debug, Default)]
-pub struct ReplayCursor {
-    catalog: TraceMap<TraceId, TraceRecord>,
-    // Pin records carry no timestamp; the clock of the most recent timed
-    // record stands in for them.
-    now: Time,
-}
-
-/// One log record resolved against the [`ReplayCursor`] catalog and
-/// clock, ready to drive a model.
-#[derive(Debug, Clone, Copy)]
-pub enum ReplayStep {
-    /// Present the trace for execution (creations and accesses alike: a
-    /// trace is executed as soon as it is generated).
-    Access(TraceRecord, Time),
-    /// Force deletion of an unmapped trace.
-    Unmap(TraceId, Time),
-    /// Toggle the trace's undeletable window.
-    Pin(TraceId, bool, Time),
-}
-
-impl ReplayCursor {
-    /// A fresh cursor at time zero with an empty catalog.
-    pub fn new() -> Self {
-        ReplayCursor::default()
-    }
-
-    /// Whether the stream so far created trace `id`.
-    pub fn created(&self, id: TraceId) -> bool {
-        self.catalog.get(id).is_some()
-    }
-
-    /// Resolves the next `record` of the stream into a driveable step,
-    /// updating the catalog and the standing clock.
-    pub fn step(&mut self, record: &LogRecord) -> ReplayStep {
-        match *record {
-            LogRecord::Create { record, time } => {
-                self.catalog.insert(record.id, record);
-                self.now = time;
-                ReplayStep::Access(record, time)
-            }
-            LogRecord::Access { id, time } => {
-                let rec = self
-                    .catalog
-                    .get(id)
-                    .expect("access to a trace never created; corrupt log");
-                self.now = time;
-                ReplayStep::Access(*rec, time)
-            }
-            LogRecord::Invalidate { id, time } => {
-                self.now = time;
-                ReplayStep::Unmap(id, time)
-            }
-            LogRecord::Pin { id } => ReplayStep::Pin(id, true, self.now),
-            LogRecord::Unpin { id } => ReplayStep::Pin(id, false, self.now),
-        }
-    }
-}
-
-impl ReplayStep {
-    /// Applies this step to one model. A step may drive any number of
-    /// models; they all observe the identical frontend request.
-    pub fn drive(&self, model: &mut dyn CacheModel) {
-        match *self {
-            ReplayStep::Access(record, time) => {
-                model.on_access(record, time);
-            }
-            ReplayStep::Unmap(id, time) => {
-                model.on_unmap(id, time);
-            }
-            ReplayStep::Pin(id, pinned, now) => {
-                model.on_pin(id, pinned, now);
-            }
-        }
-    }
-}
 
 /// Replays `rec` into `model`, returning nothing; inspect the model's
 /// metrics and ledger afterwards.
@@ -222,6 +132,7 @@ pub fn compare_figure9<R: Recording>(rec: &R) -> Comparison {
 mod tests {
     use super::*;
     use crate::log::AccessLog;
+    use gencache_cache::{LogRecord, TraceId, TraceRecord};
     use gencache_program::{Addr, Time};
 
     /// A synthetic log with heavy churn over long-lived traces: the
@@ -348,5 +259,43 @@ mod tests {
         };
         let mut model = UnifiedModel::new(50);
         replay_into(&log, &mut model);
+    }
+
+    #[test]
+    fn drives_creates_accesses_and_unmaps() {
+        let log = AccessLog {
+            benchmark: "t".into(),
+            records: vec![
+                LogRecord::Create {
+                    record: TraceRecord::new(TraceId::new(1), 100, Addr::new(1)),
+                    time: Time::ZERO,
+                },
+                LogRecord::Access {
+                    id: TraceId::new(1),
+                    time: Time::from_micros(2),
+                },
+                LogRecord::Pin {
+                    id: TraceId::new(1),
+                },
+                LogRecord::Unpin {
+                    id: TraceId::new(1),
+                },
+                LogRecord::Invalidate {
+                    id: TraceId::new(1),
+                    time: Time::from_micros(5),
+                },
+                LogRecord::Create {
+                    record: TraceRecord::new(TraceId::new(1), 100, Addr::new(1)),
+                    time: Time::from_micros(6),
+                },
+            ],
+            duration: Time::from_micros(10),
+            peak_trace_bytes: 100,
+        };
+        let mut model = UnifiedModel::new(1_000);
+        replay_into(&log, &mut model);
+        assert_eq!(model.metrics().accesses, 3);
+        assert_eq!(model.metrics().hits, 1);
+        assert_eq!(model.metrics().unmap_deletions, 1);
     }
 }

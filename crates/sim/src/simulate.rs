@@ -8,8 +8,9 @@
 //! records for requests the recorded layout could not honor), so the
 //! `simulate` tool can answer "what would the miss rate and Table 2
 //! Minstr have been under layout X?" without re-recording. This module
-//! is the engine behind it: [`trace_to_log`] rebuilds a replayable
-//! [`AccessLog`] from a recovered [`SimTrace`], [`SimSpec`] names any
+//! is the engine behind it: the recovered stream is a list of the same
+//! [`LogRecord`](gencache_cache::LogRecord)s the recorder writes, so it
+//! replays as an [`AccessLog`]; [`SimSpec`] names any
 //! configuration — unified, generational with arbitrary proportions and
 //! promotion rule, one of the local replacement policies, or the
 //! adaptive engine — and [`simulate_cell`] replays one (log, spec) cell
@@ -19,7 +20,7 @@
 
 use gencache_cache::{
     ClockCache, CodeCache, FlushCache, LruCache, PhaseDetector, PreemptiveFlushCache,
-    PseudoCircularCache, TraceRecord, UnboundedCache,
+    PseudoCircularCache, UnboundedCache,
 };
 use gencache_core::{
     AdaptiveModel, CacheModel, Candidate, CandidateSet, GenerationalConfig, GenerationalModel,
@@ -27,49 +28,13 @@ use gencache_core::{
 };
 use gencache_obs::{
     CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, NullObserver, Observer,
-    RegretObserver, RegretReport, SampledReport, SamplingObserver, SamplingParams, SimTrace,
-    TraceOp, WindowObserver, WindowReport,
+    RegretObserver, RegretReport, SampledReport, SamplingObserver, SamplingParams, WindowObserver,
+    WindowReport,
 };
-use gencache_program::{Addr, Time};
 use serde::{Deserialize, Entries, Serialize, Value};
 
-use crate::log::{AccessLog, LogRecord};
 use crate::recording::Recording;
 use crate::replay::ReplayResult;
-
-/// Rebuilds a replayable [`AccessLog`] from a recovered frontend trace.
-///
-/// Code addresses are not recoverable from an event stream — and never
-/// influence cache management — so each trace gets a deterministic
-/// synthesized head address. Everything the replay machinery consumes
-/// (ids, sizes, timestamps, op order) round-trips exactly.
-pub fn trace_to_log(
-    trace: &SimTrace,
-    benchmark: impl Into<String>,
-    duration_us: u64,
-    peak_trace_bytes: u64,
-) -> AccessLog {
-    let records = trace
-        .ops
-        .iter()
-        .map(|op| match *op {
-            TraceOp::Create { id, bytes, time } => LogRecord::Create {
-                record: TraceRecord::new(id, bytes, Addr::new(id.as_u64())),
-                time,
-            },
-            TraceOp::Access { id, time } => LogRecord::Access { id, time },
-            TraceOp::Invalidate { id, time } => LogRecord::Invalidate { id, time },
-            TraceOp::Pin { id } => LogRecord::Pin { id },
-            TraceOp::Unpin { id } => LogRecord::Unpin { id },
-        })
-        .collect();
-    AccessLog {
-        benchmark: benchmark.into(),
-        records,
-        duration: Time::from_micros(duration_us),
-        peak_trace_bytes,
-    }
-}
 
 /// A local replacement policy evaluated inside the unified-model cost
 /// accounting (the Section 4 ablation set).
@@ -651,8 +616,10 @@ pub fn simulate_cell<R: Recording>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gencache_cache::TraceId;
+    use crate::log::AccessLog;
+    use gencache_cache::{LogRecord, TraceId, TraceRecord};
     use gencache_obs::EventBuffer;
+    use gencache_program::{Addr, Time};
 
     /// Ten 120-byte traces accessed round-robin for 30 rounds.
     fn churn_log(name: &str, seed: u64) -> AccessLog {
@@ -811,47 +778,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trace_to_log_preserves_shape() {
-        let trace = SimTrace {
-            ops: vec![
-                TraceOp::Create {
-                    id: TraceId::new(1),
-                    bytes: 120,
-                    time: Time::ZERO,
-                },
-                TraceOp::Access {
-                    id: TraceId::new(1),
-                    time: Time::from_micros(5),
-                },
-                TraceOp::Pin {
-                    id: TraceId::new(1),
-                },
-                TraceOp::Invalidate {
-                    id: TraceId::new(1),
-                    time: Time::from_micros(9),
-                },
-            ],
-        };
-        let log = trace_to_log(&trace, "w", 1_000, 240);
-        assert_eq!(log.access_count(), 2);
-        assert_eq!(log.trace_count(), 1);
-        assert_eq!(log.peak_trace_bytes, 240);
-        assert_eq!(log.duration.as_micros(), 1_000);
-        assert!(matches!(
-            log.records[3],
-            LogRecord::Invalidate { id, .. } if id == TraceId::new(1)
-        ));
-    }
-
     /// A frontend trace every spec class deletes on: a calm phase over
     /// a small working set; a loop that fits the 60% nursery of the
     /// default adaptive roster's third candidate but thrashes its
     /// initial 45-10-45 layout, so the controller drifts, auditions and
     /// switches; then churn far over the budget. Periodic unmaps make
     /// even the unbounded policy delete.
-    fn phased_trace() -> SimTrace {
-        let mut ops = vec![];
+    fn phased_log() -> AccessLog {
+        let mut records = vec![];
         let mut live = std::collections::HashSet::new();
         for i in 0..12_000u64 {
             let (id, bytes) = match i {
@@ -861,23 +795,28 @@ mod tests {
             };
             let (id, time) = (TraceId::new(id), Time::from_micros(i));
             if live.insert(id) {
-                ops.push(TraceOp::Create { id, bytes, time });
+                let record = TraceRecord::new(id, bytes, Addr::new(id.as_u64()));
+                records.push(LogRecord::Create { record, time });
             } else {
-                ops.push(TraceOp::Access { id, time });
+                records.push(LogRecord::Access { id, time });
             }
             if i % 700 == 699 {
                 live.remove(&id);
-                ops.push(TraceOp::Invalidate { id, time });
+                records.push(LogRecord::Invalidate { id, time });
             }
         }
-        SimTrace { ops }
+        AccessLog {
+            benchmark: "phased".into(),
+            records,
+            duration: Time::from_micros(12_000),
+            peak_trace_bytes: 8_000,
+        }
     }
 
     #[test]
     fn one_pass_cell_equals_the_section_replays() {
-        let trace = phased_trace();
-        let log = trace_to_log(&trace, "phased", 12_000, 8_000);
-        let index = NextUseIndex::build(&trace);
+        let log = phased_log();
+        let index = NextUseIndex::build(&log.records);
         let (capacity, every, phases, width, top) = (4_000, 64, 4, 128, 8);
         let params = SamplingParams::bounded(3);
         let sections = CellSections {

@@ -20,10 +20,10 @@
 
 use std::sync::mpsc::sync_channel;
 
+use gencache_cache::LogRecord;
 use gencache_program::Time;
 use gencache_workloads::{PlanError, WorkloadProfile};
 
-use crate::log::LogRecord;
 use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSummary};
 use crate::recording::Recording;
 

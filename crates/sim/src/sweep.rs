@@ -103,7 +103,8 @@ pub fn best_point(points: &[SweepPoint]) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{AccessLog, LogRecord};
+    use crate::log::AccessLog;
+    use gencache_cache::LogRecord;
     use gencache_cache::{TraceId, TraceRecord};
     use gencache_program::{Addr, Time};
 

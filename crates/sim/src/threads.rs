@@ -16,11 +16,12 @@
 
 use std::collections::HashMap;
 
+use gencache_cache::LogRecord;
 use gencache_core::{CacheModel, GenerationalConfig, GenerationalModel, UnifiedModel};
 use gencache_program::Addr;
 use serde::{Deserialize, Serialize};
 
-use crate::log::{AccessLog, LogRecord};
+use crate::log::AccessLog;
 use crate::replay::replay_into;
 
 /// Splits `log` into `threads` per-thread logs. Every trace is owned by

@@ -9,11 +9,10 @@
 //! names (churn entries, regret contributors and their Belady victims)
 //! are mapped back.
 
-use gencache_cache::TraceId;
-use gencache_obs::{reconstruct_trace, EventBuffer, NextUseIndex, SimTrace, TraceOp};
+use gencache_cache::{LogRecord, TraceId, TraceRecord};
+use gencache_obs::NextUseIndex;
 use gencache_sim::{
-    parse_spec, record, replay_observed, simulate_cell, trace_to_log, CellSections, LocalPolicy,
-    SimSpec, SpecReports,
+    parse_spec, record, simulate_cell, AccessLog, CellSections, LocalPolicy, SpecReports,
 };
 use gencache_workloads::benchmark;
 
@@ -40,29 +39,29 @@ fn dense(raw: u64) -> u64 {
     raw >> SHIFT
 }
 
-fn relabel(trace: &SimTrace) -> SimTrace {
-    let ops = trace
-        .ops
+fn relabel(records: &[LogRecord]) -> Vec<LogRecord> {
+    records
         .iter()
-        .map(|op| match *op {
-            TraceOp::Create { id, bytes, time } => TraceOp::Create {
-                id: sparse(id),
-                bytes,
+        .map(|r| match *r {
+            LogRecord::Create { record, time } => LogRecord::Create {
+                record: TraceRecord {
+                    id: sparse(record.id),
+                    ..record
+                },
                 time,
             },
-            TraceOp::Access { id, time } => TraceOp::Access {
-                id: sparse(id),
-                time,
-            },
-            TraceOp::Invalidate { id, time } => TraceOp::Invalidate {
+            LogRecord::Access { id, time } => LogRecord::Access {
                 id: sparse(id),
                 time,
             },
-            TraceOp::Pin { id } => TraceOp::Pin { id: sparse(id) },
-            TraceOp::Unpin { id } => TraceOp::Unpin { id: sparse(id) },
+            LogRecord::Invalidate { id, time } => LogRecord::Invalidate {
+                id: sparse(id),
+                time,
+            },
+            LogRecord::Pin { id } => LogRecord::Pin { id: sparse(id) },
+            LogRecord::Unpin { id } => LogRecord::Unpin { id: sparse(id) },
         })
-        .collect();
-    SimTrace { ops }
+        .collect()
 }
 
 /// Maps every trace id a report section names back through [`dense`].
@@ -83,23 +82,16 @@ fn map_back(mut reports: SpecReports) -> SpecReports {
 fn sparse_ids_replay_identically_under_every_spec_class() {
     let profile = benchmark("word").expect("word exists").scaled_down(64);
     let run = record(&profile).expect("calibrated profiles always plan");
-    let (_, buffer) = replay_observed(&run.log, SimSpec::Unified, EventBuffer::new());
-    let trace = reconstruct_trace(&buffer.events).expect("stream inverts");
-    let sparse_trace = relabel(&trace);
-    let log_of = |t: &SimTrace| {
-        trace_to_log(
-            t,
-            profile.name.clone(),
-            run.log.duration.as_micros(),
-            run.log.peak_trace_bytes,
-        )
+    let dense_log = run.log;
+    let sparse_log = AccessLog {
+        records: relabel(&dense_log.records),
+        ..dense_log.clone()
     };
-    let (dense_log, sparse_log) = (log_of(&trace), log_of(&sparse_trace));
     let (dense_index, sparse_index) = (
-        NextUseIndex::build(&trace),
-        NextUseIndex::build(&sparse_trace),
+        NextUseIndex::build(&dense_log.records),
+        NextUseIndex::build(&sparse_log.records),
     );
-    let capacity = run.log.capacity();
+    let capacity = dense_log.capacity();
     let sections = |index| CellSections {
         sample_every: 64,
         phases: 4,

@@ -74,6 +74,7 @@ stream_events="target/tmp/check-stream-events.jsonl"
 stream_metrics="target/tmp/check-stream-metrics.json"
 fig1_out="target/tmp/check-fig1.txt"
 dup_out="target/tmp/check-thread-duplication.txt"
+recorded_out="target/tmp/check-recorded.txt"
 fleet_events="target/tmp/check-fleet-events.jsonl"
 fleet_second="target/tmp/check-fleet-second.jsonl"
 fleet_sim="target/tmp/check-metrics-fleet-sim.json"
@@ -92,7 +93,7 @@ cleanup() {
     "$baseline" "$regret_metrics" \
     "$win_metrics" "$adaptive_events" "$jobs1_metrics" "$jobs3_metrics" \
     "$export_events" "$export_metrics" "$stream_events" "$stream_metrics" \
-    "$fig1_out" "$dup_out" \
+    "$fig1_out" "$dup_out" "$recorded_out" \
     "$serve_metrics" "$fetch_events" "$serve_log" "$serve_events_log" \
     "$bad_events" "$huge_events" "$bad_err" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
@@ -126,15 +127,23 @@ cmp "$export_events" "$stream_events" \
 cmp "$export_metrics" "$stream_metrics" \
   || { echo "streamed metrics doc differs from the materialized one"; exit 1; }
 
-echo "=== full-scale recording smoke: fig1 and thread_duplication reproduce their committed results"
-# Both print only facts of full-scale recordings: the peak cache size of
-# all 38 benchmarks, and trace counts and bytes at 1, 2 and 4 threads.
+echo "=== full-scale recording smoke: recording facts reproduce their committed results"
+# Each prints only facts of full-scale recordings: the peak cache size of
+# all 38 benchmarks, trace counts and bytes at 1, 2 and 4 threads, code
+# expansion, insertion rate, unmapped bytes and trace lifetimes; and
+# excel's trace counts across trace-creation thresholds.
 ./target/release/fig1_max_cache_size --jobs 1 > "$fig1_out" 2> /dev/null
 cmp results/fig1_max_cache_size.txt "$fig1_out" \
   || { echo "fig1_max_cache_size differs from results/fig1_max_cache_size.txt"; exit 1; }
 ./target/release/thread_duplication --jobs 1 > "$dup_out" 2> /dev/null
 cmp results/thread_duplication.txt "$dup_out" \
   || { echo "thread_duplication differs from results/thread_duplication.txt"; exit 1; }
+for bin in fig2_code_expansion fig3_insertion_rate fig4_unmapped fig6_lifetimes \
+  sweep_trace_threshold; do
+  ./target/release/$bin --jobs 1 > "$recorded_out" 2> /dev/null
+  cmp "results/$bin.txt" "$recorded_out" \
+    || { echo "$bin differs from results/$bin.txt"; exit 1; }
+done
 
 echo "=== delta smoke: stream diff reports a non-empty phase table"
 delta_out="$(./target/release/delta "$events" --phases 6)"

@@ -15,36 +15,38 @@
 //!    one export can stand in for `sweep_proportions` re-recording.
 //!
 //! Plus the oracle sanity bound: the Belady-style furthest-next-use
-//! replayer never misses more than the unified baseline.
+//! replayer never misses more than the unified baseline; and the
+//! clairvoyant side built over a recorded log equals the one built over
+//! the stream reconstructed from it, so `explain --oracle` can read the
+//! log directly.
 
 use gencache_bench::ingest::{run_sim_job, SimJobInput, SimJobOptions};
 use gencache_bench::sample_interval;
+use gencache_cache::LogRecord;
 use gencache_obs::{
-    oracle_replay, reconstruct_trace, CostObserver, EventBuffer, MetricsObserver, SimTrace,
+    oracle_replay, reconstruct_trace, CostObserver, EventBuffer, MetricsObserver, NextUseIndex,
 };
 use gencache_sim::{
-    parse_spec, record, replay_observed, simulate_costs, simulate_metrics, sweep_with_jobs,
-    trace_to_log, AccessLog, SimSpec,
+    parse_spec, record, record_with, replay_observed, simulate_costs, simulate_metrics,
+    sweep_with_jobs, AccessLog, RecorderOptions, SimSpec,
 };
-use gencache_workloads::benchmark;
+use gencache_workloads::{benchmark, Suite, WorkloadProfile};
 
 /// One recorded run of `word`, its exported stream reconstructed back
 /// into a replayable log, plus the paper's capacity for it.
 fn recorded_and_reconstructed() -> (AccessLog, AccessLog, u64) {
     let profile = benchmark("word").expect("word exists").scaled_down(32);
     let run = record(&profile).expect("calibrated profiles always plan");
-    let reconstructed = trace_to_log(
-        &frontend_trace(&run.log),
-        profile.name.clone(),
-        run.log.duration.as_micros(),
-        run.log.peak_trace_bytes,
-    );
+    let reconstructed = AccessLog {
+        records: frontend_trace(&run.log),
+        ..run.log.clone()
+    };
     let capacity = run.log.capacity();
     (run.log, reconstructed, capacity)
 }
 
-/// The frontend trace reconstructed from `log`'s unified event stream.
-fn frontend_trace(log: &AccessLog) -> SimTrace {
+/// The request stream reconstructed from `log`'s unified event stream.
+fn frontend_trace(log: &AccessLog) -> Vec<LogRecord> {
     let (_, buffer) = replay_observed(log, SimSpec::Unified, EventBuffer::new());
     reconstruct_trace(&buffer.events).expect("stream inverts")
 }
@@ -190,4 +192,62 @@ fn oracle_lower_bounds_the_unified_baseline() {
         oracle.misses,
         result.metrics.misses
     );
+}
+
+/// The DLL-heavy three-thread profile `recording_digest.rs` pins.
+fn churn3() -> WorkloadProfile {
+    WorkloadProfile::builder("churn3", Suite::Interactive)
+        .duration_secs(20.0)
+        .footprint_kb(512)
+        .phases(6)
+        .dlls(8, 0.75)
+        .threads(3)
+        .seed(11)
+        .build()
+}
+
+#[test]
+fn oracle_over_the_recorded_log_equals_oracle_over_its_reconstruction() {
+    let pinned = RecorderOptions {
+        exception_rate: 0.2,
+        pin_window: 3,
+    };
+    let scaled = |name: &str, scale| benchmark(name).expect("built-in").scaled_down(scale);
+    let cases = [
+        (scaled("word", 64), RecorderOptions::default()),
+        (scaled("phaseflip", 16), RecorderOptions::default()),
+        (scaled("excel", 8), RecorderOptions::default()),
+        (churn3(), pinned),
+    ];
+    for (profile, options) in cases {
+        let log = record_with(&profile, options).expect("profile plans").log;
+        let name = &profile.name;
+        if name == "excel" {
+            assert!(
+                log.invalidated_bytes() > 0,
+                "excel's recording must unload a DLL holding traces"
+            );
+        }
+        if options.exception_rate > 0.0 {
+            assert!(
+                log.records
+                    .iter()
+                    .any(|r| matches!(r, LogRecord::Pin { .. })),
+                "{name}: the pinned recording must pin traces"
+            );
+        }
+        let rebuilt = frontend_trace(&log);
+        assert_eq!(
+            NextUseIndex::build(&log.records),
+            NextUseIndex::build(&rebuilt),
+            "{name}: next-use index"
+        );
+        for capacity in [log.capacity(), log.capacity() / 4] {
+            assert_eq!(
+                oracle_replay(&log.records, capacity),
+                oracle_replay(&rebuilt, capacity),
+                "{name}: oracle at {capacity} bytes"
+            );
+        }
+    }
 }
